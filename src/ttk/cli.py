@@ -55,7 +55,6 @@ def _execute(directive: Directive) -> tuple[int, list[str]]:
             return _verdict(conv_sub(ctx, cod, lhs, rhs))
         case "termify":
             sort, ctx, entity = directive.args
-            check_ctx(ctx)
             out = termify_entity(sort, ctx, entity)
             out.verify()
             return 0, [f"payload: {print_entity('tm', out.payload)}",
@@ -63,7 +62,6 @@ def _execute(directive: Directive) -> tuple[int, list[str]]:
                        "RESULT: accept"]
         case "param":
             sort, ctx, entity = directive.args
-            check_ctx(ctx)
             out = param_entity(sort, ctx, entity)
             payload_sort = "ty" if sort in ("ctx", "ty") else "tm"
             return 0, [f"payload: {print_entity(payload_sort, out.payload)}",

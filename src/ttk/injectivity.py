@@ -26,7 +26,7 @@ from .termify import (
     decoded, point_pair, sub_classifier, termify_sub, termify_tm,
     termify_ty, tm_classifier, ty_classifier,
 )
-from .typecheck import synth_sub, synth_tm
+from .typecheck import check_entity, synth_sub, synth_tm
 
 
 class IsoFailure(Exception):
@@ -111,6 +111,8 @@ def embedding_tm(ctx: Ctx, tm: TmExpr) -> EmbeddingReport:
 
 
 def check_embedding(sort: str, ctx: Ctx, entity) -> EmbeddingReport:
+    """Check the entity, then test its embedding equation."""
+    check_entity(sort, ctx, entity)
     match sort:
         case "ty":
             return embedding_ty(ctx, entity)

@@ -42,8 +42,8 @@ from .syntax import (
 )
 from .caches import memoized
 from .typecheck import (
-    TypeCheckError, check_ctx, infer_ty, normalize_ty_in, synth_sub,
-    synth_tm, types_convertible,
+    TypeCheckError, _force_id, check_entity, infer_ty, normalize_ty_in,
+    synth_sub, synth_tm, types_convertible,
 )
 
 
@@ -61,14 +61,6 @@ def _pair_at(ctx: Ctx, sigma_ty: TyExpr, a: TmExpr, b: TmExpr) -> TmExpr:
         case Sigma(dom, cod):
             return Pair(dom, cod, a, b)
     raise TypeCheckError("expected a pair-shaped predicate", actual=nf)
-
-
-def _eq_components(ctx: Ctx, eq: TmExpr) -> tuple[TyExpr, TmExpr, TmExpr]:
-    nf = normalize_ty_in(ctx, synth_tm(ctx, eq))
-    match nf:
-        case IdTy(dom, lhs, rhs):
-            return dom, lhs, rhs
-    raise TypeCheckError("expected an equality type", expr=eq, actual=nf)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +287,7 @@ def _param_if(ctx: Ctx, motive: TyExpr, on_true: TmExpr, on_false: TmExpr,
 
 def _param_j(ctx: Ctx, whole: TmExpr, motive: TyExpr, base: TmExpr,
              eq: TmExpr) -> TmExpr:
-    dom, lhs, rhs = _eq_components(ctx, eq)
+    dom, lhs, rhs = _force_id(ctx, synth_tm(ctx, eq), eq)
     pred = param_ctx(ctx)
     dom_pred = param_ty(ctx, dom)
     lhs_pred = param_tm(ctx, lhs)
@@ -374,34 +366,28 @@ class ParamEntity:
 
 
 def param_entity(sort: str, ctx: Ctx, entity=None) -> ParamEntity:
-    """Translate one entity, package it with scope and classifier, and
-    validate the result with the kernel typechecker."""
+    """Check one entity, translate it, package it with scope and
+    classifier, and validate the result with the kernel typechecker.
+    Ill-typed input raises a plain ``TypeCheckError``; only a failure after
+    the check is a ``TranslationIllTyped``."""
+    checked = check_entity(sort, ctx, entity)
     try:
         match sort:
             case "ctx":
-                out = ParamEntity("ctx", ctx, param_ctx(ctx), check_ctx(ctx))
+                out = ParamEntity("ctx", ctx, param_ctx(ctx), checked)
             case "ty":
                 scope = ctx.extend(param_ctx(ctx)).extend(TySub(entity, Wk()))
-                out = ParamEntity("ty", scope, param_ty(ctx, entity),
-                                  infer_ty(ctx, entity))
+                out = ParamEntity("ty", scope, param_ty(ctx, entity), checked)
             case "sub":
-                cod = synth_sub(ctx, entity)
                 scope = ctx.extend(param_ctx(ctx))
-                classifier = TySub(param_ctx(cod), Comp(entity, Wk()))
+                classifier = TySub(param_ctx(checked), Comp(entity, Wk()))
                 out = ParamEntity("sub", scope, param_sub(ctx, entity), classifier)
             case "tm":
-                ty = synth_tm(ctx, entity)
                 scope = ctx.extend(param_ctx(ctx))
                 classifier = TySub(
-                    param_ty(ctx, ty),
-                    Ext(IdSub(), TySub(ty, Wk()), TmSub(entity, Wk())))
+                    param_ty(ctx, checked),
+                    Ext(IdSub(), TySub(checked, Wk()), TmSub(entity, Wk())))
                 out = ParamEntity("tm", scope, param_tm(ctx, entity), classifier)
-            case _:
-                raise ValueError(f"unknown sort {sort!r}")
-    except TypeCheckError as err:
-        name = type(entity).__name__ if entity is not None else "ctx"
-        raise TranslationIllTyped(name, err) from err
-    try:
         out.verify()
     except TypeCheckError as err:
         name = type(entity).__name__ if entity is not None else "ctx"

@@ -15,29 +15,52 @@ recovered from ``t`` during checking).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, fields
 from typing import Optional, Union
 
 Level = int  # universe index; closed under max and +1
 
 
 def node(cls):
-    """Frozen dataclass with a cached structural hash.
+    """Hash-consed frozen dataclass (Filliâtre & Conchon, *Type-Safe
+    Modular Hash-Consing*, 2006).
 
-    Translated syntax shares subtrees heavily (the same subtree object can
-    appear under thousands of parents), so hashing must not re-walk the
-    tree on every memo-table lookup."""
-    cls = dataclass(frozen=True)(cls)
-    generated = cls.__hash__
+    Constructing a node whose fields are those of a live node of the same
+    class (child nodes compared by identity) returns that node, so
+    structurally equal nodes are one object and ``==`` and ``hash`` are the
+    built-in identity versions.  Translated syntax shares subtrees heavily,
+    and every memo-table lookup then costs no Python-level hashing however
+    large the tree.  The intern table of each class is a
+    ``WeakValueDictionary`` keyed on ``(cls, *fields)``: a node stays in it
+    exactly as long as something else holds the node, so the tables never
+    outgrow the memo tables and never hold two equal nodes."""
+    cls = dataclass(frozen=True, eq=False)(cls)
+    names = tuple(f.name for f in fields(cls))
+    init = cls.__init__
+    del cls.__init__  # fields are set once, when a node is first built
+    table = weakref.WeakValueDictionary()
+    live = table.data  # key -> weak reference, read without a method call
 
-    def __hash__(self):
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = generated(self)
-            object.__setattr__(self, "_hash", h)
-        return h
+    def __new__(kind, *args, **kwargs):
+        if kwargs or len(args) != len(names):
+            # the generated __init__ checks the arguments and fills defaults
+            spare = object.__new__(kind)
+            init(spare, *args, **kwargs)
+            args = tuple(getattr(spare, name) for name in names)
+        key = (kind, *args)
+        ref = live.get(key)
+        if ref is not None:
+            found = ref()
+            if found is not None:
+                return found
+        self = object.__new__(kind)
+        self.__dict__.update(zip(names, args))
+        table[key] = self
+        return self
 
-    cls.__hash__ = __hash__
+    cls.__new__ = __new__
+    cls._interned = table
     return cls
 
 

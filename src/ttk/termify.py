@@ -30,8 +30,8 @@ from .syntax import (
 )
 from .caches import memoized
 from .typecheck import (
-    TypeCheckError, check_ctx, infer_ty, normalize_ty_in, synth_sub,
-    synth_tm, types_convertible,
+    TypeCheckError, _force_id, check_ctx, check_entity, infer_ty,
+    normalize_ty_in, synth_sub, synth_tm, types_convertible,
 )
 
 
@@ -208,7 +208,7 @@ def termify_tm(ctx: Ctx, tm: TmExpr) -> TmExpr:
         case Refl(arg):
             return Lam(points, Refl(App(termify_tm(ctx, arg))))
         case J(motive, base, eq):
-            dom, lhs, _ = _eq_components(ctx, eq)
+            dom, lhs, _ = _force_id(ctx, synth_tm(ctx, eq), eq)
             eq_entry = IdTy(TySub(dom, Wk()), TmSub(lhs, Wk()), Var0())
             with_dom = ctx.extend(dom)
             with_eq = with_dom.extend(eq_entry)
@@ -222,14 +222,6 @@ def termify_tm(ctx: Ctx, tm: TmExpr) -> TmExpr:
                 App(termify_tm(ctx, eq)),
             ))
     raise TypeCheckError("not a term expression", expr=tm)
-
-
-def _eq_components(ctx: Ctx, eq: TmExpr) -> tuple[TyExpr, TmExpr, TmExpr]:
-    nf = normalize_ty_in(ctx, synth_tm(ctx, eq))
-    match nf:
-        case IdTy(dom, lhs, rhs):
-            return dom, lhs, rhs
-    raise TypeCheckError("expected an equality type", expr=eq, actual=nf)
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +245,9 @@ def tm_classifier(ctx: Ctx, ty: TyExpr) -> TyExpr:
 
 
 def termify_entity(sort: str, ctx: Ctx, entity=None) -> TermifiedEntity:
-    """Translate one entity and package it with its stated classifier."""
+    """Check one entity, translate it, and package it with its stated
+    classifier."""
+    checked = check_entity(sort, ctx, entity)
     match sort:
         case "ctx":
             return TermifiedEntity("ctx", termify_ctx(ctx), ctx_classifier(ctx))
@@ -261,14 +255,11 @@ def termify_entity(sort: str, ctx: Ctx, entity=None) -> TermifiedEntity:
             return TermifiedEntity(
                 "ty", termify_ty(ctx, entity), ty_classifier(ctx, entity))
         case "sub":
-            cod = synth_sub(ctx, entity)
             return TermifiedEntity(
-                "sub", termify_sub(ctx, entity), sub_classifier(ctx, cod))
+                "sub", termify_sub(ctx, entity), sub_classifier(ctx, checked))
         case "tm":
-            ty = synth_tm(ctx, entity)
             return TermifiedEntity(
-                "tm", termify_tm(ctx, entity), tm_classifier(ctx, ty))
-    raise ValueError(f"unknown sort {sort!r}")
+                "tm", termify_tm(ctx, entity), tm_classifier(ctx, checked))
 
 
 def verify_termified_equation(inst) -> bool:

@@ -259,6 +259,25 @@ def synth_tm(ctx: Ctx, tm: TmExpr) -> TyExpr:
     raise TypeCheckError("not a term expression", expr=tm)
 
 
+def check_entity(sort: str, ctx: Ctx, entity=None):
+    """Check ``ctx`` and an entity of ``sort`` in it, before a translation
+    sees them; return the entity's classifier (the level of a context or
+    type, the codomain of a substitution, the type of a term).  Ill-typed
+    input then raises ``TypeCheckError`` here, so an error inside a
+    translation means a kernel bug."""
+    level = check_ctx(ctx)
+    match sort:
+        case "ctx":
+            return level
+        case "ty":
+            return infer_ty(ctx, entity)
+        case "sub":
+            return synth_sub(ctx, entity)
+        case "tm":
+            return synth_tm(ctx, entity)
+    raise ValueError(f"unknown sort {sort!r}")
+
+
 def check_tm(ctx: Ctx, tm: TmExpr, ty: TyExpr) -> None:
     """Check ``tm`` against ``ty`` (which must itself be well-formed)."""
     _require_conv(ctx, tm, synth_tm(ctx, tm), ty)

@@ -84,3 +84,28 @@ def test_selftest_small(capsys):
     assert code == 0
     assert lines[-1] == "RESULT: accept"
     assert any("pi_beta" in line for line in lines)
+
+
+def _run_text(capsys, tmp_path, text):
+    f = tmp_path / "d.tt"
+    f.write_text(text)
+    return _run(capsys, "run", str(f))
+
+
+def test_termify_checks_before_translating(capsys, tmp_path):
+    code, lines = _run_text(capsys, tmp_path, "(termify (ctx) (el (q)))")
+    assert code == 3
+    assert lines[-1] == "RESULT: error type"
+
+
+def test_inject_checks_before_translating(capsys, tmp_path):
+    code, lines = _run_text(capsys, tmp_path, "(inject (ctx) (el (q)))")
+    assert code == 3
+    assert lines[-1] == "RESULT: error type"
+
+
+def test_param_user_error_is_not_a_translation_bug(capsys, tmp_path):
+    code, lines = _run_text(capsys, tmp_path, "(param (ctx) (q))")
+    assert code == 3
+    assert lines[-1] == "RESULT: error type"
+    assert not any("ill-typed output" in line for line in lines)

@@ -1,0 +1,119 @@
+"""Hash-consing of syntax and values: equal nodes are one object."""
+
+import gc
+import inspect
+import weakref
+
+from ttk import caches, syntax, values
+from ttk.generate import GenConfig, GenExhausted, InstanceGen, derive_seed
+from ttk.surface import (
+    parse_ctx, parse_sub, parse_tm, parse_ty, print_ctx, print_sub, print_tm,
+    print_ty, read_sexpr,
+)
+from ttk.syntax import Bool, Ctx, EMPTY, Pi, TySub, Univ, Wk
+
+
+def _node_classes(module):
+    return [cls for _, cls in inspect.getmembers(module, inspect.isclass)
+            if cls.__module__ == module.__name__ and hasattr(cls, "_interned")]
+
+
+# One sample argument per field annotation; each call builds it afresh.
+_SAMPLES = {
+    "SubExpr": lambda: syntax.Comp(syntax.Wk(), syntax.IdSub()),
+    "TyExpr": lambda: syntax.Pi(syntax.Bool(), syntax.Top()),
+    "Optional[TyExpr]": lambda: syntax.Bool(),
+    "TmExpr": lambda: syntax.Lam(syntax.Bool(), syntax.Var0()),
+    "Level": lambda: 1,
+    "int": lambda: 2,
+    "tuple[TyExpr, ...]": lambda: tuple([syntax.Bool(), syntax.Top()]),
+    "Env": lambda: tuple([values.VTrue(), values.VTt()]),
+    "TyVal": lambda: values.VBool(),
+    "Val": lambda: values.VTrue(),
+    "Neutral": lambda: values.NVar(0, values.VBool()),
+    "TyClosure": lambda: values.TyClosure((), syntax.Bool()),
+    "Closure": lambda: values.Closure((), syntax.Var0()),
+    "VId": lambda: values.VId(values.VBool(), values.VTrue(), values.VTrue()),
+}
+
+
+def _build(cls):
+    fields = cls.__dataclass_fields__.values()
+    return cls(*(_SAMPLES[f.type]() for f in fields))
+
+
+def test_every_node_class_is_interned():
+    classes = _node_classes(syntax) + _node_classes(values)
+    assert len(classes) == 28 + 23
+    for cls in classes:
+        first, second = _build(cls), _build(cls)
+        assert first is second, cls.__name__
+        assert first == second and hash(first) == hash(second)
+
+
+def test_default_and_keyword_arguments_share_one_node():
+    assert Ctx() is Ctx(()) is Ctx(entries=()) is EMPTY
+    assert Pi(dom=Bool(), cod=Bool()) is Pi(Bool(), cod=Bool()) is Pi(Bool(), Bool())
+    assert EMPTY.extend(Bool()) is Ctx.of(Bool()) is Ctx((Bool(),))
+
+
+def test_nodes_survive_clearing_the_memo_tables():
+    before = Pi(Bool(), TySub(Bool(), Wk()))
+    caches.clear_all()
+    assert Pi(Bool(), TySub(Bool(), Wk())) is before
+    assert Ctx() is EMPTY
+
+
+def _entities(count):
+    found = 0
+    case = 0
+    while found < count:
+        gen = InstanceGen(GenConfig(seed=derive_seed(17, "hashcons", case)))
+        case += 1
+        try:
+            ctx = gen.draw_ctx()
+            ty = gen.draw_ty(ctx)
+            yield "ctx", ctx
+            yield "ty", ty
+            yield "tm", gen.draw_tm(ctx, ty)
+            yield "sub", gen.draw_sub(ctx, gen.draw_ctx())
+        except GenExhausted:
+            continue
+        found += 1
+
+
+def test_parse_after_print_returns_the_same_node():
+    surface = {"ctx": (print_ctx, parse_ctx), "ty": (print_ty, parse_ty),
+               "tm": (print_tm, parse_tm), "sub": (print_sub, parse_sub)}
+    seen = set()
+    for sort, entity in _entities(60):
+        show, parse = surface[sort]
+        assert parse(read_sexpr(show(entity))) is entity
+        seen.add(sort)
+    assert seen == set(surface)
+
+
+def test_table_entry_dies_with_its_node():
+    table = Univ._interned
+    node = Univ(7001)
+    assert (Univ, 7001) in table
+    gone = weakref.ref(node)
+    del node
+    gc.collect()
+    assert gone() is None
+    assert (Univ, 7001) not in table.data
+
+
+def test_live_successor_is_never_evicted():
+    table = Univ._interned
+    old = Univ(7002)
+    # While the table is being iterated, the old node's removal is deferred;
+    # a successor built meanwhile must outlive that deferred removal.
+    iterating = iter(table.keys())
+    next(iterating)
+    del old
+    gc.collect()
+    successor = Univ(7002)
+    iterating.close()
+    assert table[(Univ, 7002)] is successor
+    assert Univ(7002) is successor
