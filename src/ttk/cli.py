@@ -4,12 +4,14 @@
 runs the verification suites.  The last output line is always
 machine-parseable: ``RESULT: accept``, ``RESULT: reject``, or
 ``RESULT: error <class>``.  Exit codes: 0 accept/success, 1 reject or
-property failure, 2 parse error, 3 type error.
+property failure, 2 parse error, 3 type error, 4 resource limit (input
+nested too deeply to parse or check: ``RESULT: error limit``).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .canonicity import NonCanonical, OpenTerm, canonicity_verdict
@@ -102,16 +104,19 @@ def _cmd_run(args) -> int:
         return 2
     try:
         directive = parse_directive(text)
+        code, lines = _execute(directive)
     except ParseError as err:
         print(f"parse error: {err}")
         print("RESULT: error parse")
         return 2
-    try:
-        code, lines = _execute(directive)
     except (TypeCheckError, OpenTerm) as err:
         print(f"type error: {err}")
         print("RESULT: error type")
         return 3
+    except RecursionError as err:
+        print(f"limit error: {err}")
+        print("RESULT: error limit")
+        return 4
     except (NonCanonical, InternalStuck) as err:
         print(f"kernel invariant violated: {err}")
         print("RESULT: error kernel")
@@ -136,7 +141,8 @@ def _cmd_selftest(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ttk", description="type theory kernel and translation checker")
     commands = parser.add_subparsers(dest="command", required=True)
@@ -153,8 +159,11 @@ def main(argv=None) -> int:
     selftest.add_argument("--suite", default="all",
                           choices=("all",) + SUITES)
     selftest.set_defaults(fn=_cmd_selftest)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     sys.setrecursionlimit(20000)
     return args.fn(args)
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from .syntax import (
     Bool, Code, Comp, Ctx, EMPTY, El, Eps, Ext, FalseLit, Fst, IdSub, IdTy,
     If, J, Lam, Pair, Pi, Refl, Sigma, Snd, SubExpr, Top, TrueLit, Tt,
-    TmExpr, TmSub, TyExpr, TySub, Univ, Wk, apply1, v, walk_constructors, wk,
+    TmExpr, TmSub, TyExpr, TySub, Univ, Wk, apply1, v, wk,
 )
 from .typecheck import (
     check_ctx, ctxs_convertible, infer_ty, normalize_ty_in, synth_sub,
@@ -57,7 +57,6 @@ class InstanceGen:
         self.rng = random.Random(cfg.seed)
         self.fuel = cfg.fuel
         self.budget = cfg.max_nodes
-        self.coverage: set[str] = set()
 
     # -- bookkeeping --------------------------------------------------------
 
@@ -74,9 +73,6 @@ class InstanceGen:
         weights = [w for w, _ in options]
         return self.rng.choices(options, weights=weights, k=1)[0][1]
 
-    def _record(self, entity) -> None:
-        walk_constructors(entity, self.coverage)
-
     # -- contexts ------------------------------------------------------------
 
     def ctx(self, max_len: int | None = None) -> Ctx:
@@ -86,7 +82,6 @@ class InstanceGen:
         for _ in range(length):
             self.budget = max(self.budget, 4)
             out = out.extend(self.ty(out))
-        self._record(out)
         return out
 
     # -- types ---------------------------------------------------------------
@@ -280,32 +275,23 @@ class InstanceGen:
 
     def draw_ctx(self) -> Ctx:
         self._reset_budget()
-        out = self.ctx()
-        return out
+        return self.ctx()
 
     def draw_ty(self, ctx: Ctx) -> TyExpr:
         self._reset_budget()
-        out = self.ty(ctx)
-        self._record(out)
-        return out
+        return self.ty(ctx)
 
     def draw_ty_at_level(self, ctx: Ctx, level: int) -> TyExpr:
         self._reset_budget()
-        out = self.ty_at_level(ctx, level)
-        self._record(out)
-        return out
+        return self.ty_at_level(ctx, level)
 
     def draw_tm(self, ctx: Ctx, goal: TyExpr) -> TmExpr:
         self._reset_budget()
-        out = self.tm(ctx, goal)
-        self._record(out)
-        return out
+        return self.tm(ctx, goal)
 
     def draw_sub(self, ctx: Ctx, cod: Ctx) -> SubExpr:
         self._reset_budget()
-        out = self.sub(ctx, cod)
-        self._record(out)
-        return out
+        return self.sub(ctx, cod)
 
 
 def gen_instance(cfg: GenConfig, shape: tuple):

@@ -16,10 +16,47 @@ recovered from ``t`` during checking).
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 from typing import Optional, Union
 
 Level = int  # universe index; closed under max and +1
+
+
+class _Node:
+    """Base of every node class: weakly referenceable, and frozen once
+    built (fields are set through the slot descriptors, never through
+    ``__setattr__``)."""
+    __slots__ = ("__weakref__",)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class _InternRef(weakref.ref):
+    """An intern-table entry: a weak reference that carries its key, which
+    is what the table's removal callback reads.  Unlike
+    ``weakref.KeyedRef`` it has no Python-level constructor."""
+    __slots__ = ("key",)
+
+
+_NEW_TEMPLATE = """\
+def __new__(_cls, {params}):
+    _key = (_cls, {args})
+    _ref = _get(_key)
+    if _ref is not None:
+        _node = _ref()
+        if _node is not None:
+            return _node
+    _node = _new(_cls)
+{sets}
+    _ref = _Ref(_node, _remove)
+    _ref.key = _key
+    _data[_key] = _ref
+    return _node
+"""
 
 
 def node(cls):
@@ -34,33 +71,49 @@ def node(cls):
     large the tree.  The intern table of each class is a
     ``WeakValueDictionary`` keyed on ``(cls, *fields)``: a node stays in it
     exactly as long as something else holds the node, so the tables never
-    outgrow the memo tables and never hold two equal nodes."""
-    cls = dataclass(frozen=True, eq=False)(cls)
-    names = tuple(f.name for f in fields(cls))
-    init = cls.__init__
-    del cls.__init__  # fields are set once, when a node is first built
+    outgrow the memo tables and never hold two equal nodes.
+
+    Building nodes is the kernel's most frequent operation, so the
+    constructor is compiled once per class: the dataclass supplies the
+    fields, ``repr`` and ``__match_args__``; the class is rebuilt with one
+    slot per field on the shared frozen base ``_Node``; and its ``__new__``
+    is generated with the exact field signature, so Python itself checks
+    the arguments and fills defaults.  A new node's fields are set through
+    the slot descriptors and its table entry is an ``_InternRef`` built in
+    C, registered with the table's own removal callback, which drops an
+    entry only while its reference is dead.  A class without fields has one
+    instance, built here."""
+    cls = dataclass(init=False, eq=False)(cls)
+    params = fields(cls)
+    names = tuple(f.name for f in params)
+    namespace = {key: value for key, value in cls.__dict__.items()
+                 if key not in names and key not in ("__dict__", "__weakref__")}
+    namespace["__slots__"] = names
+    cls = type(cls.__name__, (_Node,), namespace)
     table = weakref.WeakValueDictionary()
-    live = table.data  # key -> weak reference, read without a method call
-
-    def __new__(kind, *args, **kwargs):
-        if kwargs or len(args) != len(names):
-            # the generated __init__ checks the arguments and fills defaults
-            spare = object.__new__(kind)
-            init(spare, *args, **kwargs)
-            args = tuple(getattr(spare, name) for name in names)
-        key = (kind, *args)
-        ref = live.get(key)
-        if ref is not None:
-            found = ref()
-            if found is not None:
-                return found
-        self = object.__new__(kind)
-        self.__dict__.update(zip(names, args))
-        table[key] = self
-        return self
-
-    cls.__new__ = __new__
     cls._interned = table
+    if not names:
+        instance = object.__new__(cls)
+        table[(cls,)] = instance
+        cls.__new__ = lambda _cls: instance
+        return cls
+    scope = {"_get": table.data.get, "_data": table.data, "_new": object.__new__,
+             "_Ref": _InternRef, "_remove": table._remove}
+    signature = []
+    for f in params:
+        scope[f"_set_{f.name}"] = getattr(cls, f.name).__set__
+        if f.default is MISSING:
+            signature.append(f.name)
+        else:
+            scope[f"_default_{f.name}"] = f.default
+            signature.append(f"{f.name}=_default_{f.name}")
+    source = _NEW_TEMPLATE.format(
+        params=", ".join(signature), args="".join(n + ", " for n in names),
+        sets="\n".join(f"    _set_{n}(_node, {n})" for n in names))
+    exec(compile(source, f"<node {cls.__qualname__}>", "exec"), scope)
+    new = scope["__new__"]
+    new.__qualname__ = f"{cls.__qualname__}.__new__"
+    cls.__new__ = new
     return cls
 
 

@@ -1,5 +1,7 @@
 import pathlib
 
+import pytest
+
 from ttk.cli import main
 
 DEMO = pathlib.Path(__file__).resolve().parent.parent / "demo"
@@ -109,3 +111,14 @@ def test_param_user_error_is_not_a_translation_bug(capsys, tmp_path):
     assert code == 3
     assert lines[-1] == "RESULT: error type"
     assert not any("ill-typed output" in line for line in lines)
+
+
+@pytest.mark.parametrize("text", [
+    "(check-tm (ctx (bool)) (v 15000))",
+    "(check-tm (ctx) " + "(lam (bool) " * 10000 + "(q)" + ")" * 10001,
+], ids=["deep-variable", "deep-lam-nest"])
+def test_too_deep_input_is_a_limit_error(capsys, tmp_path, text):
+    code, lines = _run_text(capsys, tmp_path, text)
+    assert code == 4
+    assert lines[-1] == "RESULT: error limit"
+    assert lines[0].startswith("limit error: ")

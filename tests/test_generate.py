@@ -1,6 +1,6 @@
 import pytest
 
-from ttk.syntax import ALL_CONSTRUCTORS, Bool, EMPTY
+from ttk.syntax import ALL_CONSTRUCTORS, Bool, EMPTY, walk_constructors
 from ttk.generate import GenConfig, GenExhausted, InstanceGen, derive_seed, gen_instance
 from ttk.typecheck import check_ctx, ctxs_convertible, infer_ty, synth_sub, synth_tm, types_convertible
 from ttk.equations import SCHEMA_NAMES, check_instance
@@ -68,12 +68,14 @@ def test_constructor_coverage():
         try:
             ctx = gen.draw_ctx()
             ty = gen.draw_ty(ctx)
-            gen.draw_tm(ctx, ty)
-            gen.draw_sub(ctx, gen.draw_ctx())
+            tm = gen.draw_tm(ctx, ty)
+            cod = gen.draw_ctx()
+            sub = gen.draw_sub(ctx, cod)
         except GenExhausted:
             continue
         draws += 4
-        found |= gen.coverage
+        for entity in (ctx, ty, tm, cod, sub):
+            walk_constructors(entity, found)
     missing = set(ALL_CONSTRUCTORS) - found
     assert not missing, f"constructors never generated: {sorted(missing)}"
 

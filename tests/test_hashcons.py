@@ -3,6 +3,9 @@
 import gc
 import inspect
 import weakref
+from dataclasses import FrozenInstanceError
+
+import pytest
 
 from ttk import caches, syntax, values
 from ttk.generate import GenConfig, GenExhausted, InstanceGen, derive_seed
@@ -55,6 +58,49 @@ def test_default_and_keyword_arguments_share_one_node():
     assert Ctx() is Ctx(()) is Ctx(entries=()) is EMPTY
     assert Pi(dom=Bool(), cod=Bool()) is Pi(Bool(), cod=Bool()) is Pi(Bool(), Bool())
     assert EMPTY.extend(Bool()) is Ctx.of(Bool()) is Ctx((Bool(),))
+
+
+def test_nodes_are_frozen_and_slotted():
+    node = Pi(Bool(), Bool())
+    for target in (node, Bool(), values.VBool(), EMPTY):
+        assert not hasattr(target, "__dict__")
+    with pytest.raises(FrozenInstanceError):
+        node.dom = Univ(0)
+    with pytest.raises(FrozenInstanceError):
+        del node.cod
+    with pytest.raises(FrozenInstanceError):
+        Bool().extra = 1
+    assert node.dom is Bool() and node.cod is Bool()
+
+
+def test_repr_keeps_the_dataclass_format():
+    assert repr(Pi(Bool(), TySub(Bool(), Wk()))) == \
+        "Pi(dom=Bool(), cod=TySub(ty=Bool(), sub=Wk()))"
+    assert repr(Ctx.of(Bool())) == "Ctx(entries=(Bool(),))"
+    assert repr(values.NVar(3, values.VBool())) == "NVar(lvl=3, ty=VBool())"
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Pi(Bool()),
+    lambda: Pi(Bool(), Bool(), Bool()),
+    lambda: Pi(Bool(), cod=Bool(), codomain=Bool()),
+    lambda: Ctx((), ()),
+    lambda: Bool(Bool()),
+    lambda: Wk(sub=Wk()),
+], ids=["missing", "extra", "unknown-keyword", "default-plus-extra",
+        "nullary-positional", "nullary-keyword"])
+def test_wrong_arguments_raise_type_error(build):
+    with pytest.raises(TypeError):
+        build()
+
+
+def test_nullary_node_is_one_object_for_the_process():
+    # Only weak references survive the clear: the node itself must too.
+    refs = [weakref.ref(x) for x in (Bool(), Wk(), values.VBool(), values.VTrue())]
+    caches.clear_all()
+    gc.collect()
+    after = (Bool(), Wk(), values.VBool(), values.VTrue())
+    assert all(ref() is node for ref, node in zip(refs, after))
 
 
 def test_nodes_survive_clearing_the_memo_tables():
