@@ -42,11 +42,10 @@ class IsoFailure(Exception):
 @dataclass(frozen=True)
 class CtxIso:
     """Invertible substitutions between a context and its decoded
-    translation, with both round trips certified."""
+    translation; ``build_ctx_iso`` certifies both round trips before it
+    returns one."""
     fwd: SubExpr  # from the context into the one-entry decoded context
     bwd: SubExpr  # back again
-    fwd_bwd_ok: bool
-    bwd_fwd_ok: bool
 
 
 @memoized
@@ -66,7 +65,7 @@ def build_ctx_iso(ctx: Ctx) -> CtxIso:
         raise IsoFailure(ctx, "fwd . bwd")
     if not conv_sub(ctx, ctx, Comp(bwd, fwd), IdSub()):
         raise IsoFailure(ctx, "bwd . fwd")
-    return CtxIso(fwd, bwd, True, True)
+    return CtxIso(fwd, bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,17 @@
-"""S-expression surface syntax: parser, canonical printer, directives.
+"""S-expression surface syntax: reader, parser, canonical printer, directives.
+
+One table is the single source of the surface keywords: ``KEYWORDS`` names
+every node class of ``syntax``, and a form's arguments are the class's
+dataclass fields, in order.  Their sorts are read from the field types: a
+substitution, type or term; ``Optional[TyExpr]``, which may be left out, as
+in ``(ext s t)``; and ``Level``, a decimal natural.  ``DERIVED`` adds the
+derived forms, each with its builder and argument sorts: ``(v n)`` is the
+n-fold weakening spine, and ``(arrow a b)``, ``(dollar f x)`` and
+``(lift s a)`` expand to their definitions at parse time.  The parser, the
+printer and ``parse_entity`` are generic over the two tables.
 
 The surface is nameless like the core calculus, so no elaboration happens
-here; ``(v n)`` is sugar for the n-fold weakening spine, ``(arrow a b)``,
-``(dollar f x)`` and ``(lift s a)`` expand to their derived forms at parse
-time.  Printing is canonical: lowercase keywords, single spaces, full
+here.  Printing is canonical: lowercase keywords, single spaces, full
 parenthesization, and weakening spines re-sugared to ``(v n)``.
 
 A directive file holds exactly one directive s-expression; ``;`` starts a
@@ -12,14 +20,14 @@ comment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+import re
+from dataclasses import dataclass, fields
+from typing import Callable, NamedTuple, Optional, get_args
 
 from .syntax import (
-    App, Bool, Code, Comp, Ctx, EMPTY, El, Eps, Ext, FalseLit, Fst, IdSub,
-    IdTy, If, J, Lam, Pair, Pi, Refl, Sigma, Snd, SubExpr, Top, TrueLit, Tt,
-    TmExpr, TmSub, TyExpr, TySub, Univ, Var0, Wk, apply1, arrow, lift, v,
-    var_index,
+    App, Bool, Code, Comp, Ctx, El, Eps, Ext, FalseLit, Fst, IdSub, IdTy, If,
+    J, Lam, Pair, Pi, Refl, Sigma, Snd, SubExpr, Top, TrueLit, Tt, TmExpr,
+    TmSub, TyExpr, TySub, Univ, Var0, Wk, apply1, arrow, lift, v, var_index,
 )
 
 
@@ -32,363 +40,264 @@ class ParseError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer and generic s-expressions
+# Reader
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Token:
-    text: str
-    line: int
-    col: int
-
-
-@dataclass(frozen=True)
-class SExpr:
-    head: Optional[str]          # None for a bare atom
+class SExpr(NamedTuple):
+    head: Optional[str]           # None for a bare atom
     items: tuple                  # sub-SExprs (for lists, excluding head)
     atom: Optional[str]           # set for bare atoms
     line: int
     col: int
 
-    def expect_len(self, n: int, what: str) -> None:
-        if len(self.items) != n:
-            raise ParseError(
-                f"{what} takes {n} argument(s), got {len(self.items)}",
-                self.line, self.col)
 
-
-def _tokenize(text: str) -> list[Token]:
-    tokens = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif ch in " \t\r":
-            col += 1
-            i += 1
-        elif ch == ";":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-        elif ch in "()":
-            tokens.append(Token(ch, line, col))
-            col += 1
-            i += 1
-        else:
-            start = i
-            start_col = col
-            while i < len(text) and text[i] not in " \t\r\n();":
-                i += 1
-                col += 1
-            tokens.append(Token(text[start:i], line, start_col))
-    return tokens
-
-
-def _read(tokens: list[Token], pos: int) -> tuple[SExpr, int]:
-    if pos >= len(tokens):
-        raise ParseError("unexpected end of input", 0, 0)
-    tok = tokens[pos]
-    if tok.text == ")":
-        raise ParseError("unexpected ')'", tok.line, tok.col)
-    if tok.text != "(":
-        return SExpr(None, (), tok.text, tok.line, tok.col), pos + 1
-    pos += 1
-    if pos >= len(tokens):
-        raise ParseError("unclosed '('", tok.line, tok.col)
-    head_tok = tokens[pos]
-    if head_tok.text in ("(", ")"):
-        raise ParseError("expected a keyword after '('", head_tok.line, head_tok.col)
-    pos += 1
-    items = []
-    while True:
-        if pos >= len(tokens):
-            raise ParseError("unclosed '('", tok.line, tok.col)
-        if tokens[pos].text == ")":
-            return SExpr(head_tok.text, tuple(items), None, tok.line, tok.col), pos + 1
-        item, pos = _read(tokens, pos)
-        items.append(item)
+# A newline, a parenthesis, a comment or an atom; the spaces, tabs and
+# carriage returns between them match nothing and are skipped.
+_LEXEME = re.compile(r"[()\n]|;[^\n]*|[^ \t\r\n();]+")
 
 
 def read_sexpr(text: str) -> SExpr:
-    tokens = _tokenize(text)
-    if not tokens:
+    """Read the one s-expression in ``text``; lines and columns count
+    from 1."""
+    line, line_start = 1, 0
+    open_lists = []  # innermost last: [head or None, items, line, col]
+    done = None
+    for lexeme in _LEXEME.finditer(text):
+        tok = lexeme.group()
+        if tok == "\n":
+            line += 1
+            line_start = lexeme.end()
+            continue
+        if tok[0] == ";":
+            continue
+        col = lexeme.start() - line_start + 1
+        if done is not None:
+            raise ParseError("trailing content after the directive", line, col)
+        if open_lists and open_lists[-1][0] is None:
+            if tok == "(" or tok == ")":
+                raise ParseError("expected a keyword after '('", line, col)
+            open_lists[-1][0] = tok
+            continue
+        if tok == "(":
+            open_lists.append([None, [], line, col])
+            continue
+        if tok == ")":
+            if not open_lists:
+                raise ParseError("unexpected ')'", line, col)
+            head, items, start_line, start_col = open_lists.pop()
+            sexpr = SExpr(head, tuple(items), None, start_line, start_col)
+        else:
+            sexpr = SExpr(None, (), tok, line, col)
+        if open_lists:
+            open_lists[-1][1].append(sexpr)
+        else:
+            done = sexpr
+    if open_lists:
+        _, _, start_line, start_col = open_lists[-1]
+        raise ParseError("unclosed '('", start_line, start_col)
+    if done is None:
         raise ParseError("empty input", 1, 1)
-    sexpr, pos = _read(tokens, 0)
-    if pos != len(tokens):
-        extra = tokens[pos]
-        raise ParseError("trailing content after the directive",
-                         extra.line, extra.col)
-    return sexpr
+    return done
 
 
 # ---------------------------------------------------------------------------
-# Entity parsing
+# The keyword table
 # ---------------------------------------------------------------------------
 
-SUB_HEADS = {"id", "comp", "eps", "ext", "p", "lift"}
-TY_HEADS = {"tysub", "pi", "sigma", "top", "u", "el", "bool", "idt", "arrow"}
-TM_HEADS = {"tmsub", "q", "lam", "app", "pair", "fst", "snd", "tt", "code",
-            "true", "false", "if", "refl", "j", "v", "dollar"}
+KEYWORDS = {
+    IdSub: "id", Comp: "comp", Eps: "eps", Ext: "ext", Wk: "p",
+    TySub: "tysub", Pi: "pi", Sigma: "sigma", Top: "top", Univ: "u",
+    El: "el", Bool: "bool", IdTy: "idt",
+    TmSub: "tmsub", Var0: "q", Lam: "lam", App: "app", Pair: "pair",
+    Fst: "fst", Snd: "snd", Tt: "tt", Code: "code", TrueLit: "true",
+    FalseLit: "false", If: "if", Refl: "refl", J: "j",
+}
+
+# Derived forms: keyword -> (sort, builder, argument sorts).  The printer
+# writes them back only for ``v``; the others print as their expansion.
+DERIVED = {
+    "lift": ("sub", lift, ("sub", "ty")),
+    "arrow": ("ty", arrow, ("ty", "ty")),
+    "v": ("tm", v, ("index",)),
+    "dollar": ("tm", apply1, ("tm", "tm")),
+}
+
+# The sort of a node field, by its annotation (a string in ``syntax``).
+_FIELD_SORTS = {"SubExpr": "sub", "TyExpr": "ty", "TmExpr": "tm",
+                "Optional[TyExpr]": "ty", "Level": "level"}
+# The natural-number sorts, with what the number stands for.
+_NATURALS = {"level": "a universe level", "index": "a de Bruijn index"}
+_NOUNS = {"ctx": "context", "sub": "substitution", "ty": "type", "tm": "term"}
 
 
-def _nat(s: SExpr, what: str) -> int:
-    if s.atom is None or not s.atom.isdigit():
-        raise ParseError(f"expected a decimal natural for {what}",
+class _Form(NamedTuple):
+    sort: str
+    keyword: str
+    build: Callable
+    args: tuple               # argument sorts
+    fields: tuple             # field names of a node class; () if derived
+    optional: Optional[str]   # the field that may be left out (it is None)
+
+
+def _forms() -> tuple[dict, dict]:
+    """The forms by keyword, for parsing, and by node class, for
+    printing."""
+    by_keyword = {kw: _Form(sort, kw, build, args, (), None)
+                  for kw, (sort, build, args) in DERIVED.items()}
+    by_class = {}
+    for sort, union in (("sub", SubExpr), ("ty", TyExpr), ("tm", TmExpr)):
+        for cls in get_args(union):
+            params = fields(cls)
+            optional = [f.name for f in params if f.type.startswith("Optional[")]
+            form = _Form(sort, KEYWORDS[cls], cls,
+                         tuple(_FIELD_SORTS[f.type] for f in params),
+                         tuple(f.name for f in params),
+                         optional[0] if optional else None)
+            by_keyword[form.keyword] = by_class[cls] = form
+    return by_keyword, by_class
+
+
+_BY_KEYWORD, _BY_CLASS = _forms()
+
+
+# ---------------------------------------------------------------------------
+# Parsing
+# ---------------------------------------------------------------------------
+
+def _arity_error(s: SExpr, n: int) -> ParseError:
+    return ParseError(f"{s.head} takes {n} argument(s), got {len(s.items)}",
+                      s.line, s.col)
+
+
+def _parse(s: SExpr, sort: str):
+    """The value of sort ``sort`` that ``s`` writes: a natural, a context,
+    or a substitution, type or term form of the keyword table."""
+    if sort in _NATURALS:
+        if s.atom is None or not (s.atom.isascii() and s.atom.isdigit()):
+            raise ParseError(f"expected a decimal natural for {_NATURALS[sort]}",
+                             s.line, s.col)
+        return int(s.atom)
+    if sort == "ctx":
+        if s.head != "ctx":
+            raise ParseError("expected a context (ctx ...)", s.line, s.col)
+        return Ctx(tuple([_parse(item, "ty") for item in s.items]))
+    if s.head is None:
+        raise ParseError(f"expected a {_NOUNS[sort]}", s.line, s.col)
+    form = _BY_KEYWORD.get(s.head)
+    if form is None or form.sort != sort:
+        raise ParseError(f"unknown {_NOUNS[sort]} keyword '{s.head}'",
                          s.line, s.col)
-    return int(s.atom)
+    items = s.items
+    if len(items) != len(form.args):
+        if form.optional is None or len(items) != len(form.args) - 1:
+            raise _arity_error(s, len(form.args))
+        at = form.fields.index(form.optional)
+        items = items[:at] + (None,) + items[at:]
+    # A loop, not a comprehension: on Python 3.11 a comprehension is a
+    # frame of its own, and deep input would meet the recursion limit at
+    # half the depth.
+    args = []
+    for item, arg in zip(items, form.args):
+        args.append(None if item is None else _parse(item, arg))
+    return form.build(*args)
 
 
 def parse_ctx(s: SExpr) -> Ctx:
-    if s.head != "ctx":
-        raise ParseError("expected a context (ctx ...)", s.line, s.col)
-    ctx = EMPTY
-    for item in s.items:
-        ctx = ctx.extend(parse_ty(item))
-    return ctx
+    return _parse(s, "ctx")
 
 
 def parse_sub(s: SExpr) -> SubExpr:
-    if s.head is None:
-        raise ParseError("expected a substitution", s.line, s.col)
-    match s.head:
-        case "id":
-            s.expect_len(0, "id")
-            return IdSub()
-        case "comp":
-            s.expect_len(2, "comp")
-            return Comp(parse_sub(s.items[0]), parse_sub(s.items[1]))
-        case "eps":
-            s.expect_len(0, "eps")
-            return Eps()
-        case "ext":
-            if len(s.items) == 2:
-                return Ext(parse_sub(s.items[0]), None, parse_tm(s.items[1]))
-            s.expect_len(3, "ext")
-            return Ext(parse_sub(s.items[0]), parse_ty(s.items[1]),
-                       parse_tm(s.items[2]))
-        case "p":
-            s.expect_len(0, "p")
-            return Wk()
-        case "lift":
-            s.expect_len(2, "lift")
-            return lift(parse_sub(s.items[0]), parse_ty(s.items[1]))
-    raise ParseError(f"unknown substitution keyword '{s.head}'", s.line, s.col)
+    return _parse(s, "sub")
 
 
 def parse_ty(s: SExpr) -> TyExpr:
-    if s.head is None:
-        raise ParseError("expected a type", s.line, s.col)
-    match s.head:
-        case "tysub":
-            s.expect_len(2, "tysub")
-            return TySub(parse_ty(s.items[0]), parse_sub(s.items[1]))
-        case "pi":
-            s.expect_len(2, "pi")
-            return Pi(parse_ty(s.items[0]), parse_ty(s.items[1]))
-        case "sigma":
-            s.expect_len(2, "sigma")
-            return Sigma(parse_ty(s.items[0]), parse_ty(s.items[1]))
-        case "top":
-            s.expect_len(0, "top")
-            return Top()
-        case "u":
-            s.expect_len(1, "u")
-            return Univ(_nat(s.items[0], "a universe level"))
-        case "el":
-            s.expect_len(1, "el")
-            return El(parse_tm(s.items[0]))
-        case "bool":
-            s.expect_len(0, "bool")
-            return Bool()
-        case "idt":
-            s.expect_len(3, "idt")
-            return IdTy(parse_ty(s.items[0]), parse_tm(s.items[1]),
-                        parse_tm(s.items[2]))
-        case "arrow":
-            s.expect_len(2, "arrow")
-            return arrow(parse_ty(s.items[0]), parse_ty(s.items[1]))
-    raise ParseError(f"unknown type keyword '{s.head}'", s.line, s.col)
+    return _parse(s, "ty")
 
 
 def parse_tm(s: SExpr) -> TmExpr:
-    if s.head is None:
-        raise ParseError("expected a term", s.line, s.col)
-    match s.head:
-        case "tmsub":
-            s.expect_len(2, "tmsub")
-            return TmSub(parse_tm(s.items[0]), parse_sub(s.items[1]))
-        case "q":
-            s.expect_len(0, "q")
-            return Var0()
-        case "lam":
-            s.expect_len(2, "lam")
-            return Lam(parse_ty(s.items[0]), parse_tm(s.items[1]))
-        case "app":
-            s.expect_len(1, "app")
-            return App(parse_tm(s.items[0]))
-        case "pair":
-            s.expect_len(4, "pair")
-            return Pair(parse_ty(s.items[0]), parse_ty(s.items[1]),
-                        parse_tm(s.items[2]), parse_tm(s.items[3]))
-        case "fst":
-            s.expect_len(1, "fst")
-            return Fst(parse_tm(s.items[0]))
-        case "snd":
-            s.expect_len(1, "snd")
-            return Snd(parse_tm(s.items[0]))
-        case "tt":
-            s.expect_len(0, "tt")
-            return Tt()
-        case "code":
-            s.expect_len(1, "code")
-            return Code(parse_ty(s.items[0]))
-        case "true":
-            s.expect_len(0, "true")
-            return TrueLit()
-        case "false":
-            s.expect_len(0, "false")
-            return FalseLit()
-        case "if":
-            s.expect_len(4, "if")
-            return If(parse_ty(s.items[0]), parse_tm(s.items[1]),
-                      parse_tm(s.items[2]), parse_tm(s.items[3]))
-        case "refl":
-            s.expect_len(1, "refl")
-            return Refl(parse_tm(s.items[0]))
-        case "j":
-            s.expect_len(3, "j")
-            return J(parse_ty(s.items[0]), parse_tm(s.items[1]),
-                     parse_tm(s.items[2]))
-        case "v":
-            s.expect_len(1, "v")
-            return v(_nat(s.items[0], "a de Bruijn index"))
-        case "dollar":
-            s.expect_len(2, "dollar")
-            return apply1(parse_tm(s.items[0]), parse_tm(s.items[1]))
-    raise ParseError(f"unknown term keyword '{s.head}'", s.line, s.col)
+    return _parse(s, "tm")
 
 
 def parse_entity(s: SExpr):
     """Parse a context, type, term, or substitution; returns (sort, value)."""
     if s.head == "ctx":
-        return "ctx", parse_ctx(s)
-    if s.head in SUB_HEADS:
-        return "sub", parse_sub(s)
-    if s.head in TY_HEADS:
-        return "ty", parse_ty(s)
-    if s.head in TM_HEADS:
-        return "tm", parse_tm(s)
-    raise ParseError(f"unknown keyword '{s.head}'", s.line, s.col)
+        return "ctx", _parse(s, "ctx")
+    form = _BY_KEYWORD.get(s.head)
+    if form is None:
+        raise ParseError(f"unknown keyword '{s.head}'", s.line, s.col)
+    return form.sort, _parse(s, form.sort)
 
 
 # ---------------------------------------------------------------------------
 # Canonical printing
 # ---------------------------------------------------------------------------
 
-def print_sub(sub: SubExpr) -> str:
-    match sub:
-        case IdSub():
-            return "(id)"
-        case Comp(outer, inner):
-            return f"(comp {print_sub(outer)} {print_sub(inner)})"
-        case Eps():
-            return "(eps)"
-        case Ext(s, None, tm):
-            return f"(ext {print_sub(s)} {print_tm(tm)})"
-        case Ext(s, ann, tm):
-            return f"(ext {print_sub(s)} {print_ty(ann)} {print_tm(tm)})"
-        case Wk():
-            return "(p)"
-    raise ValueError(f"not a substitution: {sub!r}")
-
-
-def print_ty(ty: TyExpr) -> str:
-    match ty:
-        case TySub(t, sub):
-            return f"(tysub {print_ty(t)} {print_sub(sub)})"
-        case Pi(dom, cod):
-            return f"(pi {print_ty(dom)} {print_ty(cod)})"
-        case Sigma(dom, cod):
-            return f"(sigma {print_ty(dom)} {print_ty(cod)})"
-        case Top():
-            return "(top)"
-        case Univ(level):
-            return f"(u {level})"
-        case El(code):
-            return f"(el {print_tm(code)})"
-        case Bool():
-            return "(bool)"
-        case IdTy(t, lhs, rhs):
-            return f"(idt {print_ty(t)} {print_tm(lhs)} {print_tm(rhs)})"
-    raise ValueError(f"not a type: {ty!r}")
-
-
-def print_tm(tm: TmExpr) -> str:
-    index = var_index(tm)
-    if index is not None and index > 0:
-        return f"(v {index})"
-    match tm:
-        case TmSub(t, sub):
-            return f"(tmsub {print_tm(t)} {print_sub(sub)})"
-        case Var0():
-            return "(q)"
-        case Lam(dom, body):
-            return f"(lam {print_ty(dom)} {print_tm(body)})"
-        case App(fn):
-            return f"(app {print_tm(fn)})"
-        case Pair(fst_ty, snd_ty, a, b):
-            return (f"(pair {print_ty(fst_ty)} {print_ty(snd_ty)} "
-                    f"{print_tm(a)} {print_tm(b)})")
-        case Fst(p):
-            return f"(fst {print_tm(p)})"
-        case Snd(p):
-            return f"(snd {print_tm(p)})"
-        case Tt():
-            return "(tt)"
-        case Code(t):
-            return f"(code {print_ty(t)})"
-        case TrueLit():
-            return "(true)"
-        case FalseLit():
-            return "(false)"
-        case If(motive, on_true, on_false, scrut):
-            return (f"(if {print_ty(motive)} {print_tm(on_true)} "
-                    f"{print_tm(on_false)} {print_tm(scrut)})")
-        case Refl(arg):
-            return f"(refl {print_tm(arg)})"
-        case J(motive, base, eq):
-            return f"(j {print_ty(motive)} {print_tm(base)} {print_tm(eq)})"
-    raise ValueError(f"not a term: {tm!r}")
+def _print(x, sort: str) -> str:
+    """The canonical text of ``x`` of sort ``sort``.  Each list is built
+    by one join: the printed payload of a translation can run to
+    megabytes, and every further copy of it shows in peak memory."""
+    if sort in _NATURALS:
+        return str(x)
+    if sort == "ctx":
+        parts = ["(ctx"]
+        for ty in x.entries:
+            parts += (" ", _print(ty, "ty"))
+        parts.append(")")
+        return "".join(parts)
+    form = _BY_CLASS.get(type(x))
+    if form is None or form.sort != sort:
+        raise ValueError(f"not a {_NOUNS[sort]}: {x!r}")
+    if form.build is TmSub:
+        index = var_index(x)
+        if index:
+            return f"(v {index})"
+    parts = ["(", form.keyword]
+    for name, arg in zip(form.fields, form.args):
+        child = getattr(x, name)
+        if child is not None or name != form.optional:
+            parts += (" ", _print(child, arg))
+    parts.append(")")
+    return "".join(parts)
 
 
 def print_ctx(ctx: Ctx) -> str:
-    if not ctx.entries:
-        return "(ctx)"
-    return "(ctx " + " ".join(print_ty(t) for t in ctx.entries) + ")"
+    return _print(ctx, "ctx")
+
+
+def print_sub(sub: SubExpr) -> str:
+    return _print(sub, "sub")
+
+
+def print_ty(ty: TyExpr) -> str:
+    return _print(ty, "ty")
+
+
+def print_tm(tm: TmExpr) -> str:
+    return _print(tm, "tm")
 
 
 def print_entity(sort: str, entity) -> str:
-    match sort:
-        case "ctx":
-            return print_ctx(entity)
-        case "ty":
-            return print_ty(entity)
-        case "tm":
-            return print_tm(entity)
-        case "sub":
-            return print_sub(entity)
-    raise ValueError(f"unknown sort {sort!r}")
+    if sort not in _NOUNS:
+        raise ValueError(f"unknown sort {sort!r}")
+    return _print(entity, sort)
 
 
 # ---------------------------------------------------------------------------
 # Directives
 # ---------------------------------------------------------------------------
 
-DIRECTIVE_HEADS = ("check-tm", "check-ty", "nf", "conv-tm", "conv-ty",
-                   "conv-sub", "termify", "param", "canon", "inject")
+# The argument sorts of each directive of fixed shape.  ``termify``,
+# ``param`` and ``inject`` take a context and, optionally, an entity of
+# any sort but a context.
+DIRECTIVES = {
+    "check-tm": ("ctx", "tm"),
+    "check-ty": ("ctx", "ty"),
+    "nf": ("ctx", "tm"),
+    "conv-tm": ("ctx", "ty", "tm", "tm"),
+    "conv-ty": ("ctx", "ty", "ty"),
+    "conv-sub": ("ctx", "ctx", "sub", "sub"),
+    "canon": ("tm",),
+}
 
 
 @dataclass(frozen=True)
@@ -399,43 +308,21 @@ class Directive:
 
 def parse_directive(text: str) -> Directive:
     s = read_sexpr(text)
-    match s.head:
-        case "check-tm":
-            s.expect_len(2, "check-tm")
-            return Directive("check-tm",
-                             (parse_ctx(s.items[0]), parse_tm(s.items[1])))
-        case "check-ty":
-            s.expect_len(2, "check-ty")
-            return Directive("check-ty",
-                             (parse_ctx(s.items[0]), parse_ty(s.items[1])))
-        case "nf":
-            s.expect_len(2, "nf")
-            return Directive("nf", (parse_ctx(s.items[0]), parse_tm(s.items[1])))
-        case "conv-tm":
-            s.expect_len(4, "conv-tm")
-            return Directive("conv-tm", (
-                parse_ctx(s.items[0]), parse_ty(s.items[1]),
-                parse_tm(s.items[2]), parse_tm(s.items[3])))
-        case "conv-ty":
-            s.expect_len(3, "conv-ty")
-            return Directive("conv-ty", (
-                parse_ctx(s.items[0]), parse_ty(s.items[1]), parse_ty(s.items[2])))
-        case "conv-sub":
-            s.expect_len(4, "conv-sub")
-            return Directive("conv-sub", (
-                parse_ctx(s.items[0]), parse_ctx(s.items[1]),
-                parse_sub(s.items[2]), parse_sub(s.items[3])))
-        case "termify" | "param" | "inject":
-            if len(s.items) == 1:
-                return Directive(s.head, ("ctx", parse_ctx(s.items[0]), None))
-            s.expect_len(2, s.head)
-            ctx = parse_ctx(s.items[0])
-            sort, entity = parse_entity(s.items[1])
-            if sort == "ctx":
-                raise ParseError("entity argument cannot be a context",
-                                 s.items[1].line, s.items[1].col)
-            return Directive(s.head, (sort, ctx, entity))
-        case "canon":
-            s.expect_len(1, "canon")
-            return Directive("canon", (parse_tm(s.items[0]),))
+    sorts = DIRECTIVES.get(s.head)
+    if sorts is not None:
+        if len(s.items) != len(sorts):
+            raise _arity_error(s, len(sorts))
+        return Directive(s.head, tuple(
+            [_parse(item, sort) for item, sort in zip(s.items, sorts)]))
+    if s.head in ("termify", "param", "inject"):
+        if len(s.items) == 1:
+            return Directive(s.head, ("ctx", _parse(s.items[0], "ctx"), None))
+        if len(s.items) != 2:
+            raise _arity_error(s, 2)
+        ctx = _parse(s.items[0], "ctx")
+        sort, entity = parse_entity(s.items[1])
+        if sort == "ctx":
+            raise ParseError("entity argument cannot be a context",
+                             s.items[1].line, s.items[1].col)
+        return Directive(s.head, (sort, ctx, entity))
     raise ParseError(f"unknown directive '{s.head}'", s.line, s.col)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
-from typing import Optional, Union
+from typing import Optional, Union, get_args
 
 Level = int  # universe index; closed under max and +1
 
@@ -410,19 +410,12 @@ def var_index(tm: TmExpr) -> Optional[int]:
             return None
 
 
-# The operator inventory, used by coverage accounting.  Context formation
-# contributes the two pseudo-constructors for the empty telescope and the
-# telescope extension.
-SUB_CONSTRUCTORS = ("IdSub", "Comp", "Eps", "Ext", "Wk")
-CTX_CONSTRUCTORS = ("CtxEmpty", "CtxExtend")
-TY_CONSTRUCTORS = ("TySub", "Pi", "Sigma", "Top", "Univ", "El", "Bool", "IdTy")
-TM_CONSTRUCTORS = (
-    "TmSub", "Var0", "Lam", "App", "Pair", "Fst", "Snd", "Tt", "Code",
-    "TrueLit", "FalseLit", "If", "Refl", "J",
-)
-ALL_CONSTRUCTORS = (
-    SUB_CONSTRUCTORS + CTX_CONSTRUCTORS + TY_CONSTRUCTORS + TM_CONSTRUCTORS
-)
+# The operator inventory, used by coverage accounting: every node class of
+# the three unions, and for context formation the two pseudo-constructors
+# for the empty telescope and the telescope extension.
+ALL_CONSTRUCTORS = ("CtxEmpty", "CtxExtend") + tuple(
+    cls.__name__ for union in (SubExpr, TyExpr, TmExpr)
+    for cls in get_args(union))
 assert len(ALL_CONSTRUCTORS) == 29
 
 

@@ -122,3 +122,30 @@ def test_too_deep_input_is_a_limit_error(capsys, tmp_path, text):
     assert code == 4
     assert lines[-1] == "RESULT: error limit"
     assert lines[0].startswith("limit error: ")
+
+
+@pytest.mark.parametrize("text", [
+    "(check-ty (ctx) (u ²))",
+    "(check-tm (ctx (bool)) (v ¹))",
+], ids=["superscript-level", "superscript-index"])
+def test_non_ascii_digits_are_a_parse_error(capsys, tmp_path, text):
+    code, lines = _run_text(capsys, tmp_path, text)
+    assert code == 2
+    assert lines[-1] == "RESULT: error parse"
+    assert lines[0].startswith("parse error: ")
+    assert "expected a decimal natural" in lines[0]
+
+
+def test_non_utf8_file_is_an_io_error(capsys, tmp_path):
+    f = tmp_path / "latin1.tt"
+    f.write_bytes(b"(canon (true\xff))")
+    code, lines = _run(capsys, "run", str(f))
+    assert code == 2
+    assert lines[-1] == "RESULT: error io"
+    assert lines[0].startswith(f"cannot read {f}: ")
+
+
+def test_missing_file_is_an_io_error(capsys, tmp_path):
+    code, lines = _run(capsys, "run", str(tmp_path / "absent.tt"))
+    assert code == 2
+    assert lines[-1] == "RESULT: error io"

@@ -1,25 +1,33 @@
+from ttk.conversion import conv_sub
 from ttk.syntax import (
-    Bool, Code, Ctx, EMPTY, El, Eps, Ext, FalseLit, If, Lam, Pi, Top,
-    TrueLit, Tt, Univ, Var0, Wk,
+    Bool, Code, Comp, Ctx, EMPTY, El, Eps, Ext, FalseLit, IdSub, If, Lam, Pi,
+    Top, TrueLit, Tt, Univ, Var0, Wk,
 )
+from ttk.termify import decoded
 from ttk.generate import GenConfig, GenExhausted, InstanceGen, derive_seed
 from ttk.injectivity import (
     COMPONENT_CASES, build_ctx_iso, check_embedding, injectivity_probe,
 )
 
 
+def _round_trips(ctx, iso):
+    """Both composites of the isomorphism are the identity."""
+    target = EMPTY.extend(decoded(ctx))
+    return (conv_sub(target, target, Comp(iso.fwd, iso.bwd), IdSub())
+            and conv_sub(ctx, ctx, Comp(iso.bwd, iso.fwd), IdSub()))
+
+
 def test_iso_base_case_shape():
     iso = build_ctx_iso(EMPTY)
     assert iso.fwd == Ext(Eps(), El(Code(Top())), Tt())
     assert iso.bwd == Eps()
-    assert iso.fwd_bwd_ok and iso.bwd_fwd_ok
+    assert _round_trips(EMPTY, iso)
 
 
 def test_iso_step_cases():
     for ctx in (Ctx.of(Bool()), Ctx.of(Bool(), Bool()),
                 Ctx.of(Univ(0), El(Var0()))):
-        iso = build_ctx_iso(ctx)
-        assert iso.fwd_bwd_ok and iso.bwd_fwd_ok
+        assert _round_trips(ctx, build_ctx_iso(ctx))
 
 
 def test_embedding_examples():
@@ -31,8 +39,7 @@ def test_embedding_examples():
 def test_component_equation_cases():
     for name, sort, ctx, entity in COMPONENT_CASES:
         if sort == "ctx":
-            iso = build_ctx_iso(ctx)
-            assert iso.fwd_bwd_ok and iso.bwd_fwd_ok, name
+            assert _round_trips(ctx, build_ctx_iso(ctx)), name
         else:
             assert check_embedding(sort, ctx, entity).accepted, name
 

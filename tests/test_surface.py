@@ -1,12 +1,17 @@
+from typing import get_args
+
 import pytest
 
 from ttk.syntax import (
-    Bool, Code, Comp, Ctx, EMPTY, El, Eps, Ext, IdSub, Lam, Pi, Top,
-    TrueLit, TmSub, TySub, Univ, Var0, Wk, apply1, arrow, lift, v,
+    App, Bool, Code, Comp, Ctx, EMPTY, El, Eps, Ext, FalseLit, Fst, IdSub,
+    IdTy, If, J, Lam, Pair, Pi, Refl, Sigma, Snd, SubExpr, Top, TrueLit, Tt,
+    TmExpr, TmSub, TyExpr, TySub, Univ, Var0, Wk, apply1, arrow, lift, v,
+    walk_constructors,
 )
 from ttk.surface import (
-    ParseError, parse_directive, parse_entity, parse_tm, parse_ty,
-    parse_sub, print_ctx, print_sub, print_tm, read_sexpr,
+    DERIVED, KEYWORDS, ParseError, parse_directive, parse_entity, parse_tm,
+    parse_ty, parse_sub, print_ctx, print_entity, print_sub, print_tm,
+    print_ty, read_sexpr,
 )
 
 
@@ -96,3 +101,109 @@ def test_directive_parsing():
     assert d.kind == "canon"
     with pytest.raises(ParseError):
         parse_directive("(xyzzy (ctx))")
+
+
+def test_keyword_table_covers_the_syntax_once():
+    classes = set()
+    for union in (SubExpr, TyExpr, TmExpr):
+        classes.update(get_args(union))
+    assert set(KEYWORDS) == classes
+    keywords = list(KEYWORDS.values()) + list(DERIVED) + ["ctx"]
+    assert len(keywords) == len(set(keywords)) == 32
+
+
+# One instance of every node class, each field filled; Ext appears both
+# with and without its annotation, Univ at two levels.
+ALL_FORMS = [
+    ("sub", IdSub()), ("sub", Comp(Wk(), Eps())), ("sub", Eps()),
+    ("sub", Ext(IdSub(), None, TrueLit())),
+    ("sub", Ext(Wk(), Bool(), Var0())), ("sub", Wk()),
+    ("ty", TySub(Bool(), Wk())), ("ty", Pi(Bool(), Top())),
+    ("ty", Sigma(Bool(), Top())), ("ty", Top()), ("ty", Univ(0)),
+    ("ty", Univ(12)), ("ty", El(Code(Bool()))), ("ty", Bool()),
+    ("ty", IdTy(Bool(), TrueLit(), FalseLit())),
+    ("tm", TmSub(TrueLit(), Eps())), ("tm", Var0()),
+    ("tm", Lam(Bool(), Var0())), ("tm", App(Lam(Bool(), Var0()))),
+    ("tm", Pair(Bool(), Top(), TrueLit(), Tt())),
+    ("tm", Fst(Var0())), ("tm", Snd(Var0())), ("tm", Tt()),
+    ("tm", Code(Univ(1))), ("tm", TrueLit()), ("tm", FalseLit()),
+    ("tm", If(Bool(), TrueLit(), FalseLit(), Var0())),
+    ("tm", Refl(TrueLit())), ("tm", J(Bool(), TrueLit(), Refl(TrueLit()))),
+]
+
+
+def test_round_trip_covers_every_constructor():
+    found = set()
+    for sort, entity in ALL_FORMS:
+        walk_constructors(entity, found)
+        text = print_entity(sort, entity)
+        assert parse_entity(read_sexpr(text)) == (sort, entity), text
+    assert found == {cls.__name__ for cls in KEYWORDS}
+    assert print_sub(Ext(IdSub(), None, TrueLit())) == "(ext (id) (true))"
+    assert print_ty(Univ(12)) == "(u 12)"
+
+
+def test_derived_forms_expand_and_round_trip():
+    cases = [
+        ("(lift (p) (bool))", "sub", lift(Wk(), Bool())),
+        ("(arrow (bool) (top))", "ty", arrow(Bool(), Top())),
+        ("(v 3)", "tm", v(3)),
+        ("(dollar (lam (bool) (q)) (true))", "tm",
+         apply1(Lam(Bool(), Var0()), TrueLit())),
+    ]
+    for text, sort, entity in cases:
+        assert parse_entity(read_sexpr(text)) == (sort, entity)
+        printed = print_entity(sort, entity)
+        assert parse_entity(read_sexpr(printed)) == (sort, entity)
+    assert print_tm(v(3)) == "(v 3)"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("(frobnicate)", "unknown term keyword 'frobnicate'"),
+    ("(bool)", "unknown term keyword 'bool'"),
+    ("(lam (bool))", "lam takes 2 argument(s), got 1"),
+    ("(tt (q))", "tt takes 0 argument(s), got 1"),
+    ("(v x)", "expected a decimal natural for a de Bruijn index"),
+    ("(v ¹)", "expected a decimal natural for a de Bruijn index"),
+    ("(code (u -1))", "expected a decimal natural for a universe level"),
+    ("(code (u (q)))", "expected a decimal natural for a universe level"),
+    ("(tmsub (q) (ext (id)))", "ext takes 3 argument(s), got 1"),
+    ("(tmsub (q) (ext (id) (bool) (q) (q)))", "ext takes 3 argument(s), got 4"),
+    ("(lam bool (q))", "expected a type"),
+])
+def test_parse_error_messages(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_tm(read_sexpr(text))
+    assert info.value.message == message
+
+
+def test_reader_error_positions():
+    cases = [
+        ("", "empty input", 1, 1),
+        ("  ; only a comment\n", "empty input", 1, 1),
+        (")", "unexpected ')'", 1, 1),
+        ("(q) (q)", "trailing content after the directive", 1, 5),
+        ("(lam (bool)\n  (q)", "unclosed '('", 1, 1),
+        ("(a\n\t(b (c)", "unclosed '('", 2, 2),
+        ("( (q))", "expected a keyword after '('", 1, 3),
+        ("(x\r\n  ())", "expected a keyword after '('", 2, 4),
+    ]
+    for text, message, line, col in cases:
+        with pytest.raises(ParseError) as info:
+            read_sexpr(text)
+        assert (info.value.message, info.value.line, info.value.col) == \
+            (message, line, col), text
+
+
+def test_directive_errors():
+    for text, message in [
+        ("(xyzzy (ctx))", "unknown directive 'xyzzy'"),
+        ("(check-tm (ctx))", "check-tm takes 2 argument(s), got 1"),
+        ("(termify)", "termify takes 2 argument(s), got 0"),
+        ("(inject (ctx) (ctx))", "entity argument cannot be a context"),
+        ("(param (ctx) (frob))", "unknown keyword 'frob'"),
+        ("(nf (bool) (q))", "expected a context (ctx ...)"),
+    ]:
+        with pytest.raises(ParseError) as info:
+            parse_directive(text)
+        assert info.value.message == message, text
