@@ -6,7 +6,8 @@ machine-parseable: ``RESULT: accept``, ``RESULT: reject``, or
 ``RESULT: error <class>``.  Exit codes: 0 accept/success, 1 reject or
 property failure, 2 parse error, or a file that cannot be read or is not
 UTF-8 text (``RESULT: error io``), 3 type error, 4 resource limit (input
-nested too deeply to parse or check: ``RESULT: error limit``).
+nested too deeply to parse or check, or a ``(v n)`` with ``n`` at or above
+the recursion limit: ``RESULT: error limit``).
 """
 
 from __future__ import annotations

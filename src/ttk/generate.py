@@ -11,7 +11,10 @@ are 5 canonical / 3 variable / 2 each for redex, branch, and identity
 elimination / 1 each for projections and an identity substitution.
 
 Identical configurations yield identical output: all randomness flows
-through one ``random.Random`` seeded from the config.
+through one ``random.Random`` seeded from the config.  A weighted pick
+draws exactly as ``random.choices(options, weights, k=1)`` does, one
+``random()`` against the running sums of the weights, so a seed keeps
+meaning the same instances.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import hashlib
 import random
 from dataclasses import dataclass
 
+from .caches import memoized
 from .syntax import (
     Bool, Code, Comp, Ctx, EMPTY, El, Eps, Ext, FalseLit, Fst, IdSub, IdTy,
     If, J, Lam, Pair, Pi, Refl, Sigma, Snd, SubExpr, Top, TrueLit, Tt,
@@ -51,6 +55,19 @@ def derive_seed(seed: int, *parts: object) -> int:
     return int.from_bytes(h.digest(), "big")
 
 
+@memoized
+def _vars_by_type(ctx: Ctx) -> dict[TyExpr, tuple[int, ...]]:
+    """The de Bruijn indices of the variables of ``ctx``, ascending, keyed
+    by the normal form of their type.  Normalization is idempotent, so a
+    goal's normal form is a key exactly when the goal converts to that
+    variable's type."""
+    table: dict[TyExpr, tuple[int, ...]] = {}
+    for k in range(len(ctx)):
+        nf = normalize_ty_in(ctx, TySub(ctx.entries[-1 - k], wk(k + 1)))
+        table[nf] = table.get(nf, ()) + (k,)
+    return table
+
+
 class InstanceGen:
     def __init__(self, cfg: GenConfig) -> None:
         self.cfg = cfg
@@ -70,8 +87,18 @@ class InstanceGen:
         self.budget = self.cfg.max_nodes
 
     def _pick(self, options: list[tuple[int, object]]):
-        weights = [w for w, _ in options]
-        return self.rng.choices(options, weights=weights, k=1)[0][1]
+        # ``random.choices(k=1)``: bisect the running sums for one
+        # ``random() * total``, over all but the last option.
+        total = 0
+        for weight, _ in options:
+            total += weight
+        point = self.rng.random() * total
+        running = 0
+        for weight, choice in options[:-1]:
+            running += weight
+            if point < running:
+                return choice
+        return options[-1][1]
 
     # -- contexts ------------------------------------------------------------
 
@@ -147,7 +174,7 @@ class InstanceGen:
         self._spend()
         nf = normalize_ty_in(ctx, goal)
         opts: list[tuple[int, str]] = []
-        variables = self._var_candidates(ctx, nf)
+        variables = _vars_by_type(ctx).get(nf)
         if variables:
             opts.append((3, "var"))
         canonical = self._canonical_kind(nf)
@@ -191,14 +218,6 @@ class InstanceGen:
 
     def _small_ty(self) -> TyExpr:
         return self._pick([(3, Bool()), (1, Top())])
-
-    def _var_candidates(self, ctx: Ctx, goal_nf: TyExpr) -> list[int]:
-        found = []
-        for k in range(len(ctx)):
-            var_ty = TySub(ctx.entries[-1 - k], wk(k + 1))
-            if types_convertible(ctx, var_ty, goal_nf):
-                found.append(k)
-        return found
 
     def _canonical_kind(self, nf: TyExpr) -> str | None:
         match nf:

@@ -21,6 +21,7 @@ comment.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple, Optional, get_args
 
@@ -113,12 +114,25 @@ KEYWORDS = {
     FalseLit: "false", If: "if", Refl: "refl", J: "j",
 }
 
+
+def _var(n: int) -> TmExpr:
+    """``(v n)``, refused before its spine is built when ``n`` is at or
+    above the recursion limit: checking the n-step weakening spine
+    recurses once per step, so it could only end in ``RecursionError``,
+    after building n nodes."""
+    limit = sys.getrecursionlimit()
+    if n >= limit:
+        raise RecursionError(
+            f"de Bruijn index {n} is not below the recursion limit {limit}")
+    return v(n)
+
+
 # Derived forms: keyword -> (sort, builder, argument sorts).  The printer
 # writes them back only for ``v``; the others print as their expansion.
 DERIVED = {
     "lift": ("sub", lift, ("sub", "ty")),
     "arrow": ("ty", arrow, ("ty", "ty")),
-    "v": ("tm", v, ("index",)),
+    "v": ("tm", _var, ("index",)),
     "dollar": ("tm", apply1, ("tm", "tm")),
 }
 

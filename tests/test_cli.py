@@ -116,7 +116,9 @@ def test_param_user_error_is_not_a_translation_bug(capsys, tmp_path):
 @pytest.mark.parametrize("text", [
     "(check-tm (ctx (bool)) (v 15000))",
     "(check-tm (ctx) " + "(lam (bool) " * 10000 + "(q)" + ")" * 10001,
-], ids=["deep-variable", "deep-lam-nest"])
+    # refused at parse time: building this spine would take gigabytes
+    "(check-tm (ctx (bool)) (v 100000000))",
+], ids=["deep-variable", "deep-lam-nest", "huge-variable"])
 def test_too_deep_input_is_a_limit_error(capsys, tmp_path, text):
     code, lines = _run_text(capsys, tmp_path, text)
     assert code == 4
