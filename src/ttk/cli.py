@@ -6,8 +6,9 @@ machine-parseable: ``RESULT: accept``, ``RESULT: reject``, or
 ``RESULT: error <class>``.  Exit codes: 0 accept/success, 1 reject or
 property failure, 2 parse error, or a file that cannot be read or is not
 UTF-8 text (``RESULT: error io``), 3 type error, 4 resource limit (input
-nested too deeply to parse or check, or a ``(v n)`` with ``n`` at or above
-the recursion limit: ``RESULT: error limit``).
+nested too deeply to parse or check, a ``(v n)`` with ``n`` at or above
+the recursion limit, or a natural of more than ``surface.MAX_DIGITS``
+digits: ``RESULT: error limit``).
 """
 
 from __future__ import annotations
@@ -18,9 +19,11 @@ import sys
 
 from .canonicity import NonCanonical, OpenTerm, canonicity_verdict
 from .conversion import conv_sub, conv_tm, conv_ty, normalize_tm
-from .injectivity import IsoFailure, build_ctx_iso, check_embedding
+from .injectivity import IsoFailure, check_embedding
 from .parametricity import param_entity
-from .surface import Directive, ParseError, parse_directive, print_entity, print_ty
+from .surface import (
+    Directive, LimitError, ParseError, parse_directive, print_entity, print_ty,
+)
 from .suites import SUITES, run_suites
 from .termify import termify_entity
 from .typecheck import TypeCheckError, check_ctx, infer_ty, synth_tm
@@ -78,16 +81,10 @@ def _execute(directive: Directive) -> tuple[int, list[str]]:
                 return 0, [f"value: {value}", "RESULT: accept"]
             return 1, [f"value: {value}", "RESULT: reject"]
         case "inject":
-            sort, ctx, entity = directive.args
-            check_ctx(ctx)
-            if sort == "ctx":
-                try:
-                    build_ctx_iso(ctx)
-                except IsoFailure as err:
-                    return 1, [str(err), "RESULT: reject"]
-                return _verdict(True)
-            report = check_embedding(sort, ctx, entity)
-            return _verdict(report.accepted)
+            try:
+                return _verdict(check_embedding(*directive.args))
+            except IsoFailure as err:
+                return 1, [str(err), "RESULT: reject"]
     raise ValueError(f"unknown directive {directive.kind!r}")
 
 
@@ -115,7 +112,7 @@ def _cmd_run(args) -> int:
         print(f"type error: {err}")
         print("RESULT: error type")
         return 3
-    except RecursionError as err:
+    except (RecursionError, LimitError) as err:
         print(f"limit error: {err}")
         print("RESULT: error limit")
         return 4
@@ -159,7 +156,7 @@ def _parser() -> argparse.ArgumentParser:
                           help="instances per schema/case")
     selftest.add_argument("--max-nodes", type=int, default=None)
     selftest.add_argument("--suite", default="all",
-                          choices=("all",) + SUITES)
+                          choices=("all", *SUITES))
     selftest.set_defaults(fn=_cmd_selftest)
     return parser
 

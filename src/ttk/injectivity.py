@@ -7,26 +7,28 @@ telescope and certified by the conversion checker before it is returned.
 On top of it sit the three embedding equations: a type equals the decoding
 of its translated family pulled back along the isomorphism, a substitution
 factors through the translated function, and a term equals its translated
-section pulled back.  A probe then uses these to look for injectivity
+section pulled back.  ``check_embedding`` is the one entry point for all
+four sorts, used by ``ttk run`` and the suites alike: it checks its input,
+then tests the equation, and for a context it builds and certifies the
+isomorphism.  A probe then uses these to look for injectivity
 counterexamples: translated-equal entities must already be equal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .syntax import (
-    App, Comp, Ctx, EMPTY, El, Eps, Ext, Fst, IdSub, Snd, SubExpr, TmExpr,
-    TmSub, Tt, TyExpr, TySub, Var0, Wk,
+    App, Comp, Ctx, EMPTY, El, Eps, Ext, Fst, IdSub, Snd, SubExpr, TmSub,
+    Tt, TySub, Var0, Wk,
 )
 from .caches import memoized
-from .conversion import conv_sub, conv_tm, conv_ty, normalize_tm, normalize_ty
+from .conversion import conv_sub, conv_tm, conv_ty
 from .termify import (
     decoded, point_pair, sub_classifier, termify_sub, termify_tm,
     termify_ty, tm_classifier, ty_classifier,
 )
-from .typecheck import check_entity, synth_sub, synth_tm
+from .typecheck import check_entity
 
 
 class IsoFailure(Exception):
@@ -72,54 +74,26 @@ def build_ctx_iso(ctx: Ctx) -> CtxIso:
 # Embedding equations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EmbeddingReport:
-    accepted: bool
-    lhs_nf: Optional[object] = None  # filled on reject, for diagnosis
-    rhs_nf: Optional[object] = None
-
-
-def _report(ok: bool, ctx: Ctx, kind: str, lhs, rhs) -> EmbeddingReport:
-    if ok:
-        return EmbeddingReport(True)
-    norm = normalize_ty if kind == "ty" else normalize_tm
-    if kind == "sub":
-        return EmbeddingReport(False, lhs, rhs)
-    return EmbeddingReport(False, norm(ctx, lhs), norm(ctx, rhs))
-
-
-def embedding_ty(ctx: Ctx, ty: TyExpr) -> EmbeddingReport:
+def check_embedding(sort: str, ctx: Ctx, entity=None) -> bool:
+    """Check the entity, then test its embedding equation.  A context's is
+    its isomorphism, certified by ``build_ctx_iso``, so it holds or raises
+    ``IsoFailure``, as every sort does when an isomorphism it needs fails
+    to certify."""
+    checked = check_entity(sort, ctx, entity)
     iso = build_ctx_iso(ctx)
-    rhs = TySub(El(App(termify_ty(ctx, ty))), iso.fwd)
-    return _report(conv_ty(ctx, ty, rhs), ctx, "ty", ty, rhs)
-
-
-def embedding_sub(ctx: Ctx, sub: SubExpr) -> EmbeddingReport:
-    cod = synth_sub(ctx, sub)
-    iso_dom = build_ctx_iso(ctx)
-    iso_cod = build_ctx_iso(cod)
-    mid = Ext(Eps(), decoded(cod), App(termify_sub(ctx, sub)))
-    rhs = Comp(iso_cod.bwd, Comp(mid, iso_dom.fwd))
-    return _report(conv_sub(ctx, cod, sub, rhs), ctx, "sub", sub, rhs)
-
-
-def embedding_tm(ctx: Ctx, tm: TmExpr) -> EmbeddingReport:
-    iso = build_ctx_iso(ctx)
-    rhs = TmSub(App(termify_tm(ctx, tm)), iso.fwd)
-    return _report(conv_tm(ctx, synth_tm(ctx, tm), tm, rhs), ctx, "tm", tm, rhs)
-
-
-def check_embedding(sort: str, ctx: Ctx, entity) -> EmbeddingReport:
-    """Check the entity, then test its embedding equation."""
-    check_entity(sort, ctx, entity)
     match sort:
+        case "ctx":
+            return True
         case "ty":
-            return embedding_ty(ctx, entity)
+            rhs = TySub(El(App(termify_ty(ctx, entity))), iso.fwd)
+            return conv_ty(ctx, entity, rhs)
         case "sub":
-            return embedding_sub(ctx, entity)
-        case "tm":
-            return embedding_tm(ctx, entity)
-    raise ValueError(f"unknown embedding sort {sort!r}")
+            mid = Ext(Eps(), decoded(checked), App(termify_sub(ctx, entity)))
+            rhs = Comp(build_ctx_iso(checked).bwd, Comp(mid, iso.fwd))
+            return conv_sub(ctx, checked, entity, rhs)
+    # a term: ``check_entity`` has refused any other sort
+    rhs = TmSub(App(termify_tm(ctx, entity)), iso.fwd)
+    return conv_tm(ctx, checked, entity, rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,16 @@ Five suites mirror the package's claims: the defining equations hold in
 the kernel, they still hold after the closed-term translation, the
 embedding equations and context isomorphisms certify, closed booleans are
 canonical, and the parametricity translation is type-preserving on every
-sort.  Each suite is deterministic in its seed; failures carry a printed
-counterexample, re-generated at smaller sizes first when possible.
+sort.  Each suite is deterministic in its seed.
+
+A suite only says what each case draws and how a failure prints: it
+yields one (row label, outcome) pair per case, where the outcome is None
+for a pass or the lines that show the failure, and ``_tally`` counts them.
+One rule holds for every row: every case runs and is counted, and every
+failure adds its lines, so a row's passed and failed add up to its cases.
+A failing equation case is shown re-drawn at the smallest size at which
+the re-drawn instance still fails, or as first drawn if none does.  A case
+that draws no instance within its retries fails.
 """
 
 from __future__ import annotations
@@ -22,8 +30,7 @@ from .canonicity import NonCanonical, canonicity_verdict
 from .equations import EqInstance, SCHEMA_NAMES, build_instance, check_instance
 from .generate import GenConfig, GenExhausted, InstanceGen, derive_seed
 from .injectivity import (
-    COMPONENT_CASES, IsoFailure, build_ctx_iso, check_embedding,
-    injectivity_probe,
+    COMPONENT_CASES, IsoFailure, check_embedding, injectivity_probe,
 )
 from .parametricity import TranslationIllTyped, param_entity
 from .surface import print_ctx, print_entity
@@ -74,158 +81,139 @@ def _dump_instance(inst: EqInstance) -> list[str]:
     return lines
 
 
-def _eq_instance(name: str, seed: int, case: int, max_nodes: int,
-                 max_level: int, retries: int = 60) -> EqInstance:
+def _draw(seed_parts, build, max_nodes: int = 8, max_level: int = 2,
+          retries: int = 60):
+    """What ``build`` draws from the first generator, seeded by
+    ``seed_parts`` and the attempt number, that does not run out."""
     for attempt in range(retries):
-        cfg = GenConfig(seed=derive_seed(seed, name, case, attempt),
+        cfg = GenConfig(seed=derive_seed(*seed_parts, attempt),
                         max_nodes=max_nodes, max_level=max_level)
         try:
-            return build_instance(name, InstanceGen(cfg))
+            return build(InstanceGen(cfg))
         except GenExhausted:
             continue
-    raise GenExhausted(f"schema {name}: no instance within {retries} retries")
+    raise GenExhausted(f"no instance for {seed_parts}")
 
 
-def _shrunk(name: str, seed: int, check, max_nodes: int, max_level: int,
-            budget: int = 40) -> EqInstance | None:
-    """Look for a smaller rejected instance of the same schema."""
-    for nodes in range(2, max_nodes + 1):
-        for attempt in range(budget // max_nodes + 2):
-            cfg = GenConfig(seed=derive_seed(seed, "shrink", name, nodes, attempt),
-                            max_nodes=nodes, max_level=max_level)
-            try:
-                inst = build_instance(name, InstanceGen(cfg))
-            except GenExhausted:
-                continue
-            try:
-                if not check(inst):
-                    return inst
-            except TypeCheckError:
-                continue
+def _case(seed_parts, build, judge, *sizes):
+    """The outcome of one case: ``judge`` of what ``_draw`` draws."""
+    try:
+        drawn = _draw(seed_parts, build, *sizes)
+    except GenExhausted as err:
+        return [str(err)]
+    return judge(drawn)
+
+
+def _tally(name: str, outcomes) -> SuiteReport:
+    """Count (row label, outcome) pairs into rows, in order of first
+    appearance; an outcome is None for a pass, or the lines that show a
+    failure."""
+    start = time.time()
+    rows: dict[str, SuiteRow] = {}
+    for label, outcome in outcomes:
+        row = rows.setdefault(label, SuiteRow(label))
+        if outcome is None:
+            row.passed += 1
+        else:
+            row.failed += 1
+            row.detail.extend(outcome)
+    return SuiteReport(name, list(rows.values()), time.time() - start)
+
+
+# ---------------------------------------------------------------------------
+# Equations, in the kernel and termified
+# ---------------------------------------------------------------------------
+
+def _shrunk(schema: str, seed: int, case: int, check, max_nodes: int,
+            max_level: int) -> EqInstance | None:
+    """The case re-drawn at each smaller size: the first instance that
+    ``check`` rejects."""
+    for nodes in range(2, max_nodes):
+        try:
+            inst = _draw((seed, schema, case),
+                         lambda g: build_instance(schema, g), nodes, max_level)
+            if not check(inst):
+                return inst
+        except (GenExhausted, TypeCheckError):
+            continue
     return None
 
 
-def _run_schema_suite(name: str, seed: int, count: int, max_nodes: int,
-                      max_level: int, check, schemas) -> SuiteReport:
-    start = time.time()
-    rows = []
+def _schema_cases(seed: int, count: int, max_nodes: int, max_level: int,
+                  check, schemas):
+    """One row per schema: ``check`` holds of each drawn instance."""
     for schema in schemas:
-        row = SuiteRow(schema)
         for case in range(count):
-            try:
-                inst = _eq_instance(schema, seed, case, max_nodes, max_level)
-            except GenExhausted as err:
-                row.failed += 1
-                row.detail.append(str(err))
-                continue
-            if check(inst):
-                row.passed += 1
-            else:
-                row.failed += 1
-                smaller = _shrunk(schema, seed, check, max_nodes, max_level)
-                row.detail.extend(_dump_instance(smaller or inst))
-                break  # one counterexample per schema is enough
-        rows.append(row)
-    return SuiteReport(name, rows, time.time() - start)
+            yield schema, _case(
+                (seed, schema, case), lambda g: build_instance(schema, g),
+                lambda inst: None if check(inst) else _dump_instance(
+                    _shrunk(schema, seed, case, check, max_nodes, max_level)
+                    or inst),
+                max_nodes, max_level)
 
 
 def run_equation_suite(seed: int = 1, count: int = 100, max_nodes: int = 12,
                        max_level: int = 2, schemas=None) -> SuiteReport:
-    return _run_schema_suite("equations", seed, count, max_nodes, max_level,
-                             check_instance, schemas or SCHEMA_NAMES)
+    return _tally("equations", _schema_cases(
+        seed, count, max_nodes, max_level, check_instance,
+        schemas or SCHEMA_NAMES))
 
 
 def run_termified_suite(seed: int = 1, count: int = 50, max_nodes: int = 8,
                         max_level: int = 2, schemas=None) -> SuiteReport:
-    return _run_schema_suite("termified", seed, count, max_nodes, max_level,
-                             verify_termified_equation, schemas or SCHEMA_NAMES)
+    return _tally("termified", _schema_cases(
+        seed, count, max_nodes, max_level, verify_termified_equation,
+        schemas or SCHEMA_NAMES))
 
 
 # ---------------------------------------------------------------------------
 # Injectivity
 # ---------------------------------------------------------------------------
 
-def _draw(seed_parts, build, retries: int = 60):
-    for attempt in range(retries):
-        cfg = GenConfig(seed=derive_seed(*seed_parts, attempt), max_nodes=8)
-        gen = InstanceGen(cfg)
-        try:
-            return build(gen)
-        except GenExhausted:
-            continue
-    raise GenExhausted(f"no instance for {seed_parts}")
+def _embedding(sort: str, ctx, entity, show):
+    """None if the embedding equation of ``entity`` holds; else the lines
+    ``show()`` gives, then the message of an isomorphism that failed to
+    certify."""
+    try:
+        return None if check_embedding(sort, ctx, entity) else show()
+    except IsoFailure as err:
+        return [*show(), str(err)]
 
 
-def run_injectivity_suite(seed: int = 1, count: int = 100) -> SuiteReport:
-    start = time.time()
-    iso_row = SuiteRow("ctx-isomorphisms")
+def _probe(kind: str, ctx, classifier, lhs, rhs):
+    if not injectivity_probe(kind, ctx, classifier, lhs, rhs).counterexample:
+        return None
+    return [f"counterexample ctx={print_ctx(ctx)} "
+            f"lhs={print_entity(kind, lhs)} rhs={print_entity(kind, rhs)}"]
+
+
+def _injectivity_cases(seed: int, count: int, max_nodes: int):
     for case in range(count):
-        try:
-            ctx = _draw((seed, "iso", case), lambda g: g.draw_ctx())
-            build_ctx_iso(ctx)
-            iso_row.passed += 1
-        except (IsoFailure, GenExhausted) as err:
-            iso_row.failed += 1
-            iso_row.detail.append(str(err))
-
-    embed_rows = []
+        yield "ctx-isomorphisms", _case(
+            (seed, "iso", case), lambda g: g.draw_ctx(),
+            lambda ctx: _embedding("ctx", ctx, None, list), max_nodes)
     for sort in ("ty", "sub", "tm"):
-        row = SuiteRow(f"embedding-{sort}")
         for case in range(count):
-            try:
-                ctx, entity = _draw((seed, "embed", sort, case),
-                                    lambda g: _entity_draw(g, sort))
-                report = check_embedding(sort, ctx, entity)
-            except GenExhausted as err:
-                row.failed += 1
-                row.detail.append(str(err))
-                continue
-            if report.accepted:
-                row.passed += 1
-            else:
-                row.failed += 1
-                row.detail.append(f"ctx: {print_ctx(ctx)}")
-                row.detail.append(f"entity: {print_entity(sort, entity)}")
-        embed_rows.append(row)
-
-    component_row = SuiteRow("component-equations")
+            yield f"embedding-{sort}", _case(
+                (seed, "embed", sort, case), lambda g: _entity_draw(g, sort),
+                lambda drawn: _embedding(sort, *drawn, lambda: [
+                    f"ctx: {print_ctx(drawn[0])}",
+                    f"entity: {print_entity(sort, drawn[1])}"]),
+                max_nodes)
     for name, sort, ctx, entity in COMPONENT_CASES:
-        try:
-            if sort == "ctx":
-                build_ctx_iso(ctx)
-                accepted = True
-            else:
-                accepted = check_embedding(sort, ctx, entity).accepted
-        except IsoFailure:
-            accepted = False
-        if accepted:
-            component_row.passed += 1
-        else:
-            component_row.failed += 1
-            component_row.detail.append(f"case {name}")
-
-    probe_row = SuiteRow("injectivity-probe")
+        yield "component-equations", _embedding(
+            sort, ctx, entity, lambda: [f"case {name}"])
     for case in range(count):
         sort = ("tm", "ty", "sub")[case % 3]
-        equalish = case % 2 == 0
-        try:
-            kind, ctx, classifier, lhs, rhs = _draw(
-                (seed, "probe", case), lambda g: _probe_draw(g, sort, equalish))
-            result = injectivity_probe(kind, ctx, classifier, lhs, rhs)
-        except GenExhausted as err:
-            probe_row.failed += 1
-            probe_row.detail.append(str(err))
-            continue
-        if result.counterexample:
-            probe_row.failed += 1
-            probe_row.detail.append(
-                f"counterexample ctx={print_ctx(ctx)} "
-                f"lhs={print_entity(sort, lhs)} rhs={print_entity(sort, rhs)}")
-        else:
-            probe_row.passed += 1
+        yield "injectivity-probe", _case(
+            (seed, "probe", case),
+            lambda g: _probe_draw(g, sort, case % 2 == 0),
+            lambda drawn: _probe(*drawn), max_nodes)
 
-    rows = [iso_row, *embed_rows, component_row, probe_row]
-    return SuiteReport("injectivity", rows, time.time() - start)
+
+def run_injectivity_suite(seed: int = 1, count: int = 100,
+                          max_nodes: int = 8) -> SuiteReport:
+    return _tally("injectivity", _injectivity_cases(seed, count, max_nodes))
 
 
 def _entity_draw(gen: InstanceGen, sort: str):
@@ -288,94 +276,81 @@ def _wrapped_bool(gen: InstanceGen, flavour: int):
     return core
 
 
-def run_canonicity_suite(seed: int = 1, count: int = 100) -> SuiteReport:
-    start = time.time()
-    row = SuiteRow("closed-booleans")
+def _canonical(tm, seen: set[str]):
+    """None if ``tm`` evaluates to a certified literal; the constructors of
+    ``tm`` are added to ``seen``."""
+    walk_constructors(tm, seen)
+    try:
+        verdict = canonicity_verdict(tm)
+    except NonCanonical as err:
+        return [f"non-canonical: {print_entity('tm', tm)} ({err})"]
+    return None if verdict.certified else [f"uncertified: {print_entity('tm', tm)}"]
+
+
+def _canonicity_cases(seed: int, count: int, max_nodes: int):
     seen: set[str] = set()
     for case in range(count):
-        try:
-            tm = _draw((seed, "canon", case),
-                       lambda g: _wrapped_bool(g, case % 6))
-        except GenExhausted as err:
-            row.failed += 1
-            row.detail.append(str(err))
-            continue
-        walk_constructors(tm, seen)
-        try:
-            verdict = canonicity_verdict(tm)
-        except NonCanonical as err:
-            row.failed += 1
-            row.detail.append(f"non-canonical: {print_entity('tm', tm)} ({err})")
-            continue
-        if verdict.certified:
-            row.passed += 1
-        else:
-            row.failed += 1
-            row.detail.append(f"uncertified: {print_entity('tm', tm)}")
-
-    coverage = SuiteRow("eliminator-coverage")
+        yield "closed-booleans", _case(
+            (seed, "canon", case), lambda g: _wrapped_bool(g, case % 6),
+            lambda tm: _canonical(tm, seen), max_nodes)
     for needed in ("If", "J", "Fst", "Snd", "TmSub"):
-        if needed in seen:
-            coverage.passed += 1
-        else:
-            coverage.failed += 1
-            coverage.detail.append(f"no instance contained {needed}")
-    return SuiteReport("canonicity", [row, coverage], time.time() - start)
+        yield "eliminator-coverage", (
+            None if needed in seen else [f"no instance contained {needed}"])
+
+
+def run_canonicity_suite(seed: int = 1, count: int = 100,
+                         max_nodes: int = 8) -> SuiteReport:
+    return _tally("canonicity", _canonicity_cases(seed, count, max_nodes))
 
 
 # ---------------------------------------------------------------------------
 # Parametricity
 # ---------------------------------------------------------------------------
 
-def run_parametricity_suite(seed: int = 1, count: int = 100) -> SuiteReport:
-    start = time.time()
-    rows = []
+def _translates(sort: str, ctx, entity):
+    try:
+        param_entity(sort, ctx, entity)
+    except TranslationIllTyped as err:
+        shown = [] if entity is None else [f"entity: {print_entity(sort, entity)}"]
+        return [str(err).splitlines()[0], *shown]
+    return None
+
+
+def _parametricity_cases(seed: int, count: int, max_nodes: int):
     for sort in ("ctx", "ty", "sub", "tm"):
-        row = SuiteRow(f"sort-{sort}")
         for case in range(count):
-            try:
-                ctx, entity = _draw((seed, "param", sort, case),
-                                    lambda g: _entity_draw(g, sort))
-                param_entity(sort, ctx, entity)
-                row.passed += 1
-            except GenExhausted as err:
-                row.failed += 1
-                row.detail.append(str(err))
-            except TranslationIllTyped as err:
-                row.failed += 1
-                row.detail.append(str(err).splitlines()[0])
-                if entity is not None:
-                    row.detail.append(f"entity: {print_entity(sort, entity)}")
-        rows.append(row)
-    return SuiteReport("parametricity", rows, time.time() - start)
+            yield f"sort-{sort}", _case(
+                (seed, "param", sort, case), lambda g: _entity_draw(g, sort),
+                lambda drawn: _translates(sort, *drawn), max_nodes)
+
+
+def run_parametricity_suite(seed: int = 1, count: int = 100,
+                            max_nodes: int = 8) -> SuiteReport:
+    return _tally("parametricity", _parametricity_cases(seed, count, max_nodes))
 
 
 # ---------------------------------------------------------------------------
 # Top level
 # ---------------------------------------------------------------------------
 
-SUITES = ("equations", "termified", "inject", "canon", "param")
+# Each suite's runner, by the name ``ttk selftest --suite`` takes; the
+# runner's own defaults give the count and sizes not asked for.
+SUITES = {
+    "equations": run_equation_suite,
+    "termified": run_termified_suite,
+    "inject": run_injectivity_suite,
+    "canon": run_canonicity_suite,
+    "param": run_parametricity_suite,
+}
 
 
 def run_suites(which: str = "all", seed: int = 1, count: int | None = None,
                max_nodes: int | None = None) -> list[SuiteReport]:
-    selected = SUITES if which == "all" else (which,)
+    if which != "all" and which not in SUITES:
+        raise ValueError(f"unknown suite {which!r}")
+    sizes = {k: v for k, v in dict(count=count, max_nodes=max_nodes).items() if v}
     reports = []
-    for name in selected:
+    for name in SUITES if which == "all" else (which,):
         clear_all()
-        match name:
-            case "equations":
-                reports.append(run_equation_suite(
-                    seed, count or 100, max_nodes or 12))
-            case "termified":
-                reports.append(run_termified_suite(
-                    seed, count or 50, max_nodes or 8))
-            case "inject":
-                reports.append(run_injectivity_suite(seed, count or 100))
-            case "canon":
-                reports.append(run_canonicity_suite(seed, count or 100))
-            case "param":
-                reports.append(run_parametricity_suite(seed, count or 100))
-            case _:
-                raise ValueError(f"unknown suite {name!r}")
+        reports.append(SUITES[name](seed, **sizes))
     return reports

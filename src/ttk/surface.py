@@ -32,6 +32,11 @@ from .syntax import (
 )
 
 
+class LimitError(Exception):
+    """Input past one of the reader's documented bounds: too many digits
+    in a natural, or a de Bruijn index too large to check."""
+
+
 class ParseError(Exception):
     def __init__(self, message: str, line: int, col: int) -> None:
         super().__init__(f"{line}:{col}: {message}")
@@ -122,7 +127,7 @@ def _var(n: int) -> TmExpr:
     after building n nodes."""
     limit = sys.getrecursionlimit()
     if n >= limit:
-        raise RecursionError(
+        raise LimitError(
             f"de Bruijn index {n} is not below the recursion limit {limit}")
     return v(n)
 
@@ -141,6 +146,10 @@ _FIELD_SORTS = {"SubExpr": "sub", "TyExpr": "ty", "TmExpr": "tm",
                 "Optional[TyExpr]": "ty", "Level": "level"}
 # The natural-number sorts, with what the number stands for.
 _NATURALS = {"level": "a universe level", "index": "a de Bruijn index"}
+# The most digits a natural may have.  Python refuses to convert a decimal
+# string of more than 4300 digits by default, and this bound leaves room
+# for the level arithmetic of the checker to print its results.
+MAX_DIGITS = 1000
 _NOUNS = {"ctx": "context", "sub": "substitution", "ty": "type", "tm": "term"}
 
 
@@ -190,6 +199,9 @@ def _parse(s: SExpr, sort: str):
         if s.atom is None or not (s.atom.isascii() and s.atom.isdigit()):
             raise ParseError(f"expected a decimal natural for {_NATURALS[sort]}",
                              s.line, s.col)
+        if len(s.atom) > MAX_DIGITS:
+            raise LimitError(f"{s.line}:{s.col}: {_NATURALS[sort]} of more "
+                             f"than {MAX_DIGITS} digits")
         return int(s.atom)
     if sort == "ctx":
         if s.head != "ctx":

@@ -2,7 +2,9 @@ import pathlib
 
 import pytest
 
+import ttk.injectivity
 from ttk.cli import main
+from ttk.injectivity import IsoFailure
 
 DEMO = pathlib.Path(__file__).resolve().parent.parent / "demo"
 
@@ -80,6 +82,17 @@ def test_inject_directive(capsys, tmp_path):
     assert lines[-1] == "RESULT: accept"
 
 
+def test_inject_isomorphism_failure_is_a_reject(capsys, tmp_path,
+                                                monkeypatch):
+    def failing(ctx):
+        raise IsoFailure(ctx, "fwd . bwd")
+    monkeypatch.setattr(ttk.injectivity, "build_ctx_iso", failing)
+    code, lines = _run_text(capsys, tmp_path, "(inject (ctx (bool)) (q))")
+    assert code == 1
+    assert lines == ["context isomorphism composite fwd . bwd is not the "
+                     "identity", "RESULT: reject"]
+
+
 def test_selftest_small(capsys):
     code, lines = _run(capsys, "selftest", "--seed", "5", "--count", "2",
                        "--suite", "equations")
@@ -118,7 +131,11 @@ def test_param_user_error_is_not_a_translation_bug(capsys, tmp_path):
     "(check-tm (ctx) " + "(lam (bool) " * 10000 + "(q)" + ")" * 10001,
     # refused at parse time: building this spine would take gigabytes
     "(check-tm (ctx (bool)) (v 100000000))",
-], ids=["deep-variable", "deep-lam-nest", "huge-variable"])
+    # refused before ``int()``, which would raise past 4300 digits
+    "(check-ty (ctx) (u " + "1" * 5000 + "))",
+    "(check-tm (ctx (bool)) (v " + "1" * 5000 + "))",
+], ids=["deep-variable", "deep-lam-nest", "huge-variable", "long-level",
+        "long-index"])
 def test_too_deep_input_is_a_limit_error(capsys, tmp_path, text):
     code, lines = _run_text(capsys, tmp_path, text)
     assert code == 4

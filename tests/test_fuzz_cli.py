@@ -113,3 +113,26 @@ def test_mutated_directives_end_in_a_documented_result(tmp_path):
     # parser.
     assert {"RESULT: accept", "RESULT: error parse",
             "RESULT: error type"} <= outcomes
+
+
+def _long_natural(rng: random.Random, text: str) -> str:
+    """Replace a natural, or any token if there is none, by 5000 digits:
+    more than ``int()`` converts by default."""
+    tokens = TOKEN.findall(text)
+    naturals = [i for i, tok in enumerate(tokens) if tok.isdigit()]
+    tokens[rng.choice(naturals or range(len(tokens)))] = "9" * 5000
+    return " ".join(tokens)
+
+
+def test_long_naturals_end_in_a_documented_result(tmp_path):
+    rng = random.Random(20261019)
+    bases = _bases(rng)
+    path = tmp_path / "long.tt"
+    outcomes = set()
+    for _ in range(200):
+        text = _long_natural(rng, rng.choice(bases))
+        code, last = _run(path, text)
+        assert RESULT.match(last), (text[:200], last)
+        assert EXIT_CODES.get(last) == code, (text[:200], last, code)
+        outcomes.add(last)
+    assert "RESULT: error limit" in outcomes
