@@ -8,16 +8,17 @@ from .syntax import (
     lift, v, wk,
 )
 from .typecheck import (
-    IllFormedEntry, ProjectionOfEmpty, TypeCheckError, VarInEmptyContext,
-    check_ctx, check_sub, check_tm, infer_ty, synth_sub, synth_tm,
+    IllFormedEntry, ProjectionOfEmpty, Translated, TranslationIllTyped,
+    TypeCheckError, VarInEmptyContext, check_ctx, check_sub, check_tm,
+    infer_ty, synth_sub, synth_tm,
 )
 from .conversion import conv_sub, conv_tm, conv_ty, normalize_tm, normalize_ty
 from .values import InternalStuck
 from .canonicity import CanonVerdict, NonCanonical, OpenTerm, canonicity_verdict
 from .generate import GenConfig, GenExhausted, InstanceGen, gen_instance
 from .injectivity import CtxIso, IsoFailure, build_ctx_iso, check_embedding, injectivity_probe
-from .parametricity import ParamEntity, TranslationIllTyped, param_entity
-from .termify import TermifiedEntity, termify_entity, verify_termified_equation
+from .parametricity import param_entity
+from .termify import termify_entity, verify_termified_equation
 
 __all__ = [
     "App", "Bool", "Code", "Comp", "Ctx", "EMPTY", "El", "Eps", "Ext",
@@ -25,15 +26,15 @@ __all__ = [
     "Pi", "Refl", "Sigma", "Snd", "SubExpr", "Top", "Tt", "TmExpr", "TmSub",
     "TrueLit", "TyExpr", "TySub", "Univ", "Var0", "Wk", "apply1", "arrow",
     "lift", "v", "wk",
-    "IllFormedEntry", "ProjectionOfEmpty", "TypeCheckError",
-    "VarInEmptyContext", "check_ctx", "check_sub", "check_tm", "infer_ty",
-    "synth_sub", "synth_tm",
+    "IllFormedEntry", "ProjectionOfEmpty", "Translated",
+    "TranslationIllTyped", "TypeCheckError", "VarInEmptyContext",
+    "check_ctx", "check_sub", "check_tm", "infer_ty", "synth_sub", "synth_tm",
     "conv_sub", "conv_tm", "conv_ty", "normalize_tm", "normalize_ty",
     "InternalStuck",
     "CanonVerdict", "NonCanonical", "OpenTerm", "canonicity_verdict",
     "GenConfig", "GenExhausted", "InstanceGen", "gen_instance",
     "CtxIso", "IsoFailure", "build_ctx_iso", "check_embedding",
     "injectivity_probe",
-    "ParamEntity", "TranslationIllTyped", "param_entity",
-    "TermifiedEntity", "termify_entity", "verify_termified_equation",
+    "param_entity",
+    "termify_entity", "verify_termified_equation",
 ]

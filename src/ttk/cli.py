@@ -4,11 +4,12 @@
 runs the verification suites.  The last output line is always
 machine-parseable: ``RESULT: accept``, ``RESULT: reject``, or
 ``RESULT: error <class>``.  Exit codes: 0 accept/success, 1 reject or
-property failure, 2 parse error, or a file that cannot be read or is not
-UTF-8 text (``RESULT: error io``), 3 type error, 4 resource limit (input
-nested too deeply to parse or check, a ``(v n)`` with ``n`` at or above
-the recursion limit, or a natural of more than ``surface.MAX_DIGITS``
-digits: ``RESULT: error limit``).
+property failure, or a violated kernel invariant such as an ill-typed
+translation output (``RESULT: error kernel``), 2 parse error, or a file
+that cannot be read or is not UTF-8 text (``RESULT: error io``), 3 type
+error, 4 resource limit (input nested too deeply to parse or check, a
+``(v n)`` with ``n`` at or above the recursion limit, or a natural of
+more than ``surface.MAX_DIGITS`` digits: ``RESULT: error limit``).
 """
 
 from __future__ import annotations
@@ -26,7 +27,9 @@ from .surface import (
 )
 from .suites import SUITES, run_suites
 from .termify import termify_entity
-from .typecheck import TypeCheckError, check_ctx, infer_ty, synth_tm
+from .typecheck import (
+    TranslationIllTyped, TypeCheckError, check_ctx, infer_ty, synth_tm,
+)
 from .values import InternalStuck
 
 
@@ -63,7 +66,6 @@ def _execute(directive: Directive) -> tuple[int, list[str]]:
         case "termify":
             sort, ctx, entity = directive.args
             out = termify_entity(sort, ctx, entity)
-            out.verify()
             return 0, [f"payload: {print_entity('tm', out.payload)}",
                        f"classifier: {print_ty(out.classifier)}",
                        "RESULT: accept"]
@@ -108,6 +110,10 @@ def _cmd_run(args) -> int:
         print(f"parse error: {err}")
         print("RESULT: error parse")
         return 2
+    except (TranslationIllTyped, NonCanonical, InternalStuck) as err:
+        print(f"kernel invariant violated: {err}")
+        print("RESULT: error kernel")
+        return 1
     except (TypeCheckError, OpenTerm) as err:
         print(f"type error: {err}")
         print("RESULT: error type")
@@ -116,10 +122,6 @@ def _cmd_run(args) -> int:
         print(f"limit error: {err}")
         print("RESULT: error limit")
         return 4
-    except (NonCanonical, InternalStuck) as err:
-        print(f"kernel invariant violated: {err}")
-        print("RESULT: error kernel")
-        return 1
     for line in lines:
         print(line)
     return code
@@ -140,6 +142,14 @@ def _cmd_selftest(args) -> int:
     return 0
 
 
+def _positive(text: str) -> int:
+    """An argparse type: a decimal integer of at least 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer of at least 1, got {text!r}")
+    return int(text)
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -152,9 +162,9 @@ def _parser() -> argparse.ArgumentParser:
 
     selftest = commands.add_parser("selftest", help="run verification suites")
     selftest.add_argument("--seed", type=int, default=1)
-    selftest.add_argument("--count", type=int, default=None,
+    selftest.add_argument("--count", type=_positive, default=None,
                           help="instances per schema/case")
-    selftest.add_argument("--max-nodes", type=int, default=None)
+    selftest.add_argument("--max-nodes", type=_positive, default=None)
     selftest.add_argument("--suite", default="all",
                           choices=("all", *SUITES))
     selftest.set_defaults(fn=_cmd_selftest)

@@ -10,8 +10,10 @@ factors through the translated function, and a term equals its translated
 section pulled back.  ``check_embedding`` is the one entry point for all
 four sorts, used by ``ttk run`` and the suites alike: it checks its input,
 then tests the equation, and for a context it builds and certifies the
-isomorphism.  A probe then uses these to look for injectivity
-counterexamples: translated-equal entities must already be equal.
+isomorphism.  The injectivity probe is two equation checks on one
+instance: an instance whose sides translate to convertible closed terms
+(``verify_termified_equation``) must already hold at the source
+(``check_instance``); one that does not is a counterexample.
 """
 
 from __future__ import annotations
@@ -24,9 +26,10 @@ from .syntax import (
 )
 from .caches import memoized
 from .conversion import conv_sub, conv_tm, conv_ty
+from .equations import EqInstance, check_instance
 from .termify import (
-    decoded, point_pair, sub_classifier, termify_sub, termify_tm,
-    termify_ty, tm_classifier, ty_classifier,
+    decoded, point_pair, termify_sub, termify_tm, termify_ty,
+    verify_termified_equation,
 )
 from .typecheck import check_entity
 
@@ -97,20 +100,6 @@ def check_embedding(sort: str, ctx: Ctx, entity=None) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Injectivity probe
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ProbeResult:
-    translations_equal: bool
-    sources_equal: bool
-
-    @property
-    def counterexample(self) -> bool:
-        return self.translations_equal and not self.sources_equal
-
-
-# ---------------------------------------------------------------------------
 # Dedicated component cases: one embedding (or isomorphism) instance per
 # operator of the theory, with eliminator cases on neutral scrutinees.
 # ---------------------------------------------------------------------------
@@ -162,22 +151,8 @@ def _component_cases():
 COMPONENT_CASES = _component_cases()
 
 
-def injectivity_probe(kind: str, ctx: Ctx, classifier, lhs, rhs) -> ProbeResult:
-    """Translated-equal entities must be equal at the source; any
-    counterexample falsifies the embedding's injectivity (a kernel bug)."""
-    match kind:
-        case "ty":
-            t_eq = conv_tm(EMPTY, ty_classifier(ctx, lhs),
-                           termify_ty(ctx, lhs), termify_ty(ctx, rhs))
-            s_eq = conv_ty(ctx, lhs, rhs)
-        case "sub":
-            t_eq = conv_tm(EMPTY, sub_classifier(ctx, classifier),
-                           termify_sub(ctx, lhs), termify_sub(ctx, rhs))
-            s_eq = conv_sub(ctx, classifier, lhs, rhs)
-        case "tm":
-            t_eq = conv_tm(EMPTY, tm_classifier(ctx, classifier),
-                           termify_tm(ctx, lhs), termify_tm(ctx, rhs))
-            s_eq = conv_tm(ctx, classifier, lhs, rhs)
-        case _:
-            raise ValueError(f"unknown probe kind {kind!r}")
-    return ProbeResult(t_eq, s_eq)
+def injectivity_probe(inst: EqInstance) -> bool:
+    """Whether ``inst`` is a counterexample to injectivity: its sides are
+    equal after the translation but not before, which would be a kernel
+    bug."""
+    return verify_termified_equation(inst) and not check_instance(inst)

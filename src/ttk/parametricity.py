@@ -27,13 +27,13 @@ Predicate choices at the base types, with their rationale:
     witness to a transport), then along the predicate-level equation
     carried by eᴾ.
 
-Every clause is validated after the fact by the kernel typechecker; a
-failure raises ``TranslationIllTyped`` naming the constructor.
+Every clause is validated after the fact by the kernel typechecker on the
+check, translate, verify path both translations share
+(``typecheck.translate_checked``); a failure raises ``TranslationIllTyped``
+naming the constructor.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .syntax import (
     App, Bool, Code, Comp, Ctx, El, Eps, Ext, FalseLit, Fst, IdSub, IdTy,
@@ -42,25 +42,15 @@ from .syntax import (
 )
 from .caches import memoized
 from .typecheck import (
-    TypeCheckError, _force_id, check_entity, infer_ty, normalize_ty_in,
-    synth_sub, synth_tm, types_convertible,
+    Translated, TypeCheckError, _force_id, _force_sigma, synth_sub, synth_tm,
+    translate_checked,
 )
-
-
-class TranslationIllTyped(TypeCheckError):
-    def __init__(self, constructor: str, cause: TypeCheckError) -> None:
-        super().__init__(f"parametricity clause for {constructor} produced an "
-                         f"ill-typed output: {cause}")
-        self.constructor = constructor
 
 
 def _pair_at(ctx: Ctx, sigma_ty: TyExpr, a: TmExpr, b: TmExpr) -> TmExpr:
     """Annotated pair inhabiting a type convertible to ``sigma_ty``."""
-    nf = normalize_ty_in(ctx, sigma_ty)
-    match nf:
-        case Sigma(dom, cod):
-            return Pair(dom, cod, a, b)
-    raise TypeCheckError("expected a pair-shaped predicate", actual=nf)
+    dom, cod = _force_sigma(ctx, sigma_ty, sigma_ty)
+    return Pair(dom, cod, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -342,54 +332,24 @@ def _param_j(ctx: Ctx, whole: TmExpr, motive: TyExpr, base: TmExpr,
 # Entity-level interface
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ParamEntity:
-    sort: str          # "ctx" | "ty" | "sub" | "tm"
-    scope: Ctx         # context the payload lives in
-    payload: object    # TyExpr for ctx/ty, TmExpr for sub/tm
-    classifier: object  # Level for ctx/ty, TyExpr for sub/tm
-
-    def verify(self) -> None:
-        if self.sort in ("ctx", "ty"):
-            level = infer_ty(self.scope, self.payload)
-            if level != self.classifier:
-                raise TypeCheckError(
-                    "predicate level mismatch", expr=self.payload,
-                    expected=self.classifier, actual=level)
-        else:
-            infer_ty(self.scope, self.classifier)
-            actual = synth_tm(self.scope, self.payload)
-            if not types_convertible(self.scope, actual, self.classifier):
-                raise TypeCheckError(
-                    "witness does not check at its classifier",
-                    expr=self.payload, expected=self.classifier, actual=actual)
-
-
-def param_entity(sort: str, ctx: Ctx, entity=None) -> ParamEntity:
-    """Check one entity, translate it, package it with scope and
-    classifier, and validate the result with the kernel typechecker.
-    Ill-typed input raises a plain ``TypeCheckError``; only a failure after
-    the check is a ``TranslationIllTyped``."""
-    checked = check_entity(sort, ctx, entity)
-    try:
+def param_entity(sort: str, ctx: Ctx, entity=None) -> Translated:
+    """Check one entity, translate it, and check the output: the predicate
+    of a context or type at the source's level, the witness of a
+    substitution or term at its preservation statement.  Ill-typed input
+    raises a plain ``TypeCheckError``; only a failure after the check is a
+    ``TranslationIllTyped``."""
+    def translate(checked):
         match sort:
             case "ctx":
-                out = ParamEntity("ctx", ctx, param_ctx(ctx), checked)
+                return ctx, param_ctx(ctx), checked
             case "ty":
                 scope = ctx.extend(param_ctx(ctx)).extend(TySub(entity, Wk()))
-                out = ParamEntity("ty", scope, param_ty(ctx, entity), checked)
+                return scope, param_ty(ctx, entity), checked
             case "sub":
-                scope = ctx.extend(param_ctx(ctx))
                 classifier = TySub(param_ctx(checked), Comp(entity, Wk()))
-                out = ParamEntity("sub", scope, param_sub(ctx, entity), classifier)
-            case "tm":
-                scope = ctx.extend(param_ctx(ctx))
-                classifier = TySub(
-                    param_ty(ctx, checked),
-                    Ext(IdSub(), TySub(checked, Wk()), TmSub(entity, Wk())))
-                out = ParamEntity("tm", scope, param_tm(ctx, entity), classifier)
-        out.verify()
-    except TypeCheckError as err:
-        name = type(entity).__name__ if entity is not None else "ctx"
-        raise TranslationIllTyped(name, err) from err
-    return out
+                return ctx.extend(param_ctx(ctx)), param_sub(ctx, entity), classifier
+        classifier = TySub(
+            param_ty(ctx, checked),
+            Ext(IdSub(), TySub(checked, Wk()), TmSub(entity, Wk())))
+        return ctx.extend(param_ctx(ctx)), param_tm(ctx, entity), classifier
+    return translate_checked("parametricity", sort, ctx, entity, translate)

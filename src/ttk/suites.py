@@ -32,10 +32,10 @@ from .generate import GenConfig, GenExhausted, InstanceGen, derive_seed
 from .injectivity import (
     COMPONENT_CASES, IsoFailure, check_embedding, injectivity_probe,
 )
-from .parametricity import TranslationIllTyped, param_entity
+from .parametricity import param_entity
 from .surface import print_ctx, print_entity
 from .termify import verify_termified_equation
-from .typecheck import TypeCheckError, infer_ty
+from .typecheck import TranslationIllTyped, TypeCheckError, infer_ty
 
 
 @dataclass
@@ -180,11 +180,9 @@ def _embedding(sort: str, ctx, entity, show):
         return [*show(), str(err)]
 
 
-def _probe(kind: str, ctx, classifier, lhs, rhs):
-    if not injectivity_probe(kind, ctx, classifier, lhs, rhs).counterexample:
-        return None
-    return [f"counterexample ctx={print_ctx(ctx)} "
-            f"lhs={print_entity(kind, lhs)} rhs={print_entity(kind, rhs)}"]
+def _probe(inst: EqInstance):
+    return ["counterexample", *_dump_instance(inst)] \
+        if injectivity_probe(inst) else None
 
 
 def _injectivity_cases(seed: int, count: int, max_nodes: int):
@@ -207,8 +205,7 @@ def _injectivity_cases(seed: int, count: int, max_nodes: int):
         sort = ("tm", "ty", "sub")[case % 3]
         yield "injectivity-probe", _case(
             (seed, "probe", case),
-            lambda g: _probe_draw(g, sort, case % 2 == 0),
-            lambda drawn: _probe(*drawn), max_nodes)
+            lambda g: _probe_draw(g, sort, case % 2 == 0), _probe, max_nodes)
 
 
 def run_injectivity_suite(seed: int = 1, count: int = 100,
@@ -231,7 +228,7 @@ def _entity_draw(gen: InstanceGen, sort: str):
     raise ValueError(sort)
 
 
-def _probe_draw(gen: InstanceGen, sort: str, equalish: bool):
+def _probe_draw(gen: InstanceGen, sort: str, equalish: bool) -> EqInstance:
     """A pair at one classifier; half the draws are equal by construction
     so the probe's implication is exercised in both directions."""
     ctx = gen.draw_ctx()
@@ -240,17 +237,17 @@ def _probe_draw(gen: InstanceGen, sort: str, equalish: bool):
             lhs = gen.draw_ty(ctx)
             rhs = TySub(lhs, IdSub()) if equalish \
                 else gen.draw_ty_at_level(ctx, infer_ty(ctx, lhs))
-            return "ty", ctx, None, lhs, rhs
+            return EqInstance(ctx, "ty", None, lhs, rhs)
         case "sub":
             cod = gen.draw_ctx()
             lhs = gen.draw_sub(ctx, cod)
             rhs = Comp(lhs, IdSub()) if equalish else gen.draw_sub(ctx, cod)
-            return "sub", ctx, cod, lhs, rhs
+            return EqInstance(ctx, "sub", cod, lhs, rhs)
         case "tm":
             ty = gen.draw_ty(ctx)
             lhs = gen.draw_tm(ctx, ty)
             rhs = TmSub(lhs, IdSub()) if equalish else gen.draw_tm(ctx, ty)
-            return "tm", ctx, ty, lhs, rhs
+            return EqInstance(ctx, "tm", ty, lhs, rhs)
     raise ValueError(sort)
 
 
@@ -348,7 +345,8 @@ def run_suites(which: str = "all", seed: int = 1, count: int | None = None,
                max_nodes: int | None = None) -> list[SuiteReport]:
     if which != "all" and which not in SUITES:
         raise ValueError(f"unknown suite {which!r}")
-    sizes = {k: v for k, v in dict(count=count, max_nodes=max_nodes).items() if v}
+    sizes = {k: v for k, v in dict(count=count, max_nodes=max_nodes).items()
+             if v is not None}
     reports = []
     for name in SUITES if which == "all" else (which,):
         clear_all()

@@ -16,12 +16,13 @@ discharges all coherence obligations this creates.
 
 Points of a translated extended context are pairs.  The pair annotations
 are read off the normal form of the decoded context code, which is closed,
-so one split serves every use site.
+so its memoized normal form serves every use site.  ``termify`` and
+``termified_classifier`` give each sort's translation and its closed type;
+``termify_entity`` checks the one at the other on the check, translate,
+verify path both translations share (``typecheck.translate_checked``).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .syntax import (
     App, Bool, Code, Ctx, Comp, EMPTY, El, Eps, Ext, FalseLit, Fst, IdSub,
@@ -29,27 +30,11 @@ from .syntax import (
     TmExpr, TmSub, TyExpr, TySub, Univ, Var0, Wk, apply1, arrow, v,
 )
 from .caches import memoized
+from .conversion import conv_tm
 from .typecheck import (
-    TypeCheckError, _force_id, check_ctx, check_entity, infer_ty,
-    normalize_ty_in, synth_sub, synth_tm, types_convertible,
+    Translated, TypeCheckError, _force_id, _force_sigma, infer_ty, synth_sub,
+    synth_tm, translate_checked,
 )
-
-
-@dataclass(frozen=True)
-class TermifiedEntity:
-    sort: str  # "ctx" | "ty" | "sub" | "tm"
-    payload: TmExpr   # closed term
-    classifier: TyExpr  # closed type the payload inhabits
-
-    def verify(self) -> None:
-        """Typecheck the payload at the stated classifier; a failure here
-        is a translation bug, not a user error."""
-        infer_ty(EMPTY, self.classifier)
-        actual = synth_tm(EMPTY, self.payload)
-        if not types_convertible(EMPTY, actual, self.classifier):
-            raise TypeCheckError(
-                "termified payload does not check at its classifier",
-                expr=self.payload, expected=self.classifier, actual=actual)
 
 
 def _wk0(tm: TmExpr) -> TmExpr:
@@ -62,22 +47,9 @@ def decoded(ctx: Ctx) -> TyExpr:
     return El(termify_ctx(ctx))
 
 
-@memoized
-def _point_split(ctx: Ctx) -> tuple[TyExpr, TyExpr]:
-    """Pair annotations for points of a translated nonempty context.
-
-    The decoded context is closed, so its normal form mentions no ambient
-    variables and the split may be reused in any scope."""
-    nf = normalize_ty_in(EMPTY, decoded(ctx))
-    match nf:
-        case Sigma(dom, cod):
-            return dom, cod
-    raise TypeCheckError("translated context did not decode to pairs", actual=nf)
-
-
 def point_pair(ctx: Ctx, head: TmExpr, tail: TmExpr) -> TmExpr:
     """A point of the decoded extended context, as an annotated pair."""
-    dom, cod = _point_split(ctx)
+    dom, cod = _force_sigma(EMPTY, decoded(ctx), ctx)
     return Pair(dom, cod, head, tail)
 
 
@@ -228,57 +200,50 @@ def termify_tm(ctx: Ctx, tm: TmExpr) -> TmExpr:
 # Entity-level interface
 # ---------------------------------------------------------------------------
 
-def ctx_classifier(ctx: Ctx) -> TyExpr:
-    return Univ(check_ctx(ctx))
-
-
-def ty_classifier(ctx: Ctx, ty: TyExpr) -> TyExpr:
-    return arrow(decoded(ctx), Univ(infer_ty(ctx, ty)))
-
-
-def sub_classifier(ctx: Ctx, cod: Ctx) -> TyExpr:
-    return arrow(decoded(ctx), decoded(cod))
-
-
-def tm_classifier(ctx: Ctx, ty: TyExpr) -> TyExpr:
-    return Pi(decoded(ctx), El(App(termify_ty(ctx, ty))))
-
-
-def termify_entity(sort: str, ctx: Ctx, entity=None) -> TermifiedEntity:
-    """Check one entity, translate it, and package it with its stated
-    classifier."""
-    checked = check_entity(sort, ctx, entity)
+def termify(sort: str, ctx: Ctx, entity=None) -> TmExpr:
+    """The closed term an entity of ``sort`` in ``ctx`` translates to."""
     match sort:
         case "ctx":
-            return TermifiedEntity("ctx", termify_ctx(ctx), ctx_classifier(ctx))
+            return termify_ctx(ctx)
         case "ty":
-            return TermifiedEntity(
-                "ty", termify_ty(ctx, entity), ty_classifier(ctx, entity))
+            return termify_ty(ctx, entity)
         case "sub":
-            return TermifiedEntity(
-                "sub", termify_sub(ctx, entity), sub_classifier(ctx, checked))
+            return termify_sub(ctx, entity)
         case "tm":
-            return TermifiedEntity(
-                "tm", termify_tm(ctx, entity), tm_classifier(ctx, checked))
+            return termify_tm(ctx, entity)
+    raise ValueError(f"unknown sort {sort!r}")
+
+
+def termified_classifier(sort: str, ctx: Ctx, checked) -> TyExpr:
+    """The closed type the translation of an entity of ``sort`` in ``ctx``
+    inhabits, given the entity's own classifier ``checked`` (a level for a
+    context or type, the codomain of a substitution, the type of a term)."""
+    match sort:
+        case "ctx":
+            return Univ(checked)
+        case "ty":
+            return arrow(decoded(ctx), Univ(checked))
+        case "sub":
+            return arrow(decoded(ctx), decoded(checked))
+        case "tm":
+            return Pi(decoded(ctx), El(App(termify_ty(ctx, checked))))
+    raise ValueError(f"unknown sort {sort!r}")
+
+
+def termify_entity(sort: str, ctx: Ctx, entity=None) -> Translated:
+    """Check one entity, translate it to a closed term, and check that term
+    at its classifier."""
+    return translate_checked("closed-term", sort, ctx, entity, lambda checked: (
+        EMPTY, termify(sort, ctx, entity),
+        termified_classifier(sort, ctx, checked)))
 
 
 def verify_termified_equation(inst) -> bool:
     """Translate both sides of an equation instance and compare the closed
     results at the translated classifier."""
-    from .conversion import conv_tm
-    match inst.kind:
-        case "ty":
-            lhs = termify_ty(inst.ctx, inst.lhs)
-            rhs = termify_ty(inst.ctx, inst.rhs)
-            classifier = ty_classifier(inst.ctx, inst.lhs)
-        case "sub":
-            lhs = termify_sub(inst.ctx, inst.lhs)
-            rhs = termify_sub(inst.ctx, inst.rhs)
-            classifier = sub_classifier(inst.ctx, inst.classifier)
-        case "tm":
-            lhs = termify_tm(inst.ctx, inst.lhs)
-            rhs = termify_tm(inst.ctx, inst.rhs)
-            classifier = tm_classifier(inst.ctx, inst.classifier)
-        case _:
-            raise ValueError(f"unknown instance kind {inst.kind!r}")
-    return conv_tm(EMPTY, classifier, lhs, rhs)
+    lhs = termify(inst.kind, inst.ctx, inst.lhs)
+    rhs = termify(inst.kind, inst.ctx, inst.rhs)
+    checked = (infer_ty(inst.ctx, inst.lhs) if inst.kind == "ty"
+               else inst.classifier)
+    return conv_tm(EMPTY, termified_classifier(inst.kind, inst.ctx, checked),
+                   lhs, rhs)

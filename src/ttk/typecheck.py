@@ -13,6 +13,8 @@ unchecked input).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from .syntax import (
     App, Bool, Code, Comp, Ctx, EMPTY, El, Eps, Ext, FalseLit, Fst, IdSub,
     IdTy, If, J, Lam, Level, Pair, Pi, Refl, Sigma, Snd, SubExpr, Tt, Top,
@@ -49,6 +51,17 @@ class IllFormedEntry(TypeCheckError):
     def __init__(self, index: int, entry: TyExpr) -> None:
         super().__init__(f"context entry {index} is ill-formed", expr=entry)
         self.index = index
+
+
+class TranslationIllTyped(TypeCheckError):
+    """A translation's output failed to check although its input checked:
+    a kernel bug, never a user error."""
+
+    def __init__(self, translation: str, constructor: str,
+                 cause: TypeCheckError) -> None:
+        super().__init__(f"{translation} clause for {constructor} produced an "
+                         f"ill-typed output: {cause}")
+        self.constructor = constructor
 
 
 class ProjectionOfEmpty(TypeCheckError):
@@ -276,6 +289,37 @@ def check_entity(sort: str, ctx: Ctx, entity=None):
         case "tm":
             return synth_tm(ctx, entity)
     raise ValueError(f"unknown sort {sort!r}")
+
+
+@dataclass(frozen=True)
+class Translated:
+    """A translation's output: ``payload`` lives in ``scope`` and has the
+    stated ``classifier``, a level for a type or a type for a term."""
+    scope: Ctx
+    payload: object
+    classifier: object
+
+
+def translate_checked(translation: str, sort: str, ctx: Ctx, entity,
+                      translate) -> Translated:
+    """Check an entity of ``sort`` in ``ctx``, translate it, and check the
+    output: the one path of both translations.  ``translate`` maps the
+    entity's classifier from ``check_entity`` to the output's scope,
+    payload and classifier.  Ill-typed input raises a plain
+    ``TypeCheckError``; one raised after the check is a bug of the
+    translation, re-raised as ``TranslationIllTyped``."""
+    checked = check_entity(sort, ctx, entity)
+    try:
+        out = Translated(*translate(checked))
+        tm, ty = out.payload, out.classifier
+        if isinstance(ty, Level):  # a type at a level: its code at U level
+            tm, ty = Code(tm), Univ(ty)
+        infer_ty(out.scope, ty)
+        check_tm(out.scope, tm, ty)
+    except TypeCheckError as err:
+        name = "ctx" if entity is None else type(entity).__name__
+        raise TranslationIllTyped(translation, name, err) from err
+    return out
 
 
 def check_tm(ctx: Ctx, tm: TmExpr, ty: TyExpr) -> None:

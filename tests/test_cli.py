@@ -3,8 +3,11 @@ import pathlib
 import pytest
 
 import ttk.injectivity
+import ttk.parametricity
+import ttk.termify
 from ttk.cli import main
 from ttk.injectivity import IsoFailure
+from ttk.syntax import TrueLit
 
 DEMO = pathlib.Path(__file__).resolve().parent.parent / "demo"
 
@@ -124,6 +127,32 @@ def test_param_user_error_is_not_a_translation_bug(capsys, tmp_path):
     assert code == 3
     assert lines[-1] == "RESULT: error type"
     assert not any("ill-typed output" in line for line in lines)
+
+
+@pytest.mark.parametrize("module, clause, text", [
+    (ttk.termify, "termify_tm", "(termify (ctx) (true))"),
+    (ttk.parametricity, "param_tm", "(param (ctx) (true))"),
+], ids=["termify", "param"])
+def test_translation_bug_is_a_kernel_error(capsys, tmp_path, monkeypatch,
+                                           module, clause, text):
+    # a clause that returns an ill-typed output for well-typed input
+    monkeypatch.setattr(module, clause, lambda ctx, tm: TrueLit())
+    code, lines = _run_text(capsys, tmp_path, text)
+    assert code == 1
+    assert lines[-1] == "RESULT: error kernel"
+    assert lines[0].startswith("kernel invariant violated: ")
+    assert "clause for TrueLit produced an ill-typed output" in lines[0]
+
+
+@pytest.mark.parametrize("flag", ["--count", "--max-nodes"])
+@pytest.mark.parametrize("value", ["0", "-1", "x"])
+def test_selftest_refuses_sizes_below_one(capsys, flag, value):
+    with pytest.raises(SystemExit) as info:
+        main(["selftest", "--suite", "canon", flag, value])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert "RESULT" not in captured.out
+    assert f"argument {flag}" in captured.err
 
 
 @pytest.mark.parametrize("text", [

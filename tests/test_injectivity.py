@@ -1,9 +1,10 @@
 from ttk.conversion import conv_sub
+from ttk.equations import EqInstance, check_instance
 from ttk.syntax import (
     Bool, Code, Comp, Ctx, EMPTY, El, Eps, Ext, FalseLit, IdSub, If, Lam, Pi,
     Top, TrueLit, Tt, Univ, Var0, Wk,
 )
-from ttk.termify import decoded
+from ttk.termify import decoded, verify_termified_equation
 from ttk.generate import GenConfig, GenExhausted, InstanceGen, derive_seed
 from ttk.injectivity import (
     COMPONENT_CASES, build_ctx_iso, check_embedding, injectivity_probe,
@@ -46,19 +47,19 @@ def test_component_equation_cases():
 
 
 def test_probe_reflexive_pair():
-    result = injectivity_probe("tm", EMPTY, Bool(), TrueLit(), TrueLit())
-    assert result.translations_equal and result.sources_equal
-    assert not result.counterexample
+    inst = EqInstance(EMPTY, "tm", Bool(), TrueLit(), TrueLit())
+    assert verify_termified_equation(inst) and check_instance(inst)
+    assert not injectivity_probe(inst)
 
 
 def test_probe_separates_extensional_pair():
     # neither the sources nor their translations are convertible
     f = Lam(Bool(), If(Bool(), TrueLit(), FalseLit(), Var0()))
     g = Lam(Bool(), Var0())
-    result = injectivity_probe("tm", EMPTY, Pi(Bool(), Bool()), f, g)
-    assert not result.translations_equal
-    assert not result.sources_equal
-    assert not result.counterexample
+    inst = EqInstance(EMPTY, "tm", Pi(Bool(), Bool()), f, g)
+    assert not verify_termified_equation(inst)
+    assert not check_instance(inst)
+    assert not injectivity_probe(inst)
 
 
 def test_probe_on_generated_pairs():
@@ -74,7 +75,9 @@ def test_probe_on_generated_pairs():
             rhs = gen.draw_tm(ctx, ty)
         except GenExhausted:
             continue
-        result = injectivity_probe("tm", ctx, ty, lhs, rhs)
-        assert not result.counterexample
+        inst = EqInstance(ctx, "tm", ty, lhs, rhs)
+        if verify_termified_equation(inst):
+            assert check_instance(inst)
+        assert not injectivity_probe(inst)
         checked += 1
     assert checked >= 30

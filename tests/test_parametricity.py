@@ -5,8 +5,8 @@ from ttk.syntax import (
     Top, TrueLit, Tt, TmSub, TySub, Univ, Var0, Wk,
 )
 from ttk.conversion import conv_tm
-from ttk.parametricity import TranslationIllTyped, param_ctx, param_entity
-from ttk.typecheck import TypeCheckError, infer_ty
+from ttk.parametricity import param_ctx, param_entity
+from ttk.typecheck import TranslationIllTyped, TypeCheckError, infer_ty
 
 
 def test_empty_context_predicate_is_unit():

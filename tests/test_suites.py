@@ -76,6 +76,8 @@ def test_report_lines_format():
 def test_run_suites_selection():
     reports = run_suites("param", seed=6, count=2)
     assert len(reports) == 1 and reports[0].name == "parametricity"
+    # a count of 0 is passed on, not taken for "not given"
+    assert [r.rows for r in run_suites("param", count=0)] == [[]]
     names = [r.name for r in run_suites("all", seed=6, count=2)]
     assert names == ["equations", "termified", "injectivity", "canonicity",
                      "parametricity"]

@@ -1,5 +1,6 @@
 import pytest
 
+import ttk.termify
 from ttk.syntax import (
     App, Bool, Code, Comp, Ctx, EMPTY, El, Eps, Ext, FalseLit, IdSub,
     IdTy, If, J, Lam, Pair, Pi, Refl, Sigma, Snd, Top, TrueLit, Tt, TmSub,
@@ -9,23 +10,21 @@ from ttk.conversion import conv_tm
 from ttk.equations import EqInstance
 from ttk.generate import GenConfig, GenExhausted, InstanceGen, derive_seed
 from ttk.termify import (
-    TermifiedEntity, decoded, termify_entity, termify_sub, termify_ty,
+    decoded, termified_classifier, termify_entity, termify_sub, termify_ty,
     verify_termified_equation,
 )
-from ttk.typecheck import TypeCheckError
+from ttk.typecheck import TranslationIllTyped, TypeCheckError, infer_ty
 
 
 def test_empty_context_is_coded_unit():
     ent = termify_entity("ctx", EMPTY)
     assert ent.payload == Code(Top())
     assert ent.classifier == Univ(0)
-    ent.verify()
 
 
 def test_identity_substitution_clause():
     ent = termify_entity("sub", EMPTY, IdSub())
     assert ent.payload == Lam(El(Code(Top())), Var0())
-    ent.verify()
 
 
 def test_extended_context_clause():
@@ -36,7 +35,6 @@ def test_extended_context_clause():
         El(App(Lam(El(Code(Top())), Code(Bool()))))))
     assert ent.payload == expected
     assert ent.classifier == Univ(0)
-    ent.verify()
 
 
 def test_type_preservation_on_samples():
@@ -53,7 +51,7 @@ def test_type_preservation_on_samples():
         except GenExhausted:
             continue
         for sort, ent in (("ctx", None), ("ty", ty), ("tm", tm), ("sub", sub)):
-            termify_entity(sort, ctx, ent).verify()
+            termify_entity(sort, ctx, ent)  # checks the payload
             made[sort] += 1
     assert min(made.values()) >= 15
 
@@ -61,7 +59,7 @@ def test_type_preservation_on_samples():
 def test_outputs_are_closed():
     ctx = Ctx.of(Bool(), TySub(Bool(), Wk()))
     ent = termify_entity("tm", ctx, Var0())
-    ent.verify()  # typechecks in the empty context
+    assert ent.scope == EMPTY  # and the payload checked there
 
 
 def test_model_law_idl_on_weakening():
@@ -93,8 +91,8 @@ def test_homomorphism_on_type_substitution():
     assembled = Lam(decoded(ctx), TmSub(
         App(termify_ty(cod, ty)),
         Ext(Eps(), decoded(cod), App(TmSub(termify_sub(ctx, sub), Eps())))))
-    from ttk.termify import ty_classifier
-    assert conv_tm(EMPTY, ty_classifier(ctx, TySub(ty, sub)), whole, assembled)
+    classifier = termified_classifier("ty", ctx, infer_ty(ctx, TySub(ty, sub)))
+    assert conv_tm(EMPTY, classifier, whole, assembled)
 
 
 def test_eliminator_clauses_verify():
@@ -107,10 +105,21 @@ def test_eliminator_clauses_verify():
         ("tm", Ctx.of(Univ(0)), Code(El(Var0()))),
     ]
     for sort, ctx, entity in cases:
-        termify_entity(sort, ctx, entity).verify()
+        termify_entity(sort, ctx, entity)
 
 
-def test_verify_flags_translation_bugs():
-    broken = TermifiedEntity("tm", TrueLit(), Top())
-    with pytest.raises(TypeCheckError):
-        broken.verify()
+def test_verify_flags_translation_bugs(monkeypatch):
+    # a clause whose output is ill-typed
+    monkeypatch.setattr(ttk.termify, "termify_tm", lambda ctx, tm: TrueLit())
+    with pytest.raises(TranslationIllTyped, match="closed-term clause for "
+                       "TrueLit produced an ill-typed output"):
+        termify_entity("tm", EMPTY, TrueLit())
+
+
+def test_clause_type_errors_are_translation_bugs(monkeypatch):
+    # a clause that raises the checker's own error on checked input
+    def failing(ctx, ty):
+        raise TypeCheckError("clause bug")
+    monkeypatch.setattr(ttk.termify, "termify_ty", failing)
+    with pytest.raises(TranslationIllTyped, match="clause for Bool"):
+        termify_entity("ty", EMPTY, Bool())
