@@ -9,11 +9,22 @@ identity, in constant time per node.  Everything cached here is a
 deterministic function of immutable inputs, so memoization is
 observationally transparent; ``tests/test_memo_transparency.py`` checks
 this against a run with every memo table bypassed.
+
+The same immutability makes pausing Python's cyclic garbage collector
+sound.  A node is built after its children and never changes, so no node,
+value, memo key or intern-table entry can reach itself: reference counting
+frees everything the kernel drops, and a collector pass only walks the
+live nodes and frees nothing.  ``gc_paused`` turns that pass off while a
+suite or a ``ttk run`` directive executes; ``tests/test_gc_pause.py``
+checks that every suite and every ``RESULT:`` class of ``ttk run`` leaves
+nothing for ``gc.collect()`` to free.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import gc
 
 _CLEARERS: list = []
 
@@ -28,3 +39,16 @@ def clear_all() -> None:
     """Drop every kernel cache (between large suite runs, for memory)."""
     for clear in _CLEARERS:
         clear()
+
+
+@contextlib.contextmanager
+def gc_paused():
+    """Turn automatic cyclic collection off for the block, then restore
+    the caller's ``gc.isenabled()`` state, also when the block raises."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()

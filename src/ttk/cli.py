@@ -18,6 +18,7 @@ import argparse
 import functools
 import sys
 
+from .caches import gc_paused
 from .canonicity import NonCanonical, OpenTerm, canonicity_verdict
 from .conversion import conv_sub, conv_tm, conv_ty, normalize_tm
 from .injectivity import IsoFailure, check_embedding
@@ -174,7 +175,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     sys.setrecursionlimit(20000)
-    return args.fn(args)
+    with gc_paused():
+        return args.fn(args)
 
 
 if __name__ == "__main__":

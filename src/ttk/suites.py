@@ -25,7 +25,7 @@ from .syntax import (
     Bool, Comp, EMPTY, Fst, IdSub, If, J, Lam, Pair, Refl, Snd, Tt,
     TrueLit, TySub, TmSub, Var0, Wk, apply1, walk_constructors,
 )
-from .caches import clear_all
+from .caches import clear_all, gc_paused
 from .canonicity import NonCanonical, canonicity_verdict
 from .equations import EqInstance, SCHEMA_NAMES, build_instance, check_instance
 from .generate import GenConfig, GenExhausted, InstanceGen, derive_seed
@@ -107,17 +107,19 @@ def _case(seed_parts, build, judge, *sizes):
 def _tally(name: str, outcomes) -> SuiteReport:
     """Count (row label, outcome) pairs into rows, in order of first
     appearance; an outcome is None for a pass, or the lines that show a
-    failure."""
-    start = time.time()
+    failure.  Cyclic collection is paused while the cases run (see
+    ``caches``)."""
+    start = time.perf_counter()
     rows: dict[str, SuiteRow] = {}
-    for label, outcome in outcomes:
-        row = rows.setdefault(label, SuiteRow(label))
-        if outcome is None:
-            row.passed += 1
-        else:
-            row.failed += 1
-            row.detail.extend(outcome)
-    return SuiteReport(name, list(rows.values()), time.time() - start)
+    with gc_paused():
+        for label, outcome in outcomes:
+            row = rows.setdefault(label, SuiteRow(label))
+            if outcome is None:
+                row.passed += 1
+            else:
+                row.failed += 1
+                row.detail.extend(outcome)
+    return SuiteReport(name, list(rows.values()), time.perf_counter() - start)
 
 
 # ---------------------------------------------------------------------------
