@@ -8,8 +8,9 @@ property failure, or a violated kernel invariant such as an ill-typed
 translation output (``RESULT: error kernel``), 2 parse error, or a file
 that cannot be read or is not UTF-8 text (``RESULT: error io``), 3 type
 error, 4 resource limit (input nested too deeply to parse or check, a
-``(v n)`` with ``n`` at or above the recursion limit, or a natural of
-more than ``surface.MAX_DIGITS`` digits: ``RESULT: error limit``).
+``(v n)`` with ``n`` at or above the recursion limit, or a natural or a
+``#k=``/``#k#`` label of more than ``surface.MAX_DIGITS`` digits:
+``RESULT: error limit``).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .surface import (
     Directive, LimitError, ParseError, parse_directive, print_entity, print_ty,
 )
 from .suites import SUITES, run_suites
+from .syntax import tree_dag_sizes
 from .termify import termify_entity
 from .typecheck import (
     TranslationIllTyped, TypeCheckError, check_ctx, infer_ty, synth_tm,
@@ -68,6 +70,7 @@ def _execute(directive: Directive) -> tuple[int, list[str]]:
             sort, ctx, entity = directive.args
             out = termify_entity(sort, ctx, entity)
             return 0, [f"payload: {print_entity('tm', out.payload)}",
+                       _size(out.payload),
                        f"classifier: {print_ty(out.classifier)}",
                        "RESULT: accept"]
         case "param":
@@ -75,7 +78,7 @@ def _execute(directive: Directive) -> tuple[int, list[str]]:
             out = param_entity(sort, ctx, entity)
             payload_sort = "ty" if sort in ("ctx", "ty") else "tm"
             return 0, [f"payload: {print_entity(payload_sort, out.payload)}",
-                       "RESULT: accept"]
+                       _size(out.payload), "RESULT: accept"]
         case "canon":
             (tm,) = directive.args
             verdict = canonicity_verdict(tm)
@@ -89,6 +92,11 @@ def _execute(directive: Directive) -> tuple[int, list[str]]:
             except IsoFailure as err:
                 return 1, [str(err), "RESULT: reject"]
     raise ValueError(f"unknown directive {directive.kind!r}")
+
+
+def _size(payload) -> str:
+    tree, dag = tree_dag_sizes(payload)
+    return f"size: tree={tree} dag={dag}"
 
 
 def _verdict(accepted: bool) -> tuple[int, list[str]]:

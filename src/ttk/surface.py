@@ -14,6 +14,20 @@ The surface is nameless like the core calculus, so no elaboration happens
 here.  Printing is canonical: lowercase keywords, single spaces, full
 parenthesization, and weakening spines re-sugared to ``(v n)``.
 
+Shared syntax is written once, with the read labels of Common Lisp (CLHS
+2.4.8.15-16).  ``#k=(...)`` names the list that follows it, and ``#k#``
+stands for the most recently completed list named k, so a label can be
+defined again but a list can never refer to itself.  The printer labels
+each node that the text would otherwise hold more than once, in full at
+its first occurrence and as ``#k#`` after; labels count 1, 2, ... in
+order of first appearance, afresh for each printed entity.  Forms with no
+sub-form (nullary forms, ``(u n)``, ``(v n)``) are never labelled, and an
+entity with no repeated compound node prints as it would without labels.
+The reader parses a labelled list once per sort, so parsing printed text
+gives back the identical hash-consed node, and both directions run in
+the size of the DAG: a translation's payload of three million tree nodes
+prints in under three kilobytes.
+
 A directive file holds exactly one directive s-expression; ``;`` starts a
 comment.
 """
@@ -28,13 +42,14 @@ from typing import Callable, NamedTuple, Optional, get_args
 from .syntax import (
     App, Bool, Code, Comp, Ctx, El, Eps, Ext, FalseLit, Fst, IdSub, IdTy, If,
     J, Lam, Pair, Pi, Refl, Sigma, Snd, SubExpr, Top, TrueLit, Tt, TmExpr,
-    TmSub, TyExpr, TySub, Univ, Var0, Wk, apply1, arrow, lift, v, var_index,
+    NODE_FIELDS, TmSub, TyExpr, TySub, Univ, Var0, Wk, apply1, arrow, lift, v,
+    var_index,
 )
 
 
 class LimitError(Exception):
     """Input past one of the reader's documented bounds: too many digits
-    in a natural, or a de Bruijn index too large to check."""
+    in a natural or a label, or a de Bruijn index too large to check."""
 
 
 class ParseError(Exception):
@@ -55,18 +70,43 @@ class SExpr(NamedTuple):
     atom: Optional[str]           # set for bare atoms
     line: int
     col: int
+    label: Optional[int] = None   # k, for a list written ``#k=(...)``
 
 
 # A newline, a parenthesis, a comment or an atom; the spaces, tabs and
 # carriage returns between them match nothing and are skipped.
 _LEXEME = re.compile(r"[()\n]|;[^\n]*|[^ \t\r\n();]+")
+# A label definition ``#k=`` or reference ``#k#``; any other atom that
+# starts with ``#`` is a malformed label.
+_LABEL = re.compile(r"#([0-9]+)([=#])")
+
+
+def _label(tok: str, line: int, col: int) -> tuple[int, str]:
+    """The number and the kind (``=`` or ``#``) of a label token."""
+    match = _LABEL.fullmatch(tok)
+    if match is None:
+        raise ParseError(f"malformed label '{tok}': expected #k= or #k# "
+                         "with k a decimal natural", line, col)
+    digits, kind = match.groups()
+    if len(digits) > MAX_DIGITS:
+        raise LimitError(f"{line}:{col}: a label of more than {MAX_DIGITS} "
+                         "digits")
+    return int(digits), kind
 
 
 def read_sexpr(text: str) -> SExpr:
     """Read the one s-expression in ``text``; lines and columns count
-    from 1."""
+    from 1.
+
+    ``#k=(...)`` labels the list it writes, and a later ``#k#`` stands for
+    that same ``SExpr`` object, so shared syntax is read once.  ``#k#``
+    means the most recently *completed* list labelled k: a list cannot
+    refer to itself, and a label may be defined again, as it is when
+    separately printed entities are pasted into one directive."""
     line, line_start = 1, 0
-    open_lists = []  # innermost last: [head or None, items, line, col]
+    open_lists = []  # innermost last: [head or None, items, line, col, label]
+    labels = {}      # k -> the latest completed list labelled k
+    pending = None   # (k, line, col) of a ``#k=`` waiting for its '('
     done = None
     for lexeme in _LEXEME.finditer(text):
         tok = lexeme.group()
@@ -79,27 +119,49 @@ def read_sexpr(text: str) -> SExpr:
         col = lexeme.start() - line_start + 1
         if done is not None:
             raise ParseError("trailing content after the directive", line, col)
+        if pending is not None and tok != "(":
+            raise ParseError(f"label #{pending[0]}= must be followed by '('",
+                             pending[1], pending[2])
         if open_lists and open_lists[-1][0] is None:
-            if tok == "(" or tok == ")":
+            if tok == "(" or tok == ")" or tok[0] == "#":
                 raise ParseError("expected a keyword after '('", line, col)
             open_lists[-1][0] = tok
             continue
         if tok == "(":
-            open_lists.append([None, [], line, col])
+            label = None if pending is None else pending[0]
+            open_lists.append([None, [], line, col, label])
+            pending = None
             continue
         if tok == ")":
             if not open_lists:
                 raise ParseError("unexpected ')'", line, col)
-            head, items, start_line, start_col = open_lists.pop()
-            sexpr = SExpr(head, tuple(items), None, start_line, start_col)
+            head, items, start_line, start_col, label = open_lists.pop()
+            sexpr = SExpr(head, tuple(items), None, start_line, start_col,
+                          label)
+            if label is not None:
+                labels[label] = sexpr
+        elif tok[0] == "#":
+            k, kind = _label(tok, line, col)
+            if kind == "=":
+                pending = (k, line, col)
+                continue
+            sexpr = labels.get(k)
+            if sexpr is None:
+                if any(entry[4] == k for entry in open_lists):
+                    raise ParseError(f"label #{k}# refers to a list that is "
+                                     "not closed yet", line, col)
+                raise ParseError(f"undefined label #{k}#", line, col)
         else:
             sexpr = SExpr(None, (), tok, line, col)
         if open_lists:
             open_lists[-1][1].append(sexpr)
         else:
             done = sexpr
+    if pending is not None:
+        raise ParseError(f"label #{pending[0]}= must be followed by '('",
+                         pending[1], pending[2])
     if open_lists:
-        _, _, start_line, start_col = open_lists[-1]
+        start_line, start_col = open_lists[-1][2:4]
         raise ParseError("unclosed '('", start_line, start_col)
     if done is None:
         raise ParseError("empty input", 1, 1)
@@ -192,9 +254,15 @@ def _arity_error(s: SExpr, n: int) -> ParseError:
                       s.line, s.col)
 
 
-def _parse(s: SExpr, sort: str):
+def _parse(s: SExpr, sort: str, shared: dict):
     """The value of sort ``sort`` that ``s`` writes: a natural, a context,
-    or a substitution, type or term form of the keyword table."""
+    or a substitution, type or term form of the keyword table.  A labelled
+    list may occur many times; ``shared`` keeps its value per sort, keyed
+    by the list's identity, so it is parsed once."""
+    if s.label is not None:
+        value = shared.get((id(s), sort))
+        if value is not None:
+            return value
     if sort in _NATURALS:
         if s.atom is None or not (s.atom.isascii() and s.atom.isdigit()):
             raise ParseError(f"expected a decimal natural for {_NATURALS[sort]}",
@@ -206,106 +274,168 @@ def _parse(s: SExpr, sort: str):
     if sort == "ctx":
         if s.head != "ctx":
             raise ParseError("expected a context (ctx ...)", s.line, s.col)
-        return Ctx(tuple([_parse(item, "ty") for item in s.items]))
-    if s.head is None:
-        raise ParseError(f"expected a {_NOUNS[sort]}", s.line, s.col)
-    form = _BY_KEYWORD.get(s.head)
-    if form is None or form.sort != sort:
-        raise ParseError(f"unknown {_NOUNS[sort]} keyword '{s.head}'",
-                         s.line, s.col)
-    items = s.items
-    if len(items) != len(form.args):
-        if form.optional is None or len(items) != len(form.args) - 1:
-            raise _arity_error(s, len(form.args))
-        at = form.fields.index(form.optional)
-        items = items[:at] + (None,) + items[at:]
-    # A loop, not a comprehension: on Python 3.11 a comprehension is a
-    # frame of its own, and deep input would meet the recursion limit at
-    # half the depth.
-    args = []
-    for item, arg in zip(items, form.args):
-        args.append(None if item is None else _parse(item, arg))
-    return form.build(*args)
+        value = Ctx(tuple([_parse(item, "ty", shared) for item in s.items]))
+    else:
+        if s.head is None:
+            raise ParseError(f"expected a {_NOUNS[sort]}", s.line, s.col)
+        form = _BY_KEYWORD.get(s.head)
+        if form is None or form.sort != sort:
+            raise ParseError(f"unknown {_NOUNS[sort]} keyword '{s.head}'",
+                             s.line, s.col)
+        items = s.items
+        if len(items) != len(form.args):
+            if form.optional is None or len(items) != len(form.args) - 1:
+                raise _arity_error(s, len(form.args))
+            at = form.fields.index(form.optional)
+            items = items[:at] + (None,) + items[at:]
+        # A loop, not a comprehension: on Python 3.11 a comprehension is a
+        # frame of its own, and deep input would meet the recursion limit
+        # at half the depth.
+        args = []
+        for item, arg in zip(items, form.args):
+            args.append(None if item is None else _parse(item, arg, shared))
+        value = form.build(*args)
+    if s.label is not None:
+        shared[(id(s), sort)] = value
+    return value
 
 
 def parse_ctx(s: SExpr) -> Ctx:
-    return _parse(s, "ctx")
+    return _parse(s, "ctx", {})
 
 
 def parse_sub(s: SExpr) -> SubExpr:
-    return _parse(s, "sub")
+    return _parse(s, "sub", {})
 
 
 def parse_ty(s: SExpr) -> TyExpr:
-    return _parse(s, "ty")
+    return _parse(s, "ty", {})
 
 
 def parse_tm(s: SExpr) -> TmExpr:
-    return _parse(s, "tm")
+    return _parse(s, "tm", {})
 
 
 def parse_entity(s: SExpr):
     """Parse a context, type, term, or substitution; returns (sort, value)."""
     if s.head == "ctx":
-        return "ctx", _parse(s, "ctx")
+        return "ctx", _parse(s, "ctx", {})
     form = _BY_KEYWORD.get(s.head)
     if form is None:
         raise ParseError(f"unknown keyword '{s.head}'", s.line, s.col)
-    return form.sort, _parse(s, form.sort)
+    return form.sort, _parse(s, form.sort, {})
 
 
 # ---------------------------------------------------------------------------
 # Canonical printing
 # ---------------------------------------------------------------------------
 
-def _print(x, sort: str) -> str:
-    """The canonical text of ``x`` of sort ``sort``.  Each list is built
-    by one join: the printed payload of a translation can run to
-    megabytes, and every further copy of it shows in peak memory."""
+# The fields that hold sub-forms, for the node classes that have any: only
+# their forms are ever labelled.
+_SUBFORMS = {cls: names for cls, names in NODE_FIELDS.items() if names}
+
+
+def _visit(x, seen: dict, repeated: set) -> None:
+    """Walk the forms the printer writes for ``x``, a node with sub-forms,
+    each node once: record nodes in order of first appearance in ``seen``,
+    and those met again in ``repeated``.  Forms with no sub-form, ``(v n)``
+    among them, are skipped."""
+    if x in seen:
+        repeated.add(x)
+        return
+    if type(x) is TmSub and var_index(x):
+        return
+    seen[x] = None
+    for name in _SUBFORMS[type(x)]:
+        child = getattr(x, name)
+        if type(child) in _SUBFORMS:
+            _visit(child, seen, repeated)
+
+
+def _labels(x, sort: str) -> dict:
+    """The label of each node that the printed text of ``x`` holds more
+    than once, numbered 1, 2, ... in order of first appearance."""
+    seen, repeated = {}, set()
+    for root in (x.entries if sort == "ctx" else (x,)):
+        if type(root) in _SUBFORMS:
+            _visit(root, seen, repeated)
+    if not repeated:
+        return {}
+    labels = {}
+    for node in seen:
+        if node in repeated:
+            labels[node] = len(labels) + 1
+    return labels
+
+
+def _print(x, sort: str, labels: dict) -> str:
+    """The canonical text of ``x`` of sort ``sort``.  A node of ``labels``
+    prints as ``#k=(...)`` the first time, after which its entry is the
+    text ``#k#`` that every later occurrence prints.  Each list is built
+    by one join: a printed payload can be large, and every further copy
+    of it shows in peak memory."""
     if sort in _NATURALS:
         return str(x)
     if sort == "ctx":
         parts = ["(ctx"]
         for ty in x.entries:
-            parts += (" ", _print(ty, "ty"))
+            parts += (" ", _print(ty, "ty", labels))
         parts.append(")")
         return "".join(parts)
     form = _BY_CLASS.get(type(x))
     if form is None or form.sort != sort:
         raise ValueError(f"not a {_NOUNS[sort]}: {x!r}")
+    parts = ["(", form.keyword]
+    if labels:
+        label = labels.get(x)
+        if label is not None:
+            if type(label) is str:
+                return label
+            labels[x] = f"#{label}#"
+            parts[0] = f"#{label}=("
     if form.build is TmSub:
         index = var_index(x)
         if index:
             return f"(v {index})"
-    parts = ["(", form.keyword]
     for name, arg in zip(form.fields, form.args):
         child = getattr(x, name)
         if child is not None or name != form.optional:
-            parts += (" ", _print(child, arg))
+            parts += (" ", _print(child, arg, labels))
     parts.append(")")
     return "".join(parts)
 
 
 def print_ctx(ctx: Ctx) -> str:
-    return _print(ctx, "ctx")
+    return print_entity("ctx", ctx)
 
 
 def print_sub(sub: SubExpr) -> str:
-    return _print(sub, "sub")
+    return print_entity("sub", sub)
 
 
 def print_ty(ty: TyExpr) -> str:
-    return _print(ty, "ty")
+    return print_entity("ty", ty)
 
 
 def print_tm(tm: TmExpr) -> str:
-    return _print(tm, "tm")
+    return print_entity("tm", tm)
 
 
 def print_entity(sort: str, entity) -> str:
+    """The canonical text of ``entity``: a node that occurs more than once
+    is written in full once, as ``#k=(...)``, and as ``#k#`` after that."""
     if sort not in _NOUNS:
         raise ValueError(f"unknown sort {sort!r}")
-    return _print(entity, sort)
+    return _print(entity, sort, _labels(entity, sort))
+
+
+def show(x) -> str:
+    """``x`` in the surface syntax if it is a context or a node of the
+    keyword table, else its ``repr``: for messages."""
+    if type(x) is Ctx:
+        return print_entity("ctx", x)
+    form = _BY_CLASS.get(type(x))
+    return repr(x) if form is None else print_entity(form.sort, x)
 
 
 # ---------------------------------------------------------------------------
@@ -338,14 +468,16 @@ def parse_directive(text: str) -> Directive:
     if sorts is not None:
         if len(s.items) != len(sorts):
             raise _arity_error(s, len(sorts))
+        shared = {}
         return Directive(s.head, tuple(
-            [_parse(item, sort) for item, sort in zip(s.items, sorts)]))
+            [_parse(item, sort, shared)
+             for item, sort in zip(s.items, sorts)]))
     if s.head in ("termify", "param", "inject"):
         if len(s.items) == 1:
-            return Directive(s.head, ("ctx", _parse(s.items[0], "ctx"), None))
+            return Directive(s.head, ("ctx", parse_ctx(s.items[0]), None))
         if len(s.items) != 2:
             raise _arity_error(s, 2)
-        ctx = _parse(s.items[0], "ctx")
+        ctx = parse_ctx(s.items[0])
         sort, entity = parse_entity(s.items[1])
         if sort == "ctx":
             raise ParseError("entity argument cannot be a context",

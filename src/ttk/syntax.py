@@ -385,18 +385,33 @@ def arrow(dom: TyExpr, cod: TyExpr) -> TyExpr:
 
 
 def spine_depth(sub: SubExpr) -> Optional[int]:
-    """Number of weakenings if ``sub`` is a pure composition of ``Wk``."""
-    match sub:
-        case Wk():
-            return 1
-        case Comp(outer, inner):
-            a = spine_depth(outer)
-            b = spine_depth(inner)
-            if a is None or b is None:
-                return None
-            return a + b
-        case _:
+    """Number of weakenings if ``sub`` is a pure composition of ``Wk``.
+
+    The spine ``wk(n)`` builds is read by one loop.  Any other shape is
+    summed once per node: read from labelled text, a spine of twenty
+    nodes can compose itself a million times."""
+    depth = 0
+    while type(sub) is Comp and type(sub.outer) is Wk:
+        depth += 1
+        sub = sub.inner
+    if type(sub) is Wk:
+        return depth + 1
+    if type(sub) is not Comp:
+        return None
+    depths = {Wk(): 1}
+    stack = [sub]
+    while stack:
+        node = stack.pop()
+        if node in depths:
+            continue
+        if type(node) is not Comp:
             return None
+        outer, inner = depths.get(node.outer), depths.get(node.inner)
+        if outer is None or inner is None:
+            stack += (node, node.outer, node.inner)
+        else:
+            depths[node] = outer + inner
+    return depth + depths[sub]
 
 
 def var_index(tm: TmExpr) -> Optional[int]:
@@ -433,3 +448,29 @@ def walk_constructors(x: Union[Expr, Ctx], found: set[str]) -> None:
         child = getattr(x, field)
         if child is not None and not isinstance(child, int):
             walk_constructors(child, found)
+
+
+# The fields of each node class that hold nodes: all but a ``Level``.
+NODE_FIELDS = {cls: tuple(f.name for f in fields(cls) if f.type != "Level")
+               for union in (SubExpr, TyExpr, TmExpr) for cls in get_args(union)}
+
+
+def _tree_size(x: Expr, sizes: dict) -> int:
+    """The tree size of ``x``, not yet in ``sizes``, which it enters."""
+    size = 1
+    for name in NODE_FIELDS[type(x)]:
+        child = getattr(x, name)
+        if child is not None:
+            known = sizes.get(child)
+            size += _tree_size(child, sizes) if known is None else known
+    sizes[x] = size
+    return size
+
+
+def tree_dag_sizes(x: Expr) -> tuple[int, int]:
+    """The number of nodes of ``x`` as a tree, a shared node counted once
+    per occurrence, and as a DAG, each distinct node counted once.  The
+    tree size is summed once per distinct node, so both cost the DAG
+    size."""
+    sizes = {}
+    return _tree_size(x, sizes), len(sizes)

@@ -22,11 +22,14 @@ from .syntax import (
 )
 from .caches import memoized
 from .semantics import eval_ty, generic_env, readback_ty
+from .surface import show
 
 
 class TypeCheckError(Exception):
     """Ill-typed input; carries the offending subtree and, for conversion
-    failures, the two non-convertible classifiers."""
+    failures, the two non-convertible classifiers.  They print in the
+    labelled surface syntax: read from labelled text, a subtree can unfold
+    to millions of nodes."""
 
     def __init__(self, message: str, expr: object = None,
                  expected: object = None, actual: object = None) -> None:
@@ -39,11 +42,11 @@ class TypeCheckError(Exception):
     def __str__(self) -> str:
         parts = [self.message]
         if self.expr is not None:
-            parts.append(f"at: {self.expr!r}")
+            parts.append(f"at: {show(self.expr)}")
         if self.expected is not None:
-            parts.append(f"expected: {self.expected!r}")
+            parts.append(f"expected: {show(self.expected)}")
         if self.actual is not None:
-            parts.append(f"actual: {self.actual!r}")
+            parts.append(f"actual: {show(self.actual)}")
         return "\n  ".join(parts)
 
 

@@ -163,8 +163,9 @@ def test_selftest_refuses_sizes_below_one(capsys, flag, value):
     # refused before ``int()``, which would raise past 4300 digits
     "(check-ty (ctx) (u " + "1" * 5000 + "))",
     "(check-tm (ctx (bool)) (v " + "1" * 5000 + "))",
+    "(check-tm (ctx) #" + "1" * 5000 + "=(true))",
 ], ids=["deep-variable", "deep-lam-nest", "huge-variable", "long-level",
-        "long-index"])
+        "long-index", "long-label"])
 def test_too_deep_input_is_a_limit_error(capsys, tmp_path, text):
     code, lines = _run_text(capsys, tmp_path, text)
     assert code == 4
@@ -197,3 +198,45 @@ def test_missing_file_is_an_io_error(capsys, tmp_path):
     code, lines = _run(capsys, "run", str(tmp_path / "absent.tt"))
     assert code == 2
     assert lines[-1] == "RESULT: error io"
+
+
+def _doubling_chain(k: int, leaf: str, step: str) -> str:
+    """Form k, labelled ``#k=``, holds form k-1 twice: in full, where its
+    label is defined, and as ``#k-1#``.  As a tree it has 2^k leaves."""
+    text = f"#1={leaf}"
+    for j in range(2, k + 1):
+        text = f"#{j}=" + step.format(text, f"#{j - 1}#")
+    return text
+
+
+@pytest.mark.parametrize("text", [
+    "(check-tm (ctx) (fst (lam {} (q))))".format(
+        _doubling_chain(40, "(bool)", "(pi {0} (tysub {1} (p)))")),
+    "(check-tm (ctx) (app (lam {} (q))))".format(
+        _doubling_chain(40, "(bool)", "(sigma {0} (tysub {1} (p)))")),
+    "(check-tm (ctx) (app (tmsub (q) {})))".format(
+        _doubling_chain(40, "(p)", "(comp {0} {1})")),
+], ids=["fst-of-lam", "app-in-empty-context", "shared-spine"])
+def test_type_errors_print_shared_syntax_once(capsys, tmp_path, text):
+    code, lines = _run_text(capsys, tmp_path, text)
+    assert code == 3
+    assert lines[-1] == "RESULT: error type"
+    assert lines[0].startswith("type error: ")
+    assert sum(len(line) + 1 for line in lines) < 8000
+
+
+@pytest.mark.parametrize("head, size, limit", [
+    ("termify", "size: tree=3604607 dag=249", 4000),
+    ("param", "size: tree=3539883 dag=286", 8000),
+])
+def test_nested_pi_translation_prints_linear_output(capsys, tmp_path, head,
+                                                    size, limit):
+    # sixteen nested (pi (bool) ...): as a tree the payload has millions of
+    # nodes, as printed a few kilobytes
+    text = f"({head} (ctx) " + "(pi (bool) " * 16 + "(bool)" + ")" * 17
+    code, lines = _run_text(capsys, tmp_path, text)
+    assert code == 0
+    assert lines[0].startswith("payload: ")
+    assert lines[1] == size
+    assert lines[-1] == "RESULT: accept"
+    assert sum(len(line) + 1 for line in lines) < limit

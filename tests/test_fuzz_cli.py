@@ -2,7 +2,9 @@
 is ``RESULT: ...`` and the exit code is the documented one for it.
 
 The inputs are the demo files and directives printed from generated
-entities, mutated by deleting, duplicating and swapping tokens.  Each
+entities and from their closed-term translations, whose shared syntax
+prints with ``#k=``/``#k#`` labels.  They are mutated by deleting,
+duplicating and swapping tokens, label tokens among them.  Each
 mutant runs in-process on cold caches, as a fresh ``ttk run`` would.
 """
 
@@ -16,6 +18,7 @@ from ttk.caches import clear_all
 from ttk.cli import main
 from ttk.generate import GenConfig, GenExhausted, InstanceGen
 from ttk.surface import print_ctx, print_sub, print_tm, print_ty
+from ttk.termify import termify_entity
 
 DEMO = pathlib.Path(__file__).resolve().parent.parent / "demo"
 RESULT = re.compile(r"^RESULT: (accept|reject|error \w+)$")
@@ -31,7 +34,7 @@ TOKEN = re.compile(r"[()]|[^ \t\r\n();]+")
 def _bases(rng: random.Random) -> list[str]:
     bases = [path.read_text(encoding="utf-8")
              for path in sorted(DEMO.glob("*.tt"))]
-    while len(bases) < 60:
+    while len(bases) < 70:
         gen = InstanceGen(GenConfig(seed=rng.getrandbits(32), max_nodes=5,
                                     max_ctx_len=2))
         try:
@@ -44,11 +47,14 @@ def _bases(rng: random.Random) -> list[str]:
             continue
         P, C = print_ctx(ctx), print_ctx(cod)
         T, M, S = print_ty(ty), print_tm(tm), print_sub(sub)
+        out = termify_entity("tm", ctx, tm)
+        W, K = print_tm(out.payload), print_ty(out.classifier)
         bases += [f"(check-tm {P} {M})", f"(check-ty {P} {T})",
                   f"(nf {P} {M})", f"(conv-tm {P} {T} {M} {M})",
                   f"(conv-ty {P} {T} {T})", f"(conv-sub {P} {C} {S} {S})",
                   f"(termify {P} {M})", f"(param {P} {T})",
-                  f"(inject {P} {S})", f"(canon {M})"]
+                  f"(inject {P} {S})", f"(canon {M})",
+                  f"(check-tm (ctx) {W})", f"(conv-tm (ctx) {K} {W} {W})"]
     return bases
 
 
@@ -101,6 +107,7 @@ def _run(path: pathlib.Path, text: str) -> tuple[int, str]:
 def test_mutated_directives_end_in_a_documented_result(tmp_path):
     rng = random.Random(20261018)
     bases = _bases(rng)
+    assert sum("#1=" in base and "#1#" in base for base in bases) >= 6
     path = tmp_path / "mutant.tt"
     outcomes = set()
     for _ in range(6000):

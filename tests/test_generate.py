@@ -13,6 +13,7 @@ from ttk.typecheck import (
 )
 from ttk.equations import SCHEMA_NAMES, check_instance
 from ttk.suites import _dump_instance
+from ttk.surface import read_sexpr
 
 
 def test_zero_budget_ctx_is_empty():
@@ -114,13 +115,30 @@ def test_each_schema_yields_accepted_instances(name):
         accepted += 1
 
 
+def _unfolded(s) -> str:
+    """The text of a read s-expression with every ``#k#`` written out."""
+    if s.head is None:
+        return s.atom
+    return "(" + " ".join([s.head] + [_unfolded(item) for item in s.items]) + ")"
+
+
+def _unlabelled(line: str) -> str:
+    """A dump line with its s-expression unfolded, as the printer wrote it
+    before it kept sharing: the digest below pins instances as trees."""
+    start = line.find("(")
+    if start < 0:
+        return line
+    return line[:start] + _unfolded(read_sexpr(line[start:]))
+
+
 def _stream_digest(seeds: int) -> str:
     h = hashlib.md5()
     for seed in range(seeds):
         for name in SCHEMA_NAMES:
             cfg = GenConfig(seed=derive_seed(seed, "stream", name))
             try:
-                lines = _dump_instance(gen_instance(cfg, ("eq", name)))
+                lines = [_unlabelled(line) for line in
+                         _dump_instance(gen_instance(cfg, ("eq", name)))]
             except GenExhausted:
                 lines = ["exhausted"]
             h.update("\n".join([name] + lines + [""]).encode())

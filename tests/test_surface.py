@@ -2,6 +2,9 @@ from typing import get_args
 
 import pytest
 
+from ttk.cli import main
+from ttk.generate import GenConfig, GenExhausted, InstanceGen, derive_seed
+from ttk.parametricity import param_entity
 from ttk.syntax import (
     App, Bool, Code, Comp, Ctx, EMPTY, El, Eps, Ext, FalseLit, Fst, IdSub,
     IdTy, If, J, Lam, Pair, Pi, Refl, Sigma, Snd, SubExpr, Top, TrueLit, Tt,
@@ -13,6 +16,8 @@ from ttk.surface import (
     parse_ty, parse_sub, print_ctx, print_entity, print_sub, print_tm,
     print_ty, read_sexpr,
 )
+from ttk.syntax import tree_dag_sizes
+from ttk.termify import termify_entity
 
 
 def _tm(text):
@@ -207,3 +212,201 @@ def test_directive_errors():
         with pytest.raises(ParseError) as info:
             parse_directive(text)
         assert info.value.message == message, text
+
+
+# ---------------------------------------------------------------------------
+# Labels: #k=(...) and #k#
+# ---------------------------------------------------------------------------
+
+def test_repeated_compound_forms_print_once_with_labels():
+    sig, fn = Sigma(Bool(), Top()), Pi(Bool(), Top())
+    # numbered in order of first appearance; a label may sit inside one
+    assert print_tm(Pair(sig, fn, Code(fn), Code(sig))) == \
+        "(pair #1=(sigma (bool) (top)) #2=(pi (bool) (top)) (code #2#) " \
+        "(code #1#))"
+    assert print_ty(IdTy(Pi(sig, sig), Code(Pi(sig, sig)), Code(Bool()))) \
+        == "(idt #1=(pi #2=(sigma (bool) (top)) #2#) (code #1#) (code (bool)))"
+    # labels start again for each printed entity
+    assert print_ctx(Ctx.of(fn, fn)) == "(ctx #1=(pi (bool) (top)) #1#)"
+    assert print_sub(Ext(IdSub(), El(Code(fn)), Code(fn))) == \
+        "(ext (id) (el #1=(code (pi (bool) (top)))) #1#)"
+
+
+def test_forms_without_sub_forms_are_never_labelled():
+    assert print_tm(Pair(Univ(0), Univ(0), v(1), v(1))) == \
+        "(pair (u 0) (u 0) (v 1) (v 1))"
+    assert print_tm(Pair(Bool(), Bool(), TrueLit(), TrueLit())) == \
+        "(pair (bool) (bool) (true) (true))"
+    # a (v n) spine is one form: its Comp and Wk nodes are not counted
+    assert print_tm(Pair(Bool(), TySub(Bool(), Comp(Wk(), Wk())), v(2),
+                         TrueLit())) == \
+        "(pair (bool) (tysub (bool) (comp (p) (p))) (v 2) (true))"
+
+
+def test_text_without_repeats_is_unchanged():
+    for sort, entity in ALL_FORMS:
+        assert "#" not in print_entity(sort, entity)
+    assert print_tm(Lam(Univ(0), Lam(El(Var0()), Var0()))) == \
+        "(lam (u 0) (lam (el (q)) (q)))"
+
+
+def test_a_reference_is_the_labelled_sexpr():
+    s = read_sexpr("(pair #1=(sigma (bool) (top)) (bool) #2=(code #1#) "
+                   "(fst #2#))")
+    assert s.items[2].items[0] is s.items[0]
+    assert s.items[3].items[0] is s.items[2]
+    assert s.items[0].label == 1 and s.items[1].label is None
+
+
+def test_a_reference_means_the_latest_completed_definition():
+    s = read_sexpr("(f #1=(a) #1=(b #1#) #1# #1=(c) #1#)")
+    a, b, ref, c, last = s.items
+    assert b.items[0] is a
+    assert ref is b
+    assert last is c
+    # Pasting separately printed entities redefines their labels, as the
+    # generated directives of the benchmark and the fuzz test do.
+    ty = Pi(Sigma(Bool(), Top()), Sigma(Bool(), Top()))
+    tm = Lam(ty, Var0())
+    T, M = print_ty(ty), print_tm(tm)
+    assert "#1=" in T and "#1=" in M
+    d = parse_directive(f"(conv-tm (ctx) (pi {T} {T}) {M} (tmsub {M} (id)))")
+    assert d.args[1] is Pi(ty, ty)
+    assert d.args[2] is tm
+    assert d.args[3] is TmSub(tm, IdSub())
+
+
+def test_labels_may_be_followed_by_space_and_comments():
+    assert _tm("(lam #1= ; a comment\n (bool) (code #1#))") == \
+        Lam(Bool(), Code(Bool()))
+
+
+@pytest.mark.parametrize("text, message, line, col", [
+    ("(lam (bool) #1#)", "undefined label #1#", 1, 13),
+    ("(pair (bool) (bool) #2# #2=(true))", "undefined label #2#", 1, 21),
+    ("#1=(lam (bool) #1#)",
+     "label #1# refers to a list that is not closed yet", 1, 16),
+    ("(lam (bool)\n  #1=(app #1#))",
+     "label #1# refers to a list that is not closed yet", 2, 11),
+    ("(lam (bool) #1= q)", "label #1= must be followed by '('", 1, 13),
+    ("(lam (bool) #1= #1#)", "label #1= must be followed by '('", 1, 13),
+    ("(lam (bool) #1=)", "label #1= must be followed by '('", 1, 13),
+    ("(lam (bool) #1=", "label #1= must be followed by '('", 1, 13),
+    ("(lam #1=(bool) (#1# (q)))", "expected a keyword after '('", 1, 17),
+    ("(#1=(lam) (q))", "expected a keyword after '('", 1, 2),
+    ("(lam #a=(bool) (q))",
+     "malformed label '#a=': expected #k= or #k# with k a decimal natural",
+     1, 6),
+    ("(lam #1=(bool) #1x#)",
+     "malformed label '#1x#': expected #k= or #k# with k a decimal natural",
+     1, 16),
+    ("(lam #¹=(bool) (q))",
+     "malformed label '#¹=': expected #k= or #k# with k a decimal natural",
+     1, 6),
+    ("(lam (bool) #)",
+     "malformed label '#': expected #k= or #k# with k a decimal natural",
+     1, 13),
+])
+def test_label_errors_carry_position(tmp_path, capsys, text, message, line,
+                                     col):
+    with pytest.raises(ParseError) as info:
+        read_sexpr(text)
+    assert (info.value.message, info.value.line, info.value.col) == \
+        (message, line, col)
+    path = tmp_path / "bad.tt"
+    path.write_text(f"(check-tm (ctx) {text})", encoding="utf-8")
+    code = main(["run", str(path)])
+    lines = capsys.readouterr().out.splitlines()
+    assert (code, lines[-1]) == (2, "RESULT: error parse")
+    assert lines[0].startswith("parse error: ")
+
+
+def test_a_labelled_list_is_parsed_once_per_sort():
+    # 2^30 leaves as a tree; thirty lists as read
+    text = "#0=(bool)"
+    for k in range(1, 31):
+        text = f"#{k}=(sigma {text} #{k - 1}#)"
+    ty = parse_ty(read_sexpr(text))
+    assert tree_dag_sizes(ty) == (2 ** 31 - 1, 31)
+    assert print_ty(ty).count("sigma") == 30
+    with pytest.raises(ParseError) as info:
+        parse_tm(read_sexpr("(pair #1=(bool) (bool) #1# (true))"))
+    assert info.value.message == "unknown term keyword 'bool'"
+
+
+def test_a_shared_weakening_spine_prints_as_one_variable():
+    text = "#0=(p)"
+    for k in range(1, 41):
+        text = f"#{k}=(comp {text} #{k - 1}#)"
+    tm = parse_tm(read_sexpr(f"(tmsub (q) {text})"))
+    assert print_tm(tm) == f"(v {2 ** 40})"
+    assert print_tm(TmSub(Var0(), Comp(Comp(Wk(), Wk()), Wk()))) == "(v 3)"
+    assert print_tm(TmSub(Var0(), Comp(Comp(Wk(), Eps()), Wk()))) == \
+        "(tmsub (q) (comp (comp (p) (eps)) (p)))"
+
+
+def _nested_pi(n):
+    text = "(bool)"
+    for _ in range(n):
+        text = f"(pi (bool) {text})"
+    return parse_ty(read_sexpr(text))
+
+
+def _payloads(ctx, sort, entity):
+    yield "tm", termify_entity(sort, ctx, entity).payload
+    yield ("ty" if sort in ("ctx", "ty") else "tm",
+           param_entity(sort, ctx, entity).payload)
+
+
+def _round_trips(sort, entity):
+    text = print_entity(sort, entity)
+    assert parse_entity(read_sexpr(text)) == (sort, entity)
+    assert parse_entity(read_sexpr(text))[1] is entity
+    return text
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_translated_nested_pi_round_trips(n):
+    for sort, payload in _payloads(EMPTY, "ty", _nested_pi(n)):
+        assert "#1=" in _round_trips(sort, payload)
+
+
+def test_generated_entities_and_their_payloads_round_trip():
+    sorts, labelled = set(), 0
+    for index in range(40):
+        gen = InstanceGen(GenConfig(seed=derive_seed(5, "labels", index),
+                                    max_nodes=5, max_ctx_len=2))
+        try:
+            ctx = gen.draw_ctx()
+            ty = gen.draw_ty(ctx)
+            drawn = [("ctx", None), ("ty", ty), ("tm", gen.draw_tm(ctx, ty)),
+                     ("sub", gen.draw_sub(ctx, gen.draw_ctx()))]
+        except GenExhausted:
+            continue
+        _round_trips("ctx", ctx)
+        for sort, entity in drawn:
+            if entity is not None:
+                _round_trips(sort, entity)
+            for payload_sort, payload in _payloads(ctx, sort, entity):
+                labelled += "#1=" in _round_trips(payload_sort, payload)
+            sorts.add(sort)
+    assert sorts == {"ctx", "ty", "tm", "sub"}
+    assert labelled >= 40
+
+
+def test_translated_nested_pi_prints_linear_in_the_dag():
+    for translate, sort in ((termify_entity, "tm"), (param_entity, "ty")):
+        trees, dags, texts = [], [], []
+        for n in (4, 8, 12, 16):
+            payload = translate("ty", EMPTY, _nested_pi(n)).payload
+            tree, dag = tree_dag_sizes(payload)
+            trees.append(tree)
+            dags.append(dag)
+            texts.append(len(print_entity(sort, payload)))
+        # the tree grows 16-fold per four binders, ...
+        assert all(b > 10 * a for a, b in zip(trees, trees[1:]))
+        # ... the DAG and the text by about the same amount every step
+        for sizes in (dags, texts):
+            steps = [b - a for a, b in zip(sizes, sizes[1:])]
+            assert 0 < max(steps) <= 1.1 * min(steps), sizes
+    assert dags[0] < dags[-1] < 4 * dags[0]
