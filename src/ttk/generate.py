@@ -177,8 +177,7 @@ class InstanceGen:
         variables = _vars_by_type(ctx).get(nf)
         if variables:
             opts.append((3, "var"))
-        canonical = self._canonical_kind(nf)
-        if canonical is not None:
+        if self._has_canonical(nf):
             opts.append((5, "canonical"))
         if self.budget > 3:
             opts += [(2, "beta"), (2, "ite"), (1, "fst"), (1, "snd"),
@@ -219,23 +218,15 @@ class InstanceGen:
     def _small_ty(self) -> TyExpr:
         return self._pick([(3, Bool()), (1, Top())])
 
-    def _canonical_kind(self, nf: TyExpr) -> str | None:
+    @staticmethod
+    def _has_canonical(nf: TyExpr) -> bool:
+        """Whether ``_canonical`` can build an inhabitant of ``nf``."""
         match nf:
-            case Pi(_, _):
-                return "lam"
-            case Sigma(_, _):
-                return "pair"
-            case Top():
-                return "tt"
-            case Bool():
-                return "lit"
-            case Univ(_):
-                return "code"
+            case Pi() | Sigma() | Top() | Bool() | Univ():
+                return True
             case IdTy(_, lhs, rhs):
-                return "refl" if lhs == rhs else None
-            case El(_):
-                return None
-        return None
+                return lhs is rhs
+        return False
 
     def _canonical(self, ctx: Ctx, nf: TyExpr) -> TmExpr:
         match nf:

@@ -21,8 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .syntax import (
-    App, Comp, Ctx, EMPTY, El, Eps, Ext, Fst, IdSub, Snd, SubExpr, TmSub,
-    Tt, TySub, Var0, Wk,
+    App, Bool, Code, Comp, Ctx, EMPTY, El, Eps, Ext, FalseLit, Fst, IdSub,
+    IdTy, If, J, Lam, Pair, Pi, Refl, Sigma, Snd, SubExpr, TmSub, Top,
+    TrueLit, Tt, TySub, Univ, Var0, Wk,
 )
 from .caches import memoized
 from .conversion import conv_sub, conv_tm, conv_ty
@@ -104,51 +105,42 @@ def check_embedding(sort: str, ctx: Ctx, entity=None) -> bool:
 # operator of the theory, with eliminator cases on neutral scrutinees.
 # ---------------------------------------------------------------------------
 
-def _component_cases():
-    from .syntax import (
-        App, Bool, Code, FalseLit, If, IdTy, J, Lam, Pair, Pi, Refl, Sigma,
-        Top, TrueLit, TySub, Univ,
-    )
-    bool_ctx = Ctx.of(Bool())
-    pair = Pair(Bool(), TySub(Top(), Wk()), TrueLit(), Tt())
-    j_ctx = Ctx.of(Bool(), IdTy(TySub(Bool(), Wk()), TrueLit(), Var0()))
-    return (
-        ("iso_empty", "ctx", EMPTY, None),
-        ("iso_extend", "ctx", bool_ctx, None),
-        ("id", "sub", bool_ctx, IdSub()),
-        ("comp", "sub", bool_ctx,
-         Comp(Ext(Eps(), Bool(), TrueLit()), Eps())),
-        ("ty_sub", "ty", bool_ctx, TySub(Bool(), Eps())),
-        ("tm_sub", "tm", bool_ctx, TmSub(TrueLit(), Eps())),
-        ("eps", "sub", bool_ctx, Eps()),
-        ("ext", "sub", bool_ctx, Ext(Eps(), Bool(), Var0())),
-        ("p", "sub", bool_ctx, Wk()),
-        ("q", "tm", bool_ctx, Var0()),
-        ("pi", "ty", EMPTY, Pi(Bool(), Bool())),
-        ("lam", "tm", EMPTY, Lam(Bool(), Var0())),
-        ("app", "tm", bool_ctx, App(Lam(Bool(), Var0()))),
-        ("sigma", "ty", EMPTY, Sigma(Bool(), Top())),
-        ("pair", "tm", EMPTY, pair),
-        ("fst", "tm", EMPTY, Fst(pair)),
-        ("snd", "tm", EMPTY, Snd(pair)),
-        ("top", "ty", EMPTY, Top()),
-        ("tt", "tm", EMPTY, Tt()),
-        ("univ", "ty", EMPTY, Univ(0)),
-        ("el", "ty", Ctx.of(Univ(0)), El(Var0())),
-        ("code", "tm", EMPTY, Code(Bool())),
-        ("bool", "ty", EMPTY, Bool()),
-        ("true", "tm", EMPTY, TrueLit()),
-        ("false", "tm", EMPTY, FalseLit()),
-        ("if", "tm", bool_ctx,
-         If(TySub(Bool(), Wk()), TrueLit(), FalseLit(), Var0())),
-        ("id_ty", "ty", EMPTY, IdTy(Bool(), TrueLit(), TrueLit())),
-        ("refl", "tm", EMPTY, Refl(TrueLit())),
-        ("j", "tm", j_ctx,
-         J(TySub(Bool(), Comp(Wk(), Wk())), FalseLit(), Var0())),
-    )
-
-
-COMPONENT_CASES = _component_cases()
+_BOOL_CTX = Ctx.of(Bool())
+_PAIR = Pair(Bool(), TySub(Top(), Wk()), TrueLit(), Tt())
+_J_CTX = Ctx.of(Bool(), IdTy(TySub(Bool(), Wk()), TrueLit(), Var0()))
+COMPONENT_CASES = (
+    ("iso_empty", "ctx", EMPTY, None),
+    ("iso_extend", "ctx", _BOOL_CTX, None),
+    ("id", "sub", _BOOL_CTX, IdSub()),
+    ("comp", "sub", _BOOL_CTX, Comp(Ext(Eps(), Bool(), TrueLit()), Eps())),
+    ("ty_sub", "ty", _BOOL_CTX, TySub(Bool(), Eps())),
+    ("tm_sub", "tm", _BOOL_CTX, TmSub(TrueLit(), Eps())),
+    ("eps", "sub", _BOOL_CTX, Eps()),
+    ("ext", "sub", _BOOL_CTX, Ext(Eps(), Bool(), Var0())),
+    ("p", "sub", _BOOL_CTX, Wk()),
+    ("q", "tm", _BOOL_CTX, Var0()),
+    ("pi", "ty", EMPTY, Pi(Bool(), Bool())),
+    ("lam", "tm", EMPTY, Lam(Bool(), Var0())),
+    ("app", "tm", _BOOL_CTX, App(Lam(Bool(), Var0()))),
+    ("sigma", "ty", EMPTY, Sigma(Bool(), Top())),
+    ("pair", "tm", EMPTY, _PAIR),
+    ("fst", "tm", EMPTY, Fst(_PAIR)),
+    ("snd", "tm", EMPTY, Snd(_PAIR)),
+    ("top", "ty", EMPTY, Top()),
+    ("tt", "tm", EMPTY, Tt()),
+    ("univ", "ty", EMPTY, Univ(0)),
+    ("el", "ty", Ctx.of(Univ(0)), El(Var0())),
+    ("code", "tm", EMPTY, Code(Bool())),
+    ("bool", "ty", EMPTY, Bool()),
+    ("true", "tm", EMPTY, TrueLit()),
+    ("false", "tm", EMPTY, FalseLit()),
+    ("if", "tm", _BOOL_CTX,
+     If(TySub(Bool(), Wk()), TrueLit(), FalseLit(), Var0())),
+    ("id_ty", "ty", EMPTY, IdTy(Bool(), TrueLit(), TrueLit())),
+    ("refl", "tm", EMPTY, Refl(TrueLit())),
+    ("j", "tm", _J_CTX,
+     J(TySub(Bool(), Comp(Wk(), Wk())), FalseLit(), Var0())),
+)
 
 
 def injectivity_probe(inst: EqInstance) -> bool:

@@ -42,15 +42,14 @@ from .syntax import (
 )
 from .caches import memoized
 from .typecheck import (
-    Translated, TypeCheckError, _force_id, _force_sigma, synth_sub, synth_tm,
-    translate_checked,
+    Translated, TypeCheckError, force, synth_sub, synth_tm, translate_checked,
 )
 
 
 def _pair_at(ctx: Ctx, sigma_ty: TyExpr, a: TmExpr, b: TmExpr) -> TmExpr:
     """Annotated pair inhabiting a type convertible to ``sigma_ty``."""
-    dom, cod = _force_sigma(ctx, sigma_ty, sigma_ty)
-    return Pair(dom, cod, a, b)
+    sigma = force(ctx, sigma_ty, Sigma, sigma_ty)
+    return Pair(sigma.dom, sigma.cod, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +276,8 @@ def _param_if(ctx: Ctx, motive: TyExpr, on_true: TmExpr, on_false: TmExpr,
 
 def _param_j(ctx: Ctx, whole: TmExpr, motive: TyExpr, base: TmExpr,
              eq: TmExpr) -> TmExpr:
-    dom, lhs, rhs = _force_id(ctx, synth_tm(ctx, eq), eq)
+    eq_ty = force(ctx, synth_tm(ctx, eq), IdTy, eq)
+    dom, lhs, rhs = eq_ty.ty, eq_ty.lhs, eq_ty.rhs
     pred = param_ctx(ctx)
     dom_pred = param_ty(ctx, dom)
     lhs_pred = param_tm(ctx, lhs)

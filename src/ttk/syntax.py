@@ -435,19 +435,23 @@ assert len(ALL_CONSTRUCTORS) == 29
 
 
 def walk_constructors(x: Union[Expr, Ctx], found: set[str]) -> None:
-    """Record every constructor name occurring in ``x`` into ``found``."""
+    """Record every constructor name occurring in ``x`` into ``found``,
+    visiting each distinct node once, so a shared DAG costs its own size."""
     if isinstance(x, Ctx):
         found.add("CtxEmpty")
         if x.entries:
             found.add("CtxExtend")
-        for ty in x.entries:
-            walk_constructors(ty, found)
-        return
-    found.add(type(x).__name__)
-    for field in getattr(x, "__dataclass_fields__", ()):
-        child = getattr(x, field)
-        if child is not None and not isinstance(child, int):
-            walk_constructors(child, found)
+        todo = list(x.entries)
+    else:
+        todo = [x]
+    seen = set()
+    while todo:
+        node = todo.pop()
+        if node is None or node in seen:
+            continue
+        seen.add(node)
+        found.add(type(node).__name__)
+        todo.extend(getattr(node, name) for name in NODE_FIELDS[type(node)])
 
 
 # The fields of each node class that hold nodes: all but a ``Level``.

@@ -32,8 +32,8 @@ from .syntax import (
 from .caches import memoized
 from .conversion import conv_tm
 from .typecheck import (
-    Translated, TypeCheckError, _force_id, _force_sigma, infer_ty, synth_sub,
-    synth_tm, translate_checked,
+    Translated, TypeCheckError, force, infer_ty, synth_sub, synth_tm,
+    translate_checked,
 )
 
 
@@ -49,8 +49,8 @@ def decoded(ctx: Ctx) -> TyExpr:
 
 def point_pair(ctx: Ctx, head: TmExpr, tail: TmExpr) -> TmExpr:
     """A point of the decoded extended context, as an annotated pair."""
-    dom, cod = _force_sigma(EMPTY, decoded(ctx), ctx)
-    return Pair(dom, cod, head, tail)
+    sigma = force(EMPTY, decoded(ctx), Sigma, ctx)
+    return Pair(sigma.dom, sigma.cod, head, tail)
 
 
 @memoized
@@ -180,7 +180,8 @@ def termify_tm(ctx: Ctx, tm: TmExpr) -> TmExpr:
         case Refl(arg):
             return Lam(points, Refl(App(termify_tm(ctx, arg))))
         case J(motive, base, eq):
-            dom, lhs, _ = _force_id(ctx, synth_tm(ctx, eq), eq)
+            eq_ty = force(ctx, synth_tm(ctx, eq), IdTy, eq)
+            dom, lhs = eq_ty.ty, eq_ty.lhs
             eq_entry = IdTy(TySub(dom, Wk()), TmSub(lhs, Wk()), Var0())
             with_dom = ctx.extend(dom)
             with_eq = with_dom.extend(eq_entry)

@@ -3,7 +3,10 @@
 Levels of types, codomains of substitutions, and types of terms are all
 synthesized; side conditions are decided up to conversion by evaluating
 both candidates and comparing readbacks.  Typechecking and conversion are
-therefore mutually recursive through the evaluator.
+therefore mutually recursive through the evaluator.  ``normalize_ty_in``
+is the one normal form of a type: ``types_convertible`` compares two of
+them, and ``force`` is the one way to require a type former (a function,
+pair or equality type, or a universe) of one.
 
 All checks are pure and deterministic.  Preconditions follow the sort
 structure: ``infer_ty``/``synth_sub``/``synth_tm`` assume their context is
@@ -83,16 +86,14 @@ class VarInEmptyContext(TypeCheckError):
 
 @memoized
 def normalize_ty_in(ctx: Ctx, ty: TyExpr) -> TyExpr:
+    """The normal form of ``ty`` in ``ctx``: the only code that computes
+    one, so conversion and ``force`` share its memo table."""
     env, depth = generic_env(ctx)
     return readback_ty(depth, eval_ty(env, ty))
 
 
-@memoized
 def types_convertible(ctx: Ctx, a: TyExpr, b: TyExpr) -> bool:
-    if a == b:
-        return True
-    env, depth = generic_env(ctx)
-    return readback_ty(depth, eval_ty(env, a)) == readback_ty(depth, eval_ty(env, b))
+    return a is b or normalize_ty_in(ctx, a) is normalize_ty_in(ctx, b)
 
 
 @memoized
@@ -113,36 +114,18 @@ def _require_conv(ctx: Ctx, expr: object, actual: TyExpr, expected: TyExpr) -> N
             "type mismatch", expr=expr, expected=expected, actual=actual)
 
 
-def _force_pi(ctx: Ctx, ty: TyExpr, expr: object) -> tuple[TyExpr, TyExpr]:
+_FORMER_NAMES = {Pi: "a function type", Sigma: "a pair type",
+                 IdTy: "an equality type", Univ: "a universe"}
+
+
+def force(ctx: Ctx, ty: TyExpr, former: type, expr: object) -> TyExpr:
+    """The normal form of ``ty``, which must be a ``former`` node: the one
+    way to require a type former.  Otherwise ``expr`` is ill-typed."""
     nf = normalize_ty_in(ctx, ty)
-    match nf:
-        case Pi(dom, cod):
-            return dom, cod
-    raise TypeCheckError("expected a function type", expr=expr, actual=nf)
-
-
-def _force_sigma(ctx: Ctx, ty: TyExpr, expr: object) -> tuple[TyExpr, TyExpr]:
-    nf = normalize_ty_in(ctx, ty)
-    match nf:
-        case Sigma(dom, cod):
-            return dom, cod
-    raise TypeCheckError("expected a pair type", expr=expr, actual=nf)
-
-
-def _force_id(ctx: Ctx, ty: TyExpr, expr: object) -> tuple[TyExpr, TmExpr, TmExpr]:
-    nf = normalize_ty_in(ctx, ty)
-    match nf:
-        case IdTy(dom, lhs, rhs):
-            return dom, lhs, rhs
-    raise TypeCheckError("expected an equality type", expr=expr, actual=nf)
-
-
-def _force_univ(ctx: Ctx, ty: TyExpr, expr: object) -> Level:
-    nf = normalize_ty_in(ctx, ty)
-    match nf:
-        case Univ(level):
-            return level
-    raise TypeCheckError("expected a universe", expr=expr, actual=nf)
+    if not isinstance(nf, former):
+        raise TypeCheckError(f"expected {_FORMER_NAMES[former]}", expr=expr,
+                             actual=nf)
+    return nf
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +162,7 @@ def infer_ty(ctx: Ctx, ty: TyExpr) -> Level:
                 raise TypeCheckError("negative universe level", expr=ty)
             return level + 1
         case El(code):
-            return _force_univ(ctx, synth_tm(ctx, code), ty)
+            return force(ctx, synth_tm(ctx, code), Univ, ty).level
         case IdTy(t, lhs, rhs):
             level = infer_ty(ctx, t)
             _require_conv(ctx, lhs, synth_tm(ctx, lhs), t)
@@ -232,9 +215,9 @@ def synth_tm(ctx: Ctx, tm: TmExpr) -> TyExpr:
                 raise TypeCheckError(
                     "un-application requires a nonempty context", expr=tm)
             tail = ctx.pop()
-            dom, cod = _force_pi(tail, synth_tm(tail, fn), tm)
-            _require_conv(tail, tm, ctx.last, dom)
-            return cod
+            pi = force(tail, synth_tm(tail, fn), Pi, tm)
+            _require_conv(tail, tm, ctx.last, pi.dom)
+            return pi.cod
         case Pair(fst_ty, snd_ty, a, b):
             infer_ty(ctx, fst_ty)
             infer_ty(ctx.extend(fst_ty), snd_ty)
@@ -243,11 +226,10 @@ def synth_tm(ctx: Ctx, tm: TmExpr) -> TyExpr:
             _require_conv(ctx, b, synth_tm(ctx, b), b_expected)
             return Sigma(fst_ty, snd_ty)
         case Fst(p):
-            dom, _ = _force_sigma(ctx, synth_tm(ctx, p), tm)
-            return dom
+            return force(ctx, synth_tm(ctx, p), Sigma, tm).dom
         case Snd(p):
-            dom, cod = _force_sigma(ctx, synth_tm(ctx, p), tm)
-            return TySub(cod, Ext(IdSub(), dom, Fst(p)))
+            sigma = force(ctx, synth_tm(ctx, p), Sigma, tm)
+            return TySub(sigma.cod, Ext(IdSub(), sigma.dom, Fst(p)))
         case Tt():
             return Top()
         case Code(t):
@@ -266,7 +248,8 @@ def synth_tm(ctx: Ctx, tm: TmExpr) -> TyExpr:
             arg_ty = synth_tm(ctx, arg)
             return IdTy(arg_ty, arg, arg)
         case J(motive, base, eq):
-            dom, lhs, rhs = _force_id(ctx, synth_tm(ctx, eq), tm)
+            eq_ty = force(ctx, synth_tm(ctx, eq), IdTy, tm)
+            dom, lhs, rhs = eq_ty.ty, eq_ty.lhs, eq_ty.rhs
             eq_entry = IdTy(TySub(dom, Wk()), TmSub(lhs, Wk()), Var0())
             infer_ty(ctx.extend(dom).extend(eq_entry), motive)
             at_refl = Ext(Ext(IdSub(), dom, lhs), eq_entry, Refl(lhs))

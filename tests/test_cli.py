@@ -110,6 +110,26 @@ def _run_text(capsys, tmp_path, text):
     return _run(capsys, "run", str(f))
 
 
+@pytest.mark.parametrize("text, former, at, actual", [
+    ("(check-tm (ctx) (fst (true)))", "a pair type", "(fst (true))",
+     "(bool)"),
+    ("(check-tm (ctx) (snd (tt)))", "a pair type", "(snd (tt))", "(top)"),
+    ("(check-tm (ctx (bool)) (app (true)))", "a function type",
+     "(app (true))", "(bool)"),
+    ("(check-ty (ctx) (el (true)))", "a universe", "(el (true))", "(bool)"),
+    ("(check-tm (ctx) (j (bool) (true) (true)))", "an equality type",
+     "(j (bool) (true) (true))", "(bool)"),
+], ids=["fst", "snd", "app", "el", "j"])
+def test_a_missing_type_former_is_a_type_error(capsys, tmp_path, text, former,
+                                               at, actual):
+    f = tmp_path / "d.tt"
+    f.write_text(text)
+    assert main(["run", str(f)]) == 3
+    assert capsys.readouterr().out == (
+        f"type error: expected {former}\n  at: {at}\n  actual: {actual}\n"
+        "RESULT: error type\n")
+
+
 def test_termify_checks_before_translating(capsys, tmp_path):
     code, lines = _run_text(capsys, tmp_path, "(termify (ctx) (el (q)))")
     assert code == 3

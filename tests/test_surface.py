@@ -334,6 +334,24 @@ def test_a_labelled_list_is_parsed_once_per_sort():
     assert info.value.message == "unknown term keyword 'bool'"
 
 
+def test_walk_constructors_visits_each_shared_node_once():
+    # 2^40 leaves as a tree: a walk of the tree would not return
+    text = "#0=(true)"
+    for k in range(1, 41):
+        text = (f"#{k}=(pair (bool) (tysub (bool) (p)) (fst {text}) "
+                f"(snd #{k - 1}#))")
+    tm = parse_tm(read_sexpr(text))
+    tree, dag = tree_dag_sizes(tm)
+    assert tree > 2 ** 40 and dag == 3 * 40 + 4
+    found = set()
+    walk_constructors(tm, found)
+    assert found == {"Pair", "Bool", "TySub", "Wk", "Fst", "Snd", "TrueLit"}
+    found = set()
+    walk_constructors(Ctx.of(El(tm)), found)
+    assert found == {"CtxEmpty", "CtxExtend", "El", "Pair", "Bool", "TySub",
+                     "Wk", "Fst", "Snd", "TrueLit"}
+
+
 def test_a_shared_weakening_spine_prints_as_one_variable():
     text = "#0=(p)"
     for k in range(1, 41):
