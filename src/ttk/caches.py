@@ -26,19 +26,20 @@ import contextlib
 import functools
 import gc
 
-_CLEARERS: list = []
+# Every memo table: the wrapped function, keyed by ``module.qualname``.
+REGISTRY: dict = {}
 
 
 def memoized(fn):
     wrapped = functools.lru_cache(maxsize=None)(fn)
-    _CLEARERS.append(wrapped.cache_clear)
+    REGISTRY[f"{fn.__module__}.{fn.__qualname__}"] = wrapped
     return wrapped
 
 
 def clear_all() -> None:
     """Drop every kernel cache (between large suite runs, for memory)."""
-    for clear in _CLEARERS:
-        clear()
+    for wrapped in REGISTRY.values():
+        wrapped.cache_clear()
 
 
 @contextlib.contextmanager

@@ -25,7 +25,7 @@ from .conversion import conv_sub, conv_tm, conv_ty, normalize_tm
 from .injectivity import IsoFailure, check_embedding
 from .parametricity import param_entity
 from .surface import (
-    Directive, LimitError, ParseError, parse_directive, print_entity, print_ty,
+    Directive, LimitError, ParseError, parse_directive, print_entity,
 )
 from .suites import SUITES, run_suites
 from .syntax import tree_dag_sizes
@@ -42,7 +42,7 @@ def _execute(directive: Directive) -> tuple[int, list[str]]:
             ctx, tm = directive.args
             check_ctx(ctx)
             ty = synth_tm(ctx, tm)
-            return 0, [f"type: {print_ty(ty)}", "RESULT: accept"]
+            return 0, [f"type: {print_entity(ty)}", "RESULT: accept"]
         case "check-ty":
             ctx, ty = directive.args
             check_ctx(ctx)
@@ -52,7 +52,7 @@ def _execute(directive: Directive) -> tuple[int, list[str]]:
             ctx, tm = directive.args
             check_ctx(ctx)
             nf = normalize_tm(ctx, tm)
-            return 0, [f"nf: {print_entity('tm', nf)}", "RESULT: accept"]
+            return 0, [f"nf: {print_entity(nf)}", "RESULT: accept"]
         case "conv-tm":
             ctx, ty, lhs, rhs = directive.args
             check_ctx(ctx)
@@ -67,17 +67,14 @@ def _execute(directive: Directive) -> tuple[int, list[str]]:
             check_ctx(cod)
             return _verdict(conv_sub(ctx, cod, lhs, rhs))
         case "termify":
-            sort, ctx, entity = directive.args
-            out = termify_entity(sort, ctx, entity)
-            return 0, [f"payload: {print_entity('tm', out.payload)}",
+            out = termify_entity(*directive.args)
+            return 0, [f"payload: {print_entity(out.payload)}",
                        _size(out.payload),
-                       f"classifier: {print_ty(out.classifier)}",
+                       f"classifier: {print_entity(out.classifier)}",
                        "RESULT: accept"]
         case "param":
-            sort, ctx, entity = directive.args
-            out = param_entity(sort, ctx, entity)
-            payload_sort = "ty" if sort in ("ctx", "ty") else "tm"
-            return 0, [f"payload: {print_entity(payload_sort, out.payload)}",
+            out = param_entity(*directive.args)
+            return 0, [f"payload: {print_entity(out.payload)}",
                        _size(out.payload), "RESULT: accept"]
         case "canon":
             (tm,) = directive.args

@@ -29,22 +29,20 @@ from .generate import InstanceGen
 
 @dataclass(frozen=True)
 class EqInstance:
+    """Two sides in ``ctx`` at a shared ``classifier``: ``None`` for two
+    types, the codomain for two substitutions, the type for two terms."""
     ctx: Ctx
-    kind: str  # "tm" | "ty" | "sub"
     classifier: Union[TyExpr, Ctx, None]
     lhs: Union[TmExpr, TyExpr, SubExpr]
     rhs: Union[TmExpr, TyExpr, SubExpr]
 
 
 def check_instance(inst: EqInstance) -> bool:
-    match inst.kind:
-        case "tm":
-            return conv_tm(inst.ctx, inst.classifier, inst.lhs, inst.rhs)
-        case "ty":
-            return conv_ty(inst.ctx, inst.lhs, inst.rhs)
-        case "sub":
-            return conv_sub(inst.ctx, inst.classifier, inst.lhs, inst.rhs)
-    raise ValueError(f"unknown instance kind {inst.kind!r}")
+    if inst.classifier is None:
+        return conv_ty(inst.ctx, inst.lhs, inst.rhs)
+    if isinstance(inst.classifier, Ctx):
+        return conv_sub(inst.ctx, inst.classifier, inst.lhs, inst.rhs)
+    return conv_tm(inst.ctx, inst.classifier, inst.lhs, inst.rhs)
 
 
 Builder = Callable[[InstanceGen], EqInstance]
@@ -106,7 +104,7 @@ def _(g):
     outer = g.draw_sub(c2, c3)
     mid = g.draw_sub(c1, c2)
     inner = g.draw_sub(c0, c1)
-    return EqInstance(c0, "sub", c3,
+    return EqInstance(c0, c3,
                       Comp(Comp(outer, mid), inner),
                       Comp(outer, Comp(mid, inner)))
 
@@ -114,13 +112,13 @@ def _(g):
 @schema("comp_idl")
 def _(g):
     dom, cod, sub = _sub_between(g)
-    return EqInstance(dom, "sub", cod, Comp(IdSub(), sub), sub)
+    return EqInstance(dom, cod, Comp(IdSub(), sub), sub)
 
 
 @schema("comp_idr")
 def _(g):
     dom, cod, sub = _sub_between(g)
-    return EqInstance(dom, "sub", cod, Comp(sub, IdSub()), sub)
+    return EqInstance(dom, cod, Comp(sub, IdSub()), sub)
 
 
 # -- substitution action -----------------------------------------------------
@@ -129,7 +127,7 @@ def _(g):
 def _(g):
     ctx = g.draw_ctx()
     ty = g.draw_ty(ctx)
-    return EqInstance(ctx, "ty", None, TySub(ty, IdSub()), ty)
+    return EqInstance(ctx, None, TySub(ty, IdSub()), ty)
 
 
 @schema("ty_sub_comp")
@@ -138,7 +136,7 @@ def _(g):
     dom = g.draw_ctx()
     inner = g.draw_sub(dom, mid)
     ty = g.draw_ty(cod)
-    return EqInstance(dom, "ty", None,
+    return EqInstance(dom, None,
                       TySub(ty, Comp(outer, inner)),
                       TySub(TySub(ty, outer), inner))
 
@@ -148,7 +146,7 @@ def _(g):
     ctx = g.draw_ctx()
     ty = g.draw_ty(ctx)
     tm = g.draw_tm(ctx, ty)
-    return EqInstance(ctx, "tm", ty, TmSub(tm, IdSub()), tm)
+    return EqInstance(ctx, ty, TmSub(tm, IdSub()), tm)
 
 
 @schema("tm_sub_comp")
@@ -159,7 +157,7 @@ def _(g):
     ty = g.draw_ty(cod)
     tm = g.draw_tm(cod, ty)
     classifier = TySub(ty, Comp(outer, inner))
-    return EqInstance(dom, "tm", classifier,
+    return EqInstance(dom, classifier,
                       TmSub(tm, Comp(outer, inner)),
                       TmSub(TmSub(tm, outer), inner))
 
@@ -170,22 +168,21 @@ def _(g):
 def _(g):
     ctx = g.draw_ctx()
     sub = g.draw_sub(ctx, EMPTY)
-    return EqInstance(ctx, "sub", EMPTY, sub, Eps())
+    return EqInstance(ctx, EMPTY, sub, Eps())
 
 
 @schema("ext_beta1")
 def _(g):
     dom, cod, sub, ty = _ty_and_sub(g)
     tm = g.draw_tm(dom, TySub(ty, sub))
-    return EqInstance(dom, "sub", cod, Comp(Wk(), Ext(sub, ty, tm)), sub)
+    return EqInstance(dom, cod, Comp(Wk(), Ext(sub, ty, tm)), sub)
 
 
 @schema("ext_beta2")
 def _(g):
     dom, cod, sub, ty = _ty_and_sub(g)
     tm = g.draw_tm(dom, TySub(ty, sub))
-    return EqInstance(dom, "tm", TySub(ty, sub),
-                      TmSub(Var0(), Ext(sub, ty, tm)), tm)
+    return EqInstance(dom, TySub(ty, sub), TmSub(Var0(), Ext(sub, ty, tm)), tm)
 
 
 @schema("ext_eta")
@@ -193,7 +190,7 @@ def _(g):
     base = g.draw_ctx()
     ty = g.draw_ty(base)
     ctx = base.extend(ty)
-    return EqInstance(ctx, "sub", ctx, Ext(Wk(), ty, Var0()), IdSub())
+    return EqInstance(ctx, ctx, Ext(Wk(), ty, Var0()), IdSub())
 
 
 @schema("ext_comp")
@@ -203,7 +200,7 @@ def _(g):
     tm = g.draw_tm(mid, TySub(ty, outer))
     dom = g.draw_ctx()
     inner = g.draw_sub(dom, mid)
-    return EqInstance(dom, "sub", cod.extend(ty),
+    return EqInstance(dom, cod.extend(ty),
                       Comp(Ext(outer, ty, tm), inner),
                       Ext(Comp(outer, inner), ty, TmSub(tm, inner)))
 
@@ -214,14 +211,14 @@ def _(g):
 def _(g):
     ctx, dom, cod = _binder_data(g)
     body = g.draw_tm(ctx.extend(dom), cod)
-    return EqInstance(ctx.extend(dom), "tm", cod, App(Lam(dom, body)), body)
+    return EqInstance(ctx.extend(dom), cod, App(Lam(dom, body)), body)
 
 
 @schema("pi_eta")
 def _(g):
     ctx, dom, cod = _binder_data(g)
     fn = g.draw_tm(ctx, Pi(dom, cod))
-    return EqInstance(ctx, "tm", Pi(dom, cod), Lam(dom, App(fn)), fn)
+    return EqInstance(ctx, Pi(dom, cod), Lam(dom, App(fn)), fn)
 
 
 @schema("pi_sub")
@@ -229,7 +226,7 @@ def _(g):
     dom_ctx, cod_ctx, sub = _sub_between(g)
     a = g.draw_ty(cod_ctx)
     b = g.draw_ty(cod_ctx.extend(a))
-    return EqInstance(dom_ctx, "ty", None,
+    return EqInstance(dom_ctx, None,
                       TySub(Pi(a, b), sub),
                       Pi(TySub(a, sub), TySub(b, lift(sub, a))))
 
@@ -240,7 +237,7 @@ def _(g):
     a = g.draw_ty(cod_ctx)
     b = g.draw_ty(cod_ctx.extend(a))
     body = g.draw_tm(cod_ctx.extend(a), b)
-    return EqInstance(dom_ctx, "tm", TySub(Pi(a, b), sub),
+    return EqInstance(dom_ctx, TySub(Pi(a, b), sub),
                       TmSub(Lam(a, body), sub),
                       Lam(TySub(a, sub), TmSub(body, lift(sub, a))))
 
@@ -252,7 +249,7 @@ def _(g):
     ctx, dom, cod = _binder_data(g)
     a = g.draw_tm(ctx, dom)
     b = g.draw_tm(ctx, TySub(cod, Ext(IdSub(), dom, a)))
-    return EqInstance(ctx, "tm", dom, Fst(Pair(dom, cod, a, b)), a)
+    return EqInstance(ctx, dom, Fst(Pair(dom, cod, a, b)), a)
 
 
 @schema("sigma_beta2")
@@ -261,15 +258,14 @@ def _(g):
     a = g.draw_tm(ctx, dom)
     at_a = TySub(cod, Ext(IdSub(), dom, a))
     b = g.draw_tm(ctx, at_a)
-    return EqInstance(ctx, "tm", at_a, Snd(Pair(dom, cod, a, b)), b)
+    return EqInstance(ctx, at_a, Snd(Pair(dom, cod, a, b)), b)
 
 
 @schema("sigma_eta")
 def _(g):
     ctx, dom, cod = _binder_data(g)
     p = g.draw_tm(ctx, Sigma(dom, cod))
-    return EqInstance(ctx, "tm", Sigma(dom, cod),
-                      Pair(dom, cod, Fst(p), Snd(p)), p)
+    return EqInstance(ctx, Sigma(dom, cod), Pair(dom, cod, Fst(p), Snd(p)), p)
 
 
 @schema("sigma_sub")
@@ -277,7 +273,7 @@ def _(g):
     dom_ctx, cod_ctx, sub = _sub_between(g)
     a = g.draw_ty(cod_ctx)
     b = g.draw_ty(cod_ctx.extend(a))
-    return EqInstance(dom_ctx, "ty", None,
+    return EqInstance(dom_ctx, None,
                       TySub(Sigma(a, b), sub),
                       Sigma(TySub(a, sub), TySub(b, lift(sub, a))))
 
@@ -289,7 +285,7 @@ def _(g):
     b = g.draw_ty(cod_ctx.extend(a))
     u = g.draw_tm(cod_ctx, a)
     w = g.draw_tm(cod_ctx, TySub(b, Ext(IdSub(), a, u)))
-    return EqInstance(dom_ctx, "tm", TySub(Sigma(a, b), sub),
+    return EqInstance(dom_ctx, TySub(Sigma(a, b), sub),
                       TmSub(Pair(a, b, u, w), sub),
                       Pair(TySub(a, sub), TySub(b, lift(sub, a)),
                            TmSub(u, sub), TmSub(w, sub)))
@@ -301,19 +297,19 @@ def _(g):
 def _(g):
     ctx = g.draw_ctx()
     tm = g.draw_tm(ctx, Top())
-    return EqInstance(ctx, "tm", Top(), tm, Tt())
+    return EqInstance(ctx, Top(), tm, Tt())
 
 
 @schema("top_sub")
 def _(g):
     dom, _, sub = _sub_between(g)
-    return EqInstance(dom, "ty", None, TySub(Top(), sub), Top())
+    return EqInstance(dom, None, TySub(Top(), sub), Top())
 
 
 @schema("tt_sub")
 def _(g):
     dom, _, sub = _sub_between(g)
-    return EqInstance(dom, "tm", Top(), TmSub(Tt(), sub), Tt())
+    return EqInstance(dom, Top(), TmSub(Tt(), sub), Tt())
 
 
 # -- universe -------------------------------------------------------------------
@@ -322,7 +318,7 @@ def _(g):
 def _(g):
     ctx = g.draw_ctx()
     ty = g.draw_ty(ctx)
-    return EqInstance(ctx, "ty", None, El(Code(ty)), ty)
+    return EqInstance(ctx, None, El(Code(ty)), ty)
 
 
 @schema("univ_eta")
@@ -330,14 +326,14 @@ def _(g):
     ctx = g.draw_ctx()
     level = g.rng.randint(0, max(g.cfg.max_level - 1, 0))
     code = g.draw_tm(ctx, Univ(level))
-    return EqInstance(ctx, "tm", Univ(level), Code(El(code)), code)
+    return EqInstance(ctx, Univ(level), Code(El(code)), code)
 
 
 @schema("univ_sub")
 def _(g):
     dom, _, sub = _sub_between(g)
     level = g.rng.randint(0, max(g.cfg.max_level - 1, 0))
-    return EqInstance(dom, "ty", None, TySub(Univ(level), sub), Univ(level))
+    return EqInstance(dom, None, TySub(Univ(level), sub), Univ(level))
 
 
 @schema("el_sub")
@@ -345,8 +341,7 @@ def _(g):
     dom, cod, sub = _sub_between(g)
     level = g.rng.randint(0, max(g.cfg.max_level - 1, 0))
     code = g.draw_tm(cod, Univ(level))
-    return EqInstance(dom, "ty", None,
-                      TySub(El(code), sub), El(TmSub(code, sub)))
+    return EqInstance(dom, None, TySub(El(code), sub), El(TmSub(code, sub)))
 
 
 # -- booleans --------------------------------------------------------------------
@@ -362,33 +357,33 @@ def _bool_branch_data(g):
 @schema("bool_beta1")
 def _(g):
     ctx, motive, on_true, on_false = _bool_branch_data(g)
-    return EqInstance(ctx, "tm", TySub(motive, Ext(IdSub(), Bool(), TrueLit())),
+    return EqInstance(ctx, TySub(motive, Ext(IdSub(), Bool(), TrueLit())),
                       If(motive, on_true, on_false, TrueLit()), on_true)
 
 
 @schema("bool_beta2")
 def _(g):
     ctx, motive, on_true, on_false = _bool_branch_data(g)
-    return EqInstance(ctx, "tm", TySub(motive, Ext(IdSub(), Bool(), FalseLit())),
+    return EqInstance(ctx, TySub(motive, Ext(IdSub(), Bool(), FalseLit())),
                       If(motive, on_true, on_false, FalseLit()), on_false)
 
 
 @schema("bool_sub")
 def _(g):
     dom, _, sub = _sub_between(g)
-    return EqInstance(dom, "ty", None, TySub(Bool(), sub), Bool())
+    return EqInstance(dom, None, TySub(Bool(), sub), Bool())
 
 
 @schema("true_sub")
 def _(g):
     dom, _, sub = _sub_between(g)
-    return EqInstance(dom, "tm", Bool(), TmSub(TrueLit(), sub), TrueLit())
+    return EqInstance(dom, Bool(), TmSub(TrueLit(), sub), TrueLit())
 
 
 @schema("false_sub")
 def _(g):
     dom, _, sub = _sub_between(g)
-    return EqInstance(dom, "tm", Bool(), TmSub(FalseLit(), sub), FalseLit())
+    return EqInstance(dom, Bool(), TmSub(FalseLit(), sub), FalseLit())
 
 
 @schema("if_sub")
@@ -399,7 +394,7 @@ def _(g):
     on_false = g.draw_tm(cod_ctx, TySub(motive, Ext(IdSub(), Bool(), FalseLit())))
     scrut = g.draw_tm(cod_ctx, Bool())
     classifier = TySub(TySub(motive, Ext(IdSub(), Bool(), scrut)), sub)
-    return EqInstance(dom_ctx, "tm", classifier,
+    return EqInstance(dom_ctx, classifier,
                       TmSub(If(motive, on_true, on_false, scrut), sub),
                       If(TySub(motive, lift(sub, Bool())),
                          TmSub(on_true, sub), TmSub(on_false, sub),
@@ -413,7 +408,7 @@ def _(g):
     ctx, dom, base_pt, eq_entry, motive = _id_motive_data(g)
     at_refl = _at_point(dom, eq_entry, base_pt, Refl(base_pt))
     base = g.draw_tm(ctx, TySub(motive, at_refl))
-    return EqInstance(ctx, "tm", TySub(motive, at_refl),
+    return EqInstance(ctx, TySub(motive, at_refl),
                       J(motive, base, Refl(base_pt)), base)
 
 
@@ -423,7 +418,7 @@ def _(g):
     a = g.draw_ty(cod_ctx)
     lhs_pt = g.draw_tm(cod_ctx, a)
     rhs_pt = g.draw_tm(cod_ctx, a)
-    return EqInstance(dom_ctx, "ty", None,
+    return EqInstance(dom_ctx, None,
                       TySub(IdTy(a, lhs_pt, rhs_pt), sub),
                       IdTy(TySub(a, sub), TmSub(lhs_pt, sub), TmSub(rhs_pt, sub)))
 
@@ -433,7 +428,7 @@ def _(g):
     dom_ctx, cod_ctx, sub = _sub_between(g)
     a = g.draw_ty(cod_ctx)
     pt = g.draw_tm(cod_ctx, a)
-    return EqInstance(dom_ctx, "tm", TySub(IdTy(a, pt, pt), sub),
+    return EqInstance(dom_ctx, TySub(IdTy(a, pt, pt), sub),
                       TmSub(Refl(pt), sub), Refl(TmSub(pt, sub)))
 
 
@@ -461,7 +456,7 @@ def _(g):
     sub = g.draw_sub(dom_ctx, cod_ctx)
     classifier = TySub(
         TySub(motive, _at_point(dom, eq_entry, rhs_pt, eq)), sub)
-    return EqInstance(dom_ctx, "tm", classifier,
+    return EqInstance(dom_ctx, classifier,
                       TmSub(J(motive, base, eq), sub),
                       J(TySub(motive, lift(lift(sub, dom), eq_entry)),
                         TmSub(base, sub), TmSub(eq, sub)))

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from .syntax import (
     App, Bool, Code, Comp, Ctx, EMPTY, El, Eps, Ext, FalseLit, Fst, IdSub,
     IdTy, If, J, Lam, Pair, Pi, Refl, Sigma, Snd, SubExpr, TmSub, Top,
-    TrueLit, Tt, TySub, Univ, Var0, Wk,
+    TrueLit, Tt, TyExpr, TySub, Univ, Var0, Wk,
 )
 from .caches import memoized
 from .conversion import conv_sub, conv_tm, conv_ty
@@ -78,24 +78,23 @@ def build_ctx_iso(ctx: Ctx) -> CtxIso:
 # Embedding equations
 # ---------------------------------------------------------------------------
 
-def check_embedding(sort: str, ctx: Ctx, entity=None) -> bool:
-    """Check the entity, then test its embedding equation.  A context's is
-    its isomorphism, certified by ``build_ctx_iso``, so it holds or raises
-    ``IsoFailure``, as every sort does when an isomorphism it needs fails
-    to certify."""
-    checked = check_entity(sort, ctx, entity)
+def check_embedding(ctx: Ctx, entity=None) -> bool:
+    """Check ``entity`` in ``ctx``, then test its embedding equation.
+    ``None`` stands for the context itself, whose equation is its
+    isomorphism, certified by ``build_ctx_iso``: it holds or raises
+    ``IsoFailure``, as every entity does when an isomorphism it needs
+    fails to certify."""
+    checked = check_entity(ctx, entity)
     iso = build_ctx_iso(ctx)
-    match sort:
-        case "ctx":
-            return True
-        case "ty":
-            rhs = TySub(El(App(termify_ty(ctx, entity))), iso.fwd)
-            return conv_ty(ctx, entity, rhs)
-        case "sub":
-            mid = Ext(Eps(), decoded(checked), App(termify_sub(ctx, entity)))
-            rhs = Comp(build_ctx_iso(checked).bwd, Comp(mid, iso.fwd))
-            return conv_sub(ctx, checked, entity, rhs)
-    # a term: ``check_entity`` has refused any other sort
+    if entity is None:
+        return True
+    if isinstance(entity, TyExpr):
+        rhs = TySub(El(App(termify_ty(ctx, entity))), iso.fwd)
+        return conv_ty(ctx, entity, rhs)
+    if isinstance(entity, SubExpr):
+        mid = Ext(Eps(), decoded(checked), App(termify_sub(ctx, entity)))
+        rhs = Comp(build_ctx_iso(checked).bwd, Comp(mid, iso.fwd))
+        return conv_sub(ctx, checked, entity, rhs)
     rhs = TmSub(App(termify_tm(ctx, entity)), iso.fwd)
     return conv_tm(ctx, checked, entity, rhs)
 
@@ -109,37 +108,35 @@ _BOOL_CTX = Ctx.of(Bool())
 _PAIR = Pair(Bool(), TySub(Top(), Wk()), TrueLit(), Tt())
 _J_CTX = Ctx.of(Bool(), IdTy(TySub(Bool(), Wk()), TrueLit(), Var0()))
 COMPONENT_CASES = (
-    ("iso_empty", "ctx", EMPTY, None),
-    ("iso_extend", "ctx", _BOOL_CTX, None),
-    ("id", "sub", _BOOL_CTX, IdSub()),
-    ("comp", "sub", _BOOL_CTX, Comp(Ext(Eps(), Bool(), TrueLit()), Eps())),
-    ("ty_sub", "ty", _BOOL_CTX, TySub(Bool(), Eps())),
-    ("tm_sub", "tm", _BOOL_CTX, TmSub(TrueLit(), Eps())),
-    ("eps", "sub", _BOOL_CTX, Eps()),
-    ("ext", "sub", _BOOL_CTX, Ext(Eps(), Bool(), Var0())),
-    ("p", "sub", _BOOL_CTX, Wk()),
-    ("q", "tm", _BOOL_CTX, Var0()),
-    ("pi", "ty", EMPTY, Pi(Bool(), Bool())),
-    ("lam", "tm", EMPTY, Lam(Bool(), Var0())),
-    ("app", "tm", _BOOL_CTX, App(Lam(Bool(), Var0()))),
-    ("sigma", "ty", EMPTY, Sigma(Bool(), Top())),
-    ("pair", "tm", EMPTY, _PAIR),
-    ("fst", "tm", EMPTY, Fst(_PAIR)),
-    ("snd", "tm", EMPTY, Snd(_PAIR)),
-    ("top", "ty", EMPTY, Top()),
-    ("tt", "tm", EMPTY, Tt()),
-    ("univ", "ty", EMPTY, Univ(0)),
-    ("el", "ty", Ctx.of(Univ(0)), El(Var0())),
-    ("code", "tm", EMPTY, Code(Bool())),
-    ("bool", "ty", EMPTY, Bool()),
-    ("true", "tm", EMPTY, TrueLit()),
-    ("false", "tm", EMPTY, FalseLit()),
-    ("if", "tm", _BOOL_CTX,
-     If(TySub(Bool(), Wk()), TrueLit(), FalseLit(), Var0())),
-    ("id_ty", "ty", EMPTY, IdTy(Bool(), TrueLit(), TrueLit())),
-    ("refl", "tm", EMPTY, Refl(TrueLit())),
-    ("j", "tm", _J_CTX,
-     J(TySub(Bool(), Comp(Wk(), Wk())), FalseLit(), Var0())),
+    ("iso_empty", EMPTY, None),
+    ("iso_extend", _BOOL_CTX, None),
+    ("id", _BOOL_CTX, IdSub()),
+    ("comp", _BOOL_CTX, Comp(Ext(Eps(), Bool(), TrueLit()), Eps())),
+    ("ty_sub", _BOOL_CTX, TySub(Bool(), Eps())),
+    ("tm_sub", _BOOL_CTX, TmSub(TrueLit(), Eps())),
+    ("eps", _BOOL_CTX, Eps()),
+    ("ext", _BOOL_CTX, Ext(Eps(), Bool(), Var0())),
+    ("p", _BOOL_CTX, Wk()),
+    ("q", _BOOL_CTX, Var0()),
+    ("pi", EMPTY, Pi(Bool(), Bool())),
+    ("lam", EMPTY, Lam(Bool(), Var0())),
+    ("app", _BOOL_CTX, App(Lam(Bool(), Var0()))),
+    ("sigma", EMPTY, Sigma(Bool(), Top())),
+    ("pair", EMPTY, _PAIR),
+    ("fst", EMPTY, Fst(_PAIR)),
+    ("snd", EMPTY, Snd(_PAIR)),
+    ("top", EMPTY, Top()),
+    ("tt", EMPTY, Tt()),
+    ("univ", EMPTY, Univ(0)),
+    ("el", Ctx.of(Univ(0)), El(Var0())),
+    ("code", EMPTY, Code(Bool())),
+    ("bool", EMPTY, Bool()),
+    ("true", EMPTY, TrueLit()),
+    ("false", EMPTY, FalseLit()),
+    ("if", _BOOL_CTX, If(TySub(Bool(), Wk()), TrueLit(), FalseLit(), Var0())),
+    ("id_ty", EMPTY, IdTy(Bool(), TrueLit(), TrueLit())),
+    ("refl", EMPTY, Refl(TrueLit())),
+    ("j", _J_CTX, J(TySub(Bool(), Comp(Wk(), Wk())), FalseLit(), Var0())),
 )
 
 

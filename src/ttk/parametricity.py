@@ -332,24 +332,24 @@ def _param_j(ctx: Ctx, whole: TmExpr, motive: TyExpr, base: TmExpr,
 # Entity-level interface
 # ---------------------------------------------------------------------------
 
-def param_entity(sort: str, ctx: Ctx, entity=None) -> Translated:
-    """Check one entity, translate it, and check the output: the predicate
-    of a context or type at the source's level, the witness of a
-    substitution or term at its preservation statement.  Ill-typed input
-    raises a plain ``TypeCheckError``; only a failure after the check is a
+def param_entity(ctx: Ctx, entity=None) -> Translated:
+    """Check ``entity`` in ``ctx`` (``None`` for the context itself),
+    translate it, and check the output: the predicate of a context or type
+    at the source's level, the witness of a substitution or term at its
+    preservation statement.  Ill-typed input raises a plain
+    ``TypeCheckError``; only a failure after the check is a
     ``TranslationIllTyped``."""
     def translate(checked):
-        match sort:
-            case "ctx":
-                return ctx, param_ctx(ctx), checked
-            case "ty":
-                scope = ctx.extend(param_ctx(ctx)).extend(TySub(entity, Wk()))
-                return scope, param_ty(ctx, entity), checked
-            case "sub":
-                classifier = TySub(param_ctx(checked), Comp(entity, Wk()))
-                return ctx.extend(param_ctx(ctx)), param_sub(ctx, entity), classifier
+        if entity is None:
+            return ctx, param_ctx(ctx), checked
+        if isinstance(entity, TyExpr):
+            scope = ctx.extend(param_ctx(ctx)).extend(TySub(entity, Wk()))
+            return scope, param_ty(ctx, entity), checked
+        if isinstance(entity, SubExpr):
+            classifier = TySub(param_ctx(checked), Comp(entity, Wk()))
+            return ctx.extend(param_ctx(ctx)), param_sub(ctx, entity), classifier
         classifier = TySub(
             param_ty(ctx, checked),
             Ext(IdSub(), TySub(checked, Wk()), TmSub(entity, Wk())))
         return ctx.extend(param_ctx(ctx)), param_tm(ctx, entity), classifier
-    return translate_checked("parametricity", sort, ctx, entity, translate)
+    return translate_checked("parametricity", ctx, entity, translate)

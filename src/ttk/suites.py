@@ -22,7 +22,7 @@ import time
 from dataclasses import dataclass, field
 
 from .syntax import (
-    Bool, Comp, EMPTY, Fst, IdSub, If, J, Lam, Pair, Refl, Snd, Tt,
+    Bool, Comp, Ctx, EMPTY, Fst, IdSub, If, J, Lam, Pair, Refl, Snd, Tt,
     TrueLit, TySub, TmSub, Var0, Wk, apply1, walk_constructors,
 )
 from .caches import clear_all, gc_paused
@@ -33,7 +33,7 @@ from .injectivity import (
     COMPONENT_CASES, IsoFailure, check_embedding, injectivity_probe,
 )
 from .parametricity import param_entity
-from .surface import print_ctx, print_entity
+from .surface import print_entity
 from .termify import verify_termified_equation
 from .typecheck import TranslationIllTyped, TypeCheckError, infer_ty
 
@@ -71,13 +71,13 @@ class SuiteReport:
 
 
 def _dump_instance(inst: EqInstance) -> list[str]:
-    lines = [f"ctx: {print_ctx(inst.ctx)}",
-             f"lhs: {print_entity(inst.kind, inst.lhs)}",
-             f"rhs: {print_entity(inst.kind, inst.rhs)}"]
-    if inst.kind == "tm":
-        lines.insert(1, f"at:  {print_entity('ty', inst.classifier)}")
-    elif inst.kind == "sub":
-        lines.insert(1, f"to:  {print_ctx(inst.classifier)}")
+    lines = [f"ctx: {print_entity(inst.ctx)}",
+             f"lhs: {print_entity(inst.lhs)}",
+             f"rhs: {print_entity(inst.rhs)}"]
+    if isinstance(inst.classifier, Ctx):
+        lines.insert(1, f"to:  {print_entity(inst.classifier)}")
+    elif inst.classifier is not None:
+        lines.insert(1, f"at:  {print_entity(inst.classifier)}")
     return lines
 
 
@@ -172,12 +172,12 @@ def run_termified_suite(seed: int = 1, count: int = 50, max_nodes: int = 8,
 # Injectivity
 # ---------------------------------------------------------------------------
 
-def _embedding(sort: str, ctx, entity, show):
+def _embedding(ctx, entity, show):
     """None if the embedding equation of ``entity`` holds; else the lines
     ``show()`` gives, then the message of an isomorphism that failed to
     certify."""
     try:
-        return None if check_embedding(sort, ctx, entity) else show()
+        return None if check_embedding(ctx, entity) else show()
     except IsoFailure as err:
         return [*show(), str(err)]
 
@@ -191,23 +191,22 @@ def _injectivity_cases(seed: int, count: int, max_nodes: int):
     for case in range(count):
         yield "ctx-isomorphisms", _case(
             (seed, "iso", case), lambda g: g.draw_ctx(),
-            lambda ctx: _embedding("ctx", ctx, None, list), max_nodes)
+            lambda ctx: _embedding(ctx, None, list), max_nodes)
     for sort in ("ty", "sub", "tm"):
         for case in range(count):
             yield f"embedding-{sort}", _case(
                 (seed, "embed", sort, case), lambda g: _entity_draw(g, sort),
-                lambda drawn: _embedding(sort, *drawn, lambda: [
-                    f"ctx: {print_ctx(drawn[0])}",
-                    f"entity: {print_entity(sort, drawn[1])}"]),
+                lambda drawn: _embedding(*drawn, lambda: [
+                    f"ctx: {print_entity(drawn[0])}",
+                    f"entity: {print_entity(drawn[1])}"]),
                 max_nodes)
-    for name, sort, ctx, entity in COMPONENT_CASES:
+    for name, ctx, entity in COMPONENT_CASES:
         yield "component-equations", _embedding(
-            sort, ctx, entity, lambda: [f"case {name}"])
+            ctx, entity, lambda: [f"case {name}"])
     for case in range(count):
-        sort = ("tm", "ty", "sub")[case % 3]
         yield "injectivity-probe", _case(
-            (seed, "probe", case),
-            lambda g: _probe_draw(g, sort, case % 2 == 0), _probe, max_nodes)
+            (seed, "probe", case), lambda g: _probe_draw(g, case), _probe,
+            max_nodes)
 
 
 def run_injectivity_suite(seed: int = 1, count: int = 100,
@@ -215,42 +214,41 @@ def run_injectivity_suite(seed: int = 1, count: int = 100,
     return _tally("injectivity", _injectivity_cases(seed, count, max_nodes))
 
 
+# The entity each sort label draws in a context (None for the context).
+_DRAWS = {
+    "ctx": lambda gen, ctx: None,
+    "ty": lambda gen, ctx: gen.draw_ty(ctx),
+    "sub": lambda gen, ctx: gen.draw_sub(ctx, gen.draw_ctx()),
+    "tm": lambda gen, ctx: gen.draw_tm(ctx, gen.draw_ty(ctx)),
+}
+
+
 def _entity_draw(gen: InstanceGen, sort: str):
     """A context and an entity of ``sort`` in it (None for ``ctx``)."""
     ctx = gen.draw_ctx()
-    match sort:
-        case "ctx":
-            return ctx, None
-        case "ty":
-            return ctx, gen.draw_ty(ctx)
-        case "sub":
-            return ctx, gen.draw_sub(ctx, gen.draw_ctx())
-        case "tm":
-            return ctx, gen.draw_tm(ctx, gen.draw_ty(ctx))
-    raise ValueError(sort)
+    return ctx, _DRAWS[sort](gen, ctx)
 
 
-def _probe_draw(gen: InstanceGen, sort: str, equalish: bool) -> EqInstance:
-    """A pair at one classifier; half the draws are equal by construction
-    so the probe's implication is exercised in both directions."""
+def _probe_draw(gen: InstanceGen, case: int) -> EqInstance:
+    """A pair of terms, types or substitutions by ``case % 3``, at one
+    classifier; even cases are equal by construction so the probe's
+    implication is exercised in both directions."""
     ctx = gen.draw_ctx()
-    match sort:
-        case "ty":
-            lhs = gen.draw_ty(ctx)
-            rhs = TySub(lhs, IdSub()) if equalish \
-                else gen.draw_ty_at_level(ctx, infer_ty(ctx, lhs))
-            return EqInstance(ctx, "ty", None, lhs, rhs)
-        case "sub":
-            cod = gen.draw_ctx()
-            lhs = gen.draw_sub(ctx, cod)
-            rhs = Comp(lhs, IdSub()) if equalish else gen.draw_sub(ctx, cod)
-            return EqInstance(ctx, "sub", cod, lhs, rhs)
-        case "tm":
-            ty = gen.draw_ty(ctx)
-            lhs = gen.draw_tm(ctx, ty)
-            rhs = TmSub(lhs, IdSub()) if equalish else gen.draw_tm(ctx, ty)
-            return EqInstance(ctx, "tm", ty, lhs, rhs)
-    raise ValueError(sort)
+    equalish = case % 2 == 0
+    if case % 3 == 1:
+        lhs = gen.draw_ty(ctx)
+        rhs = TySub(lhs, IdSub()) if equalish \
+            else gen.draw_ty_at_level(ctx, infer_ty(ctx, lhs))
+        return EqInstance(ctx, None, lhs, rhs)
+    if case % 3 == 2:
+        cod = gen.draw_ctx()
+        lhs = gen.draw_sub(ctx, cod)
+        rhs = Comp(lhs, IdSub()) if equalish else gen.draw_sub(ctx, cod)
+        return EqInstance(ctx, cod, lhs, rhs)
+    ty = gen.draw_ty(ctx)
+    lhs = gen.draw_tm(ctx, ty)
+    rhs = TmSub(lhs, IdSub()) if equalish else gen.draw_tm(ctx, ty)
+    return EqInstance(ctx, ty, lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +280,8 @@ def _canonical(tm, seen: set[str]):
     try:
         verdict = canonicity_verdict(tm)
     except NonCanonical as err:
-        return [f"non-canonical: {print_entity('tm', tm)} ({err})"]
-    return None if verdict.certified else [f"uncertified: {print_entity('tm', tm)}"]
+        return [f"non-canonical: {print_entity(tm)} ({err})"]
+    return None if verdict.certified else [f"uncertified: {print_entity(tm)}"]
 
 
 def _canonicity_cases(seed: int, count: int, max_nodes: int):
@@ -306,11 +304,11 @@ def run_canonicity_suite(seed: int = 1, count: int = 100,
 # Parametricity
 # ---------------------------------------------------------------------------
 
-def _translates(sort: str, ctx, entity):
+def _translates(ctx, entity):
     try:
-        param_entity(sort, ctx, entity)
+        param_entity(ctx, entity)
     except TranslationIllTyped as err:
-        shown = [] if entity is None else [f"entity: {print_entity(sort, entity)}"]
+        shown = [] if entity is None else [f"entity: {print_entity(entity)}"]
         return [str(err).splitlines()[0], *shown]
     return None
 
@@ -320,7 +318,7 @@ def _parametricity_cases(seed: int, count: int, max_nodes: int):
         for case in range(count):
             yield f"sort-{sort}", _case(
                 (seed, "param", sort, case), lambda g: _entity_draw(g, sort),
-                lambda drawn: _translates(sort, *drawn), max_nodes)
+                lambda drawn: _translates(*drawn), max_nodes)
 
 
 def run_parametricity_suite(seed: int = 1, count: int = 100,

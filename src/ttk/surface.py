@@ -249,7 +249,7 @@ _BY_KEYWORD, _BY_CLASS = _forms()
 # Parsing
 # ---------------------------------------------------------------------------
 
-def _arity_error(s: SExpr, n: int) -> ParseError:
+def _arity_error(s: SExpr, n: int | str) -> ParseError:
     return ParseError(f"{s.head} takes {n} argument(s), got {len(s.items)}",
                       s.line, s.col)
 
@@ -317,13 +317,13 @@ def parse_tm(s: SExpr) -> TmExpr:
 
 
 def parse_entity(s: SExpr):
-    """Parse a context, type, term, or substitution; returns (sort, value)."""
+    """Parse a context, type, term, or substitution, read by its head."""
     if s.head == "ctx":
-        return "ctx", _parse(s, "ctx", {})
+        return _parse(s, "ctx", {})
     form = _BY_KEYWORD.get(s.head)
     if form is None:
         raise ParseError(f"unknown keyword '{s.head}'", s.line, s.col)
-    return form.sort, _parse(s, form.sort, {})
+    return _parse(s, form.sort, {})
 
 
 # ---------------------------------------------------------------------------
@@ -405,37 +405,24 @@ def _print(x, sort: str, labels: dict) -> str:
     return "".join(parts)
 
 
-def print_ctx(ctx: Ctx) -> str:
-    return print_entity("ctx", ctx)
-
-
-def print_sub(sub: SubExpr) -> str:
-    return print_entity("sub", sub)
-
-
-def print_ty(ty: TyExpr) -> str:
-    return print_entity("ty", ty)
-
-
-def print_tm(tm: TmExpr) -> str:
-    return print_entity("tm", tm)
-
-
-def print_entity(sort: str, entity) -> str:
-    """The canonical text of ``entity``: a node that occurs more than once
+def print_entity(entity) -> str:
+    """The canonical text of ``entity``, a context or a node of the keyword
+    table, whose class gives its sort: a node that occurs more than once
     is written in full once, as ``#k=(...)``, and as ``#k#`` after that."""
-    if sort not in _NOUNS:
-        raise ValueError(f"unknown sort {sort!r}")
+    sort = "ctx" if type(entity) is Ctx else _BY_CLASS[type(entity)].sort
     return _print(entity, sort, _labels(entity, sort))
+
+
+# The per-sort names, kept for callers that name the sort they print.
+print_ctx = print_sub = print_ty = print_tm = print_entity
 
 
 def show(x) -> str:
     """``x`` in the surface syntax if it is a context or a node of the
     keyword table, else its ``repr``: for messages."""
-    if type(x) is Ctx:
-        return print_entity("ctx", x)
-    form = _BY_CLASS.get(type(x))
-    return repr(x) if form is None else print_entity(form.sort, x)
+    if type(x) is Ctx or type(x) in _BY_CLASS:
+        return print_entity(x)
+    return repr(x)
 
 
 # ---------------------------------------------------------------------------
@@ -473,14 +460,12 @@ def parse_directive(text: str) -> Directive:
             [_parse(item, sort, shared)
              for item, sort in zip(s.items, sorts)]))
     if s.head in ("termify", "param", "inject"):
-        if len(s.items) == 1:
-            return Directive(s.head, ("ctx", parse_ctx(s.items[0]), None))
-        if len(s.items) != 2:
-            raise _arity_error(s, 2)
+        if len(s.items) not in (1, 2):
+            raise _arity_error(s, "1 or 2")
         ctx = parse_ctx(s.items[0])
-        sort, entity = parse_entity(s.items[1])
-        if sort == "ctx":
+        entity = None if len(s.items) == 1 else parse_entity(s.items[1])
+        if type(entity) is Ctx:
             raise ParseError("entity argument cannot be a context",
                              s.items[1].line, s.items[1].col)
-        return Directive(s.head, (sort, ctx, entity))
+        return Directive(s.head, (ctx, entity))
     raise ParseError(f"unknown directive '{s.head}'", s.line, s.col)

@@ -17,9 +17,10 @@ discharges all coherence obligations this creates.
 Points of a translated extended context are pairs.  The pair annotations
 are read off the normal form of the decoded context code, which is closed,
 so its memoized normal form serves every use site.  ``termify`` and
-``termified_classifier`` give each sort's translation and its closed type;
-``termify_entity`` checks the one at the other on the check, translate,
-verify path both translations share (``typecheck.translate_checked``).
+``termified_classifier`` give an entity's translation and its closed type,
+by the entity's class; ``termify_entity`` checks the one at the other on
+the check, translate, verify path both translations share
+(``typecheck.translate_checked``).
 """
 
 from __future__ import annotations
@@ -201,50 +202,47 @@ def termify_tm(ctx: Ctx, tm: TmExpr) -> TmExpr:
 # Entity-level interface
 # ---------------------------------------------------------------------------
 
-def termify(sort: str, ctx: Ctx, entity=None) -> TmExpr:
-    """The closed term an entity of ``sort`` in ``ctx`` translates to."""
-    match sort:
-        case "ctx":
-            return termify_ctx(ctx)
-        case "ty":
-            return termify_ty(ctx, entity)
-        case "sub":
-            return termify_sub(ctx, entity)
-        case "tm":
-            return termify_tm(ctx, entity)
-    raise ValueError(f"unknown sort {sort!r}")
+def termify(ctx: Ctx, entity=None) -> TmExpr:
+    """The closed term that ``entity`` in ``ctx`` translates to; ``None``
+    stands for the context itself."""
+    if entity is None:
+        return termify_ctx(ctx)
+    if isinstance(entity, TyExpr):
+        return termify_ty(ctx, entity)
+    if isinstance(entity, SubExpr):
+        return termify_sub(ctx, entity)
+    return termify_tm(ctx, entity)
 
 
-def termified_classifier(sort: str, ctx: Ctx, checked) -> TyExpr:
-    """The closed type the translation of an entity of ``sort`` in ``ctx``
-    inhabits, given the entity's own classifier ``checked`` (a level for a
-    context or type, the codomain of a substitution, the type of a term)."""
-    match sort:
-        case "ctx":
-            return Univ(checked)
-        case "ty":
-            return arrow(decoded(ctx), Univ(checked))
-        case "sub":
-            return arrow(decoded(ctx), decoded(checked))
-        case "tm":
-            return Pi(decoded(ctx), El(App(termify_ty(ctx, checked))))
-    raise ValueError(f"unknown sort {sort!r}")
+def termified_classifier(ctx: Ctx, entity, checked) -> TyExpr:
+    """The closed type that the translation of ``entity`` in ``ctx``
+    (``None`` for the context itself) inhabits, given the entity's own
+    classifier ``checked`` (a level for a context or type, the codomain of
+    a substitution, the type of a term)."""
+    if entity is None:
+        return Univ(checked)
+    if isinstance(entity, TyExpr):
+        return arrow(decoded(ctx), Univ(checked))
+    if isinstance(entity, SubExpr):
+        return arrow(decoded(ctx), decoded(checked))
+    return Pi(decoded(ctx), El(App(termify_ty(ctx, checked))))
 
 
-def termify_entity(sort: str, ctx: Ctx, entity=None) -> Translated:
-    """Check one entity, translate it to a closed term, and check that term
-    at its classifier."""
-    return translate_checked("closed-term", sort, ctx, entity, lambda checked: (
-        EMPTY, termify(sort, ctx, entity),
-        termified_classifier(sort, ctx, checked)))
+def termify_entity(ctx: Ctx, entity=None) -> Translated:
+    """Check ``entity`` in ``ctx`` (``None`` for the context itself),
+    translate it to a closed term, and check that term at its
+    classifier."""
+    return translate_checked("closed-term", ctx, entity, lambda checked: (
+        EMPTY, termify(ctx, entity),
+        termified_classifier(ctx, entity, checked)))
 
 
 def verify_termified_equation(inst) -> bool:
     """Translate both sides of an equation instance and compare the closed
     results at the translated classifier."""
-    lhs = termify(inst.kind, inst.ctx, inst.lhs)
-    rhs = termify(inst.kind, inst.ctx, inst.rhs)
-    checked = (infer_ty(inst.ctx, inst.lhs) if inst.kind == "ty"
+    lhs = termify(inst.ctx, inst.lhs)
+    rhs = termify(inst.ctx, inst.rhs)
+    checked = (infer_ty(inst.ctx, inst.lhs) if inst.classifier is None
                else inst.classifier)
-    return conv_tm(EMPTY, termified_classifier(inst.kind, inst.ctx, checked),
+    return conv_tm(EMPTY, termified_classifier(inst.ctx, inst.lhs, checked),
                    lhs, rhs)

@@ -258,23 +258,21 @@ def synth_tm(ctx: Ctx, tm: TmExpr) -> TyExpr:
     raise TypeCheckError("not a term expression", expr=tm)
 
 
-def check_entity(sort: str, ctx: Ctx, entity=None):
-    """Check ``ctx`` and an entity of ``sort`` in it, before a translation
-    sees them; return the entity's classifier (the level of a context or
-    type, the codomain of a substitution, the type of a term).  Ill-typed
-    input then raises ``TypeCheckError`` here, so an error inside a
-    translation means a kernel bug."""
+def check_entity(ctx: Ctx, entity=None):
+    """Check ``ctx`` and ``entity`` in it (``None`` for the context
+    itself), before a translation sees them; return the entity's
+    classifier (the level of a context or type, the codomain of a
+    substitution, the type of a term).  Ill-typed input then raises
+    ``TypeCheckError`` here, so an error inside a translation means a
+    kernel bug."""
     level = check_ctx(ctx)
-    match sort:
-        case "ctx":
-            return level
-        case "ty":
-            return infer_ty(ctx, entity)
-        case "sub":
-            return synth_sub(ctx, entity)
-        case "tm":
-            return synth_tm(ctx, entity)
-    raise ValueError(f"unknown sort {sort!r}")
+    if entity is None:
+        return level
+    if isinstance(entity, TyExpr):
+        return infer_ty(ctx, entity)
+    if isinstance(entity, SubExpr):
+        return synth_sub(ctx, entity)
+    return synth_tm(ctx, entity)
 
 
 @dataclass(frozen=True)
@@ -286,15 +284,16 @@ class Translated:
     classifier: object
 
 
-def translate_checked(translation: str, sort: str, ctx: Ctx, entity,
+def translate_checked(translation: str, ctx: Ctx, entity,
                       translate) -> Translated:
-    """Check an entity of ``sort`` in ``ctx``, translate it, and check the
-    output: the one path of both translations.  ``translate`` maps the
-    entity's classifier from ``check_entity`` to the output's scope,
-    payload and classifier.  Ill-typed input raises a plain
-    ``TypeCheckError``; one raised after the check is a bug of the
-    translation, re-raised as ``TranslationIllTyped``."""
-    checked = check_entity(sort, ctx, entity)
+    """Check ``entity`` in ``ctx`` (``None`` for the context itself),
+    translate it, and check the output: the one path of both
+    translations.  ``translate`` maps the entity's classifier from
+    ``check_entity`` to the output's scope, payload and classifier.
+    Ill-typed input raises a plain ``TypeCheckError``; one raised after
+    the check is a bug of the translation, re-raised as
+    ``TranslationIllTyped``."""
+    checked = check_entity(ctx, entity)
     try:
         out = Translated(*translate(checked))
         tm, ty = out.payload, out.classifier

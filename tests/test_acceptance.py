@@ -109,7 +109,7 @@ def test_criterion_parametricity_suite():
     missing = []
     for sort, ctx, entity in CONSTRUCTOR_CASES:
         try:
-            param_entity(sort, ctx, entity)
+            param_entity(ctx, entity)
         except Exception:
             missing.append((sort, type(entity).__name__))
     ok = ok and not missing

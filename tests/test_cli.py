@@ -85,6 +85,74 @@ def test_inject_directive(capsys, tmp_path):
     assert lines[-1] == "RESULT: accept"
 
 
+# The full output of each translation directive on (ctx (bool)) alone and
+# with a type, a substitution and a term; all of them are accepted.
+TRANSLATIONS = {
+    "(termify (ctx (bool)))": (
+        "payload: (code (sigma #1=(el (code (top))) (el (app (lam #1# "
+        "(code (bool)))))))\n"
+        "size: tree=13 dag=10\n"
+        "classifier: (u 0)\n"
+        "RESULT: accept\n"),
+    "(termify (ctx (bool)) (bool))": (
+        "payload: (lam (el (code (sigma #1=(el (code (top))) (el (app "
+        "(lam #1# #2=(code (bool)))))))) #2#)\n"
+        "size: tree=17 dag=12\n"
+        "classifier: (pi (el (code (sigma #1=(el (code (top))) (el "
+        "(app (lam #1# (code (bool)))))))) (tysub (u 0) (p)))\n"
+        "RESULT: accept\n"),
+    "(termify (ctx (bool)) (p))": (
+        "payload: (lam (el (code (sigma #1=(el (code (top))) (el (app "
+        "(lam #1# (code (bool)))))))) (fst (q)))\n"
+        "size: tree=17 dag=14\n"
+        "classifier: (pi (el (code (sigma #1=(el (code (top))) (el "
+        "(app (lam #1# (code (bool)))))))) (tysub #1# (p)))\n"
+        "RESULT: accept\n"),
+    "(termify (ctx (bool)) (q))": (
+        "payload: (lam (el (code (sigma #1=(el (code (top))) (el (app "
+        "(lam #1# (code (bool)))))))) (snd (q)))\n"
+        "size: tree=17 dag=14\n"
+        "classifier: (pi #1=(el (code (sigma #2=(el (code (top))) (el "
+        "#3=(app (lam #2# (code (bool)))))))) (el (app (lam #1# (tmsub "
+        "#3# (ext (eps) #2# (app (tmsub (lam #1# (fst (q))) "
+        "(eps)))))))))\n"
+        "RESULT: accept\n"),
+    "(param (ctx (bool)))": (
+        "payload: (sigma (tysub (top) (p)) (tysub (top) (ext (ext "
+        "(comp (p) (p)) (top) (q)) (tysub (bool) (p)) (v 1))))\n"
+        "size: tree=19 dag=12\n"
+        "RESULT: accept\n"),
+    "(param (ctx (bool)) (bool))": (
+        "payload: (top)\n"
+        "size: tree=1 dag=1\n"
+        "RESULT: accept\n"),
+    "(param (ctx (bool)) (p))": (
+        "payload: (fst (q))\n"
+        "size: tree=2 dag=2\n"
+        "RESULT: accept\n"),
+    "(param (ctx (bool)) (q))": (
+        "payload: (snd (q))\n"
+        "size: tree=2 dag=2\n"
+        "RESULT: accept\n"),
+    "(inject (ctx (bool)))": (
+        "RESULT: accept\n"),
+    "(inject (ctx (bool)) (bool))": (
+        "RESULT: accept\n"),
+    "(inject (ctx (bool)) (p))": (
+        "RESULT: accept\n"),
+    "(inject (ctx (bool)) (q))": (
+        "RESULT: accept\n"),
+}
+
+
+@pytest.mark.parametrize("text", TRANSLATIONS)
+def test_translation_directive_output(capsys, tmp_path, text):
+    f = tmp_path / "d.tt"
+    f.write_text(text)
+    assert main(["run", str(f)]) == 0
+    assert capsys.readouterr().out == TRANSLATIONS[text]
+
+
 def test_inject_isomorphism_failure_is_a_reject(capsys, tmp_path,
                                                 monkeypatch):
     def failing(ctx):

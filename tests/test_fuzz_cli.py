@@ -47,7 +47,7 @@ def _bases(rng: random.Random) -> list[str]:
             continue
         P, C = print_ctx(ctx), print_ctx(cod)
         T, M, S = print_ty(ty), print_tm(tm), print_sub(sub)
-        out = termify_entity("tm", ctx, tm)
+        out = termify_entity(ctx, tm)
         W, K = print_tm(out.payload), print_ty(out.classifier)
         bases += [f"(check-tm {P} {M})", f"(check-ty {P} {T})",
                   f"(nf {P} {M})", f"(conv-tm {P} {T} {M} {M})",

@@ -32,22 +32,22 @@ def test_iso_step_cases():
 
 
 def test_embedding_examples():
-    assert check_embedding("tm", EMPTY, TrueLit()) is True
-    assert check_embedding("ty", EMPTY, Bool()) is True
-    assert check_embedding("sub", Ctx.of(Bool()), Wk()) is True
-    assert check_embedding("ctx", Ctx.of(Bool())) is True
+    assert check_embedding(EMPTY, TrueLit()) is True
+    assert check_embedding(EMPTY, Bool()) is True
+    assert check_embedding(Ctx.of(Bool()), Wk()) is True
+    assert check_embedding(Ctx.of(Bool())) is True
 
 
 def test_component_equation_cases():
-    for name, sort, ctx, entity in COMPONENT_CASES:
-        if sort == "ctx":
+    for name, ctx, entity in COMPONENT_CASES:
+        if entity is None:
             assert _round_trips(ctx, build_ctx_iso(ctx)), name
         else:
-            assert check_embedding(sort, ctx, entity) is True, name
+            assert check_embedding(ctx, entity) is True, name
 
 
 def test_probe_reflexive_pair():
-    inst = EqInstance(EMPTY, "tm", Bool(), TrueLit(), TrueLit())
+    inst = EqInstance(EMPTY, Bool(), TrueLit(), TrueLit())
     assert verify_termified_equation(inst) and check_instance(inst)
     assert not injectivity_probe(inst)
 
@@ -56,7 +56,7 @@ def test_probe_separates_extensional_pair():
     # neither the sources nor their translations are convertible
     f = Lam(Bool(), If(Bool(), TrueLit(), FalseLit(), Var0()))
     g = Lam(Bool(), Var0())
-    inst = EqInstance(EMPTY, "tm", Pi(Bool(), Bool()), f, g)
+    inst = EqInstance(EMPTY, Pi(Bool(), Bool()), f, g)
     assert not verify_termified_equation(inst)
     assert not check_instance(inst)
     assert not injectivity_probe(inst)
@@ -75,7 +75,7 @@ def test_probe_on_generated_pairs():
             rhs = gen.draw_tm(ctx, ty)
         except GenExhausted:
             continue
-        inst = EqInstance(ctx, "tm", ty, lhs, rhs)
+        inst = EqInstance(ctx, ty, lhs, rhs)
         if verify_termified_equation(inst):
             assert check_instance(inst)
         assert not injectivity_probe(inst)

@@ -49,9 +49,9 @@ def test_failure_reporting_shows_a_rejected_embedding(monkeypatch):
 def _param_draws(monkeypatch, **sizes):
     drawn = []
 
-    def recording(sort, ctx, entity):
-        drawn.append((sort, ctx, entity))
-        return param_entity(sort, ctx, entity)
+    def recording(ctx, entity):
+        drawn.append((ctx, entity))
+        return param_entity(ctx, entity)
 
     monkeypatch.setattr(ttk.suites, "param_entity", recording)
     assert all(report.ok for report in run_suites("param", count=2, **sizes))

@@ -84,10 +84,10 @@ def test_parse_errors_carry_position():
 
 
 def test_entity_sort_dispatch():
-    assert parse_entity(read_sexpr("(ctx (bool))"))[0] == "ctx"
-    assert parse_entity(read_sexpr("(p)"))[0] == "sub"
-    assert parse_entity(read_sexpr("(bool)"))[0] == "ty"
-    assert parse_entity(read_sexpr("(true)"))[0] == "tm"
+    assert type(parse_entity(read_sexpr("(ctx (bool))"))) is Ctx
+    assert isinstance(parse_entity(read_sexpr("(p)")), SubExpr)
+    assert isinstance(parse_entity(read_sexpr("(bool)")), TyExpr)
+    assert isinstance(parse_entity(read_sexpr("(true)")), TmExpr)
 
 
 def test_directive_parsing():
@@ -97,11 +97,11 @@ def test_directive_parsing():
     d = parse_directive("(conv-sub (ctx) (ctx) (id) (id))")
     assert d.kind == "conv-sub"
     d = parse_directive("(termify (ctx (bool)))")
-    assert d.args[0] == "ctx"
+    assert d.args == (Ctx.of(Bool()), None)
     d = parse_directive("(termify (ctx) (true))")
-    assert d.args[0] == "tm"
+    assert d.args == (EMPTY, TrueLit())
     d = parse_directive("(inject (ctx (bool)) (p))")
-    assert d.args[0] == "sub"
+    assert d.args == (Ctx.of(Bool()), Wk())
     d = parse_directive("(canon (true))")
     assert d.kind == "canon"
     with pytest.raises(ParseError):
@@ -120,29 +120,29 @@ def test_keyword_table_covers_the_syntax_once():
 # One instance of every node class, each field filled; Ext appears both
 # with and without its annotation, Univ at two levels.
 ALL_FORMS = [
-    ("sub", IdSub()), ("sub", Comp(Wk(), Eps())), ("sub", Eps()),
-    ("sub", Ext(IdSub(), None, TrueLit())),
-    ("sub", Ext(Wk(), Bool(), Var0())), ("sub", Wk()),
-    ("ty", TySub(Bool(), Wk())), ("ty", Pi(Bool(), Top())),
-    ("ty", Sigma(Bool(), Top())), ("ty", Top()), ("ty", Univ(0)),
-    ("ty", Univ(12)), ("ty", El(Code(Bool()))), ("ty", Bool()),
-    ("ty", IdTy(Bool(), TrueLit(), FalseLit())),
-    ("tm", TmSub(TrueLit(), Eps())), ("tm", Var0()),
-    ("tm", Lam(Bool(), Var0())), ("tm", App(Lam(Bool(), Var0()))),
-    ("tm", Pair(Bool(), Top(), TrueLit(), Tt())),
-    ("tm", Fst(Var0())), ("tm", Snd(Var0())), ("tm", Tt()),
-    ("tm", Code(Univ(1))), ("tm", TrueLit()), ("tm", FalseLit()),
-    ("tm", If(Bool(), TrueLit(), FalseLit(), Var0())),
-    ("tm", Refl(TrueLit())), ("tm", J(Bool(), TrueLit(), Refl(TrueLit()))),
+    IdSub(), Comp(Wk(), Eps()), Eps(),
+    Ext(IdSub(), None, TrueLit()),
+    Ext(Wk(), Bool(), Var0()), Wk(),
+    TySub(Bool(), Wk()), Pi(Bool(), Top()),
+    Sigma(Bool(), Top()), Top(), Univ(0),
+    Univ(12), El(Code(Bool())), Bool(),
+    IdTy(Bool(), TrueLit(), FalseLit()),
+    TmSub(TrueLit(), Eps()), Var0(),
+    Lam(Bool(), Var0()), App(Lam(Bool(), Var0())),
+    Pair(Bool(), Top(), TrueLit(), Tt()),
+    Fst(Var0()), Snd(Var0()), Tt(),
+    Code(Univ(1)), TrueLit(), FalseLit(),
+    If(Bool(), TrueLit(), FalseLit(), Var0()),
+    Refl(TrueLit()), J(Bool(), TrueLit(), Refl(TrueLit())),
 ]
 
 
 def test_round_trip_covers_every_constructor():
     found = set()
-    for sort, entity in ALL_FORMS:
+    for entity in ALL_FORMS:
         walk_constructors(entity, found)
-        text = print_entity(sort, entity)
-        assert parse_entity(read_sexpr(text)) == (sort, entity), text
+        text = print_entity(entity)
+        assert parse_entity(read_sexpr(text)) == entity, text
     assert found == {cls.__name__ for cls in KEYWORDS}
     assert print_sub(Ext(IdSub(), None, TrueLit())) == "(ext (id) (true))"
     assert print_ty(Univ(12)) == "(u 12)"
@@ -150,16 +150,16 @@ def test_round_trip_covers_every_constructor():
 
 def test_derived_forms_expand_and_round_trip():
     cases = [
-        ("(lift (p) (bool))", "sub", lift(Wk(), Bool())),
-        ("(arrow (bool) (top))", "ty", arrow(Bool(), Top())),
-        ("(v 3)", "tm", v(3)),
-        ("(dollar (lam (bool) (q)) (true))", "tm",
+        ("(lift (p) (bool))", lift(Wk(), Bool())),
+        ("(arrow (bool) (top))", arrow(Bool(), Top())),
+        ("(v 3)", v(3)),
+        ("(dollar (lam (bool) (q)) (true))",
          apply1(Lam(Bool(), Var0()), TrueLit())),
     ]
-    for text, sort, entity in cases:
-        assert parse_entity(read_sexpr(text)) == (sort, entity)
-        printed = print_entity(sort, entity)
-        assert parse_entity(read_sexpr(printed)) == (sort, entity)
+    for text, entity in cases:
+        assert parse_entity(read_sexpr(text)) == entity
+        printed = print_entity(entity)
+        assert parse_entity(read_sexpr(printed)) == entity
     assert print_tm(v(3)) == "(v 3)"
 
 
@@ -204,7 +204,7 @@ def test_directive_errors():
     for text, message in [
         ("(xyzzy (ctx))", "unknown directive 'xyzzy'"),
         ("(check-tm (ctx))", "check-tm takes 2 argument(s), got 1"),
-        ("(termify)", "termify takes 2 argument(s), got 0"),
+        ("(termify)", "termify takes 1 or 2 argument(s), got 0"),
         ("(inject (ctx) (ctx))", "entity argument cannot be a context"),
         ("(param (ctx) (frob))", "unknown keyword 'frob'"),
         ("(nf (bool) (q))", "expected a context (ctx ...)"),
@@ -244,8 +244,8 @@ def test_forms_without_sub_forms_are_never_labelled():
 
 
 def test_text_without_repeats_is_unchanged():
-    for sort, entity in ALL_FORMS:
-        assert "#" not in print_entity(sort, entity)
+    for entity in ALL_FORMS:
+        assert "#" not in print_entity(entity)
     assert print_tm(Lam(Univ(0), Lam(El(Var0()), Var0()))) == \
         "(lam (u 0) (lam (el (q)) (q)))"
 
@@ -370,23 +370,21 @@ def _nested_pi(n):
     return parse_ty(read_sexpr(text))
 
 
-def _payloads(ctx, sort, entity):
-    yield "tm", termify_entity(sort, ctx, entity).payload
-    yield ("ty" if sort in ("ctx", "ty") else "tm",
-           param_entity(sort, ctx, entity).payload)
+def _payloads(ctx, entity):
+    yield termify_entity(ctx, entity).payload
+    yield param_entity(ctx, entity).payload
 
 
-def _round_trips(sort, entity):
-    text = print_entity(sort, entity)
-    assert parse_entity(read_sexpr(text)) == (sort, entity)
-    assert parse_entity(read_sexpr(text))[1] is entity
+def _round_trips(entity):
+    text = print_entity(entity)
+    assert parse_entity(read_sexpr(text)) is entity
     return text
 
 
 @pytest.mark.parametrize("n", range(2, 17))
 def test_translated_nested_pi_round_trips(n):
-    for sort, payload in _payloads(EMPTY, "ty", _nested_pi(n)):
-        assert "#1=" in _round_trips(sort, payload)
+    for payload in _payloads(EMPTY, _nested_pi(n)):
+        assert "#1=" in _round_trips(payload)
 
 
 def test_generated_entities_and_their_payloads_round_trip():
@@ -401,26 +399,26 @@ def test_generated_entities_and_their_payloads_round_trip():
                      ("sub", gen.draw_sub(ctx, gen.draw_ctx()))]
         except GenExhausted:
             continue
-        _round_trips("ctx", ctx)
+        _round_trips(ctx)
         for sort, entity in drawn:
             if entity is not None:
-                _round_trips(sort, entity)
-            for payload_sort, payload in _payloads(ctx, sort, entity):
-                labelled += "#1=" in _round_trips(payload_sort, payload)
+                _round_trips(entity)
+            for payload in _payloads(ctx, entity):
+                labelled += "#1=" in _round_trips(payload)
             sorts.add(sort)
     assert sorts == {"ctx", "ty", "tm", "sub"}
     assert labelled >= 40
 
 
 def test_translated_nested_pi_prints_linear_in_the_dag():
-    for translate, sort in ((termify_entity, "tm"), (param_entity, "ty")):
+    for translate in (termify_entity, param_entity):
         trees, dags, texts = [], [], []
         for n in (4, 8, 12, 16):
-            payload = translate("ty", EMPTY, _nested_pi(n)).payload
+            payload = translate(EMPTY, _nested_pi(n)).payload
             tree, dag = tree_dag_sizes(payload)
             trees.append(tree)
             dags.append(dag)
-            texts.append(len(print_entity(sort, payload)))
+            texts.append(len(print_entity(payload)))
         # the tree grows 16-fold per four binders, ...
         assert all(b > 10 * a for a, b in zip(trees, trees[1:]))
         # ... the DAG and the text by about the same amount every step

@@ -17,19 +17,19 @@ from ttk.typecheck import TranslationIllTyped, TypeCheckError, infer_ty
 
 
 def test_empty_context_is_coded_unit():
-    ent = termify_entity("ctx", EMPTY)
+    ent = termify_entity(EMPTY)
     assert ent.payload == Code(Top())
     assert ent.classifier == Univ(0)
 
 
 def test_identity_substitution_clause():
-    ent = termify_entity("sub", EMPTY, IdSub())
+    ent = termify_entity(EMPTY, IdSub())
     assert ent.payload == Lam(El(Code(Top())), Var0())
 
 
 def test_extended_context_clause():
     # hand-composed from the empty-context, boolean, and extension clauses
-    ent = termify_entity("ctx", Ctx.of(Bool()))
+    ent = termify_entity(Ctx.of(Bool()))
     expected = Code(Sigma(
         El(Code(Top())),
         El(App(Lam(El(Code(Top())), Code(Bool()))))))
@@ -51,31 +51,31 @@ def test_type_preservation_on_samples():
         except GenExhausted:
             continue
         for sort, ent in (("ctx", None), ("ty", ty), ("tm", tm), ("sub", sub)):
-            termify_entity(sort, ctx, ent)  # checks the payload
+            termify_entity(ctx, ent)  # checks the payload
             made[sort] += 1
     assert min(made.values()) >= 15
 
 
 def test_outputs_are_closed():
     ctx = Ctx.of(Bool(), TySub(Bool(), Wk()))
-    ent = termify_entity("tm", ctx, Var0())
+    ent = termify_entity(ctx, Var0())
     assert ent.scope == EMPTY  # and the payload checked there
 
 
 def test_model_law_idl_on_weakening():
     ctx = Ctx.of(Bool())
-    inst = EqInstance(ctx, "sub", EMPTY, Comp(IdSub(), Wk()), Wk())
+    inst = EqInstance(ctx, EMPTY, Comp(IdSub(), Wk()), Wk())
     assert verify_termified_equation(inst)
 
 
 def test_model_law_bool_sub_on_eps():
-    inst = EqInstance(EMPTY, "ty", None, TySub(Bool(), Eps()), Bool())
+    inst = EqInstance(EMPTY, None, TySub(Bool(), Eps()), Bool())
     assert verify_termified_equation(inst)
 
 
 def test_model_law_pi_eta_on_translated_function():
     fn = Lam(Bool(), Var0())
-    inst = EqInstance(EMPTY, "tm", Pi(Bool(), TySub(Bool(), Wk())),
+    inst = EqInstance(EMPTY, Pi(Bool(), TySub(Bool(), Wk())),
                       Lam(Bool(), App(fn)), fn)
     assert verify_termified_equation(inst)
 
@@ -91,21 +91,22 @@ def test_homomorphism_on_type_substitution():
     assembled = Lam(decoded(ctx), TmSub(
         App(termify_ty(cod, ty)),
         Ext(Eps(), decoded(cod), App(TmSub(termify_sub(ctx, sub), Eps())))))
-    classifier = termified_classifier("ty", ctx, infer_ty(ctx, TySub(ty, sub)))
+    classifier = termified_classifier(ctx, TySub(ty, sub),
+                                      infer_ty(ctx, TySub(ty, sub)))
     assert conv_tm(EMPTY, classifier, whole, assembled)
 
 
 def test_eliminator_clauses_verify():
     cases = [
-        ("tm", EMPTY, If(Bool(), TrueLit(), FalseLit(), TrueLit())),
-        ("tm", EMPTY, J(Bool(), FalseLit(), Refl(TrueLit()))),
-        ("tm", EMPTY, Snd(Pair(Bool(), TySub(Top(), Wk()), TrueLit(), Tt()))),
-        ("tm", Ctx.of(Pi(Bool(), Bool())), apply1(Var0(), TrueLit())),
-        ("ty", Ctx.of(Univ(1)), El(Var0())),
-        ("tm", Ctx.of(Univ(0)), Code(El(Var0()))),
+        (EMPTY, If(Bool(), TrueLit(), FalseLit(), TrueLit())),
+        (EMPTY, J(Bool(), FalseLit(), Refl(TrueLit()))),
+        (EMPTY, Snd(Pair(Bool(), TySub(Top(), Wk()), TrueLit(), Tt()))),
+        (Ctx.of(Pi(Bool(), Bool())), apply1(Var0(), TrueLit())),
+        (Ctx.of(Univ(1)), El(Var0())),
+        (Ctx.of(Univ(0)), Code(El(Var0()))),
     ]
-    for sort, ctx, entity in cases:
-        termify_entity(sort, ctx, entity)
+    for ctx, entity in cases:
+        termify_entity(ctx, entity)
 
 
 def test_verify_flags_translation_bugs(monkeypatch):
@@ -113,7 +114,7 @@ def test_verify_flags_translation_bugs(monkeypatch):
     monkeypatch.setattr(ttk.termify, "termify_tm", lambda ctx, tm: TrueLit())
     with pytest.raises(TranslationIllTyped, match="closed-term clause for "
                        "TrueLit produced an ill-typed output"):
-        termify_entity("tm", EMPTY, TrueLit())
+        termify_entity(EMPTY, TrueLit())
 
 
 def test_clause_type_errors_are_translation_bugs(monkeypatch):
@@ -122,4 +123,4 @@ def test_clause_type_errors_are_translation_bugs(monkeypatch):
         raise TypeCheckError("clause bug")
     monkeypatch.setattr(ttk.termify, "termify_ty", failing)
     with pytest.raises(TranslationIllTyped, match="clause for Bool"):
-        termify_entity("ty", EMPTY, Bool())
+        termify_entity(EMPTY, Bool())
