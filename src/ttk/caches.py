@@ -15,9 +15,19 @@ sound.  A node is built after its children and never changes, so no node,
 value, memo key or intern-table entry can reach itself: reference counting
 frees everything the kernel drops, and a collector pass only walks the
 live nodes and frees nothing.  ``gc_paused`` turns that pass off while a
-suite or a ``ttk run`` directive executes; ``tests/test_gc_pause.py``
-checks that every suite and every ``RESULT:`` class of ``ttk run`` leaves
-nothing for ``gc.collect()`` to free.
+``ttk run`` directive executes, and ``case_scope`` while one suite case
+does; ``tests/test_gc_pause.py`` checks that every suite and every
+``RESULT:`` class of ``ttk run`` leaves nothing for ``gc.collect()`` to
+free.
+
+A suite case holds only what it built: ``case_scope`` empties every memo
+table when the case ends, so memory does not grow with the number of
+cases.  It empties them *before* collection resumes.  The memo tables are
+what keeps a case's nodes alive, so clearing them lets reference counting
+free those nodes at once.  Resuming first would make the collector's next
+young-generation pass walk every node the case built and left alive, only
+to find all of them still reachable.  Counters survive the clear:
+``stats()`` adds what each table counted before it was emptied.
 """
 
 from __future__ import annotations
@@ -30,16 +40,39 @@ import gc
 REGISTRY: dict = {}
 
 
+# Hits and misses of each memo table up to its last clear, by name.
+_CLEARED: dict = {}
+
+
 def memoized(fn):
     wrapped = functools.lru_cache(maxsize=None)(fn)
-    REGISTRY[f"{fn.__module__}.{fn.__qualname__}"] = wrapped
+    name = f"{fn.__module__}.{fn.__qualname__}"
+    REGISTRY[name] = wrapped
+    _CLEARED[name] = [0, 0]
     return wrapped
 
 
 def clear_all() -> None:
-    """Drop every kernel cache (between large suite runs, for memory)."""
-    for wrapped in REGISTRY.values():
+    """Empty every memo table, adding its hits and misses to the totals
+    that ``stats`` reports first, since ``cache_clear`` resets them."""
+    for name, wrapped in REGISTRY.items():
+        hits, misses, _, _ = wrapped.cache_info()
+        cleared = _CLEARED[name]
+        cleared[0] += hits
+        cleared[1] += misses
         wrapped.cache_clear()
+
+
+def stats() -> dict:
+    """``hits`` and ``misses`` of each memo table since the process
+    started, across clears, and the ``entries`` it holds now, by name."""
+    out = {}
+    for name, wrapped in REGISTRY.items():
+        hits, misses, _, entries = wrapped.cache_info()
+        cleared = _CLEARED[name]
+        out[name] = {"hits": cleared[0] + hits, "misses": cleared[1] + misses,
+                     "entries": entries}
+    return out
 
 
 @contextlib.contextmanager
@@ -53,3 +86,15 @@ def gc_paused():
     finally:
         if enabled:
             gc.enable()
+
+
+@contextlib.contextmanager
+def case_scope():
+    """The lifetime of one suite case: cyclic collection is paused, and
+    every memo table is emptied when the block ends, before collection
+    resumes, also when the block raises."""
+    with gc_paused():
+        try:
+            yield
+        finally:
+            clear_all()

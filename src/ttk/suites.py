@@ -25,7 +25,7 @@ from .syntax import (
     Bool, Comp, Ctx, EMPTY, Fst, IdSub, If, J, Lam, Pair, Refl, Snd, Tt,
     TrueLit, TySub, TmSub, Var0, Wk, apply1, walk_constructors,
 )
-from .caches import clear_all, gc_paused
+from .caches import case_scope
 from .canonicity import NonCanonical, canonicity_verdict
 from .equations import EqInstance, SCHEMA_NAMES, build_instance, check_instance
 from .generate import GenConfig, GenExhausted, InstanceGen, derive_seed
@@ -107,18 +107,23 @@ def _case(seed_parts, build, judge, *sizes):
 def _tally(name: str, outcomes) -> SuiteReport:
     """Count (row label, outcome) pairs into rows, in order of first
     appearance; an outcome is None for a pass, or the lines that show a
-    failure.  Cyclic collection is paused while the cases run (see
-    ``caches``)."""
+    failure.  Each step of ``outcomes`` computes one case's outcome, and
+    runs in its own ``caches.case_scope``."""
     start = time.perf_counter()
     rows: dict[str, SuiteRow] = {}
-    with gc_paused():
-        for label, outcome in outcomes:
-            row = rows.setdefault(label, SuiteRow(label))
-            if outcome is None:
-                row.passed += 1
-            else:
-                row.failed += 1
-                row.detail.extend(outcome)
+    outcomes = iter(outcomes)
+    while True:
+        with case_scope():
+            pair = next(outcomes, None)
+        if pair is None:
+            break
+        label, outcome = pair
+        row = rows.setdefault(label, SuiteRow(label))
+        if outcome is None:
+            row.passed += 1
+        else:
+            row.failed += 1
+            row.detail.extend(outcome)
     return SuiteReport(name, list(rows.values()), time.perf_counter() - start)
 
 
@@ -255,8 +260,14 @@ def _probe_draw(gen: InstanceGen, case: int) -> EqInstance:
 # Canonicity
 # ---------------------------------------------------------------------------
 
+# The eliminator that each wrapper flavour of ``_wrapped_bool`` forces,
+# by flavour; flavour 5 leaves the core bare.
+_ELIMINATORS = ("If", "J", "Fst", "Snd", "TmSub")
+
+
 def _wrapped_bool(gen: InstanceGen, flavour: int):
-    """Closed boolean built around a generated core, forcing one eliminator."""
+    """Closed boolean built around a generated core, forcing the eliminator
+    ``_ELIMINATORS[flavour]``."""
     core = gen.draw_tm(EMPTY, Bool())
     match flavour:
         case 0:
@@ -290,7 +301,8 @@ def _canonicity_cases(seed: int, count: int, max_nodes: int):
         yield "closed-booleans", _case(
             (seed, "canon", case), lambda g: _wrapped_bool(g, case % 6),
             lambda tm: _canonical(tm, seen), max_nodes)
-    for needed in ("If", "J", "Fst", "Snd", "TmSub"):
+    # the flavours drawn, case % 6 for each case < count, are the first count
+    for needed in _ELIMINATORS[:count]:
         yield "eliminator-coverage", (
             None if needed in seen else [f"no instance contained {needed}"])
 
@@ -349,6 +361,5 @@ def run_suites(which: str = "all", seed: int = 1, count: int | None = None,
              if v is not None}
     reports = []
     for name in SUITES if which == "all" else (which,):
-        clear_all()
         reports.append(SUITES[name](seed, **sizes))
     return reports

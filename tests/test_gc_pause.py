@@ -5,7 +5,8 @@ cycles, so a collector pass while a suite or ``ttk run`` executes would
 free nothing.  The first two tests check that premise by running with
 collection off and asking ``gc.collect()`` what it finds afterwards.  The
 rest check that the pause is on inside the runners and that the caller's
-``gc.isenabled()`` state comes back, also when an exception leaves.
+``gc.isenabled()`` state comes back, also when an exception leaves, and
+then with every memo table of the case emptied.
 """
 
 import contextlib
@@ -16,7 +17,7 @@ import pathlib
 import pytest
 
 import ttk.termify
-from ttk import cli, suites
+from ttk import caches, cli, suites
 from ttk.suites import SUITES
 from ttk.syntax import TrueLit
 
@@ -104,14 +105,24 @@ def test_pause_is_on_inside_a_suite(monkeypatch):
     assert gc.isenabled()
 
 
+def _memo_entries() -> int:
+    return sum(table["entries"] for table in caches.stats().values())
+
+
 def test_pause_is_lifted_when_the_judge_raises(monkeypatch):
+    held = []
+
     def judge(inst):
+        held.append(_memo_entries())
         raise RuntimeError("judge failed")
 
     monkeypatch.setattr(suites, "check_instance", judge)
     with pytest.raises(RuntimeError, match="judge failed"):
         _equations_once()
     assert gc.isenabled()
+    # the case's memo tables were emptied on the way out
+    assert held[0] > 0
+    assert _memo_entries() == 0
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
