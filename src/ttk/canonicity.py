@@ -42,13 +42,10 @@ def canonicity_verdict(tm: TmExpr, ctx: Ctx = EMPTY) -> CanonVerdict:
         raise OpenTerm("canonicity applies to closed terms only")
     check_tm(EMPTY, tm, Bool())
     val = eval_tm((), tm)
-    match val:
-        case VTrue():
-            value = True
-        case VFalse():
-            value = False
-        case _:
-            raise NonCanonical(val)
+    cls = type(val)
+    if cls is not VTrue and cls is not VFalse:
+        raise NonCanonical(val)
+    value = cls is VTrue
     verdict = CanonVerdict(value, False)
     certified = conv_tm(EMPTY, Bool(), tm, verdict.literal)
     return CanonVerdict(value, certified)

@@ -221,29 +221,27 @@ class InstanceGen:
     @staticmethod
     def _has_canonical(nf: TyExpr) -> bool:
         """Whether ``_canonical`` can build an inhabitant of ``nf``."""
-        match nf:
-            case Pi() | Sigma() | Top() | Bool() | Univ():
-                return True
-            case IdTy(_, lhs, rhs):
-                return lhs is rhs
-        return False
+        cls = type(nf)
+        if cls in (Pi, Sigma, Top, Bool, Univ):
+            return True
+        return cls is IdTy and nf.lhs is nf.rhs
 
     def _canonical(self, ctx: Ctx, nf: TyExpr) -> TmExpr:
-        match nf:
-            case Pi(dom, cod):
-                return Lam(dom, self.tm(ctx.extend(dom), cod))
-            case Sigma(dom, cod):
-                a = self.tm(ctx, dom)
-                b = self.tm(ctx, TySub(cod, Ext(IdSub(), dom, a)))
-                return Pair(dom, cod, a, b)
-            case Top():
-                return Tt()
-            case Bool():
-                return self._pick([(1, TrueLit()), (1, FalseLit())])
-            case Univ(level):
-                return Code(self.ty_at_level(ctx, level))
-            case IdTy(_, lhs, _):
-                return Refl(lhs)
+        cls = type(nf)
+        if cls is Pi:
+            return Lam(nf.dom, self.tm(ctx.extend(nf.dom), nf.cod))
+        if cls is Sigma:
+            a = self.tm(ctx, nf.dom)
+            b = self.tm(ctx, TySub(nf.cod, Ext(IdSub(), nf.dom, a)))
+            return Pair(nf.dom, nf.cod, a, b)
+        if cls is Top:
+            return Tt()
+        if cls is Bool:
+            return self._pick([(1, TrueLit()), (1, FalseLit())])
+        if cls is Univ:
+            return Code(self.ty_at_level(ctx, nf.level))
+        if cls is IdTy:
+            return Refl(nf.lhs)
         raise AssertionError(f"no canonical form at {nf!r}")
 
     # -- substitutions -------------------------------------------------------

@@ -80,63 +80,65 @@ def param_ctx(ctx: Ctx) -> TyExpr:
 def param_ty(ctx: Ctx, ty: TyExpr) -> TyExpr:
     """The predicate of a type, over ``ctx ▷ ctxᴾ ▷ ty[p]``."""
     pred = param_ctx(ctx)
-    match ty:
-        case TySub(t, sub):
-            cod = synth_sub(ctx, sub)
-            inner = param_ty(cod, t)
-            reindex = Ext(
-                Ext(Comp(sub, Comp(Wk(), Wk())), param_ctx(cod),
-                    TmSub(param_sub(ctx, sub), Wk())),
-                TySub(t, Wk()), Var0())
-            return TySub(inner, reindex)
-        case Pi(dom, cod):
-            extended = ctx.extend(dom)
-            dom_pred = param_ty(ctx, dom)
-            cod_pred = param_ty(extended, cod)
-            sig = param_ctx(extended)
-            arg = TySub(dom, Comp(Wk(), Wk()))
-            arg_rel = TySub(dom_pred, Ext(
-                Ext(wk(3), pred, v(2)), TySub(dom, Wk()), Var0()))
-            into_syntax = Ext(wk(4), dom, v(1))
-            packed = _pair_at(
-                ctx.extend(pred).extend(TySub(Pi(dom, cod), Wk()))
-                   .extend(arg).extend(arg_rel),
-                TySub(sig, into_syntax), v(3), Var0())
-            applied = apply1(v(2), v(1))
-            result = Ext(Ext(into_syntax, sig, packed), TySub(cod, Wk()), applied)
-            return Pi(arg, Pi(arg_rel, TySub(cod_pred, result)))
-        case Sigma(dom, cod):
-            extended = ctx.extend(dom)
-            dom_pred = param_ty(ctx, dom)
-            cod_pred = param_ty(extended, cod)
-            sig = param_ctx(extended)
-            fst_rel = TySub(dom_pred, Ext(
-                Ext(Comp(Wk(), Wk()), pred, v(1)),
-                TySub(dom, Wk()), Fst(Var0())))
-            scope = ctx.extend(pred).extend(TySub(Sigma(dom, cod), Wk())) \
-                       .extend(fst_rel)
-            into_syntax = Ext(wk(3), dom, Fst(v(1)))
-            packed = _pair_at(scope, TySub(sig, into_syntax), v(2), Var0())
-            result = Ext(Ext(into_syntax, sig, packed),
-                         TySub(cod, Wk()), Snd(v(1)))
-            return Sigma(fst_rel, TySub(cod_pred, result))
-        case Top():
-            return Top()
-        case Bool():
-            return Top()
-        case Univ(level):
-            return Pi(El(Var0()), TySub(Univ(level), Wk()))
-        case El(code):
-            code_pred = param_tm(ctx, code)
-            return El(apply1(TmSub(code_pred, Wk()), Var0()))
-        case IdTy(dom, lhs, rhs):
-            dom_pred = param_ty(ctx, dom)
-            lhs_pred = param_tm(ctx, lhs)
-            rhs_pred = param_tm(ctx, rhs)
-            at_rhs = Ext(Wk(), TySub(dom, Wk()), TmSub(rhs, Comp(Wk(), Wk())))
-            carried = _transport_along(
-                ctx, dom, dom_pred, lhs, TmSub(lhs_pred, Wk()), Var0(), 1)
-            return IdTy(TySub(dom_pred, at_rhs), carried, TmSub(rhs_pred, Wk()))
+    cls = type(ty)
+    if cls is TySub:
+        t, sub = ty.ty, ty.sub
+        cod = synth_sub(ctx, sub)
+        inner = param_ty(cod, t)
+        reindex = Ext(
+            Ext(Comp(sub, Comp(Wk(), Wk())), param_ctx(cod),
+                TmSub(param_sub(ctx, sub), Wk())),
+            TySub(t, Wk()), Var0())
+        return TySub(inner, reindex)
+    if cls is Pi:
+        dom, cod = ty.dom, ty.cod
+        extended = ctx.extend(dom)
+        dom_pred = param_ty(ctx, dom)
+        cod_pred = param_ty(extended, cod)
+        sig = param_ctx(extended)
+        arg = TySub(dom, Comp(Wk(), Wk()))
+        arg_rel = TySub(dom_pred, Ext(
+            Ext(wk(3), pred, v(2)), TySub(dom, Wk()), Var0()))
+        into_syntax = Ext(wk(4), dom, v(1))
+        packed = _pair_at(
+            ctx.extend(pred).extend(TySub(ty, Wk())).extend(arg).extend(arg_rel),
+            TySub(sig, into_syntax), v(3), Var0())
+        applied = apply1(v(2), v(1))
+        result = Ext(Ext(into_syntax, sig, packed), TySub(cod, Wk()), applied)
+        return Pi(arg, Pi(arg_rel, TySub(cod_pred, result)))
+    if cls is Sigma:
+        dom, cod = ty.dom, ty.cod
+        extended = ctx.extend(dom)
+        dom_pred = param_ty(ctx, dom)
+        cod_pred = param_ty(extended, cod)
+        sig = param_ctx(extended)
+        fst_rel = TySub(dom_pred, Ext(
+            Ext(Comp(Wk(), Wk()), pred, v(1)),
+            TySub(dom, Wk()), Fst(Var0())))
+        scope = ctx.extend(pred).extend(TySub(ty, Wk())).extend(fst_rel)
+        into_syntax = Ext(wk(3), dom, Fst(v(1)))
+        packed = _pair_at(scope, TySub(sig, into_syntax), v(2), Var0())
+        result = Ext(Ext(into_syntax, sig, packed),
+                     TySub(cod, Wk()), Snd(v(1)))
+        return Sigma(fst_rel, TySub(cod_pred, result))
+    if cls is Top:
+        return Top()
+    if cls is Bool:
+        return Top()
+    if cls is Univ:
+        return Pi(El(Var0()), TySub(Univ(ty.level), Wk()))
+    if cls is El:
+        code_pred = param_tm(ctx, ty.code)
+        return El(apply1(TmSub(code_pred, Wk()), Var0()))
+    if cls is IdTy:
+        dom, lhs, rhs = ty.ty, ty.lhs, ty.rhs
+        dom_pred = param_ty(ctx, dom)
+        lhs_pred = param_tm(ctx, lhs)
+        rhs_pred = param_tm(ctx, rhs)
+        at_rhs = Ext(Wk(), TySub(dom, Wk()), TmSub(rhs, Comp(Wk(), Wk())))
+        carried = _transport_along(
+            ctx, dom, dom_pred, lhs, TmSub(lhs_pred, Wk()), Var0(), 1)
+        return IdTy(TySub(dom_pred, at_rhs), carried, TmSub(rhs_pred, Wk()))
     raise TypeCheckError("not a type expression", expr=ty)
 
 
@@ -168,25 +170,26 @@ def _transport_along(ctx: Ctx, dom: TyExpr, dom_pred: TyExpr, point: TmExpr,
 @memoized
 def param_sub(ctx: Ctx, sub: SubExpr) -> TmExpr:
     """Preservation witness: ``Tm (ctx ▷ ctxᴾ) (codᴾ[sub ∘ p])``."""
-    match sub:
-        case IdSub():
-            return Var0()
-        case Comp(outer, inner):
-            mid = synth_sub(ctx, inner)
-            return TmSub(param_sub(mid, outer),
-                         Ext(Comp(inner, Wk()), param_ctx(mid),
-                             param_sub(ctx, inner)))
-        case Eps():
-            return Tt()
-        case Ext(s, ann, tm):
-            cod = synth_sub(ctx, s)
-            entry = ann if ann is not None else synth_tm(ctx, tm)
-            target = TySub(param_ctx(cod.extend(entry)), Comp(sub, Wk()))
-            return _pair_at(ctx.extend(param_ctx(ctx)), target,
-                            param_sub(ctx, s), param_tm(ctx, tm))
-        case Wk():
-            ctx.pop()
-            return Fst(Var0())
+    cls = type(sub)
+    if cls is IdSub:
+        return Var0()
+    if cls is Comp:
+        inner = sub.inner
+        mid = synth_sub(ctx, inner)
+        return TmSub(param_sub(mid, sub.outer),
+                     Ext(Comp(inner, Wk()), param_ctx(mid),
+                         param_sub(ctx, inner)))
+    if cls is Eps:
+        return Tt()
+    if cls is Ext:
+        cod = synth_sub(ctx, sub.sub)
+        entry = sub.ann if sub.ann is not None else synth_tm(ctx, sub.tm)
+        target = TySub(param_ctx(cod.extend(entry)), Comp(sub, Wk()))
+        return _pair_at(ctx.extend(param_ctx(ctx)), target,
+                        param_sub(ctx, sub.sub), param_tm(ctx, sub.tm))
+    if cls is Wk:
+        ctx.pop()
+        return Fst(Var0())
     raise TypeCheckError("not a substitution expression", expr=sub)
 
 
@@ -199,56 +202,60 @@ def param_tm(ctx: Ctx, tm: TmExpr) -> TmExpr:
     """Witness that ``tm`` satisfies its type's predicate:
     ``Tm (ctx ▷ ctxᴾ) (tyᴾ[id, tm[p]])``."""
     pred = param_ctx(ctx)
-    match tm:
-        case TmSub(t, sub):
-            cod = synth_sub(ctx, sub)
-            return TmSub(param_tm(cod, t),
-                         Ext(Comp(sub, Wk()), param_ctx(cod),
-                             param_sub(ctx, sub)))
-        case Var0():
-            ctx.pop()
-            return Snd(Var0())
-        case Lam(dom, body):
-            extended = ctx.extend(dom)
-            dom_pred = param_ty(ctx, dom)
-            sig = param_ctx(extended)
-            into_syntax = Ext(Comp(Wk(), Comp(Wk(), Wk())), dom, v(1))
-            packed = _pair_at(
-                ctx.extend(pred).extend(TySub(dom, Wk())).extend(dom_pred),
-                TySub(sig, into_syntax), v(2), Var0())
-            reorg = Ext(into_syntax, sig, packed)
-            return Lam(TySub(dom, Wk()),
-                       Lam(dom_pred, TmSub(param_tm(extended, body), reorg)))
-        case App(fn):
-            base = ctx.pop()
-            fn_pred = param_tm(base, fn)
-            unpack = Ext(Comp(Wk(), Wk()), param_ctx(base), Fst(Var0()))
-            return apply1(apply1(TmSub(fn_pred, unpack), v(1)), Snd(Var0()))
-        case Pair(fst_ty, snd_ty, a, b):
-            target = TySub(
-                param_ty(ctx, Sigma(fst_ty, snd_ty)),
-                Ext(IdSub(), TySub(Sigma(fst_ty, snd_ty), Wk()), TmSub(tm, Wk())))
-            return _pair_at(ctx.extend(pred), target,
-                            param_tm(ctx, a), param_tm(ctx, b))
-        case Fst(p):
-            return Fst(param_tm(ctx, p))
-        case Snd(p):
-            return Snd(param_tm(ctx, p))
-        case Tt():
-            return Tt()
-        case Code(t):
-            t_pred = param_ty(ctx, t)
-            reorder = Ext(Ext(Comp(Wk(), Wk()), pred, v(1)),
-                          TySub(t, Wk()), Var0())
-            return Lam(TySub(El(Code(t)), Wk()), Code(TySub(t_pred, reorder)))
-        case TrueLit() | FalseLit():
-            return Tt()
-        case If(motive, on_true, on_false, scrut):
-            return _param_if(ctx, motive, on_true, on_false, scrut)
-        case Refl(arg):
-            return Refl(param_tm(ctx, arg))
-        case J(motive, base, eq):
-            return _param_j(ctx, tm, motive, base, eq)
+    cls = type(tm)
+    if cls is TmSub:
+        sub = tm.sub
+        cod = synth_sub(ctx, sub)
+        return TmSub(param_tm(cod, tm.tm),
+                     Ext(Comp(sub, Wk()), param_ctx(cod),
+                         param_sub(ctx, sub)))
+    if cls is Var0:
+        ctx.pop()
+        return Snd(Var0())
+    if cls is Lam:
+        dom = tm.dom
+        extended = ctx.extend(dom)
+        dom_pred = param_ty(ctx, dom)
+        sig = param_ctx(extended)
+        into_syntax = Ext(Comp(Wk(), Comp(Wk(), Wk())), dom, v(1))
+        packed = _pair_at(
+            ctx.extend(pred).extend(TySub(dom, Wk())).extend(dom_pred),
+            TySub(sig, into_syntax), v(2), Var0())
+        reorg = Ext(into_syntax, sig, packed)
+        return Lam(TySub(dom, Wk()),
+                   Lam(dom_pred, TmSub(param_tm(extended, tm.body), reorg)))
+    if cls is App:
+        base = ctx.pop()
+        fn_pred = param_tm(base, tm.fn)
+        unpack = Ext(Comp(Wk(), Wk()), param_ctx(base), Fst(Var0()))
+        return apply1(apply1(TmSub(fn_pred, unpack), v(1)), Snd(Var0()))
+    if cls is Pair:
+        sigma = Sigma(tm.fst_ty, tm.snd_ty)
+        target = TySub(
+            param_ty(ctx, sigma),
+            Ext(IdSub(), TySub(sigma, Wk()), TmSub(tm, Wk())))
+        return _pair_at(ctx.extend(pred), target,
+                        param_tm(ctx, tm.fst), param_tm(ctx, tm.snd))
+    if cls is Fst:
+        return Fst(param_tm(ctx, tm.pair))
+    if cls is Snd:
+        return Snd(param_tm(ctx, tm.pair))
+    if cls is Tt:
+        return Tt()
+    if cls is Code:
+        t = tm.ty
+        t_pred = param_ty(ctx, t)
+        reorder = Ext(Ext(Comp(Wk(), Wk()), pred, v(1)),
+                      TySub(t, Wk()), Var0())
+        return Lam(TySub(El(tm), Wk()), Code(TySub(t_pred, reorder)))
+    if cls is TrueLit or cls is FalseLit:
+        return Tt()
+    if cls is If:
+        return _param_if(ctx, tm.motive, tm.on_true, tm.on_false, tm.scrut)
+    if cls is Refl:
+        return Refl(param_tm(ctx, tm.arg))
+    if cls is J:
+        return _param_j(ctx, tm, tm.motive, tm.base, tm.eq)
     raise TypeCheckError("not a term expression", expr=tm)
 
 

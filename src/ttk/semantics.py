@@ -40,148 +40,148 @@ def apply_ty_closure(cl: TyClosure, *args: Val) -> TyVal:
 
 
 def vapp(f: Val, x: Val) -> Val:
-    match f:
-        case VLam(cl):
-            return apply_closure(cl, x)
-        case VNe(ne, VPi(_, cod)):
-            return VNe(NApp(ne, x), apply_ty_closure(cod, x))
+    cls = type(f)
+    if cls is VLam:
+        return apply_closure(f.closure, x)
+    if cls is VNe and type(f.ty) is VPi:
+        return VNe(NApp(f.ne, x), apply_ty_closure(f.ty.cod, x))
     raise InternalStuck(f"application of non-function value {f!r}")
 
 
 def vfst(p: Val) -> Val:
-    match p:
-        case VPair(a, _):
-            return a
-        case VNe(ne, VSigma(dom, _)):
-            return VNe(NFst(ne), dom)
+    cls = type(p)
+    if cls is VPair:
+        return p.fst
+    if cls is VNe and type(p.ty) is VSigma:
+        return VNe(NFst(p.ne), p.ty.dom)
     raise InternalStuck(f"first projection of non-pair value {p!r}")
 
 
 def vsnd(p: Val) -> Val:
-    match p:
-        case VPair(_, b):
-            return b
-        case VNe(ne, VSigma(_, cod) as sig):
-            return VNe(NSnd(ne), apply_ty_closure(cod, vfst(VNe(ne, sig))))
+    cls = type(p)
+    if cls is VPair:
+        return p.snd
+    if cls is VNe and type(p.ty) is VSigma:
+        return VNe(NSnd(p.ne), apply_ty_closure(p.ty.cod, vfst(p)))
     raise InternalStuck(f"second projection of non-pair value {p!r}")
 
 
 def vif(motive: TyClosure, on_true: Val, on_false: Val, scrut: Val) -> Val:
-    match scrut:
-        case VTrue():
-            return on_true
-        case VFalse():
-            return on_false
-        case VNe(ne, VBool()):
-            result_ty = apply_ty_closure(motive, scrut)
-            return VNe(NIf(motive, on_true, on_false, ne), result_ty)
+    cls = type(scrut)
+    if cls is VTrue:
+        return on_true
+    if cls is VFalse:
+        return on_false
+    if cls is VNe and type(scrut.ty) is VBool:
+        result_ty = apply_ty_closure(motive, scrut)
+        return VNe(NIf(motive, on_true, on_false, scrut.ne), result_ty)
     raise InternalStuck(f"boolean elimination of {scrut!r}")
 
 
 def vj(motive: TyClosure, base: Val, eq: Val) -> Val:
-    match eq:
-        case VRefl(_):
-            return base
-        case VNe(ne, VId(_, _, rhs) as eq_ty):
-            result_ty = apply_ty_closure(motive, rhs, eq)
-            return VNe(NJ(motive, base, ne, eq_ty), result_ty)
+    cls = type(eq)
+    if cls is VRefl:
+        return base
+    if cls is VNe and type(eq.ty) is VId:
+        result_ty = apply_ty_closure(motive, eq.ty.rhs, eq)
+        return VNe(NJ(motive, base, eq.ne, eq.ty), result_ty)
     raise InternalStuck(f"identity elimination of {eq!r}")
 
 
 def vcode(ty: TyVal) -> Val:
     # coding a decoded neutral returns the neutral itself
-    match ty:
-        case VElNe(ne, level):
-            return VNe(ne, VU(level))
+    if type(ty) is VElNe:
+        return VNe(ty.ne, VU(ty.level))
     return VCode(ty)
 
 
 @memoized
 def eval_tm(env: Env, tm: TmExpr) -> Val:
-    match tm:
-        case TmSub(t, sub):
-            return eval_tm(eval_sub(env, sub), t)
-        case Var0():
-            if not env:
-                raise InternalStuck("variable in empty environment")
-            return env[-1]
-        case Lam(_, body):
-            return VLam(Closure(env, body))
-        case App(fn):
-            if not env:
-                raise InternalStuck("un-application in empty environment")
-            return vapp(eval_tm(env[:-1], fn), env[-1])
-        case Pair(_, _, a, b):
-            return VPair(eval_tm(env, a), eval_tm(env, b))
-        case Fst(p):
-            return vfst(eval_tm(env, p))
-        case Snd(p):
-            return vsnd(eval_tm(env, p))
-        case Tt():
-            return VTt()
-        case Code(ty):
-            return vcode(eval_ty(env, ty))
-        case TrueLit():
-            return VTrue()
-        case FalseLit():
-            return VFalse()
-        case If(motive, on_true, on_false, scrut):
-            return vif(
-                TyClosure(env, motive),
-                eval_tm(env, on_true),
-                eval_tm(env, on_false),
-                eval_tm(env, scrut),
-            )
-        case Refl(arg):
-            return VRefl(eval_tm(env, arg))
-        case J(motive, base, eq):
-            return vj(TyClosure(env, motive), eval_tm(env, base), eval_tm(env, eq))
+    cls = type(tm)
+    if cls is TmSub:
+        return eval_tm(eval_sub(env, tm.sub), tm.tm)
+    if cls is Var0:
+        if not env:
+            raise InternalStuck("variable in empty environment")
+        return env[-1]
+    if cls is Lam:
+        return VLam(Closure(env, tm.body))
+    if cls is App:
+        if not env:
+            raise InternalStuck("un-application in empty environment")
+        return vapp(eval_tm(env[:-1], tm.fn), env[-1])
+    if cls is Pair:
+        return VPair(eval_tm(env, tm.fst), eval_tm(env, tm.snd))
+    if cls is Fst:
+        return vfst(eval_tm(env, tm.pair))
+    if cls is Snd:
+        return vsnd(eval_tm(env, tm.pair))
+    if cls is Tt:
+        return VTt()
+    if cls is Code:
+        return vcode(eval_ty(env, tm.ty))
+    if cls is TrueLit:
+        return VTrue()
+    if cls is FalseLit:
+        return VFalse()
+    if cls is If:
+        return vif(
+            TyClosure(env, tm.motive),
+            eval_tm(env, tm.on_true),
+            eval_tm(env, tm.on_false),
+            eval_tm(env, tm.scrut),
+        )
+    if cls is Refl:
+        return VRefl(eval_tm(env, tm.arg))
+    if cls is J:
+        return vj(TyClosure(env, tm.motive), eval_tm(env, tm.base),
+                  eval_tm(env, tm.eq))
     raise InternalStuck(f"unknown term {tm!r}")
 
 
 @memoized
 def eval_ty(env: Env, ty: TyExpr) -> TyVal:
-    match ty:
-        case TySub(t, sub):
-            return eval_ty(eval_sub(env, sub), t)
-        case Pi(dom, cod):
-            return VPi(eval_ty(env, dom), TyClosure(env, cod))
-        case Sigma(dom, cod):
-            return VSigma(eval_ty(env, dom), TyClosure(env, cod))
-        case Top():
-            return VTop()
-        case Bool():
-            return VBool()
-        case Univ(level):
-            return VU(level)
-        case El(code):
-            val = eval_tm(env, code)
-            match val:
-                case VCode(decoded):
-                    return decoded
-                case VNe(ne, VU(level)):
-                    return VElNe(ne, level)
-            raise InternalStuck(f"decoding non-code value {val!r}")
-        case IdTy(t, lhs, rhs):
-            return VId(eval_ty(env, t), eval_tm(env, lhs), eval_tm(env, rhs))
+    cls = type(ty)
+    if cls is TySub:
+        return eval_ty(eval_sub(env, ty.sub), ty.ty)
+    if cls is Pi:
+        return VPi(eval_ty(env, ty.dom), TyClosure(env, ty.cod))
+    if cls is Sigma:
+        return VSigma(eval_ty(env, ty.dom), TyClosure(env, ty.cod))
+    if cls is Top:
+        return VTop()
+    if cls is Bool:
+        return VBool()
+    if cls is Univ:
+        return VU(ty.level)
+    if cls is El:
+        val = eval_tm(env, ty.code)
+        if type(val) is VCode:
+            return val.ty
+        if type(val) is VNe and type(val.ty) is VU:
+            return VElNe(val.ne, val.ty.level)
+        raise InternalStuck(f"decoding non-code value {val!r}")
+    if cls is IdTy:
+        return VId(eval_ty(env, ty.ty), eval_tm(env, ty.lhs),
+                   eval_tm(env, ty.rhs))
     raise InternalStuck(f"unknown type {ty!r}")
 
 
 @memoized
 def eval_sub(env: Env, sub: SubExpr) -> Env:
-    match sub:
-        case IdSub():
-            return env
-        case Comp(outer, inner):
-            return eval_sub(eval_sub(env, inner), outer)
-        case Eps():
-            return ()
-        case Ext(s, _, t):
-            return eval_sub(env, s) + (eval_tm(env, t),)
-        case Wk():
-            if not env:
-                raise InternalStuck("weakening of empty environment")
-            return env[:-1]
+    cls = type(sub)
+    if cls is IdSub:
+        return env
+    if cls is Comp:
+        return eval_sub(eval_sub(env, sub.inner), sub.outer)
+    if cls is Eps:
+        return ()
+    if cls is Ext:
+        return eval_sub(env, sub.sub) + (eval_tm(env, sub.tm),)
+    if cls is Wk:
+        if not env:
+            raise InternalStuck("weakening of empty environment")
+        return env[:-1]
     raise InternalStuck(f"unknown substitution {sub!r}")
 
 
@@ -191,119 +191,114 @@ def eval_sub(env: Env, sub: SubExpr) -> Env:
 
 @memoized
 def readback_tm(depth: int, val: Val, ty: TyVal) -> TmExpr:
-    match ty:
-        case VPi(dom, cod):
-            x = fresh(depth, dom)
-            body = readback_tm(depth + 1, vapp(val, x), apply_ty_closure(cod, x))
-            return Lam(readback_ty(depth, dom), body)
-        case VSigma(dom, cod):
-            a = vfst(val)
-            b = vsnd(val)
-            cod_nf = readback_ty(depth + 1, apply_ty_closure(cod, fresh(depth, dom)))
-            return Pair(
-                readback_ty(depth, dom),
-                cod_nf,
-                readback_tm(depth, a, dom),
-                readback_tm(depth, b, apply_ty_closure(cod, a)),
-            )
-        case VTop():
-            return Tt()
-        case VBool():
-            match val:
-                case VTrue():
-                    return TrueLit()
-                case VFalse():
-                    return FalseLit()
-                case VNe(ne, _):
-                    return readback_ne(depth, ne)[0]
-        case VU(_):
-            match val:
-                case VCode(t):
-                    return Code(readback_ty(depth, t))
-                case VNe(ne, _):
-                    return readback_ne(depth, ne)[0]
-        case VId(dom, _, _):
-            match val:
-                case VRefl(arg):
-                    return Refl(readback_tm(depth, arg, dom))
-                case VNe(ne, _):
-                    return readback_ne(depth, ne)[0]
-        case VElNe(_, _):
-            match val:
-                case VNe(ne, _):
-                    return readback_ne(depth, ne)[0]
+    cls, val_cls = type(ty), type(val)
+    if cls is VPi:
+        x = fresh(depth, ty.dom)
+        body = readback_tm(depth + 1, vapp(val, x), apply_ty_closure(ty.cod, x))
+        return Lam(readback_ty(depth, ty.dom), body)
+    if cls is VSigma:
+        a = vfst(val)
+        b = vsnd(val)
+        cod_nf = readback_ty(depth + 1, apply_ty_closure(ty.cod, fresh(depth, ty.dom)))
+        return Pair(
+            readback_ty(depth, ty.dom),
+            cod_nf,
+            readback_tm(depth, a, ty.dom),
+            readback_tm(depth, b, apply_ty_closure(ty.cod, a)),
+        )
+    if cls is VTop:
+        return Tt()
+    if cls is VBool:
+        if val_cls is VTrue:
+            return TrueLit()
+        if val_cls is VFalse:
+            return FalseLit()
+        if val_cls is VNe:
+            return readback_ne(depth, val.ne)[0]
+    elif cls is VU:
+        if val_cls is VCode:
+            return Code(readback_ty(depth, val.ty))
+        if val_cls is VNe:
+            return readback_ne(depth, val.ne)[0]
+    elif cls is VId:
+        if val_cls is VRefl:
+            return Refl(readback_tm(depth, val.arg, ty.ty))
+        if val_cls is VNe:
+            return readback_ne(depth, val.ne)[0]
+    elif cls is VElNe:
+        if val_cls is VNe:
+            return readback_ne(depth, val.ne)[0]
     raise InternalStuck(f"cannot read back {val!r} at {ty!r}")
 
 
 @memoized
 def readback_ty(depth: int, ty: TyVal) -> TyExpr:
-    match ty:
-        case VPi(dom, cod):
-            cod_nf = readback_ty(depth + 1, apply_ty_closure(cod, fresh(depth, dom)))
-            return Pi(readback_ty(depth, dom), cod_nf)
-        case VSigma(dom, cod):
-            cod_nf = readback_ty(depth + 1, apply_ty_closure(cod, fresh(depth, dom)))
-            return Sigma(readback_ty(depth, dom), cod_nf)
-        case VTop():
-            return Top()
-        case VBool():
-            return Bool()
-        case VU(level):
-            return Univ(level)
-        case VId(dom, lhs, rhs):
-            return IdTy(
-                readback_ty(depth, dom),
-                readback_tm(depth, lhs, dom),
-                readback_tm(depth, rhs, dom),
-            )
-        case VElNe(ne, _):
-            return El(readback_ne(depth, ne)[0])
+    cls = type(ty)
+    if cls is VPi:
+        cod_nf = readback_ty(depth + 1, apply_ty_closure(ty.cod, fresh(depth, ty.dom)))
+        return Pi(readback_ty(depth, ty.dom), cod_nf)
+    if cls is VSigma:
+        cod_nf = readback_ty(depth + 1, apply_ty_closure(ty.cod, fresh(depth, ty.dom)))
+        return Sigma(readback_ty(depth, ty.dom), cod_nf)
+    if cls is VTop:
+        return Top()
+    if cls is VBool:
+        return Bool()
+    if cls is VU:
+        return Univ(ty.level)
+    if cls is VId:
+        return IdTy(
+            readback_ty(depth, ty.ty),
+            readback_tm(depth, ty.lhs, ty.ty),
+            readback_tm(depth, ty.rhs, ty.ty),
+        )
+    if cls is VElNe:
+        return El(readback_ne(depth, ty.ne)[0])
     raise InternalStuck(f"cannot read back type {ty!r}")
 
 
 @memoized
 def readback_ne(depth: int, ne: Neutral) -> tuple[TmExpr, TyVal]:
     """Read back a spine, resynthesizing its type along the way."""
-    match ne:
-        case NVar(lvl, ty):
-            return v(depth - 1 - lvl), ty
-        case NApp(fn, arg):
-            fn_nf, fn_ty = readback_ne(depth, fn)
-            match fn_ty:
-                case VPi(dom, cod):
-                    arg_nf = readback_tm(depth, arg, dom)
-                    tm = TmSub(App(fn_nf), Ext(IdSub(), readback_ty(depth, dom), arg_nf))
-                    return tm, apply_ty_closure(cod, arg)
-            raise InternalStuck(f"application spine at non-function type {fn_ty!r}")
-        case NFst(pair):
-            pair_nf, pair_ty = readback_ne(depth, pair)
-            match pair_ty:
-                case VSigma(dom, _):
-                    return Fst(pair_nf), dom
-            raise InternalStuck(f"projection spine at non-pair type {pair_ty!r}")
-        case NSnd(pair):
-            pair_nf, pair_ty = readback_ne(depth, pair)
-            match pair_ty:
-                case VSigma(_, cod):
-                    head = vfst(VNe(pair, pair_ty))
-                    return Snd(pair_nf), apply_ty_closure(cod, head)
-            raise InternalStuck(f"projection spine at non-pair type {pair_ty!r}")
-        case NIf(motive, on_true, on_false, scrut):
-            scrut_nf, _ = readback_ne(depth, scrut)
-            motive_nf = readback_ty(depth + 1, apply_ty_closure(motive, fresh(depth, VBool())))
-            true_nf = readback_tm(depth, on_true, apply_ty_closure(motive, VTrue()))
-            false_nf = readback_tm(depth, on_false, apply_ty_closure(motive, VFalse()))
-            result_ty = apply_ty_closure(motive, VNe(scrut, VBool()))
-            return If(motive_nf, true_nf, false_nf, scrut_nf), result_ty
-        case NJ(motive, base, scrut, eq_ty):
-            scrut_nf, _ = readback_ne(depth, scrut)
-            endpoint = fresh(depth, eq_ty.ty)
-            equation = fresh(depth + 1, VId(eq_ty.ty, eq_ty.lhs, endpoint))
-            motive_nf = readback_ty(depth + 2, apply_ty_closure(motive, endpoint, equation))
-            base_ty = apply_ty_closure(motive, eq_ty.lhs, VRefl(eq_ty.lhs))
-            base_nf = readback_tm(depth, base, base_ty)
-            result_ty = apply_ty_closure(motive, eq_ty.rhs, VNe(scrut, eq_ty))
-            return J(motive_nf, base_nf, scrut_nf), result_ty
+    cls = type(ne)
+    if cls is NVar:
+        return v(depth - 1 - ne.lvl), ne.ty
+    if cls is NApp:
+        fn_nf, fn_ty = readback_ne(depth, ne.fn)
+        if type(fn_ty) is VPi:
+            arg_nf = readback_tm(depth, ne.arg, fn_ty.dom)
+            tm = TmSub(App(fn_nf), Ext(IdSub(), readback_ty(depth, fn_ty.dom), arg_nf))
+            return tm, apply_ty_closure(fn_ty.cod, ne.arg)
+        raise InternalStuck(f"application spine at non-function type {fn_ty!r}")
+    if cls is NFst:
+        pair_nf, pair_ty = readback_ne(depth, ne.pair)
+        if type(pair_ty) is VSigma:
+            return Fst(pair_nf), pair_ty.dom
+        raise InternalStuck(f"projection spine at non-pair type {pair_ty!r}")
+    if cls is NSnd:
+        pair_nf, pair_ty = readback_ne(depth, ne.pair)
+        if type(pair_ty) is VSigma:
+            head = vfst(VNe(ne.pair, pair_ty))
+            return Snd(pair_nf), apply_ty_closure(pair_ty.cod, head)
+        raise InternalStuck(f"projection spine at non-pair type {pair_ty!r}")
+    if cls is NIf:
+        motive = ne.motive
+        scrut_nf, _ = readback_ne(depth, ne.scrut)
+        motive_nf = readback_ty(depth + 1, apply_ty_closure(motive, fresh(depth, VBool())))
+        true_nf = readback_tm(depth, ne.on_true, apply_ty_closure(motive, VTrue()))
+        false_nf = readback_tm(depth, ne.on_false, apply_ty_closure(motive, VFalse()))
+        result_ty = apply_ty_closure(motive, VNe(ne.scrut, VBool()))
+        return If(motive_nf, true_nf, false_nf, scrut_nf), result_ty
+    if cls is NJ:
+        motive, eq_ty = ne.motive, ne.eq_ty
+        scrut_nf, _ = readback_ne(depth, ne.scrut)
+        endpoint = fresh(depth, eq_ty.ty)
+        equation = fresh(depth + 1, VId(eq_ty.ty, eq_ty.lhs, endpoint))
+        motive_nf = readback_ty(depth + 2, apply_ty_closure(motive, endpoint, equation))
+        base_ty = apply_ty_closure(motive, eq_ty.lhs, VRefl(eq_ty.lhs))
+        base_nf = readback_tm(depth, ne.base, base_ty)
+        result_ty = apply_ty_closure(motive, eq_ty.rhs, VNe(ne.scrut, eq_ty))
+        return J(motive_nf, base_nf, scrut_nf), result_ty
     raise InternalStuck(f"unknown neutral {ne!r}")
 
 

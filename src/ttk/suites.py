@@ -7,8 +7,9 @@ canonical, and the parametricity translation is type-preserving on every
 sort.  Each suite is deterministic in its seed.
 
 A suite only says what each case draws and how a failure prints: it
-yields one (row label, outcome) pair per case, where the outcome is None
-for a pass or the lines that show the failure, and ``_tally`` counts them.
+yields one (row label, thunk) pair per case, where the thunk computes the
+outcome, None for a pass or the lines that show the failure, and
+``_tally`` runs and counts them.
 One rule holds for every row: every case runs and is counted, and every
 failure adds its lines, so a row's passed and failed add up to its cases.
 A failing equation case is shown re-drawn at the smallest size at which
@@ -96,28 +97,27 @@ def _draw(seed_parts, build, max_nodes: int = 8, max_level: int = 2,
 
 
 def _case(seed_parts, build, judge, *sizes):
-    """The outcome of one case: ``judge`` of what ``_draw`` draws."""
-    try:
-        drawn = _draw(seed_parts, build, *sizes)
-    except GenExhausted as err:
-        return [str(err)]
-    return judge(drawn)
+    """The thunk of one case: ``judge`` of what ``_draw`` draws."""
+    def outcome():
+        try:
+            drawn = _draw(seed_parts, build, *sizes)
+        except GenExhausted as err:
+            return [str(err)]
+        return judge(drawn)
+    return outcome
 
 
-def _tally(name: str, outcomes) -> SuiteReport:
-    """Count (row label, outcome) pairs into rows, in order of first
-    appearance; an outcome is None for a pass, or the lines that show a
-    failure.  Each step of ``outcomes`` computes one case's outcome, and
-    runs in its own ``caches.case_scope``."""
+def _tally(name: str, cases) -> SuiteReport:
+    """Count (row label, thunk) pairs into rows, in order of first
+    appearance.  A thunk computes one case's outcome, None for a pass or
+    the lines that show a failure, in its own ``caches.case_scope``.  It
+    runs before ``cases`` advances, so it may read the loop variables of
+    the generator that made it, and advancing does no kernel work."""
     start = time.perf_counter()
     rows: dict[str, SuiteRow] = {}
-    outcomes = iter(outcomes)
-    while True:
+    for label, thunk in cases:
         with case_scope():
-            pair = next(outcomes, None)
-        if pair is None:
-            break
-        label, outcome = pair
+            outcome = thunk()
         row = rows.setdefault(label, SuiteRow(label))
         if outcome is None:
             row.passed += 1
@@ -206,7 +206,7 @@ def _injectivity_cases(seed: int, count: int, max_nodes: int):
                     f"entity: {print_entity(drawn[1])}"]),
                 max_nodes)
     for name, ctx, entity in COMPONENT_CASES:
-        yield "component-equations", _embedding(
+        yield "component-equations", lambda: _embedding(
             ctx, entity, lambda: [f"case {name}"])
     for case in range(count):
         yield "injectivity-probe", _case(
@@ -303,7 +303,7 @@ def _canonicity_cases(seed: int, count: int, max_nodes: int):
             lambda tm: _canonical(tm, seen), max_nodes)
     # the flavours drawn, case % 6 for each case < count, are the first count
     for needed in _ELIMINATORS[:count]:
-        yield "eliminator-coverage", (
+        yield "eliminator-coverage", lambda: (
             None if needed in seen else [f"no instance contained {needed}"])
 
 

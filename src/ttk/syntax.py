@@ -416,13 +416,12 @@ def spine_depth(sub: SubExpr) -> Optional[int]:
 
 def var_index(tm: TmExpr) -> Optional[int]:
     """Recognize ``v(n)`` spines; returns ``n`` or None."""
-    match tm:
-        case Var0():
-            return 0
-        case TmSub(Var0(), sub):
-            return spine_depth(sub)
-        case _:
-            return None
+    cls = type(tm)
+    if cls is Var0:
+        return 0
+    if cls is TmSub and type(tm.tm) is Var0:
+        return spine_depth(tm.sub)
+    return None
 
 
 # The operator inventory, used by coverage accounting: every node class of

@@ -66,135 +66,134 @@ def termify_ctx(ctx: Ctx) -> TmExpr:
 @memoized
 def termify_sub(ctx: Ctx, sub: SubExpr) -> TmExpr:
     points = decoded(ctx)
-    match sub:
-        case IdSub():
-            return Lam(points, Var0())
-        case Comp(outer, inner):
-            mid = synth_sub(ctx, inner)
-            outer_t = termify_sub(mid, outer)
-            inner_t = termify_sub(ctx, inner)
-            return Lam(points, apply1(_wk0(outer_t), apply1(_wk0(inner_t), Var0())))
-        case Eps():
-            return Lam(points, Tt())
-        case Ext(s, ann, tm):
-            cod = synth_sub(ctx, s)
-            entry = ann if ann is not None else synth_tm(ctx, tm)
-            s_t = termify_sub(ctx, s)
-            tm_t = termify_tm(ctx, tm)
-            body = point_pair(cod.extend(entry), App(s_t), App(tm_t))
-            return Lam(points, body)
-        case Wk():
-            ctx.pop()  # rejects the empty context
-            return Lam(points, Fst(Var0()))
+    cls = type(sub)
+    if cls is IdSub:
+        return Lam(points, Var0())
+    if cls is Comp:
+        mid = synth_sub(ctx, sub.inner)
+        outer_t = termify_sub(mid, sub.outer)
+        inner_t = termify_sub(ctx, sub.inner)
+        return Lam(points, apply1(_wk0(outer_t), apply1(_wk0(inner_t), Var0())))
+    if cls is Eps:
+        return Lam(points, Tt())
+    if cls is Ext:
+        cod = synth_sub(ctx, sub.sub)
+        entry = sub.ann if sub.ann is not None else synth_tm(ctx, sub.tm)
+        s_t = termify_sub(ctx, sub.sub)
+        tm_t = termify_tm(ctx, sub.tm)
+        body = point_pair(cod.extend(entry), App(s_t), App(tm_t))
+        return Lam(points, body)
+    if cls is Wk:
+        ctx.pop()  # rejects the empty context
+        return Lam(points, Fst(Var0()))
     raise TypeCheckError("not a substitution expression", expr=sub)
 
 
 @memoized
 def termify_ty(ctx: Ctx, ty: TyExpr) -> TmExpr:
     points = decoded(ctx)
-    match ty:
-        case TySub(t, sub):
-            cod = synth_sub(ctx, sub)
-            inner = termify_ty(cod, t)
-            reindex = Ext(Eps(), decoded(cod), App(TmSub(termify_sub(ctx, sub), Eps())))
-            return Lam(points, TmSub(App(inner), reindex))
-        case Pi(dom, cod) | Sigma(dom, cod):
-            extended = ctx.extend(dom)
-            dom_t = termify_ty(ctx, dom)
-            cod_t = termify_ty(extended, cod)
-            fibre = El(App(dom_t))
-            packed = point_pair(extended, v(1), v(0))
-            inner_cod = TySub(El(App(cod_t)), Ext(Eps(), decoded(extended), packed))
-            former = Pi if isinstance(ty, Pi) else Sigma
-            return Lam(points, Code(former(fibre, inner_cod)))
-        case Top():
-            return Lam(points, Code(Top()))
-        case Univ(level):
-            return Lam(points, Code(Univ(level)))
-        case El(code):
-            return termify_tm(ctx, code)
-        case Bool():
-            return Lam(points, Code(Bool()))
-        case IdTy(t, lhs, rhs):
-            t_t = termify_ty(ctx, t)
-            lhs_t = termify_tm(ctx, lhs)
-            rhs_t = termify_tm(ctx, rhs)
-            return Lam(points, Code(IdTy(El(App(t_t)), App(lhs_t), App(rhs_t))))
+    cls = type(ty)
+    if cls is TySub:
+        cod = synth_sub(ctx, ty.sub)
+        inner = termify_ty(cod, ty.ty)
+        reindex = Ext(Eps(), decoded(cod), App(TmSub(termify_sub(ctx, ty.sub), Eps())))
+        return Lam(points, TmSub(App(inner), reindex))
+    if cls is Pi or cls is Sigma:
+        extended = ctx.extend(ty.dom)
+        dom_t = termify_ty(ctx, ty.dom)
+        cod_t = termify_ty(extended, ty.cod)
+        fibre = El(App(dom_t))
+        packed = point_pair(extended, v(1), v(0))
+        inner_cod = TySub(El(App(cod_t)), Ext(Eps(), decoded(extended), packed))
+        return Lam(points, Code(cls(fibre, inner_cod)))
+    if cls is Top:
+        return Lam(points, Code(Top()))
+    if cls is Univ:
+        return Lam(points, Code(Univ(ty.level)))
+    if cls is El:
+        return termify_tm(ctx, ty.code)
+    if cls is Bool:
+        return Lam(points, Code(Bool()))
+    if cls is IdTy:
+        t_t = termify_ty(ctx, ty.ty)
+        lhs_t = termify_tm(ctx, ty.lhs)
+        rhs_t = termify_tm(ctx, ty.rhs)
+        return Lam(points, Code(IdTy(El(App(t_t)), App(lhs_t), App(rhs_t))))
     raise TypeCheckError("not a type expression", expr=ty)
 
 
 @memoized
 def termify_tm(ctx: Ctx, tm: TmExpr) -> TmExpr:
     points = decoded(ctx)
-    match tm:
-        case TmSub(t, sub):
-            cod = synth_sub(ctx, sub)
-            inner = termify_tm(cod, t)
-            reindex = Ext(Eps(), decoded(cod), App(TmSub(termify_sub(ctx, sub), Eps())))
-            return Lam(points, TmSub(App(inner), reindex))
-        case Var0():
-            ctx.pop()
-            return Lam(points, Snd(Var0()))
-        case Lam(dom, body):
-            extended = ctx.extend(dom)
-            body_t = termify_tm(extended, body)
-            fibre = El(App(termify_ty(ctx, dom)))
-            packed = point_pair(extended, v(1), v(0))
-            return Lam(points, Lam(fibre, apply1(_wk0(body_t), packed)))
-        case App(fn):
-            fn_t = termify_tm(ctx.pop(), fn)
-            return Lam(points,
-                       apply1(apply1(_wk0(fn_t), Fst(Var0())), Snd(Var0())))
-        case Pair(fst_ty, snd_ty, a, b):
-            extended = ctx.extend(fst_ty)
-            fst_t = termify_ty(ctx, fst_ty)
-            snd_t = termify_ty(extended, snd_ty)
-            fibre = El(App(fst_t))
-            packed = point_pair(extended, v(1), v(0))
-            snd_fam = TySub(El(App(snd_t)), Ext(Eps(), decoded(extended), packed))
-            return Lam(points, Pair(
-                fibre, snd_fam,
-                App(termify_tm(ctx, a)), App(termify_tm(ctx, b))))
-        case Fst(p):
-            return Lam(points, Fst(App(termify_tm(ctx, p))))
-        case Snd(p):
-            return Lam(points, Snd(App(termify_tm(ctx, p))))
-        case Tt():
-            return Lam(points, Tt())
-        case Code(t):
-            return termify_ty(ctx, t)
-        case TrueLit():
-            return Lam(points, TrueLit())
-        case FalseLit():
-            return Lam(points, FalseLit())
-        case If(motive, on_true, on_false, scrut):
-            extended = ctx.extend(Bool())
-            motive_t = termify_ty(extended, motive)
-            packed = point_pair(extended, v(1), v(0))
-            inner_motive = El(apply1(_wk0(motive_t), packed))
-            return Lam(points, If(
-                inner_motive,
-                App(termify_tm(ctx, on_true)),
-                App(termify_tm(ctx, on_false)),
-                App(termify_tm(ctx, scrut)),
-            ))
-        case Refl(arg):
-            return Lam(points, Refl(App(termify_tm(ctx, arg))))
-        case J(motive, base, eq):
-            eq_ty = force(ctx, synth_tm(ctx, eq), IdTy, eq)
-            dom, lhs = eq_ty.ty, eq_ty.lhs
-            eq_entry = IdTy(TySub(dom, Wk()), TmSub(lhs, Wk()), Var0())
-            with_dom = ctx.extend(dom)
-            with_eq = with_dom.extend(eq_entry)
-            motive_t = termify_ty(with_eq, motive)
-            inner_pair = point_pair(with_dom, v(2), v(1))
-            packed = point_pair(with_eq, inner_pair, v(0))
-            inner_motive = El(apply1(_wk0(motive_t), packed))
-            return Lam(points, J(
-                inner_motive,
-                App(termify_tm(ctx, base)),
-                App(termify_tm(ctx, eq)),
-            ))
+    cls = type(tm)
+    if cls is TmSub:
+        cod = synth_sub(ctx, tm.sub)
+        inner = termify_tm(cod, tm.tm)
+        reindex = Ext(Eps(), decoded(cod), App(TmSub(termify_sub(ctx, tm.sub), Eps())))
+        return Lam(points, TmSub(App(inner), reindex))
+    if cls is Var0:
+        ctx.pop()
+        return Lam(points, Snd(Var0()))
+    if cls is Lam:
+        extended = ctx.extend(tm.dom)
+        body_t = termify_tm(extended, tm.body)
+        fibre = El(App(termify_ty(ctx, tm.dom)))
+        packed = point_pair(extended, v(1), v(0))
+        return Lam(points, Lam(fibre, apply1(_wk0(body_t), packed)))
+    if cls is App:
+        fn_t = termify_tm(ctx.pop(), tm.fn)
+        return Lam(points,
+                   apply1(apply1(_wk0(fn_t), Fst(Var0())), Snd(Var0())))
+    if cls is Pair:
+        extended = ctx.extend(tm.fst_ty)
+        fst_t = termify_ty(ctx, tm.fst_ty)
+        snd_t = termify_ty(extended, tm.snd_ty)
+        fibre = El(App(fst_t))
+        packed = point_pair(extended, v(1), v(0))
+        snd_fam = TySub(El(App(snd_t)), Ext(Eps(), decoded(extended), packed))
+        return Lam(points, Pair(
+            fibre, snd_fam,
+            App(termify_tm(ctx, tm.fst)), App(termify_tm(ctx, tm.snd))))
+    if cls is Fst:
+        return Lam(points, Fst(App(termify_tm(ctx, tm.pair))))
+    if cls is Snd:
+        return Lam(points, Snd(App(termify_tm(ctx, tm.pair))))
+    if cls is Tt:
+        return Lam(points, Tt())
+    if cls is Code:
+        return termify_ty(ctx, tm.ty)
+    if cls is TrueLit:
+        return Lam(points, TrueLit())
+    if cls is FalseLit:
+        return Lam(points, FalseLit())
+    if cls is If:
+        extended = ctx.extend(Bool())
+        motive_t = termify_ty(extended, tm.motive)
+        packed = point_pair(extended, v(1), v(0))
+        inner_motive = El(apply1(_wk0(motive_t), packed))
+        return Lam(points, If(
+            inner_motive,
+            App(termify_tm(ctx, tm.on_true)),
+            App(termify_tm(ctx, tm.on_false)),
+            App(termify_tm(ctx, tm.scrut)),
+        ))
+    if cls is Refl:
+        return Lam(points, Refl(App(termify_tm(ctx, tm.arg))))
+    if cls is J:
+        eq_ty = force(ctx, synth_tm(ctx, tm.eq), IdTy, tm.eq)
+        dom, lhs = eq_ty.ty, eq_ty.lhs
+        eq_entry = IdTy(TySub(dom, Wk()), TmSub(lhs, Wk()), Var0())
+        with_dom = ctx.extend(dom)
+        with_eq = with_dom.extend(eq_entry)
+        motive_t = termify_ty(with_eq, tm.motive)
+        inner_pair = point_pair(with_dom, v(2), v(1))
+        packed = point_pair(with_eq, inner_pair, v(0))
+        inner_motive = El(apply1(_wk0(motive_t), packed))
+        return Lam(points, J(
+            inner_motive,
+            App(termify_tm(ctx, tm.base)),
+            App(termify_tm(ctx, tm.eq)),
+        ))
     raise TypeCheckError("not a term expression", expr=tm)
 
 

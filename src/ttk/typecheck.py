@@ -148,113 +148,117 @@ def check_ctx(ctx: Ctx) -> Level:
 
 @memoized
 def infer_ty(ctx: Ctx, ty: TyExpr) -> Level:
-    match ty:
-        case TySub(t, sub):
-            return infer_ty(synth_sub(ctx, sub), t)
-        case Pi(dom, cod) | Sigma(dom, cod):
-            i = infer_ty(ctx, dom)
-            j = infer_ty(ctx.extend(dom), cod)
-            return max(i, j)
-        case Top() | Bool():
-            return 0
-        case Univ(level):
-            if level < 0:
-                raise TypeCheckError("negative universe level", expr=ty)
-            return level + 1
-        case El(code):
-            return force(ctx, synth_tm(ctx, code), Univ, ty).level
-        case IdTy(t, lhs, rhs):
-            level = infer_ty(ctx, t)
-            _require_conv(ctx, lhs, synth_tm(ctx, lhs), t)
-            _require_conv(ctx, rhs, synth_tm(ctx, rhs), t)
-            return level
+    cls = type(ty)
+    if cls is TySub:
+        return infer_ty(synth_sub(ctx, ty.sub), ty.ty)
+    if cls is Pi or cls is Sigma:
+        i = infer_ty(ctx, ty.dom)
+        j = infer_ty(ctx.extend(ty.dom), ty.cod)
+        return max(i, j)
+    if cls is Top or cls is Bool:
+        return 0
+    if cls is Univ:
+        if ty.level < 0:
+            raise TypeCheckError("negative universe level", expr=ty)
+        return ty.level + 1
+    if cls is El:
+        return force(ctx, synth_tm(ctx, ty.code), Univ, ty).level
+    if cls is IdTy:
+        level = infer_ty(ctx, ty.ty)
+        _require_conv(ctx, ty.lhs, synth_tm(ctx, ty.lhs), ty.ty)
+        _require_conv(ctx, ty.rhs, synth_tm(ctx, ty.rhs), ty.ty)
+        return level
     raise TypeCheckError("not a type expression", expr=ty)
 
 
 @memoized
 def synth_sub(ctx: Ctx, sub: SubExpr) -> Ctx:
-    match sub:
-        case IdSub():
-            return ctx
-        case Comp(outer, inner):
-            return synth_sub(synth_sub(ctx, inner), outer)
-        case Eps():
-            return EMPTY
-        case Ext(s, ann, tm):
-            cod = synth_sub(ctx, s)
-            if ann is None:
-                if not isinstance(s, IdSub):
-                    raise TypeCheckError(
-                        "extension without annotation only over the identity",
-                        expr=sub)
-                return cod.extend(synth_tm(ctx, tm))
-            infer_ty(cod, ann)
-            _require_conv(ctx, sub, synth_tm(ctx, tm), TySub(ann, s))
-            return cod.extend(ann)
-        case Wk():
-            if len(ctx) == 0:
-                raise ProjectionOfEmpty()
-            return ctx.pop()
+    cls = type(sub)
+    if cls is IdSub:
+        return ctx
+    if cls is Comp:
+        return synth_sub(synth_sub(ctx, sub.inner), sub.outer)
+    if cls is Eps:
+        return EMPTY
+    if cls is Ext:
+        s, ann, tm = sub.sub, sub.ann, sub.tm
+        cod = synth_sub(ctx, s)
+        if ann is None:
+            if type(s) is not IdSub:
+                raise TypeCheckError(
+                    "extension without annotation only over the identity",
+                    expr=sub)
+            return cod.extend(synth_tm(ctx, tm))
+        infer_ty(cod, ann)
+        _require_conv(ctx, sub, synth_tm(ctx, tm), TySub(ann, s))
+        return cod.extend(ann)
+    if cls is Wk:
+        if len(ctx) == 0:
+            raise ProjectionOfEmpty()
+        return ctx.pop()
     raise TypeCheckError("not a substitution expression", expr=sub)
 
 
 @memoized
 def synth_tm(ctx: Ctx, tm: TmExpr) -> TyExpr:
-    match tm:
-        case TmSub(t, sub):
-            return TySub(synth_tm(synth_sub(ctx, sub), t), sub)
-        case Var0():
-            if len(ctx) == 0:
-                raise VarInEmptyContext()
-            return TySub(ctx.last, Wk())
-        case Lam(dom, body):
-            infer_ty(ctx, dom)
-            return Pi(dom, synth_tm(ctx.extend(dom), body))
-        case App(fn):
-            if len(ctx) == 0:
-                raise TypeCheckError(
-                    "un-application requires a nonempty context", expr=tm)
-            tail = ctx.pop()
-            pi = force(tail, synth_tm(tail, fn), Pi, tm)
-            _require_conv(tail, tm, ctx.last, pi.dom)
-            return pi.cod
-        case Pair(fst_ty, snd_ty, a, b):
-            infer_ty(ctx, fst_ty)
-            infer_ty(ctx.extend(fst_ty), snd_ty)
-            _require_conv(ctx, a, synth_tm(ctx, a), fst_ty)
-            b_expected = TySub(snd_ty, Ext(IdSub(), fst_ty, a))
-            _require_conv(ctx, b, synth_tm(ctx, b), b_expected)
-            return Sigma(fst_ty, snd_ty)
-        case Fst(p):
-            return force(ctx, synth_tm(ctx, p), Sigma, tm).dom
-        case Snd(p):
-            sigma = force(ctx, synth_tm(ctx, p), Sigma, tm)
-            return TySub(sigma.cod, Ext(IdSub(), sigma.dom, Fst(p)))
-        case Tt():
-            return Top()
-        case Code(t):
-            return Univ(infer_ty(ctx, t))
-        case TrueLit() | FalseLit():
-            return Bool()
-        case If(motive, on_true, on_false, scrut):
-            _require_conv(ctx, scrut, synth_tm(ctx, scrut), Bool())
-            infer_ty(ctx.extend(Bool()), motive)
-            true_expected = TySub(motive, Ext(IdSub(), Bool(), TrueLit()))
-            _require_conv(ctx, on_true, synth_tm(ctx, on_true), true_expected)
-            false_expected = TySub(motive, Ext(IdSub(), Bool(), FalseLit()))
-            _require_conv(ctx, on_false, synth_tm(ctx, on_false), false_expected)
-            return TySub(motive, Ext(IdSub(), Bool(), scrut))
-        case Refl(arg):
-            arg_ty = synth_tm(ctx, arg)
-            return IdTy(arg_ty, arg, arg)
-        case J(motive, base, eq):
-            eq_ty = force(ctx, synth_tm(ctx, eq), IdTy, tm)
-            dom, lhs, rhs = eq_ty.ty, eq_ty.lhs, eq_ty.rhs
-            eq_entry = IdTy(TySub(dom, Wk()), TmSub(lhs, Wk()), Var0())
-            infer_ty(ctx.extend(dom).extend(eq_entry), motive)
-            at_refl = Ext(Ext(IdSub(), dom, lhs), eq_entry, Refl(lhs))
-            _require_conv(ctx, base, synth_tm(ctx, base), TySub(motive, at_refl))
-            return TySub(motive, Ext(Ext(IdSub(), dom, rhs), eq_entry, eq))
+    cls = type(tm)
+    if cls is TmSub:
+        return TySub(synth_tm(synth_sub(ctx, tm.sub), tm.tm), tm.sub)
+    if cls is Var0:
+        if len(ctx) == 0:
+            raise VarInEmptyContext()
+        return TySub(ctx.last, Wk())
+    if cls is Lam:
+        infer_ty(ctx, tm.dom)
+        return Pi(tm.dom, synth_tm(ctx.extend(tm.dom), tm.body))
+    if cls is App:
+        if len(ctx) == 0:
+            raise TypeCheckError(
+                "un-application requires a nonempty context", expr=tm)
+        tail = ctx.pop()
+        pi = force(tail, synth_tm(tail, tm.fn), Pi, tm)
+        _require_conv(tail, tm, ctx.last, pi.dom)
+        return pi.cod
+    if cls is Pair:
+        fst_ty, snd_ty, a, b = tm.fst_ty, tm.snd_ty, tm.fst, tm.snd
+        infer_ty(ctx, fst_ty)
+        infer_ty(ctx.extend(fst_ty), snd_ty)
+        _require_conv(ctx, a, synth_tm(ctx, a), fst_ty)
+        b_expected = TySub(snd_ty, Ext(IdSub(), fst_ty, a))
+        _require_conv(ctx, b, synth_tm(ctx, b), b_expected)
+        return Sigma(fst_ty, snd_ty)
+    if cls is Fst:
+        return force(ctx, synth_tm(ctx, tm.pair), Sigma, tm).dom
+    if cls is Snd:
+        sigma = force(ctx, synth_tm(ctx, tm.pair), Sigma, tm)
+        return TySub(sigma.cod, Ext(IdSub(), sigma.dom, Fst(tm.pair)))
+    if cls is Tt:
+        return Top()
+    if cls is Code:
+        return Univ(infer_ty(ctx, tm.ty))
+    if cls is TrueLit or cls is FalseLit:
+        return Bool()
+    if cls is If:
+        motive, scrut = tm.motive, tm.scrut
+        _require_conv(ctx, scrut, synth_tm(ctx, scrut), Bool())
+        infer_ty(ctx.extend(Bool()), motive)
+        true_expected = TySub(motive, Ext(IdSub(), Bool(), TrueLit()))
+        _require_conv(ctx, tm.on_true, synth_tm(ctx, tm.on_true), true_expected)
+        false_expected = TySub(motive, Ext(IdSub(), Bool(), FalseLit()))
+        _require_conv(ctx, tm.on_false, synth_tm(ctx, tm.on_false), false_expected)
+        return TySub(motive, Ext(IdSub(), Bool(), scrut))
+    if cls is Refl:
+        arg_ty = synth_tm(ctx, tm.arg)
+        return IdTy(arg_ty, tm.arg, tm.arg)
+    if cls is J:
+        motive, base, eq = tm.motive, tm.base, tm.eq
+        eq_ty = force(ctx, synth_tm(ctx, eq), IdTy, tm)
+        dom, lhs, rhs = eq_ty.ty, eq_ty.lhs, eq_ty.rhs
+        eq_entry = IdTy(TySub(dom, Wk()), TmSub(lhs, Wk()), Var0())
+        infer_ty(ctx.extend(dom).extend(eq_entry), motive)
+        at_refl = Ext(Ext(IdSub(), dom, lhs), eq_entry, Refl(lhs))
+        _require_conv(ctx, base, synth_tm(ctx, base), TySub(motive, at_refl))
+        return TySub(motive, Ext(Ext(IdSub(), dom, rhs), eq_entry, eq))
     raise TypeCheckError("not a term expression", expr=tm)
 
 

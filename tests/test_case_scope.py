@@ -57,6 +57,17 @@ def test_memo_entries_do_not_grow_with_the_count(monkeypatch):
     assert _entries() == 0
 
 
+def test_one_case_clears_the_memo_tables_once(monkeypatch):
+    # advancing a suite's cases does no kernel work, so the step that
+    # finds no case left needs no scope of its own
+    calls = []
+    clear_all = caches.clear_all
+    monkeypatch.setattr(caches, "clear_all",
+                        lambda: calls.append(clear_all()))
+    assert suites.run_equation_suite(count=1, schemas=["pi_beta"]).ok
+    assert len(calls) == 1
+
+
 PEAK_RSS = r"""
 import resource, sys
 sys.setrecursionlimit(20000)

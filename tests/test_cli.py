@@ -38,6 +38,13 @@ def test_run_canon_demo(capsys):
     assert lines[-1] == "RESULT: accept"
 
 
+@pytest.mark.parametrize("name", sorted(p.stem for p in DEMO.glob("*.tt")))
+def test_run_prints_the_checked_in_demo_output(capsys, name):
+    main(["run", str(DEMO / f"{name}.tt")])
+    expected = (DEMO / f"{name}.out").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected
+
+
 def test_parse_error_exit_code(capsys, tmp_path):
     bad = tmp_path / "bad.tt"
     bad.write_text("(check-tm (ctx) (tt")
