@@ -10,6 +10,16 @@ structural equality of readbacks at a common type.
 Readback output stays inside the raw syntax: a variable at level ``k``
 becomes the spine ``v(depth - 1 - k)`` and a neutral application becomes
 ``(App f)[id, arg]``.  Substitution nodes appear in these two roles only.
+
+Closed syntax is evaluated once.  Every syntax node carries its
+``reach``, the number of trailing environment entries it may read
+(``syntax.node``), and ``eval_tm`` and ``eval_ty`` rebind a nonempty
+environment to ``()`` when the node's reach is 0.  They rebind in their
+own frame, without a second call, so a nest of closed levels needs no
+more stack than an open one.  A closed subterm then has one value
+wherever it occurs, and its closures capture the empty environment, so
+``readback_ty`` at one depth reads it back once.  The translations make
+mostly closed terms under binders, which is where this pays.
 """
 
 from __future__ import annotations
@@ -97,6 +107,11 @@ def vcode(ty: TyVal) -> Val:
 
 @memoized
 def eval_tm(env: Env, tm: TmExpr) -> Val:
+    try:
+        if env and tm.reach == 0:
+            env = ()
+    except AttributeError:  # no syntax: falls through to the error below
+        pass
     cls = type(tm)
     if cls is TmSub:
         return eval_tm(eval_sub(env, tm.sub), tm.tm)
@@ -141,6 +156,11 @@ def eval_tm(env: Env, tm: TmExpr) -> Val:
 
 @memoized
 def eval_ty(env: Env, ty: TyExpr) -> TyVal:
+    try:
+        if env and ty.reach == 0:
+            env = ()
+    except AttributeError:  # no syntax: falls through to the error below
+        pass
     cls = type(ty)
     if cls is TySub:
         return eval_ty(eval_sub(env, ty.sub), ty.ty)

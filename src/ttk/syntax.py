@@ -15,6 +15,7 @@ recovered from ``t`` during checking).
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 from typing import Optional, Union, get_args
@@ -59,7 +60,7 @@ def __new__(_cls, {params}):
 """
 
 
-def node(cls):
+def node(cls=None, *, reach: Optional[str] = None):
     """Hash-consed frozen dataclass (Filliâtre & Conchon, *Type-Safe
     Modular Hash-Consing*, 2006).
 
@@ -82,23 +83,40 @@ def node(cls):
     the slot descriptors and its table entry is an ``_InternRef`` built in
     C, registered with the table's own removal callback, which drops an
     entry only while its reference is dead.  A class without fields has one
-    instance, built here."""
+    instance, built here.
+
+    A syntax class passes ``reach``, an expression over its fields, and the
+    generated constructor also fills a ``reach`` slot with it, once per
+    new node.  A term or type reads at most the last ``reach`` entries of
+    its context, so 0 means closed.  A substitution's ``reach`` is a pair
+    ``(c, d)``: to supply the last ``n`` entries of its codomain it reads
+    the last ``max(c, n + d)`` of its domain, and ``d`` may be ``-inf``.
+    A child's ``reach`` is read from the child, so it costs one
+    expression per node, never a walk.  Values and ``Ctx`` pass none."""
+    if cls is None:
+        return lambda cls: node(cls, reach=reach)
     cls = dataclass(init=False, eq=False)(cls)
     params = fields(cls)
     names = tuple(f.name for f in params)
     namespace = {key: value for key, value in cls.__dict__.items()
                  if key not in names and key not in ("__dict__", "__weakref__")}
-    namespace["__slots__"] = names
+    namespace["__slots__"] = names if reach is None else names + ("reach",)
     cls = type(cls.__name__, (_Node,), namespace)
     table = weakref.WeakValueDictionary()
     cls._interned = table
     if not names:
         instance = object.__new__(cls)
+        if reach is not None:
+            cls.reach.__set__(instance, eval(reach, {"inf": math.inf}))
         table[(cls,)] = instance
         cls.__new__ = lambda _cls: instance
         return cls
     scope = {"_get": table.data.get, "_data": table.data, "_new": object.__new__,
              "_Ref": _InternRef, "_remove": table._remove}
+    sets = [f"    _set_{n}(_node, {n})" for n in names]
+    if reach is not None:
+        scope["_set_reach"] = cls.reach.__set__
+        sets.append(f"    _set_reach(_node, {reach})")
     signature = []
     for f in params:
         scope[f"_set_{f.name}"] = getattr(cls, f.name).__set__
@@ -109,7 +127,7 @@ def node(cls):
             signature.append(f"{f.name}=_default_{f.name}")
     source = _NEW_TEMPLATE.format(
         params=", ".join(signature), args="".join(n + ", " for n in names),
-        sets="\n".join(f"    _set_{n}(_node, {n})" for n in names))
+        sets="\n".join(sets))
     exec(compile(source, f"<node {cls.__qualname__}>", "exec"), scope)
     new = scope["__new__"]
     new.__qualname__ = f"{cls.__qualname__}.__new__"
@@ -117,28 +135,41 @@ def node(cls):
     return cls
 
 
+def _max(*operands: str) -> str:
+    """Source of an expression for the largest of ``operands``, for a
+    ``reach``: a chain of conditional expressions, cheaper than a call to
+    ``max`` (a fifth of its cost on CPython 3.11)."""
+    source = operands[0]
+    for operand in operands[1:]:
+        source = f"(_m if (_m := {source}) >= (_n := {operand}) else _n)"
+    return source
+
+
 # ---------------------------------------------------------------------------
 # Substitutions
 # ---------------------------------------------------------------------------
 
-@node
+@node(reach="(0, 0)")
 class IdSub:
     """Identity substitution Γ → Γ."""
 
 
-@node
+@node(reach="(" + _max("inner.reach[0]", "outer.reach[0] + inner.reach[1]")
+      + ", outer.reach[1] + inner.reach[1])")
 class Comp:
     """Composition: ``outer`` after ``inner``."""
     outer: SubExpr
     inner: SubExpr
 
 
-@node
+@node(reach="(0, -inf)")
 class Eps:
     """The unique substitution into the empty context."""
 
 
-@node
+@node(reach="(" + _max("tm.reach", "sub.reach[0]",
+                       "(0 if ann is None else ann.reach) + sub.reach[1]")
+      + ", sub.reach[1] - 1)")
 class Ext:
     """Extend ``sub : Γ → Δ`` with a term for a new entry ``ann : Ty Δ``.
 
@@ -150,7 +181,7 @@ class Ext:
     tm: TmExpr
 
 
-@node
+@node(reach="(1, 1)")
 class Wk:
     """Weakening: forgets the newest context entry."""
 
@@ -162,46 +193,46 @@ SubExpr = Union[IdSub, Comp, Eps, Ext, Wk]
 # Types
 # ---------------------------------------------------------------------------
 
-@node
+@node(reach=_max("sub.reach[0]", "ty.reach + sub.reach[1]"))
 class TySub:
     ty: TyExpr
     sub: SubExpr
 
 
-@node
+@node(reach=_max("dom.reach", "cod.reach - 1"))
 class Pi:
     dom: TyExpr
     cod: TyExpr  # lives in the context extended with dom
 
 
-@node
+@node(reach=_max("dom.reach", "cod.reach - 1"))
 class Sigma:
     dom: TyExpr
     cod: TyExpr  # lives in the context extended with dom
 
 
-@node
+@node(reach="0")
 class Top:
     """Unit type, with definitional eta."""
 
 
-@node
+@node(reach="0")
 class Univ:
     level: Level
 
 
-@node
+@node(reach="code.reach")
 class El:
     """Decode a term of the universe into a type."""
     code: TmExpr
 
 
-@node
+@node(reach="0")
 class Bool:
     pass
 
 
-@node
+@node(reach=_max("ty.reach", "lhs.reach", "rhs.reach"))
 class IdTy:
     """Propositional equality over ``ty`` between ``lhs`` and ``rhs``."""
     ty: TyExpr
@@ -216,24 +247,24 @@ TyExpr = Union[TySub, Pi, Sigma, Top, Univ, El, Bool, IdTy]
 # Terms
 # ---------------------------------------------------------------------------
 
-@node
+@node(reach=_max("sub.reach[0]", "tm.reach + sub.reach[1]"))
 class TmSub:
     tm: TmExpr
     sub: SubExpr
 
 
-@node
+@node(reach="1")
 class Var0:
     """The zeroth de Bruijn index, typed in a nonempty context."""
 
 
-@node
+@node(reach=_max("dom.reach", "body.reach - 1"))
 class Lam:
     dom: TyExpr
     body: TmExpr
 
 
-@node
+@node(reach="fn.reach + 1")
 class App:
     """Un-application: sends a function term to its body over the extended
     context.  Conventional application ``f $ u`` is the derived
@@ -241,7 +272,8 @@ class App:
     fn: TmExpr
 
 
-@node
+@node(reach=_max("fst_ty.reach", "snd_ty.reach - 1", "fst.reach",
+                 "snd.reach"))
 class Pair:
     fst_ty: TyExpr
     snd_ty: TyExpr  # family over the context extended with fst_ty
@@ -249,38 +281,39 @@ class Pair:
     snd: TmExpr
 
 
-@node
+@node(reach="pair.reach")
 class Fst:
     pair: TmExpr
 
 
-@node
+@node(reach="pair.reach")
 class Snd:
     pair: TmExpr
 
 
-@node
+@node(reach="0")
 class Tt:
     pass
 
 
-@node
+@node(reach="ty.reach")
 class Code:
     """Code a type as a term of the universe."""
     ty: TyExpr
 
 
-@node
+@node(reach="0")
 class TrueLit:
     pass
 
 
-@node
+@node(reach="0")
 class FalseLit:
     pass
 
 
-@node
+@node(reach=_max("motive.reach - 1", "on_true.reach", "on_false.reach",
+                 "scrut.reach"))
 class If:
     """Boolean elimination with explicit motive over the Bool-extended
     context."""
@@ -290,12 +323,12 @@ class If:
     scrut: TmExpr
 
 
-@node
+@node(reach="arg.reach")
 class Refl:
     arg: TmExpr
 
 
-@node
+@node(reach=_max("motive.reach - 2", "base.reach", "eq.reach"))
 class J:
     """Identity elimination; the motive lives two entries above the ambient
     context (the endpoint and the equation)."""

@@ -87,7 +87,11 @@ class VarInEmptyContext(TypeCheckError):
 @memoized
 def normalize_ty_in(ctx: Ctx, ty: TyExpr) -> TyExpr:
     """The normal form of ``ty`` in ``ctx``: the only code that computes
-    one, so conversion and ``force`` share its memo table."""
+    one, so conversion and ``force`` share its memo table.  A closed type
+    is read back from the empty environment, so its normal form is shared
+    by every context."""
+    if ty.reach == 0:
+        return readback_ty(0, eval_ty((), ty))
     env, depth = generic_env(ctx)
     return readback_ty(depth, eval_ty(env, ty))
 

@@ -15,7 +15,7 @@ from ttk.semantics import (
     eval_sub, eval_tm, eval_ty, readback_ne, readback_tm, readback_ty, vapp,
     vfst, vif, vj, vsnd,
 )
-from ttk.syntax import EMPTY, Bool, Top, Univ, Var0, Wk
+from ttk.syntax import EMPTY, Bool, Top, TrueLit, Univ, Var0, Wk
 from ttk.termify import termify_sub, termify_tm, termify_ty
 from ttk.typecheck import TypeCheckError, infer_ty, synth_sub, synth_tm
 from ttk.values import InternalStuck, NVar, TyClosure, VBool, VNe, VTrue, VTt
@@ -52,11 +52,18 @@ MOTIVE = TyClosure((), Bool())
 
 # Each dispatcher, called on its foreign argument, with an argument of the
 # wrong kind: syntax of another sort, a value where syntax belongs or the
-# other way round, or a value that the eliminator cannot take.
+# other way round, or a value that the eliminator cannot take.  The
+# evaluators are called in an empty and in a nonempty environment: in a
+# nonempty one they first read the argument's ``reach``, which a closed
+# node of another sort has and an object that is no syntax lacks.
 STUCK = {
     "eval_tm": (lambda x: eval_tm((), x), Bool()),
+    "eval_tm-in-env": (lambda x: eval_tm((VTt(),), x), Bool()),
     "eval_ty": (lambda x: eval_ty((), x), Var0()),
+    "eval_ty-in-env": (lambda x: eval_ty((VTt(),), x), Var0()),
+    "eval_ty-closed-in-env": (lambda x: eval_ty((VTt(),), x), TrueLit()),
     "eval_sub": (lambda x: eval_sub((), x), Top()),
+    "eval_sub-in-env": (lambda x: eval_sub((VTt(),), x), Top()),
     "readback_tm": (lambda x: readback_tm(0, VTt(), x), Bool()),
     "readback_tm-at-bool": (lambda x: readback_tm(0, x, VBool()), VTt()),
     "readback_ty": (lambda x: readback_ty(0, x), VTt()),
