@@ -104,7 +104,8 @@ def _verdict(accepted: bool) -> tuple[int, list[str]]:
 
 def _cmd_run(args) -> int:
     try:
-        text = open(args.file, encoding="utf-8").read()
+        with open(args.file, encoding="utf-8") as f:
+            text = f.read()
     except (OSError, UnicodeDecodeError) as err:
         print(f"cannot read {args.file}: {err}")
         print("RESULT: error io")

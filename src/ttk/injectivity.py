@@ -28,10 +28,7 @@ from .syntax import (
 from .caches import memoized
 from .conversion import conv_sub, conv_tm, conv_ty
 from .equations import EqInstance, check_instance
-from .termify import (
-    decoded, point_pair, termify_sub, termify_tm, termify_ty,
-    verify_termified_equation,
-)
+from .termify import decoded, point_pair, termify, verify_termified_equation
 from .typecheck import check_entity
 
 
@@ -88,15 +85,14 @@ def check_embedding(ctx: Ctx, entity=None) -> bool:
     iso = build_ctx_iso(ctx)
     if entity is None:
         return True
+    translated = App(termify(ctx, entity))
     if isinstance(entity, TyExpr):
-        rhs = TySub(El(App(termify_ty(ctx, entity))), iso.fwd)
-        return conv_ty(ctx, entity, rhs)
+        return conv_ty(ctx, entity, TySub(El(translated), iso.fwd))
     if isinstance(entity, SubExpr):
-        mid = Ext(Eps(), decoded(checked), App(termify_sub(ctx, entity)))
+        mid = Ext(Eps(), decoded(checked), translated)
         rhs = Comp(build_ctx_iso(checked).bwd, Comp(mid, iso.fwd))
         return conv_sub(ctx, checked, entity, rhs)
-    rhs = TmSub(App(termify_tm(ctx, entity)), iso.fwd)
-    return conv_tm(ctx, checked, entity, rhs)
+    return conv_tm(ctx, checked, entity, TmSub(translated, iso.fwd))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Indexed unary parametricity as a syntactic translation.
 
-Sorts:
+The translation is one memoized fold, ``param(ctx, x)``, with one clause
+per operator; it dispatches on the class of ``x``, with ``None`` for the
+context itself.  By sort:
 
     a context Γ       becomes a predicate: a type over Γ itself
     a type A over Γ   becomes a predicate over its elements, living in
@@ -52,94 +54,151 @@ def _pair_at(ctx: Ctx, sigma_ty: TyExpr, a: TmExpr, b: TmExpr) -> TmExpr:
     return Pair(sigma.dom, sigma.cod, a, b)
 
 
-# ---------------------------------------------------------------------------
-# Contexts
-# ---------------------------------------------------------------------------
-
 @memoized
-def param_ctx(ctx: Ctx) -> TyExpr:
-    """The predicate of a context, as a type over that context."""
-    if len(ctx) == 0:
-        return Top()
-    base = ctx.pop()
-    entry = ctx.last
-    base_pred = param_ctx(base)
-    entry_pred = param_ty(base, entry)
-    # reshuffle (x : entry, pred-of-base) into entry_pred's scope
-    reorder = Ext(
-        Ext(Comp(Wk(), Wk()), base_pred, Var0()),
-        TySub(entry, Wk()), TmSub(Var0(), Wk()))
-    return Sigma(TySub(base_pred, Wk()), TySub(entry_pred, reorder))
-
-
-# ---------------------------------------------------------------------------
-# Types
-# ---------------------------------------------------------------------------
-
-@memoized
-def param_ty(ctx: Ctx, ty: TyExpr) -> TyExpr:
-    """The predicate of a type, over ``ctx ▷ ctxᴾ ▷ ty[p]``."""
-    pred = param_ctx(ctx)
-    cls = type(ty)
+def param(ctx: Ctx, x) -> TyExpr | TmExpr:
+    """The translation of ``x`` in ``ctx``, by the class of ``x``: for
+    the context itself (``None``) its predicate, a type over ``ctx``; for
+    a type its predicate, over ``ctx ▷ ctxᴾ ▷ x[p]``; for a substitution
+    or a term its witness, in ``ctx ▷ ctxᴾ``.  ``x`` has no default, so
+    every call spells its memo key the same way."""
+    if x is None:
+        if len(ctx) == 0:
+            return Top()
+        base = ctx.pop()
+        entry = ctx.last
+        base_pred = param(base, None)
+        entry_pred = param(base, entry)
+        # reshuffle (x : entry, pred-of-base) into entry_pred's scope
+        reorder = Ext(
+            Ext(Comp(Wk(), Wk()), base_pred, Var0()),
+            TySub(entry, Wk()), TmSub(Var0(), Wk()))
+        return Sigma(TySub(base_pred, Wk()), TySub(entry_pred, reorder))
+    cls = type(x)
     if cls is TySub:
-        t, sub = ty.ty, ty.sub
+        t, sub = x.ty, x.sub
         cod = synth_sub(ctx, sub)
-        inner = param_ty(cod, t)
+        inner = param(cod, t)
         reindex = Ext(
-            Ext(Comp(sub, Comp(Wk(), Wk())), param_ctx(cod),
-                TmSub(param_sub(ctx, sub), Wk())),
+            Ext(Comp(sub, Comp(Wk(), Wk())), param(cod, None),
+                TmSub(param(ctx, sub), Wk())),
             TySub(t, Wk()), Var0())
         return TySub(inner, reindex)
-    if cls is Pi:
-        dom, cod = ty.dom, ty.cod
+    if cls is TmSub:
+        sub = x.sub
+        cod = synth_sub(ctx, sub)
+        return TmSub(param(cod, x.tm),
+                     Ext(Comp(sub, Wk()), param(cod, None), param(ctx, sub)))
+    if cls is Var0:
+        ctx.pop()  # rejects the empty context
+        return Snd(Var0())
+    if cls is Wk:
+        ctx.pop()
+        return Fst(Var0())
+    if cls is Lam:
+        dom = x.dom
         extended = ctx.extend(dom)
-        dom_pred = param_ty(ctx, dom)
-        cod_pred = param_ty(extended, cod)
-        sig = param_ctx(extended)
+        pred = param(ctx, None)
+        dom_pred = param(ctx, dom)
+        sig = param(extended, None)
+        into_syntax = Ext(Comp(Wk(), Comp(Wk(), Wk())), dom, v(1))
+        packed = _pair_at(
+            ctx.extend(pred).extend(TySub(dom, Wk())).extend(dom_pred),
+            TySub(sig, into_syntax), v(2), Var0())
+        reorg = Ext(into_syntax, sig, packed)
+        return Lam(TySub(dom, Wk()),
+                   Lam(dom_pred, TmSub(param(extended, x.body), reorg)))
+    if cls is App:
+        base = ctx.pop()
+        fn_pred = param(base, x.fn)
+        unpack = Ext(Comp(Wk(), Wk()), param(base, None), Fst(Var0()))
+        return apply1(apply1(TmSub(fn_pred, unpack), v(1)), Snd(Var0()))
+    if cls is Pi:
+        dom, cod = x.dom, x.cod
+        extended = ctx.extend(dom)
+        pred = param(ctx, None)
+        dom_pred = param(ctx, dom)
+        cod_pred = param(extended, cod)
+        sig = param(extended, None)
         arg = TySub(dom, Comp(Wk(), Wk()))
         arg_rel = TySub(dom_pred, Ext(
             Ext(wk(3), pred, v(2)), TySub(dom, Wk()), Var0()))
         into_syntax = Ext(wk(4), dom, v(1))
         packed = _pair_at(
-            ctx.extend(pred).extend(TySub(ty, Wk())).extend(arg).extend(arg_rel),
+            ctx.extend(pred).extend(TySub(x, Wk())).extend(arg).extend(arg_rel),
             TySub(sig, into_syntax), v(3), Var0())
         applied = apply1(v(2), v(1))
         result = Ext(Ext(into_syntax, sig, packed), TySub(cod, Wk()), applied)
         return Pi(arg, Pi(arg_rel, TySub(cod_pred, result)))
     if cls is Sigma:
-        dom, cod = ty.dom, ty.cod
+        dom, cod = x.dom, x.cod
         extended = ctx.extend(dom)
-        dom_pred = param_ty(ctx, dom)
-        cod_pred = param_ty(extended, cod)
-        sig = param_ctx(extended)
+        pred = param(ctx, None)
+        dom_pred = param(ctx, dom)
+        cod_pred = param(extended, cod)
+        sig = param(extended, None)
         fst_rel = TySub(dom_pred, Ext(
             Ext(Comp(Wk(), Wk()), pred, v(1)),
             TySub(dom, Wk()), Fst(Var0())))
-        scope = ctx.extend(pred).extend(TySub(ty, Wk())).extend(fst_rel)
+        scope = ctx.extend(pred).extend(TySub(x, Wk())).extend(fst_rel)
         into_syntax = Ext(wk(3), dom, Fst(v(1)))
         packed = _pair_at(scope, TySub(sig, into_syntax), v(2), Var0())
         result = Ext(Ext(into_syntax, sig, packed),
                      TySub(cod, Wk()), Snd(v(1)))
         return Sigma(fst_rel, TySub(cod_pred, result))
-    if cls is Top:
-        return Top()
-    if cls is Bool:
+    if cls is El:
+        code_pred = param(ctx, x.code)
+        return El(apply1(TmSub(code_pred, Wk()), Var0()))
+    if cls is Code:
+        t = x.ty
+        t_pred = param(ctx, t)
+        reorder = Ext(Ext(Comp(Wk(), Wk()), param(ctx, None), v(1)),
+                      TySub(t, Wk()), Var0())
+        return Lam(TySub(El(x), Wk()), Code(TySub(t_pred, reorder)))
+    if cls is Top or cls is Bool:
         return Top()
     if cls is Univ:
-        return Pi(El(Var0()), TySub(Univ(ty.level), Wk()))
-    if cls is El:
-        code_pred = param_tm(ctx, ty.code)
-        return El(apply1(TmSub(code_pred, Wk()), Var0()))
+        return Pi(El(Var0()), TySub(x, Wk()))
+    if cls is Eps or cls is Tt or cls is TrueLit or cls is FalseLit:
+        return Tt()
+    if cls is Fst or cls is Snd:
+        return cls(param(ctx, x.pair))
+    if cls is IdSub:
+        return Var0()
+    if cls is Comp:
+        inner = x.inner
+        mid = synth_sub(ctx, inner)
+        return TmSub(param(mid, x.outer),
+                     Ext(Comp(inner, Wk()), param(mid, None),
+                         param(ctx, inner)))
+    if cls is Ext:
+        cod = synth_sub(ctx, x.sub)
+        entry = x.ann if x.ann is not None else synth_tm(ctx, x.tm)
+        target = TySub(param(cod.extend(entry), None), Comp(x, Wk()))
+        return _pair_at(ctx.extend(param(ctx, None)), target,
+                        param(ctx, x.sub), param(ctx, x.tm))
+    if cls is Pair:
+        sigma = Sigma(x.fst_ty, x.snd_ty)
+        target = TySub(
+            param(ctx, sigma),
+            Ext(IdSub(), TySub(sigma, Wk()), TmSub(x, Wk())))
+        return _pair_at(ctx.extend(param(ctx, None)), target,
+                        param(ctx, x.fst), param(ctx, x.snd))
     if cls is IdTy:
-        dom, lhs, rhs = ty.ty, ty.lhs, ty.rhs
-        dom_pred = param_ty(ctx, dom)
-        lhs_pred = param_tm(ctx, lhs)
-        rhs_pred = param_tm(ctx, rhs)
+        dom, lhs, rhs = x.ty, x.lhs, x.rhs
+        dom_pred = param(ctx, dom)
+        lhs_pred = param(ctx, lhs)
+        rhs_pred = param(ctx, rhs)
         at_rhs = Ext(Wk(), TySub(dom, Wk()), TmSub(rhs, Comp(Wk(), Wk())))
         carried = _transport_along(
             ctx, dom, dom_pred, lhs, TmSub(lhs_pred, Wk()), Var0(), 1)
         return IdTy(TySub(dom_pred, at_rhs), carried, TmSub(rhs_pred, Wk()))
-    raise TypeCheckError("not a type expression", expr=ty)
+    if cls is If:
+        return _param_if(ctx, x.motive, x.on_true, x.on_false, x.scrut)
+    if cls is Refl:
+        return Refl(param(ctx, x.arg))
+    if cls is J:
+        return _param_j(ctx, x, x.motive, x.base, x.eq)
+    raise TypeCheckError("not an expression", expr=x)
 
 
 def _transport_along(ctx: Ctx, dom: TyExpr, dom_pred: TyExpr, point: TmExpr,
@@ -163,110 +222,14 @@ def _transport_along(ctx: Ctx, dom: TyExpr, dom_pred: TyExpr, point: TmExpr,
     return apply1(J(motive, base, eq), point_pred)
 
 
-# ---------------------------------------------------------------------------
-# Substitutions
-# ---------------------------------------------------------------------------
-
-@memoized
-def param_sub(ctx: Ctx, sub: SubExpr) -> TmExpr:
-    """Preservation witness: ``Tm (ctx ▷ ctxᴾ) (codᴾ[sub ∘ p])``."""
-    cls = type(sub)
-    if cls is IdSub:
-        return Var0()
-    if cls is Comp:
-        inner = sub.inner
-        mid = synth_sub(ctx, inner)
-        return TmSub(param_sub(mid, sub.outer),
-                     Ext(Comp(inner, Wk()), param_ctx(mid),
-                         param_sub(ctx, inner)))
-    if cls is Eps:
-        return Tt()
-    if cls is Ext:
-        cod = synth_sub(ctx, sub.sub)
-        entry = sub.ann if sub.ann is not None else synth_tm(ctx, sub.tm)
-        target = TySub(param_ctx(cod.extend(entry)), Comp(sub, Wk()))
-        return _pair_at(ctx.extend(param_ctx(ctx)), target,
-                        param_sub(ctx, sub.sub), param_tm(ctx, sub.tm))
-    if cls is Wk:
-        ctx.pop()
-        return Fst(Var0())
-    raise TypeCheckError("not a substitution expression", expr=sub)
-
-
-# ---------------------------------------------------------------------------
-# Terms
-# ---------------------------------------------------------------------------
-
-@memoized
-def param_tm(ctx: Ctx, tm: TmExpr) -> TmExpr:
-    """Witness that ``tm`` satisfies its type's predicate:
-    ``Tm (ctx ▷ ctxᴾ) (tyᴾ[id, tm[p]])``."""
-    pred = param_ctx(ctx)
-    cls = type(tm)
-    if cls is TmSub:
-        sub = tm.sub
-        cod = synth_sub(ctx, sub)
-        return TmSub(param_tm(cod, tm.tm),
-                     Ext(Comp(sub, Wk()), param_ctx(cod),
-                         param_sub(ctx, sub)))
-    if cls is Var0:
-        ctx.pop()
-        return Snd(Var0())
-    if cls is Lam:
-        dom = tm.dom
-        extended = ctx.extend(dom)
-        dom_pred = param_ty(ctx, dom)
-        sig = param_ctx(extended)
-        into_syntax = Ext(Comp(Wk(), Comp(Wk(), Wk())), dom, v(1))
-        packed = _pair_at(
-            ctx.extend(pred).extend(TySub(dom, Wk())).extend(dom_pred),
-            TySub(sig, into_syntax), v(2), Var0())
-        reorg = Ext(into_syntax, sig, packed)
-        return Lam(TySub(dom, Wk()),
-                   Lam(dom_pred, TmSub(param_tm(extended, tm.body), reorg)))
-    if cls is App:
-        base = ctx.pop()
-        fn_pred = param_tm(base, tm.fn)
-        unpack = Ext(Comp(Wk(), Wk()), param_ctx(base), Fst(Var0()))
-        return apply1(apply1(TmSub(fn_pred, unpack), v(1)), Snd(Var0()))
-    if cls is Pair:
-        sigma = Sigma(tm.fst_ty, tm.snd_ty)
-        target = TySub(
-            param_ty(ctx, sigma),
-            Ext(IdSub(), TySub(sigma, Wk()), TmSub(tm, Wk())))
-        return _pair_at(ctx.extend(pred), target,
-                        param_tm(ctx, tm.fst), param_tm(ctx, tm.snd))
-    if cls is Fst:
-        return Fst(param_tm(ctx, tm.pair))
-    if cls is Snd:
-        return Snd(param_tm(ctx, tm.pair))
-    if cls is Tt:
-        return Tt()
-    if cls is Code:
-        t = tm.ty
-        t_pred = param_ty(ctx, t)
-        reorder = Ext(Ext(Comp(Wk(), Wk()), pred, v(1)),
-                      TySub(t, Wk()), Var0())
-        return Lam(TySub(El(tm), Wk()), Code(TySub(t_pred, reorder)))
-    if cls is TrueLit or cls is FalseLit:
-        return Tt()
-    if cls is If:
-        return _param_if(ctx, tm.motive, tm.on_true, tm.on_false, tm.scrut)
-    if cls is Refl:
-        return Refl(param_tm(ctx, tm.arg))
-    if cls is J:
-        return _param_j(ctx, tm, tm.motive, tm.base, tm.eq)
-    raise TypeCheckError("not a term expression", expr=tm)
-
-
 def _param_if(ctx: Ctx, motive: TyExpr, on_true: TmExpr, on_false: TmExpr,
               scrut: TmExpr) -> TmExpr:
     extended = ctx.extend(Bool())
-    motive_pred = param_ty(extended, motive)
-    sig = param_ctx(extended)
+    motive_pred = param(extended, motive)
+    sig = param(extended, None)
     # the predicate-level motive re-runs the branch selection at its value slot
     into_syntax = Ext(Comp(Wk(), Wk()), Bool(), Var0())
-    scope = ctx.extend(param_ctx(ctx)).extend(Bool())
+    scope = ctx.extend(param(ctx, None)).extend(Bool())
     packed = _pair_at(scope, TySub(sig, into_syntax), v(1), Tt())
     selected = If(TySub(motive, lift(Comp(Wk(), Wk()), Bool())),
                   TmSub(on_true, Comp(Wk(), Wk())),
@@ -276,8 +239,8 @@ def _param_if(ctx: Ctx, motive: TyExpr, on_true: TmExpr, on_false: TmExpr,
                           Ext(Ext(into_syntax, sig, packed),
                               TySub(motive, Wk()), selected))
     return If(lifted_motive,
-              param_tm(ctx, on_true),
-              param_tm(ctx, on_false),
+              param(ctx, on_true),
+              param(ctx, on_false),
               TmSub(scrut, Wk()))
 
 
@@ -285,17 +248,17 @@ def _param_j(ctx: Ctx, whole: TmExpr, motive: TyExpr, base: TmExpr,
              eq: TmExpr) -> TmExpr:
     eq_ty = force(ctx, synth_tm(ctx, eq), IdTy, eq)
     dom, lhs, rhs = eq_ty.ty, eq_ty.lhs, eq_ty.rhs
-    pred = param_ctx(ctx)
-    dom_pred = param_ty(ctx, dom)
-    lhs_pred = param_tm(ctx, lhs)
-    rhs_pred = param_tm(ctx, rhs)
-    eq_pred = param_tm(ctx, eq)
-    base_pred = param_tm(ctx, base)
+    pred = param(ctx, None)
+    dom_pred = param(ctx, dom)
+    lhs_pred = param(ctx, lhs)
+    rhs_pred = param(ctx, rhs)
+    eq_pred = param(ctx, eq)
+    base_pred = param(ctx, base)
     eq_entry = IdTy(TySub(dom, Wk()), TmSub(lhs, Wk()), Var0())
     with_eq = ctx.extend(dom).extend(eq_entry)
-    motive_pred = param_ty(with_eq, motive)
-    sig = param_ctx(with_eq)
-    sig_dom = param_ctx(ctx.extend(dom))
+    motive_pred = param(with_eq, motive)
+    sig = param(with_eq, None)
+    sig_dom = param(ctx.extend(dom), None)
 
     # Stage one: eliminate the underlying equation.  The motive's witness
     # slots are canonical in the bound endpoint: the endpoint witness is the
@@ -348,15 +311,15 @@ def param_entity(ctx: Ctx, entity=None) -> Translated:
     ``TranslationIllTyped``."""
     def translate(checked):
         if entity is None:
-            return ctx, param_ctx(ctx), checked
+            return ctx, param(ctx, None), checked
+        scope = ctx.extend(param(ctx, None))
         if isinstance(entity, TyExpr):
-            scope = ctx.extend(param_ctx(ctx)).extend(TySub(entity, Wk()))
-            return scope, param_ty(ctx, entity), checked
+            return scope.extend(TySub(entity, Wk())), param(ctx, entity), checked
         if isinstance(entity, SubExpr):
-            classifier = TySub(param_ctx(checked), Comp(entity, Wk()))
-            return ctx.extend(param_ctx(ctx)), param_sub(ctx, entity), classifier
-        classifier = TySub(
-            param_ty(ctx, checked),
-            Ext(IdSub(), TySub(checked, Wk()), TmSub(entity, Wk())))
-        return ctx.extend(param_ctx(ctx)), param_tm(ctx, entity), classifier
+            classifier = TySub(param(checked, None), Comp(entity, Wk()))
+        else:
+            classifier = TySub(
+                param(ctx, checked),
+                Ext(IdSub(), TySub(checked, Wk()), TmSub(entity, Wk())))
+        return scope, param(ctx, entity), classifier
     return translate_checked("parametricity", ctx, entity, translate)

@@ -8,19 +8,20 @@ the empty context:
     substitutions     become functions ``Tm • (El ⟦Γ⟧ ⇒ El ⟦Δ⟧)``
     terms             become sections ``Tm • (Π (El ⟦Γ⟧) (El (app ⟦A⟧)))``
 
-The translation is a structural fold with one clause per operator; the
-context is threaded so clauses can re-translate synthesized classifiers
-where annotations demand it.  Closed subterms are weakened into binder
-scopes by the terminal substitution; the conversion checker later
-discharges all coherence obligations this creates.
+The translation is one memoized fold, ``termify(ctx, x)``, over every
+sort: it dispatches on the class of ``x``, with ``None`` for the context
+itself, and has one clause per operator.  The context is threaded so
+clauses can re-translate synthesized classifiers where annotations
+demand it.  Closed subterms are weakened into binder scopes by the
+terminal substitution; the conversion checker later discharges all
+coherence obligations this creates.
 
 Points of a translated extended context are pairs.  The pair annotations
 are read off the normal form of the decoded context code, which is closed,
-so its memoized normal form serves every use site.  ``termify`` and
-``termified_classifier`` give an entity's translation and its closed type,
-by the entity's class; ``termify_entity`` checks the one at the other on
-the check, translate, verify path both translations share
-(``typecheck.translate_checked``).
+so its memoized normal form serves every use site.  ``termified_classifier``
+gives the closed type of an entity's translation, by the entity's class;
+``termify_entity`` checks the one at the other on the check, translate,
+verify path both translations share (``typecheck.translate_checked``).
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ def _wk0(tm: TmExpr) -> TmExpr:
 
 def decoded(ctx: Ctx) -> TyExpr:
     """``El`` of the translated context: the closed type of its points."""
-    return El(termify_ctx(ctx))
+    return El(termify(ctx, None))
 
 
 def point_pair(ctx: Ctx, head: TmExpr, tail: TmExpr) -> TmExpr:
@@ -55,163 +56,121 @@ def point_pair(ctx: Ctx, head: TmExpr, tail: TmExpr) -> TmExpr:
 
 
 @memoized
-def termify_ctx(ctx: Ctx) -> TmExpr:
-    if len(ctx) == 0:
-        return Code(Top())
-    head = ctx.pop()
-    entry_fam = termify_ty(head, ctx.last)
-    return Code(Sigma(El(termify_ctx(head)), El(App(entry_fam))))
-
-
-@memoized
-def termify_sub(ctx: Ctx, sub: SubExpr) -> TmExpr:
+def termify(ctx: Ctx, x) -> TmExpr:
+    """The closed term that ``x`` in ``ctx`` translates to; ``None``
+    stands for the context itself.  ``x`` has no default, so each call
+    spells the memo key the same way."""
+    if x is None:
+        if len(ctx) == 0:
+            return Code(Top())
+        head = ctx.pop()
+        entry_fam = termify(head, ctx.last)
+        return Code(Sigma(El(termify(head, None)), El(App(entry_fam))))
     points = decoded(ctx)
-    cls = type(sub)
-    if cls is IdSub:
-        return Lam(points, Var0())
-    if cls is Comp:
-        mid = synth_sub(ctx, sub.inner)
-        outer_t = termify_sub(mid, sub.outer)
-        inner_t = termify_sub(ctx, sub.inner)
-        return Lam(points, apply1(_wk0(outer_t), apply1(_wk0(inner_t), Var0())))
-    if cls is Eps:
-        return Lam(points, Tt())
-    if cls is Ext:
-        cod = synth_sub(ctx, sub.sub)
-        entry = sub.ann if sub.ann is not None else synth_tm(ctx, sub.tm)
-        s_t = termify_sub(ctx, sub.sub)
-        tm_t = termify_tm(ctx, sub.tm)
-        body = point_pair(cod.extend(entry), App(s_t), App(tm_t))
-        return Lam(points, body)
-    if cls is Wk:
-        ctx.pop()  # rejects the empty context
-        return Lam(points, Fst(Var0()))
-    raise TypeCheckError("not a substitution expression", expr=sub)
-
-
-@memoized
-def termify_ty(ctx: Ctx, ty: TyExpr) -> TmExpr:
-    points = decoded(ctx)
-    cls = type(ty)
-    if cls is TySub:
-        cod = synth_sub(ctx, ty.sub)
-        inner = termify_ty(cod, ty.ty)
-        reindex = Ext(Eps(), decoded(cod), App(TmSub(termify_sub(ctx, ty.sub), Eps())))
+    cls = type(x)
+    if cls is TySub or cls is TmSub:
+        cod = synth_sub(ctx, x.sub)
+        inner = termify(cod, x.ty if cls is TySub else x.tm)
+        reindex = Ext(Eps(), decoded(cod), App(TmSub(termify(ctx, x.sub), Eps())))
         return Lam(points, TmSub(App(inner), reindex))
+    if cls is Var0:
+        ctx.pop()  # rejects the empty context
+        return Lam(points, Snd(Var0()))
+    if cls is Wk:
+        ctx.pop()
+        return Lam(points, Fst(Var0()))
+    if cls is Lam:
+        extended = ctx.extend(x.dom)
+        body_t = termify(extended, x.body)
+        fibre = El(App(termify(ctx, x.dom)))
+        packed = point_pair(extended, v(1), v(0))
+        return Lam(points, Lam(fibre, apply1(_wk0(body_t), packed)))
+    if cls is App:
+        fn_t = termify(ctx.pop(), x.fn)
+        return Lam(points,
+                   apply1(apply1(_wk0(fn_t), Fst(Var0())), Snd(Var0())))
     if cls is Pi or cls is Sigma:
-        extended = ctx.extend(ty.dom)
-        dom_t = termify_ty(ctx, ty.dom)
-        cod_t = termify_ty(extended, ty.cod)
+        extended = ctx.extend(x.dom)
+        dom_t = termify(ctx, x.dom)
+        cod_t = termify(extended, x.cod)
         fibre = El(App(dom_t))
         packed = point_pair(extended, v(1), v(0))
         inner_cod = TySub(El(App(cod_t)), Ext(Eps(), decoded(extended), packed))
         return Lam(points, Code(cls(fibre, inner_cod)))
-    if cls is Top:
-        return Lam(points, Code(Top()))
-    if cls is Univ:
-        return Lam(points, Code(Univ(ty.level)))
     if cls is El:
-        return termify_tm(ctx, ty.code)
-    if cls is Bool:
-        return Lam(points, Code(Bool()))
-    if cls is IdTy:
-        t_t = termify_ty(ctx, ty.ty)
-        lhs_t = termify_tm(ctx, ty.lhs)
-        rhs_t = termify_tm(ctx, ty.rhs)
-        return Lam(points, Code(IdTy(El(App(t_t)), App(lhs_t), App(rhs_t))))
-    raise TypeCheckError("not a type expression", expr=ty)
-
-
-@memoized
-def termify_tm(ctx: Ctx, tm: TmExpr) -> TmExpr:
-    points = decoded(ctx)
-    cls = type(tm)
-    if cls is TmSub:
-        cod = synth_sub(ctx, tm.sub)
-        inner = termify_tm(cod, tm.tm)
-        reindex = Ext(Eps(), decoded(cod), App(TmSub(termify_sub(ctx, tm.sub), Eps())))
-        return Lam(points, TmSub(App(inner), reindex))
-    if cls is Var0:
-        ctx.pop()
-        return Lam(points, Snd(Var0()))
-    if cls is Lam:
-        extended = ctx.extend(tm.dom)
-        body_t = termify_tm(extended, tm.body)
-        fibre = El(App(termify_ty(ctx, tm.dom)))
-        packed = point_pair(extended, v(1), v(0))
-        return Lam(points, Lam(fibre, apply1(_wk0(body_t), packed)))
-    if cls is App:
-        fn_t = termify_tm(ctx.pop(), tm.fn)
-        return Lam(points,
-                   apply1(apply1(_wk0(fn_t), Fst(Var0())), Snd(Var0())))
+        return termify(ctx, x.code)
+    if cls is Code:
+        return termify(ctx, x.ty)
+    if cls is Top or cls is Univ or cls is Bool:
+        return Lam(points, Code(x))
+    if cls is Eps or cls is Tt:
+        return Lam(points, Tt())
+    if cls is TrueLit or cls is FalseLit:
+        return Lam(points, x)
+    if cls is Fst or cls is Snd:
+        return Lam(points, cls(App(termify(ctx, x.pair))))
+    if cls is IdSub:
+        return Lam(points, Var0())
+    if cls is Comp:
+        mid = synth_sub(ctx, x.inner)
+        outer_t = termify(mid, x.outer)
+        inner_t = termify(ctx, x.inner)
+        return Lam(points, apply1(_wk0(outer_t), apply1(_wk0(inner_t), Var0())))
+    if cls is Ext:
+        cod = synth_sub(ctx, x.sub)
+        entry = x.ann if x.ann is not None else synth_tm(ctx, x.tm)
+        s_t = termify(ctx, x.sub)
+        tm_t = termify(ctx, x.tm)
+        return Lam(points, point_pair(cod.extend(entry), App(s_t), App(tm_t)))
     if cls is Pair:
-        extended = ctx.extend(tm.fst_ty)
-        fst_t = termify_ty(ctx, tm.fst_ty)
-        snd_t = termify_ty(extended, tm.snd_ty)
+        extended = ctx.extend(x.fst_ty)
+        fst_t = termify(ctx, x.fst_ty)
+        snd_t = termify(extended, x.snd_ty)
         fibre = El(App(fst_t))
         packed = point_pair(extended, v(1), v(0))
         snd_fam = TySub(El(App(snd_t)), Ext(Eps(), decoded(extended), packed))
         return Lam(points, Pair(
             fibre, snd_fam,
-            App(termify_tm(ctx, tm.fst)), App(termify_tm(ctx, tm.snd))))
-    if cls is Fst:
-        return Lam(points, Fst(App(termify_tm(ctx, tm.pair))))
-    if cls is Snd:
-        return Lam(points, Snd(App(termify_tm(ctx, tm.pair))))
-    if cls is Tt:
-        return Lam(points, Tt())
-    if cls is Code:
-        return termify_ty(ctx, tm.ty)
-    if cls is TrueLit:
-        return Lam(points, TrueLit())
-    if cls is FalseLit:
-        return Lam(points, FalseLit())
+            App(termify(ctx, x.fst)), App(termify(ctx, x.snd))))
+    if cls is IdTy:
+        t_t = termify(ctx, x.ty)
+        lhs_t = termify(ctx, x.lhs)
+        rhs_t = termify(ctx, x.rhs)
+        return Lam(points, Code(IdTy(El(App(t_t)), App(lhs_t), App(rhs_t))))
     if cls is If:
         extended = ctx.extend(Bool())
-        motive_t = termify_ty(extended, tm.motive)
+        motive_t = termify(extended, x.motive)
         packed = point_pair(extended, v(1), v(0))
         inner_motive = El(apply1(_wk0(motive_t), packed))
         return Lam(points, If(
             inner_motive,
-            App(termify_tm(ctx, tm.on_true)),
-            App(termify_tm(ctx, tm.on_false)),
-            App(termify_tm(ctx, tm.scrut)),
+            App(termify(ctx, x.on_true)),
+            App(termify(ctx, x.on_false)),
+            App(termify(ctx, x.scrut)),
         ))
     if cls is Refl:
-        return Lam(points, Refl(App(termify_tm(ctx, tm.arg))))
+        return Lam(points, Refl(App(termify(ctx, x.arg))))
     if cls is J:
-        eq_ty = force(ctx, synth_tm(ctx, tm.eq), IdTy, tm.eq)
+        eq_ty = force(ctx, synth_tm(ctx, x.eq), IdTy, x.eq)
         dom, lhs = eq_ty.ty, eq_ty.lhs
         eq_entry = IdTy(TySub(dom, Wk()), TmSub(lhs, Wk()), Var0())
         with_dom = ctx.extend(dom)
         with_eq = with_dom.extend(eq_entry)
-        motive_t = termify_ty(with_eq, tm.motive)
+        motive_t = termify(with_eq, x.motive)
         inner_pair = point_pair(with_dom, v(2), v(1))
         packed = point_pair(with_eq, inner_pair, v(0))
         inner_motive = El(apply1(_wk0(motive_t), packed))
         return Lam(points, J(
             inner_motive,
-            App(termify_tm(ctx, tm.base)),
-            App(termify_tm(ctx, tm.eq)),
+            App(termify(ctx, x.base)),
+            App(termify(ctx, x.eq)),
         ))
-    raise TypeCheckError("not a term expression", expr=tm)
+    raise TypeCheckError("not an expression", expr=x)
 
 
 # ---------------------------------------------------------------------------
 # Entity-level interface
 # ---------------------------------------------------------------------------
-
-def termify(ctx: Ctx, entity=None) -> TmExpr:
-    """The closed term that ``entity`` in ``ctx`` translates to; ``None``
-    stands for the context itself."""
-    if entity is None:
-        return termify_ctx(ctx)
-    if isinstance(entity, TyExpr):
-        return termify_ty(ctx, entity)
-    if isinstance(entity, SubExpr):
-        return termify_sub(ctx, entity)
-    return termify_tm(ctx, entity)
-
 
 def termified_classifier(ctx: Ctx, entity, checked) -> TyExpr:
     """The closed type that the translation of ``entity`` in ``ctx``
@@ -224,7 +183,7 @@ def termified_classifier(ctx: Ctx, entity, checked) -> TyExpr:
         return arrow(decoded(ctx), Univ(checked))
     if isinstance(entity, SubExpr):
         return arrow(decoded(ctx), decoded(checked))
-    return Pi(decoded(ctx), El(App(termify_ty(ctx, checked))))
+    return Pi(decoded(ctx), El(App(termify(ctx, checked))))
 
 
 def termify_entity(ctx: Ctx, entity=None) -> Translated:

@@ -1,4 +1,7 @@
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -224,14 +227,17 @@ def test_param_user_error_is_not_a_translation_bug(capsys, tmp_path):
     assert not any("ill-typed output" in line for line in lines)
 
 
-@pytest.mark.parametrize("module, clause, text", [
-    (ttk.termify, "termify_tm", "(termify (ctx) (true))"),
-    (ttk.parametricity, "param_tm", "(param (ctx) (true))"),
+@pytest.mark.parametrize("module, fold, text", [
+    (ttk.termify, "termify", "(termify (ctx) (true))"),
+    (ttk.parametricity, "param", "(param (ctx) (true))"),
 ], ids=["termify", "param"])
 def test_translation_bug_is_a_kernel_error(capsys, tmp_path, monkeypatch,
-                                           module, clause, text):
-    # a clause that returns an ill-typed output for well-typed input
-    monkeypatch.setattr(module, clause, lambda ctx, tm: TrueLit())
+                                           module, fold, text):
+    # a clause for true that returns an ill-typed output for well-typed
+    # input; every other clause is the fold's own
+    real = getattr(module, fold)
+    monkeypatch.setattr(module, fold, lambda ctx, x: (
+        TrueLit() if type(x) is TrueLit else real(ctx, x)))
     code, lines = _run_text(capsys, tmp_path, text)
     assert code == 1
     assert lines[-1] == "RESULT: error kernel"
@@ -287,6 +293,26 @@ def test_non_utf8_file_is_an_io_error(capsys, tmp_path):
     assert code == 2
     assert lines[-1] == "RESULT: error io"
     assert lines[0].startswith(f"cannot read {f}: ")
+
+
+# Every demo, and a file that fails to decode.
+RUN_INPUTS = {demo.stem: demo.read_bytes() for demo in sorted(DEMO.glob("*.tt"))}
+RUN_INPUTS["not-utf8"] = b"(canon (true\xff))"
+
+
+@pytest.mark.parametrize("name", list(RUN_INPUTS))
+def test_run_closes_its_input_file(tmp_path, name):
+    # development mode reports a file left open as a ResourceWarning on
+    # stderr, also when reading it fails
+    f = tmp_path / "d.tt"
+    f.write_bytes(RUN_INPUTS[name])
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ttk.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-X", "dev", "-m", "ttk.cli", "run", str(f)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=120)
+    assert done.stdout.splitlines()[-1].startswith("RESULT: ")
+    assert done.stderr == ""
 
 
 def test_missing_file_is_an_io_error(capsys, tmp_path):

@@ -5,38 +5,42 @@ exact class of a node.  A node of another sort, or an object that is no
 node at all, falls through every test to the dispatcher's own error:
 ``TypeCheckError`` from the checker and the translations, whose input
 may be anything, and ``InternalStuck`` from evaluation, readback and the
-eliminators, which only run on checked input.
+eliminators, which only run on checked input.  Each translation is one
+fold over every sort, so only an object that is no node reaches its
+error.
 """
 
 import pytest
 
-from ttk.parametricity import param_sub, param_tm, param_ty
+from ttk.parametricity import param
 from ttk.semantics import (
     eval_sub, eval_tm, eval_ty, readback_ne, readback_tm, readback_ty, vapp,
     vfst, vif, vj, vsnd,
 )
 from ttk.syntax import EMPTY, Bool, Top, TrueLit, Univ, Var0, Wk
-from ttk.termify import termify_sub, termify_tm, termify_ty
+from ttk.termify import termify
 from ttk.typecheck import TypeCheckError, infer_ty, synth_sub, synth_tm
 from ttk.values import InternalStuck, NVar, TyClosure, VBool, VNe, VTrue, VTt
 
-# A node of another sort, by the sort a dispatcher takes.
+# A node of another sort, by the sort a checker takes.
 OTHER_SORT = {"ty": Var0(), "sub": Bool(), "tm": Wk()}
+CHECKERS = [(infer_ty, "ty"), (synth_sub, "sub"), (synth_tm, "tm")]
+# Each dispatcher's own error, by the sort it takes; a fold takes every sort.
+MESSAGES = {"ty": "not a type expression",
+            "sub": "not a substitution expression",
+            "tm": "not a term expression", None: "not an expression"}
+FOREIGN = [(foreign, fn, sort) for foreign in ("other-sort", "object")
+           for fn, sort in CHECKERS]
+FOREIGN += [("object", fold, None) for fold in (termify, param)]
 
-CHECKERS = [(infer_ty, "ty"), (synth_sub, "sub"), (synth_tm, "tm"),
-            (termify_ty, "ty"), (termify_sub, "sub"), (termify_tm, "tm"),
-            (param_ty, "ty"), (param_sub, "sub"), (param_tm, "tm")]
-NOUNS = {"ty": "type", "sub": "substitution", "tm": "term"}
 
-
-@pytest.mark.parametrize("fn, sort", CHECKERS,
-                         ids=[fn.__name__ for fn, _ in CHECKERS])
-@pytest.mark.parametrize("foreign", ["other-sort", "object"])
-def test_checkers_and_translations_reject_a_foreign_object(fn, sort, foreign):
+@pytest.mark.parametrize("foreign, fn, sort", FOREIGN, ids=[
+    f"{foreign}-{fn.__name__}" for foreign, fn, _ in FOREIGN])
+def test_checkers_and_translations_reject_a_foreign_object(foreign, fn, sort):
     x = OTHER_SORT[sort] if foreign == "other-sort" else object()
     with pytest.raises(TypeCheckError) as err:
         fn(EMPTY, x)
-    assert err.value.message == f"not a {NOUNS[sort]} expression"
+    assert err.value.message == MESSAGES[sort]
     assert err.value.expr is x
 
 

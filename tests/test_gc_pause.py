@@ -55,8 +55,8 @@ def _main_quietly(argv) -> list[str]:
     return out.getvalue().splitlines()
 
 
-def _no_termify(ctx, tm):
-    # a clause that returns an ill-typed output for well-typed input
+def _no_termify(ctx, x):
+    # a fold that returns an ill-typed output for well-typed input
     return TrueLit()
 
 
@@ -75,7 +75,7 @@ def _no_termify(ctx, tm):
         "limit-variable", "io-missing", "io-not-utf8", "kernel"])
 def test_run_leaves_no_cycles(tmp_path, monkeypatch, text, result):
     if result == "RESULT: error kernel":
-        monkeypatch.setattr(ttk.termify, "termify_tm", _no_termify)
+        monkeypatch.setattr(ttk.termify, "termify", _no_termify)
     path = tmp_path / "d.tt"
     if isinstance(text, str):
         path.write_text(text)

@@ -5,12 +5,12 @@ from ttk.syntax import (
     Top, TrueLit, Tt, TmSub, TySub, Univ, Var0, Wk,
 )
 from ttk.conversion import conv_tm
-from ttk.parametricity import param_ctx, param_entity
+from ttk.parametricity import param, param_entity
 from ttk.typecheck import TranslationIllTyped, TypeCheckError, infer_ty
 
 
 def test_empty_context_predicate_is_unit():
-    assert param_ctx(EMPTY) == Top()
+    assert param(EMPTY, None) == Top()
     ent = param_entity(EMPTY)
     assert ent.classifier == 0
 

@@ -6,6 +6,10 @@ directives both accepting and rejecting.  Each runs in-process on cold
 caches, as a fresh ``ttk run`` would, and its stdout and exit code go
 into one sha256 digest.  A change to the kernel that is meant to keep
 every verdict and every printed byte must leave the digest as it is.
+
+A second digest pins every clause of both translations: the ``termify``
+and ``param`` output of each of ``injectivity.COMPONENT_CASES``, one
+case per operator of the theory.
 """
 
 import contextlib
@@ -16,7 +20,10 @@ import random
 from ttk.caches import clear_all
 from ttk.cli import main
 from ttk.generate import GenConfig, GenExhausted, InstanceGen
-from ttk.surface import DIRECTIVES, print_ctx, print_sub, print_tm, print_ty
+from ttk.injectivity import COMPONENT_CASES
+from ttk.surface import (
+    DIRECTIVES, print_ctx, print_entity, print_sub, print_tm, print_ty,
+)
 from ttk.syntax import EMPTY, Bool
 
 SEED = 20261019
@@ -24,6 +31,8 @@ GROUPS = 7
 # The digest of what the directives print; a change to any verdict or any
 # printed byte changes it.
 DIGEST = "413be1e513de26da8eddf10a1d99140d65fa37debf5096bb3bdf94acea54bd5c"
+# The digest of what the translations of the component cases print.
+CLAUSE_DIGEST = "3283900463bc8d71218b37c93ff62d15a8d92e17e70f5474fdeada3d87ab6266"
 
 
 def _group(gen: InstanceGen, level: int) -> list[str]:
@@ -80,11 +89,11 @@ def _directives() -> list[str]:
     return out
 
 
-def test_run_prints_the_pinned_bytes(tmp_path):
-    path = tmp_path / "d.tt"
+def _run_all(path, directives) -> tuple[str, set[str]]:
+    """The digest of what ``directives`` print, each run on cold caches,
+    and the set of their last lines."""
     digest = hashlib.sha256()
-    heads, results = set(), set()
-    directives = _directives()
+    results = set()
     for text in directives:
         path.write_text(text + "\n", encoding="utf-8")
         clear_all()
@@ -93,9 +102,26 @@ def test_run_prints_the_pinned_bytes(tmp_path):
             code = main(["run", str(path)])
         printed = out.getvalue()
         digest.update(printed.encode() + b"\0" + str(code).encode() + b"\0")
-        heads.add(text[1:].split()[0])
         results.add(printed.splitlines()[-1])
-    assert heads == {*DIRECTIVES, "termify", "param", "inject"}
+    return digest.hexdigest(), results
+
+
+def test_run_prints_the_pinned_bytes(tmp_path):
+    directives = _directives()
+    digest, results = _run_all(tmp_path / "d.tt", directives)
+    assert {text[1:].split()[0] for text in directives} == {
+        *DIRECTIVES, "termify", "param", "inject"}
     assert {"RESULT: accept", "RESULT: reject",
             "RESULT: error type"} <= results
-    assert digest.hexdigest() == DIGEST, len(directives)
+    assert digest == DIGEST, len(directives)
+
+
+def test_every_translation_clause_prints_the_pinned_bytes(tmp_path):
+    directives = []
+    for _, ctx, entity in COMPONENT_CASES:
+        args = " ".join(print_entity(x) for x in (ctx, entity) if x is not None)
+        directives += [f"(termify {args})", f"(param {args})"]
+    digest, results = _run_all(tmp_path / "d.tt", directives)
+    assert len(directives) == 58
+    assert results == {"RESULT: accept"}
+    assert digest == CLAUSE_DIGEST

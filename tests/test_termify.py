@@ -1,6 +1,7 @@
 import pytest
 
 import ttk.termify
+from ttk import caches
 from ttk.syntax import (
     App, Bool, Code, Comp, Ctx, EMPTY, El, Eps, Ext, FalseLit, IdSub,
     IdTy, If, J, Lam, Pair, Pi, Refl, Sigma, Snd, Top, TrueLit, Tt, TmSub,
@@ -10,7 +11,7 @@ from ttk.conversion import conv_tm
 from ttk.equations import EqInstance
 from ttk.generate import GenConfig, GenExhausted, InstanceGen, derive_seed
 from ttk.termify import (
-    decoded, termified_classifier, termify_entity, termify_sub, termify_ty,
+    decoded, termified_classifier, termify, termify_entity,
     verify_termified_equation,
 )
 from ttk.typecheck import TranslationIllTyped, TypeCheckError, infer_ty
@@ -87,10 +88,10 @@ def test_homomorphism_on_type_substitution():
     sub = Ext(Eps(), Bool(), TrueLit())
     cod = Ctx.of(Bool())
     ty = IdTy(Bool(), Var0(), TrueLit())
-    whole = termify_ty(ctx, TySub(ty, sub))
+    whole = termify(ctx, TySub(ty, sub))
     assembled = Lam(decoded(ctx), TmSub(
-        App(termify_ty(cod, ty)),
-        Ext(Eps(), decoded(cod), App(TmSub(termify_sub(ctx, sub), Eps())))))
+        App(termify(cod, ty)),
+        Ext(Eps(), decoded(cod), App(TmSub(termify(ctx, sub), Eps())))))
     classifier = termified_classifier(ctx, TySub(ty, sub),
                                       infer_ty(ctx, TySub(ty, sub)))
     assert conv_tm(EMPTY, classifier, whole, assembled)
@@ -110,8 +111,8 @@ def test_eliminator_clauses_verify():
 
 
 def test_verify_flags_translation_bugs(monkeypatch):
-    # a clause whose output is ill-typed
-    monkeypatch.setattr(ttk.termify, "termify_tm", lambda ctx, tm: TrueLit())
+    # a fold whose output is ill-typed
+    monkeypatch.setattr(ttk.termify, "termify", lambda ctx, x: TrueLit())
     with pytest.raises(TranslationIllTyped, match="closed-term clause for "
                        "TrueLit produced an ill-typed output"):
         termify_entity(EMPTY, TrueLit())
@@ -119,8 +120,21 @@ def test_verify_flags_translation_bugs(monkeypatch):
 
 def test_clause_type_errors_are_translation_bugs(monkeypatch):
     # a clause that raises the checker's own error on checked input
-    def failing(ctx, ty):
+    def failing(ctx, x):
         raise TypeCheckError("clause bug")
-    monkeypatch.setattr(ttk.termify, "termify_ty", failing)
+    monkeypatch.setattr(ttk.termify, "termify", failing)
     with pytest.raises(TranslationIllTyped, match="clause for Bool"):
         termify_entity(EMPTY, Bool())
+
+
+def test_the_context_has_one_memo_key():
+    # ``decoded`` and the entity API reach the fold with the same key, so
+    # translating the context after decoding it is a hit, not a miss
+    ctx = Ctx.of(Bool(), IdTy(TySub(Bool(), Wk()), TrueLit(), Var0()))
+    caches.clear_all()
+    decoded(ctx)
+    before = caches.stats()["ttk.termify.termify"]
+    termify_entity(ctx)
+    after = caches.stats()["ttk.termify.termify"]
+    assert after["misses"] == before["misses"]
+    assert after["hits"] == before["hits"] + 1
