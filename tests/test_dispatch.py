@@ -7,7 +7,8 @@ node at all, falls through every test to the dispatcher's own error:
 may be anything, and ``InternalStuck`` from evaluation, readback and the
 eliminators, which only run on checked input.  Each translation is one
 fold over every sort, so only an object that is no node reaches its
-error.
+error, wherever it stands: alone, or in place of a type, a substitution
+or a term inside a node the fold translates.
 """
 
 import pytest
@@ -17,7 +18,9 @@ from ttk.semantics import (
     eval_sub, eval_tm, eval_ty, readback_ne, readback_tm, readback_ty, vapp,
     vfst, vif, vj, vsnd,
 )
-from ttk.syntax import EMPTY, Bool, Top, TrueLit, Univ, Var0, Wk
+from ttk.syntax import (
+    EMPTY, Bool, Code, Comp, Fst, IdSub, Top, TrueLit, Univ, Var0, Wk,
+)
 from ttk.termify import termify
 from ttk.typecheck import TypeCheckError, infer_ty, synth_sub, synth_tm
 from ttk.values import InternalStuck, NVar, TyClosure, VBool, VNe, VTrue, VTt
@@ -31,16 +34,42 @@ MESSAGES = {"ty": "not a type expression",
             "tm": "not a term expression", None: "not an expression"}
 FOREIGN = [(foreign, fn, sort) for foreign in ("other-sort", "object")
            for fn, sort in CHECKERS]
-FOREIGN += [("object", fold, None) for fold in (termify, param)]
+FOLDS = (termify, param)
+
+
+class Stranger:
+    """An object that is no node, with the ``reach`` of a node in its
+    place, so that a node can hold it as a child."""
+
+    def __init__(self, reach):
+        self.reach = reach
+
+
+# A fold is given an object that is no node alone, or in place of a type,
+# a substitution or a term inside a node it translates: by sort, the
+# stranger's reach and the node that holds it.
+PLACES = {"ty": (0, Code), "sub": ((0, 0), lambda x: Comp(x, IdSub())),
+          "tm": (0, Fst)}
+FOREIGN += [("object", fold, sort) for fold in FOLDS
+            for sort in (None, *PLACES)]
 
 
 @pytest.mark.parametrize("foreign, fn, sort", FOREIGN, ids=[
-    f"{foreign}-{fn.__name__}" for foreign, fn, _ in FOREIGN])
+    f"{foreign}-{fn.__name__}" + (f"_{sort}" if fn in FOLDS and sort else "")
+    for foreign, fn, sort in FOREIGN])
 def test_checkers_and_translations_reject_a_foreign_object(foreign, fn, sort):
-    x = OTHER_SORT[sort] if foreign == "other-sort" else object()
+    fold = fn in FOLDS
+    if foreign == "other-sort":
+        x = arg = OTHER_SORT[sort]
+    elif fold and sort:
+        reach, holder = PLACES[sort]
+        x = Stranger(reach)
+        arg = holder(x)
+    else:
+        x = arg = object()
     with pytest.raises(TypeCheckError) as err:
-        fn(EMPTY, x)
-    assert err.value.message == MESSAGES[sort]
+        fn(EMPTY, arg)
+    assert err.value.message == MESSAGES[None if fold else sort]
     assert err.value.expr is x
 
 
