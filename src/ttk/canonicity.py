@@ -27,6 +27,9 @@ class NonCanonical(Exception):
         self.value = value
 
 
+_LITERALS = {True: TrueLit(), False: FalseLit()}
+
+
 @dataclass(frozen=True)
 class CanonVerdict:
     value: bool
@@ -34,7 +37,7 @@ class CanonVerdict:
 
     @property
     def literal(self) -> TmExpr:
-        return TrueLit() if self.value else FalseLit()
+        return _LITERALS[self.value]
 
 
 def canonicity_verdict(tm: TmExpr, ctx: Ctx = EMPTY) -> CanonVerdict:
@@ -46,6 +49,4 @@ def canonicity_verdict(tm: TmExpr, ctx: Ctx = EMPTY) -> CanonVerdict:
     if cls is not VTrue and cls is not VFalse:
         raise NonCanonical(val)
     value = cls is VTrue
-    verdict = CanonVerdict(value, False)
-    certified = conv_tm(EMPTY, Bool(), tm, verdict.literal)
-    return CanonVerdict(value, certified)
+    return CanonVerdict(value, conv_tm(EMPTY, Bool(), tm, _LITERALS[value]))

@@ -57,7 +57,7 @@ def conv_sub(ctx: Ctx, cod: Ctx, lhs: SubExpr, rhs: SubExpr) -> bool:
     # eta-expand both sides into one component per codomain entry
     for k, entry in enumerate(cod.entries):
         entry_ty = eval_ty(lhs_env[:k], entry)
-        if readback_tm(depth, lhs_env[k], entry_ty) != \
+        if readback_tm(depth, lhs_env[k], entry_ty) is not \
                 readback_tm(depth, rhs_env[k], entry_ty):
             return False
     return True

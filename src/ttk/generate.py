@@ -35,6 +35,10 @@ from .typecheck import (
 )
 
 
+# The moves one generator may spend before it gives up.
+FUEL = 600
+
+
 class GenExhausted(Exception):
     """Fuel ran out before a well-typed entity was found."""
 
@@ -45,7 +49,6 @@ class GenConfig:
     max_nodes: int = 12
     max_level: int = 2
     max_ctx_len: int = 4
-    fuel: int = 600
 
 
 def derive_seed(seed: int, *parts: object) -> int:
@@ -72,7 +75,7 @@ class InstanceGen:
     def __init__(self, cfg: GenConfig) -> None:
         self.cfg = cfg
         self.rng = random.Random(cfg.seed)
-        self.fuel = cfg.fuel
+        self.fuel = FUEL
         self.budget = cfg.max_nodes
 
     # -- bookkeeping --------------------------------------------------------

@@ -44,14 +44,9 @@ from .syntax import (
 )
 from .caches import memoized
 from .typecheck import (
-    Translated, TypeCheckError, force, synth_sub, synth_tm, translate_checked,
+    Translated, TypeCheckError, force, pair_at, synth_sub, synth_tm,
+    translate_checked,
 )
-
-
-def _pair_at(ctx: Ctx, sigma_ty: TyExpr, a: TmExpr, b: TmExpr) -> TmExpr:
-    """Annotated pair inhabiting a type convertible to ``sigma_ty``."""
-    sigma = force(ctx, sigma_ty, Sigma, sigma_ty)
-    return Pair(sigma.dom, sigma.cod, a, b)
 
 
 @memoized
@@ -101,7 +96,7 @@ def param(ctx: Ctx, x) -> TyExpr | TmExpr:
         dom_pred = param(ctx, dom)
         sig = param(extended, None)
         into_syntax = Ext(Comp(Wk(), Comp(Wk(), Wk())), dom, v(1))
-        packed = _pair_at(
+        packed = pair_at(
             ctx.extend(pred).extend(TySub(dom, Wk())).extend(dom_pred),
             TySub(sig, into_syntax), v(2), Var0())
         reorg = Ext(into_syntax, sig, packed)
@@ -123,7 +118,7 @@ def param(ctx: Ctx, x) -> TyExpr | TmExpr:
         arg_rel = TySub(dom_pred, Ext(
             Ext(wk(3), pred, v(2)), TySub(dom, Wk()), Var0()))
         into_syntax = Ext(wk(4), dom, v(1))
-        packed = _pair_at(
+        packed = pair_at(
             ctx.extend(pred).extend(TySub(x, Wk())).extend(arg).extend(arg_rel),
             TySub(sig, into_syntax), v(3), Var0())
         applied = apply1(v(2), v(1))
@@ -141,7 +136,7 @@ def param(ctx: Ctx, x) -> TyExpr | TmExpr:
             TySub(dom, Wk()), Fst(Var0())))
         scope = ctx.extend(pred).extend(TySub(x, Wk())).extend(fst_rel)
         into_syntax = Ext(wk(3), dom, Fst(v(1)))
-        packed = _pair_at(scope, TySub(sig, into_syntax), v(2), Var0())
+        packed = pair_at(scope, TySub(sig, into_syntax), v(2), Var0())
         result = Ext(Ext(into_syntax, sig, packed),
                      TySub(cod, Wk()), Snd(v(1)))
         return Sigma(fst_rel, TySub(cod_pred, result))
@@ -174,15 +169,15 @@ def param(ctx: Ctx, x) -> TyExpr | TmExpr:
         cod = synth_sub(ctx, x.sub)
         entry = x.ann if x.ann is not None else synth_tm(ctx, x.tm)
         target = TySub(param(cod.extend(entry), None), Comp(x, Wk()))
-        return _pair_at(ctx.extend(param(ctx, None)), target,
-                        param(ctx, x.sub), param(ctx, x.tm))
+        return pair_at(ctx.extend(param(ctx, None)), target,
+                       param(ctx, x.sub), param(ctx, x.tm))
     if cls is Pair:
         sigma = Sigma(x.fst_ty, x.snd_ty)
         target = TySub(
             param(ctx, sigma),
             Ext(IdSub(), TySub(sigma, Wk()), TmSub(x, Wk())))
-        return _pair_at(ctx.extend(param(ctx, None)), target,
-                        param(ctx, x.fst), param(ctx, x.snd))
+        return pair_at(ctx.extend(param(ctx, None)), target,
+                       param(ctx, x.fst), param(ctx, x.snd))
     if cls is IdTy:
         dom, lhs, rhs = x.ty, x.lhs, x.rhs
         dom_pred = param(ctx, dom)
@@ -230,7 +225,7 @@ def _param_if(ctx: Ctx, motive: TyExpr, on_true: TmExpr, on_false: TmExpr,
     # the predicate-level motive re-runs the branch selection at its value slot
     into_syntax = Ext(Comp(Wk(), Wk()), Bool(), Var0())
     scope = ctx.extend(param(ctx, None)).extend(Bool())
-    packed = _pair_at(scope, TySub(sig, into_syntax), v(1), Tt())
+    packed = pair_at(scope, TySub(sig, into_syntax), v(1), Tt())
     selected = If(TySub(motive, lift(Comp(Wk(), Wk()), Bool())),
                   TmSub(on_true, Comp(Wk(), Wk())),
                   TmSub(on_false, Comp(Wk(), Wk())),
@@ -269,9 +264,9 @@ def _param_j(ctx: Ctx, whole: TmExpr, motive: TyExpr, base: TmExpr,
     carried = _transport_along(ctx, dom, dom_pred, lhs,
                                TmSub(lhs_pred, Comp(Wk(), Wk())), Var0(), 2)
     syntax1 = Ext(Ext(wk(3), dom, v(1)), eq_entry, Var0())
-    packed_dom1 = _pair_at(scope1, TySub(sig_dom, Ext(wk(3), dom, v(1))),
-                           v(2), carried)
-    packed1 = _pair_at(scope1, TySub(sig, syntax1), packed_dom1, Refl(carried))
+    packed_dom1 = pair_at(scope1, TySub(sig_dom, Ext(wk(3), dom, v(1))),
+                          v(2), carried)
+    packed1 = pair_at(scope1, TySub(sig, syntax1), packed_dom1, Refl(carried))
     rebuilt = J(TySub(motive, Ext(Ext(wk(5), dom, v(1)), eq_entry, Var0())),
                 TmSub(base, wk(3)), Var0())
     stage1_motive = TySub(motive_pred,
@@ -289,9 +284,9 @@ def _param_j(ctx: Ctx, whole: TmExpr, motive: TyExpr, base: TmExpr,
                               TmSub(lhs_pred, Wk()), TmSub(eq, wk(2)), 1),
              Var0()))
     syntax2 = Ext(Ext(wk(3), dom, TmSub(rhs, wk(3))), eq_entry, TmSub(eq, wk(3)))
-    packed_dom2 = _pair_at(scope2, TySub(sig_dom, Ext(wk(3), dom, TmSub(rhs, wk(3)))),
-                           v(2), v(1))
-    packed2 = _pair_at(scope2, TySub(sig, syntax2), packed_dom2, Var0())
+    packed_dom2 = pair_at(scope2, TySub(sig_dom, Ext(wk(3), dom, TmSub(rhs, wk(3)))),
+                          v(2), v(1))
+    packed2 = pair_at(scope2, TySub(sig, syntax2), packed_dom2, Var0())
     stage2_motive = TySub(motive_pred,
                           Ext(Ext(syntax2, sig, packed2),
                               TySub(motive, Wk()), TmSub(whole, wk(3))))

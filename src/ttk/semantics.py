@@ -11,6 +11,15 @@ Readback output stays inside the raw syntax: a variable at level ``k``
 becomes the spine ``v(depth - 1 - k)`` and a neutral application becomes
 ``(App f)[id, arg]``.  Substitution nodes appear in these two roles only.
 
+A neutral's type is computed once, by the eliminator that gets stuck, and
+kept in its ``VNe``, which the next spine holds as its head.  So a
+neutral reads back in one branch of ``readback_tm``, and ``readback_ne``
+returns a term alone: it reads an argument's domain and an equation's
+type off the head, and applies a closure only to type a motive, the
+branches of ``if`` or the base of ``J``.  A ``VLam`` applies by
+evaluating its term body with ``eval_tm``, a ``Closure`` by evaluating
+its type body with ``eval_ty``.
+
 Closed syntax is evaluated once.  Every syntax node carries its
 ``reach``, the number of trailing environment entries it may read
 (``syntax.node``), and ``eval_tm`` and ``eval_ty`` rebind a nonempty
@@ -32,8 +41,8 @@ from .syntax import (
 from .caches import memoized
 from .values import (
     Closure, Env, InternalStuck, NApp, NFst, NIf, NJ, NSnd, NVar, Neutral,
-    TyClosure, TyVal, VBool, VCode, VElNe, VFalse, VId, VLam, VNe, VPair,
-    VPi, VRefl, VSigma, VTop, VTrue, VTt, VU, Val, fresh,
+    TyVal, VBool, VCode, VElNe, VFalse, VId, VLam, VNe, VPair, VPi, VRefl,
+    VSigma, VTop, VTrue, VTt, VU, Val, fresh,
 )
 
 
@@ -41,20 +50,16 @@ from .values import (
 # Evaluation
 # ---------------------------------------------------------------------------
 
-def apply_closure(cl: Closure, *args: Val) -> Val:
-    return eval_tm(cl.env + args, cl.body)
-
-
-def apply_ty_closure(cl: TyClosure, *args: Val) -> TyVal:
+def apply_ty_closure(cl: Closure, *args: Val) -> TyVal:
     return eval_ty(cl.env + args, cl.body)
 
 
 def vapp(f: Val, x: Val) -> Val:
     cls = type(f)
     if cls is VLam:
-        return apply_closure(f.closure, x)
+        return eval_tm(f.env + (x,), f.body)
     if cls is VNe and type(f.ty) is VPi:
-        return VNe(NApp(f.ne, x), apply_ty_closure(f.ty.cod, x))
+        return VNe(NApp(f, x), apply_ty_closure(f.ty.cod, x))
     raise InternalStuck(f"application of non-function value {f!r}")
 
 
@@ -63,7 +68,7 @@ def vfst(p: Val) -> Val:
     if cls is VPair:
         return p.fst
     if cls is VNe and type(p.ty) is VSigma:
-        return VNe(NFst(p.ne), p.ty.dom)
+        return VNe(NFst(p), p.ty.dom)
     raise InternalStuck(f"first projection of non-pair value {p!r}")
 
 
@@ -72,11 +77,11 @@ def vsnd(p: Val) -> Val:
     if cls is VPair:
         return p.snd
     if cls is VNe and type(p.ty) is VSigma:
-        return VNe(NSnd(p.ne), apply_ty_closure(p.ty.cod, vfst(p)))
+        return VNe(NSnd(p), apply_ty_closure(p.ty.cod, vfst(p)))
     raise InternalStuck(f"second projection of non-pair value {p!r}")
 
 
-def vif(motive: TyClosure, on_true: Val, on_false: Val, scrut: Val) -> Val:
+def vif(motive: Closure, on_true: Val, on_false: Val, scrut: Val) -> Val:
     cls = type(scrut)
     if cls is VTrue:
         return on_true
@@ -84,24 +89,24 @@ def vif(motive: TyClosure, on_true: Val, on_false: Val, scrut: Val) -> Val:
         return on_false
     if cls is VNe and type(scrut.ty) is VBool:
         result_ty = apply_ty_closure(motive, scrut)
-        return VNe(NIf(motive, on_true, on_false, scrut.ne), result_ty)
+        return VNe(NIf(motive, on_true, on_false, scrut), result_ty)
     raise InternalStuck(f"boolean elimination of {scrut!r}")
 
 
-def vj(motive: TyClosure, base: Val, eq: Val) -> Val:
+def vj(motive: Closure, base: Val, eq: Val) -> Val:
     cls = type(eq)
     if cls is VRefl:
         return base
     if cls is VNe and type(eq.ty) is VId:
         result_ty = apply_ty_closure(motive, eq.ty.rhs, eq)
-        return VNe(NJ(motive, base, eq.ne, eq.ty), result_ty)
+        return VNe(NJ(motive, base, eq), result_ty)
     raise InternalStuck(f"identity elimination of {eq!r}")
 
 
 def vcode(ty: TyVal) -> Val:
-    # coding a decoded neutral returns the neutral itself
+    # coding a decoded neutral returns the neutral code it decodes
     if type(ty) is VElNe:
-        return VNe(ty.ne, VU(ty.level))
+        return ty.code
     return VCode(ty)
 
 
@@ -120,7 +125,7 @@ def eval_tm(env: Env, tm: TmExpr) -> Val:
             raise InternalStuck("variable in empty environment")
         return env[-1]
     if cls is Lam:
-        return VLam(Closure(env, tm.body))
+        return VLam(env, tm.body)
     if cls is App:
         if not env:
             raise InternalStuck("un-application in empty environment")
@@ -141,7 +146,7 @@ def eval_tm(env: Env, tm: TmExpr) -> Val:
         return VFalse()
     if cls is If:
         return vif(
-            TyClosure(env, tm.motive),
+            Closure(env, tm.motive),
             eval_tm(env, tm.on_true),
             eval_tm(env, tm.on_false),
             eval_tm(env, tm.scrut),
@@ -149,7 +154,7 @@ def eval_tm(env: Env, tm: TmExpr) -> Val:
     if cls is Refl:
         return VRefl(eval_tm(env, tm.arg))
     if cls is J:
-        return vj(TyClosure(env, tm.motive), eval_tm(env, tm.base),
+        return vj(Closure(env, tm.motive), eval_tm(env, tm.base),
                   eval_tm(env, tm.eq))
     raise InternalStuck(f"unknown term {tm!r}")
 
@@ -165,9 +170,9 @@ def eval_ty(env: Env, ty: TyExpr) -> TyVal:
     if cls is TySub:
         return eval_ty(eval_sub(env, ty.sub), ty.ty)
     if cls is Pi:
-        return VPi(eval_ty(env, ty.dom), TyClosure(env, ty.cod))
+        return VPi(eval_ty(env, ty.dom), Closure(env, ty.cod))
     if cls is Sigma:
-        return VSigma(eval_ty(env, ty.dom), TyClosure(env, ty.cod))
+        return VSigma(eval_ty(env, ty.dom), Closure(env, ty.cod))
     if cls is Top:
         return VTop()
     if cls is Bool:
@@ -179,7 +184,7 @@ def eval_ty(env: Env, ty: TyExpr) -> TyVal:
         if type(val) is VCode:
             return val.ty
         if type(val) is VNe and type(val.ty) is VU:
-            return VElNe(val.ne, val.ty.level)
+            return VElNe(val)
         raise InternalStuck(f"decoding non-code value {val!r}")
     if cls is IdTy:
         return VId(eval_ty(env, ty.ty), eval_tm(env, ty.lhs),
@@ -228,26 +233,19 @@ def readback_tm(depth: int, val: Val, ty: TyVal) -> TmExpr:
         )
     if cls is VTop:
         return Tt()
+    if val_cls is VNe:
+        return readback_ne(depth, val.ne)
     if cls is VBool:
         if val_cls is VTrue:
             return TrueLit()
         if val_cls is VFalse:
             return FalseLit()
-        if val_cls is VNe:
-            return readback_ne(depth, val.ne)[0]
     elif cls is VU:
         if val_cls is VCode:
             return Code(readback_ty(depth, val.ty))
-        if val_cls is VNe:
-            return readback_ne(depth, val.ne)[0]
     elif cls is VId:
         if val_cls is VRefl:
             return Refl(readback_tm(depth, val.arg, ty.ty))
-        if val_cls is VNe:
-            return readback_ne(depth, val.ne)[0]
-    elif cls is VElNe:
-        if val_cls is VNe:
-            return readback_ne(depth, val.ne)[0]
     raise InternalStuck(f"cannot read back {val!r} at {ty!r}")
 
 
@@ -273,52 +271,39 @@ def readback_ty(depth: int, ty: TyVal) -> TyExpr:
             readback_tm(depth, ty.rhs, ty.ty),
         )
     if cls is VElNe:
-        return El(readback_ne(depth, ty.ne)[0])
+        return El(readback_ne(depth, ty.code.ne))
     raise InternalStuck(f"cannot read back type {ty!r}")
 
 
 @memoized
-def readback_ne(depth: int, ne: Neutral) -> tuple[TmExpr, TyVal]:
-    """Read back a spine, resynthesizing its type along the way."""
+def readback_ne(depth: int, ne: Neutral) -> TmExpr:
+    """Read back a spine, at the types that its typed heads carry."""
     cls = type(ne)
     if cls is NVar:
-        return v(depth - 1 - ne.lvl), ne.ty
+        return v(depth - 1 - ne.lvl)
     if cls is NApp:
-        fn_nf, fn_ty = readback_ne(depth, ne.fn)
-        if type(fn_ty) is VPi:
-            arg_nf = readback_tm(depth, ne.arg, fn_ty.dom)
-            tm = TmSub(App(fn_nf), Ext(IdSub(), readback_ty(depth, fn_ty.dom), arg_nf))
-            return tm, apply_ty_closure(fn_ty.cod, ne.arg)
-        raise InternalStuck(f"application spine at non-function type {fn_ty!r}")
+        dom = ne.fn.ty.dom
+        return TmSub(App(readback_ne(depth, ne.fn.ne)),
+                     Ext(IdSub(), readback_ty(depth, dom),
+                         readback_tm(depth, ne.arg, dom)))
     if cls is NFst:
-        pair_nf, pair_ty = readback_ne(depth, ne.pair)
-        if type(pair_ty) is VSigma:
-            return Fst(pair_nf), pair_ty.dom
-        raise InternalStuck(f"projection spine at non-pair type {pair_ty!r}")
+        return Fst(readback_ne(depth, ne.pair.ne))
     if cls is NSnd:
-        pair_nf, pair_ty = readback_ne(depth, ne.pair)
-        if type(pair_ty) is VSigma:
-            head = vfst(VNe(ne.pair, pair_ty))
-            return Snd(pair_nf), apply_ty_closure(pair_ty.cod, head)
-        raise InternalStuck(f"projection spine at non-pair type {pair_ty!r}")
+        return Snd(readback_ne(depth, ne.pair.ne))
     if cls is NIf:
         motive = ne.motive
-        scrut_nf, _ = readback_ne(depth, ne.scrut)
         motive_nf = readback_ty(depth + 1, apply_ty_closure(motive, fresh(depth, VBool())))
         true_nf = readback_tm(depth, ne.on_true, apply_ty_closure(motive, VTrue()))
         false_nf = readback_tm(depth, ne.on_false, apply_ty_closure(motive, VFalse()))
-        result_ty = apply_ty_closure(motive, VNe(ne.scrut, VBool()))
-        return If(motive_nf, true_nf, false_nf, scrut_nf), result_ty
+        return If(motive_nf, true_nf, false_nf, readback_ne(depth, ne.scrut.ne))
     if cls is NJ:
-        motive, eq_ty = ne.motive, ne.eq_ty
-        scrut_nf, _ = readback_ne(depth, ne.scrut)
+        motive, eq_ty = ne.motive, ne.scrut.ty
         endpoint = fresh(depth, eq_ty.ty)
         equation = fresh(depth + 1, VId(eq_ty.ty, eq_ty.lhs, endpoint))
         motive_nf = readback_ty(depth + 2, apply_ty_closure(motive, endpoint, equation))
         base_ty = apply_ty_closure(motive, eq_ty.lhs, VRefl(eq_ty.lhs))
         base_nf = readback_tm(depth, ne.base, base_ty)
-        result_ty = apply_ty_closure(motive, eq_ty.rhs, VNe(ne.scrut, eq_ty))
-        return J(motive_nf, base_nf, scrut_nf), result_ty
+        return J(motive_nf, base_nf, readback_ne(depth, ne.scrut.ne))
     raise InternalStuck(f"unknown neutral {ne!r}")
 
 

@@ -34,7 +34,7 @@ from .syntax import (
 from .caches import memoized
 from .conversion import conv_tm
 from .typecheck import (
-    Translated, TypeCheckError, force, infer_ty, synth_sub, synth_tm,
+    Translated, TypeCheckError, force, infer_ty, pair_at, synth_sub, synth_tm,
     translate_checked,
 )
 
@@ -51,8 +51,7 @@ def decoded(ctx: Ctx) -> TyExpr:
 
 def point_pair(ctx: Ctx, head: TmExpr, tail: TmExpr) -> TmExpr:
     """A point of the decoded extended context, as an annotated pair."""
-    sigma = force(EMPTY, decoded(ctx), Sigma, ctx)
-    return Pair(sigma.dom, sigma.cod, head, tail)
+    return pair_at(EMPTY, decoded(ctx), head, tail)
 
 
 @memoized

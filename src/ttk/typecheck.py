@@ -132,6 +132,13 @@ def force(ctx: Ctx, ty: TyExpr, former: type, expr: object) -> TyExpr:
     return nf
 
 
+def pair_at(ctx: Ctx, sigma_ty: TyExpr, a: TmExpr, b: TmExpr) -> TmExpr:
+    """The pair of ``a`` and ``b``, annotated with the normal form of
+    ``sigma_ty``, which must be a pair type."""
+    sigma = force(ctx, sigma_ty, Sigma, sigma_ty)
+    return Pair(sigma.dom, sigma.cod, a, b)
+
+
 # ---------------------------------------------------------------------------
 # The four checking operations
 # ---------------------------------------------------------------------------

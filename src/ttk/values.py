@@ -2,12 +2,21 @@
 
 Values are built from canonical forms plus neutral spines stuck on
 variables.  Variables are absolute depth levels; readback converts them
-back to de Bruijn spines.  Closures capture an immutable environment and a
-raw body; applying one extends the environment.
+back to de Bruijn spines.
+
+A neutral's type lives in one place, the ``VNe`` that wraps it.  Each
+spine holds its head as such a typed ``VNe``, so no spine node stores a
+type, and a variable is its level alone.
+
+A closure is an immutable environment and a raw body that waits for one
+value per extra binder.  ``Closure`` is the one closure class; it
+suspends the type bodies (Π and Σ codomains, the motives of ``if`` and
+``J``), and a ``VLam`` is a term closure, with the environment and body
+as its own fields.
 
 Coded types collapse eagerly: evaluating ``El(Code A)`` yields the value of
-``A`` and coding a neutral decoded type returns the underlying neutral, so
-no value contains a code/decode roundtrip.
+``A``, and a decoded neutral ``VElNe`` holds its code, which is what
+coding it returns, so no value contains a code/decode roundtrip.
 """
 
 from __future__ import annotations
@@ -28,14 +37,8 @@ class InternalStuck(Exception):
 
 @node
 class Closure:
-    """Suspended term body awaiting one value per extra binder."""
-    env: Env
-    body: TmExpr
-
-
-@node
-class TyClosure:
-    """Suspended type body; ``J`` motives take two values."""
+    """Suspended type body awaiting one value per extra binder; ``J``
+    motives take two."""
     env: Env
     body: TyExpr
 
@@ -45,39 +48,37 @@ class TyClosure:
 @node
 class NVar:
     lvl: int
-    ty: TyVal
 
 
 @node
 class NApp:
-    fn: Neutral
+    fn: VNe
     arg: Val
 
 
 @node
 class NFst:
-    pair: Neutral
+    pair: VNe
 
 
 @node
 class NSnd:
-    pair: Neutral
+    pair: VNe
 
 
 @node
 class NIf:
-    motive: TyClosure
+    motive: Closure
     on_true: Val
     on_false: Val
-    scrut: Neutral
+    scrut: VNe
 
 
 @node
 class NJ:
-    motive: TyClosure  # two binders: the endpoint and the equation
+    motive: Closure  # two binders: the endpoint and the equation
     base: Val
-    scrut: Neutral
-    eq_ty: VId
+    scrut: VNe
 
 
 Neutral = Union[NVar, NApp, NFst, NSnd, NIf, NJ]
@@ -88,13 +89,13 @@ Neutral = Union[NVar, NApp, NFst, NSnd, NIf, NJ]
 @node
 class VPi:
     dom: TyVal
-    cod: TyClosure
+    cod: Closure
 
 
 @node
 class VSigma:
     dom: TyVal
-    cod: TyClosure
+    cod: Closure
 
 
 @node
@@ -121,9 +122,8 @@ class VId:
 
 @node
 class VElNe:
-    """Decoded neutral code; the level is the code's universe index."""
-    ne: Neutral
-    level: Level
+    """Decoded neutral code: ``code`` is the neutral at its universe."""
+    code: VNe
 
 
 TyVal = Union[VPi, VSigma, VTop, VBool, VU, VId, VElNe]
@@ -133,7 +133,8 @@ TyVal = Union[VPi, VSigma, VTop, VBool, VU, VId, VElNe]
 
 @node
 class VLam:
-    closure: Closure
+    env: Env
+    body: TmExpr
 
 
 @node
@@ -178,4 +179,4 @@ Val = Union[VLam, VPair, VTt, VTrue, VFalse, VRefl, VCode, VNe]
 
 def fresh(lvl: int, ty: TyVal) -> VNe:
     """A fresh variable value at the given absolute depth."""
-    return VNe(NVar(lvl, ty), ty)
+    return VNe(NVar(lvl), ty)

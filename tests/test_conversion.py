@@ -8,6 +8,7 @@ from ttk.syntax import (
 from ttk.semantics import eval_tm, eval_ty
 from ttk.values import VBool, VFalse, VTrue
 from ttk.conversion import conv_sub, conv_tm, conv_ty, normalize_tm, normalize_ty
+from ttk.surface import parse_ctx, parse_tm, print_tm, read_sexpr
 from ttk.typecheck import TypeCheckError, synth_tm
 
 
@@ -212,3 +213,43 @@ def test_conv_congruence_exhaustive_hosts():
     assert ctxs_convertible(
         synth_sub(ctx, Ext(IdSub(), None, t)),
         synth_sub(ctx, Ext(IdSub(), None, u)))
+
+
+# One stuck eliminator per spine former, with the printed normal form it
+# must read back as.  Each reads a type off its head: an argument at the
+# domain of the function, a projection at the Σ, an ``if`` or ``J``
+# applied at its motive, and the universe variable under a code.
+STUCK_SPINES = {
+    "app": ("(ctx (pi (pi (bool) (bool)) (bool)) (pi (bool) (bool)))",
+            "(dollar (v 1) (v 0))",
+            "(tmsub #1=(app (v 1)) (ext (id) (pi (bool) (bool)) "
+            "(lam (bool) (tmsub #1# (ext (id) (bool) (q))))))"),
+    "fst": ("(ctx (sigma (pi (bool) (bool)) (top)))", "(fst (q))",
+            "(lam (bool) (tmsub (app (fst (v 1))) (ext (id) (bool) (q))))"),
+    "snd": ("(ctx (sigma (bool) (pi (bool) (bool))))",
+            "(dollar (snd (q)) (fst (q)))",
+            "(tmsub (app (snd (q))) (ext (id) (bool) (fst (q))))"),
+    "snd-dependent": ("(ctx (sigma (u 0) (el (q))))", "(snd (q))",
+                      "(snd (q))"),
+    "if": ("(ctx (bool))",
+           "(dollar (if (pi (bool) (bool)) (lam (bool) (q)) "
+           "(lam (bool) (true)) (q)) (false))",
+           "(tmsub (app (if (pi (bool) (bool)) (lam (bool) (q)) "
+           "(lam (bool) (true)) (q))) (ext (id) (bool) (false)))"),
+    "j": ("(ctx (bool) (idt (tysub (bool) (p)) (true) (q)))",
+          "(j (idt (bool) (true) (v 1)) (refl (true)) (q))",
+          "(j (idt (bool) (true) (v 1)) (refl (true)) (q))"),
+    "j-applied": ("(ctx (bool) (idt (tysub (bool) (p)) (true) (q)))",
+                  "(dollar (j (pi (bool) (bool)) (lam (bool) (q)) (q)) "
+                  "(true))",
+                  "(tmsub (app (j (pi (bool) (bool)) (lam (bool) (q)) (q))) "
+                  "(ext (id) (bool) (true)))"),
+    "code-el": ("(ctx (u 0))", "(code (el (q)))", "(q)"),
+}
+
+
+@pytest.mark.parametrize("name", list(STUCK_SPINES))
+def test_stuck_eliminator_reads_back_as_a_spine(name):
+    ctx, tm, expected = STUCK_SPINES[name]
+    nf = normalize_tm(parse_ctx(read_sexpr(ctx)), parse_tm(read_sexpr(tm)))
+    assert print_tm(nf) == expected

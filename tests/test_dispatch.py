@@ -23,7 +23,7 @@ from ttk.syntax import (
 )
 from ttk.termify import termify
 from ttk.typecheck import TypeCheckError, infer_ty, synth_sub, synth_tm
-from ttk.values import InternalStuck, NVar, TyClosure, VBool, VNe, VTrue, VTt
+from ttk.values import Closure, InternalStuck, NVar, VBool, VNe, VTrue, VTt
 
 # A node of another sort, by the sort a checker takes.
 OTHER_SORT = {"ty": Var0(), "sub": Bool(), "tm": Wk()}
@@ -80,8 +80,8 @@ def test_a_negative_universe_level_is_rejected():
 
 
 # A neutral boolean: stuck, at a type that only ``if`` eliminates.
-NE_BOOL = VNe(NVar(0, VBool()), VBool())
-MOTIVE = TyClosure((), Bool())
+NE_BOOL = VNe(NVar(0), VBool())
+MOTIVE = Closure((), Bool())
 
 # Each dispatcher, called on its foreign argument, with an argument of the
 # wrong kind: syntax of another sort, a value where syntax belongs or the

@@ -33,10 +33,9 @@ _SAMPLES = {
     "Env": lambda: tuple([values.VTrue(), values.VTt()]),
     "TyVal": lambda: values.VBool(),
     "Val": lambda: values.VTrue(),
-    "Neutral": lambda: values.NVar(0, values.VBool()),
-    "TyClosure": lambda: values.TyClosure((), syntax.Bool()),
-    "Closure": lambda: values.Closure((), syntax.Var0()),
-    "VId": lambda: values.VId(values.VBool(), values.VTrue(), values.VTrue()),
+    "Neutral": lambda: values.NVar(0),
+    "VNe": lambda: values.fresh(0, values.VBool()),
+    "Closure": lambda: values.Closure((), syntax.Bool()),
 }
 
 
@@ -47,7 +46,7 @@ def _build(cls):
 
 def test_every_node_class_is_interned():
     classes = _node_classes(syntax) + _node_classes(values)
-    assert len(classes) == 28 + 23
+    assert len(classes) == 28 + 22
     for cls in classes:
         first, second = _build(cls), _build(cls)
         assert first is second, cls.__name__
@@ -77,7 +76,7 @@ def test_repr_keeps_the_dataclass_format():
     assert repr(Pi(Bool(), TySub(Bool(), Wk()))) == \
         "Pi(dom=Bool(), cod=TySub(ty=Bool(), sub=Wk()))"
     assert repr(Ctx.of(Bool())) == "Ctx(entries=(Bool(),))"
-    assert repr(values.NVar(3, values.VBool())) == "NVar(lvl=3, ty=VBool())"
+    assert repr(values.NVar(3)) == "NVar(lvl=3)"
 
 
 @pytest.mark.parametrize("build", [

@@ -76,5 +76,5 @@ def test_node_classes_are_final():
     nodes = [cls for module in (syntax, values)
              for cls in vars(module).values()
              if isinstance(cls, type) and "_interned" in vars(cls)]
-    assert len(nodes) == 51
+    assert len(nodes) == 50
     assert [cls for cls in nodes if cls.__subclasses__()] == []
