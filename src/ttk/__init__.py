@@ -14,7 +14,7 @@ from .typecheck import (
 )
 from .conversion import conv_sub, conv_tm, conv_ty, normalize_tm, normalize_ty
 from .values import InternalStuck
-from .canonicity import CanonVerdict, NonCanonical, OpenTerm, canonicity_verdict
+from .canonicity import CanonVerdict, NonCanonical, canonicity_verdict
 from .generate import GenConfig, GenExhausted, InstanceGen, gen_instance
 from .injectivity import CtxIso, IsoFailure, build_ctx_iso, check_embedding, injectivity_probe
 from .parametricity import param_entity
@@ -31,7 +31,7 @@ __all__ = [
     "check_ctx", "check_sub", "check_tm", "infer_ty", "synth_sub", "synth_tm",
     "conv_sub", "conv_tm", "conv_ty", "normalize_tm", "normalize_ty",
     "InternalStuck",
-    "CanonVerdict", "NonCanonical", "OpenTerm", "canonicity_verdict",
+    "CanonVerdict", "NonCanonical", "canonicity_verdict",
     "GenConfig", "GenExhausted", "InstanceGen", "gen_instance",
     "CtxIso", "IsoFailure", "build_ctx_iso", "check_embedding",
     "injectivity_probe",

@@ -10,6 +10,17 @@ deterministic function of immutable inputs, so memoization is
 observationally transparent; ``tests/test_memo_transparency.py`` checks
 this against a run with every memo table bypassed.
 
+A function gets a table only in one of two cases.  Its recursion reaches
+shared syntax or value nodes, so that without a table it would run in the
+size of the unfolded tree: ``eval_*``, ``readback_tm``/``readback_ty``,
+``infer_ty``, ``synth_*`` and the two translation folds.  Or it is a
+costly composition that the traffic measurably asks again:
+``normalize_ty_in``, ``generic_env`` and ``generate._vars_by_type``.  A
+function that walks one telescope or one neutral spine, each step a call
+to a judgement with its own table, runs in the size of the DAG without
+one, and gets none (``check_ctx``, ``ctxs_convertible``, ``readback_ne``,
+``injectivity.build_ctx_iso``).  That makes 13 tables.
+
 The same immutability makes pausing Python's cyclic garbage collector
 sound.  A node is built after its children and never changes, so no node,
 value, memo key or intern-table entry can reach itself: reference counting

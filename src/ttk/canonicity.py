@@ -10,15 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .syntax import Bool, Ctx, EMPTY, FalseLit, TmExpr, TrueLit
+from .syntax import Bool, EMPTY, FalseLit, TmExpr, TrueLit
 from .semantics import eval_tm
 from .values import VFalse, VTrue
 from .conversion import conv_tm
 from .typecheck import check_tm
-
-
-class OpenTerm(Exception):
-    """Canonicity only speaks about the empty context."""
 
 
 class NonCanonical(Exception):
@@ -40,9 +36,7 @@ class CanonVerdict:
         return _LITERALS[self.value]
 
 
-def canonicity_verdict(tm: TmExpr, ctx: Ctx = EMPTY) -> CanonVerdict:
-    if len(ctx) != 0:
-        raise OpenTerm("canonicity applies to closed terms only")
+def canonicity_verdict(tm: TmExpr) -> CanonVerdict:
     check_tm(EMPTY, tm, Bool())
     val = eval_tm((), tm)
     cls = type(val)

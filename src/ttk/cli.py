@@ -20,7 +20,7 @@ import functools
 import sys
 
 from .caches import gc_paused
-from .canonicity import NonCanonical, OpenTerm, canonicity_verdict
+from .canonicity import NonCanonical, canonicity_verdict
 from .conversion import conv_sub, conv_tm, conv_ty, normalize_tm
 from .injectivity import IsoFailure, check_embedding
 from .parametricity import param_entity
@@ -121,7 +121,7 @@ def _cmd_run(args) -> int:
         print(f"kernel invariant violated: {err}")
         print("RESULT: error kernel")
         return 1
-    except (TypeCheckError, OpenTerm) as err:
+    except TypeCheckError as err:
         print(f"type error: {err}")
         print("RESULT: error type")
         return 3

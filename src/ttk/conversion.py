@@ -21,8 +21,8 @@ from .typecheck import (
 
 def _normal_tm(ctx: Ctx, tm: TmExpr, ty: TyExpr) -> TmExpr:
     """Eta-long beta-normal form of ``tm`` at the type ``ty``."""
-    env, depth = generic_env(ctx)
-    return readback_tm(depth, eval_tm(env, tm), eval_ty(env, ty))
+    env = generic_env(ctx)
+    return readback_tm(len(env), eval_tm(env, tm), eval_ty(env, ty))
 
 
 def normalize_tm(ctx: Ctx, tm: TmExpr) -> TmExpr:
@@ -51,7 +51,8 @@ def conv_ty(ctx: Ctx, lhs: TyExpr, rhs: TyExpr) -> bool:
 def conv_sub(ctx: Ctx, cod: Ctx, lhs: SubExpr, rhs: SubExpr) -> bool:
     check_sub(ctx, lhs, cod)
     check_sub(ctx, rhs, cod)
-    env, depth = generic_env(ctx)
+    env = generic_env(ctx)
+    depth = len(env)
     lhs_env = eval_sub(env, lhs)
     rhs_env = eval_sub(env, rhs)
     # eta-expand both sides into one component per codomain entry

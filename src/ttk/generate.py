@@ -309,7 +309,7 @@ def gen_instance(cfg: GenConfig, shape: tuple):
     """Draw one entity of the requested shape and re-check it.
 
     Shapes: ``("ctx",)``, ``("ty", ctx)``, ``("tm", ctx, goal)``,
-    ``("sub", ctx, cod)``, ``("eq", schema_name)``.
+    ``("sub", ctx, cod)``.
     """
     gen = InstanceGen(cfg)
     match shape:
@@ -331,7 +331,4 @@ def gen_instance(cfg: GenConfig, shape: tuple):
             if not ctxs_convertible(synth_sub(ctx, out), cod):
                 raise AssertionError(f"generator emitted ill-typed substitution {out!r}")
             return out
-        case ("eq", name):
-            from .equations import build_instance
-            return build_instance(name, gen)
     raise ValueError(f"unknown shape {shape!r}")

@@ -25,7 +25,6 @@ from .syntax import (
     IdTy, If, J, Lam, Pair, Pi, Refl, Sigma, Snd, SubExpr, TmSub, Top,
     TrueLit, Tt, TyExpr, TySub, Univ, Var0, Wk,
 )
-from .caches import memoized
 from .conversion import conv_sub, conv_tm, conv_ty
 from .equations import EqInstance, check_instance
 from .termify import decoded, point_pair, termify, verify_termified_equation
@@ -51,7 +50,6 @@ class CtxIso:
     bwd: SubExpr  # back again
 
 
-@memoized
 def build_ctx_iso(ctx: Ctx) -> CtxIso:
     target = EMPTY.extend(decoded(ctx))
     if len(ctx) == 0:

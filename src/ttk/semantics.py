@@ -223,14 +223,9 @@ def readback_tm(depth: int, val: Val, ty: TyVal) -> TmExpr:
         return Lam(readback_ty(depth, ty.dom), body)
     if cls is VSigma:
         a = vfst(val)
-        b = vsnd(val)
-        cod_nf = readback_ty(depth + 1, apply_ty_closure(ty.cod, fresh(depth, ty.dom)))
-        return Pair(
-            readback_ty(depth, ty.dom),
-            cod_nf,
-            readback_tm(depth, a, ty.dom),
-            readback_tm(depth, b, apply_ty_closure(ty.cod, a)),
-        )
+        sigma = readback_ty(depth, ty)
+        return Pair(sigma.dom, sigma.cod, readback_tm(depth, a, ty.dom),
+                    readback_tm(depth, vsnd(val), apply_ty_closure(ty.cod, a)))
     if cls is VTop:
         return Tt()
     if val_cls is VNe:
@@ -275,7 +270,6 @@ def readback_ty(depth: int, ty: TyVal) -> TyExpr:
     raise InternalStuck(f"cannot read back type {ty!r}")
 
 
-@memoized
 def readback_ne(depth: int, ne: Neutral) -> TmExpr:
     """Read back a spine, at the types that its typed heads carry."""
     cls = type(ne)
@@ -312,9 +306,9 @@ def readback_ne(depth: int, ne: Neutral) -> TmExpr:
 # ---------------------------------------------------------------------------
 
 @memoized
-def generic_env(ctx: Ctx) -> tuple[Env, int]:
+def generic_env(ctx: Ctx) -> Env:
     """One fresh variable per telescope entry, typed by evaluation."""
     env: Env = ()
     for entry in ctx.entries:
         env = env + (fresh(len(env), eval_ty(env, entry)),)
-    return env, len(env)
+    return env

@@ -1,10 +1,10 @@
 import pytest
 
 from ttk.syntax import (
-    Bool, Ctx, EMPTY, FalseLit, If, Lam, TrueLit, Tt, TySub, Var0, Wk,
+    Bool, EMPTY, FalseLit, If, Lam, TrueLit, Tt, TySub, Var0, Wk,
     apply1,
 )
-from ttk.canonicity import CanonVerdict, OpenTerm, canonicity_verdict
+from ttk.canonicity import CanonVerdict, canonicity_verdict
 from ttk.conversion import conv_tm
 from ttk.typecheck import TypeCheckError
 
@@ -23,11 +23,6 @@ def test_branching_selects_first_branch_on_true():
 def test_beta_redex():
     tm = apply1(Lam(Bool(), Var0()), FalseLit())
     assert canonicity_verdict(tm) == CanonVerdict(False, True)
-
-
-def test_open_terms_rejected():
-    with pytest.raises(OpenTerm):
-        canonicity_verdict(Var0(), Ctx.of(Bool()))
 
 
 def test_non_boolean_rejected():

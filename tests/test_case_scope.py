@@ -24,6 +24,26 @@ def test_stats_covers_every_memo_table():
     assert caches.stats().keys() == caches.REGISTRY.keys()
 
 
+def test_every_memo_table_is_one_the_rule_admits():
+    # the rule in the ``caches`` docstring: a table for a recursion over
+    # shared nodes, or for a costly composition the traffic asks again
+    assert sorted(caches.REGISTRY) == [
+        "ttk.generate._vars_by_type",
+        "ttk.parametricity.param",
+        "ttk.semantics.eval_sub",
+        "ttk.semantics.eval_tm",
+        "ttk.semantics.eval_ty",
+        "ttk.semantics.generic_env",
+        "ttk.semantics.readback_tm",
+        "ttk.semantics.readback_ty",
+        "ttk.termify.termify",
+        "ttk.typecheck.infer_ty",
+        "ttk.typecheck.normalize_ty_in",
+        "ttk.typecheck.synth_sub",
+        "ttk.typecheck.synth_tm",
+    ]
+
+
 def test_counters_survive_the_clear_after_each_case():
     before = caches.stats()
     assert all(report.ok for report in suites.run_suites("all", count=1))

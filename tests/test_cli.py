@@ -220,6 +220,12 @@ def test_inject_checks_before_translating(capsys, tmp_path):
     assert lines[-1] == "RESULT: error type"
 
 
+def test_canon_of_an_open_term_is_a_type_error(capsys, tmp_path):
+    code, lines = _run_text(capsys, tmp_path, "(canon (q))")
+    assert code == 3
+    assert lines[-1] == "RESULT: error type"
+
+
 def test_param_user_error_is_not_a_translation_bug(capsys, tmp_path):
     code, lines = _run_text(capsys, tmp_path, "(param (ctx) (q))")
     assert code == 3

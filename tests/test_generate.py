@@ -11,7 +11,7 @@ from ttk.typecheck import (
     check_ctx, ctxs_convertible, infer_ty, normalize_ty_in, synth_sub, synth_tm,
     types_convertible,
 )
-from ttk.equations import SCHEMA_NAMES, check_instance
+from ttk.equations import SCHEMA_NAMES, build_instance, check_instance
 from ttk.suites import _dump_instance
 from ttk.surface import read_sexpr
 
@@ -108,7 +108,7 @@ def test_each_schema_yields_accepted_instances(name):
         attempt += 1
         assert attempt < 60, f"schema {name} kept exhausting fuel"
         try:
-            inst = gen_instance(cfg, ("eq", name))
+            inst = build_instance(name, InstanceGen(cfg))
         except GenExhausted:
             continue
         assert check_instance(inst), f"schema {name} rejected {inst}"
@@ -138,7 +138,7 @@ def _stream_digest(seeds: int) -> str:
             cfg = GenConfig(seed=derive_seed(seed, "stream", name))
             try:
                 lines = [_unlabelled(line) for line in
-                         _dump_instance(gen_instance(cfg, ("eq", name)))]
+                         _dump_instance(build_instance(name, InstanceGen(cfg)))]
             except GenExhausted:
                 lines = ["exhausted"]
             h.update("\n".join([name] + lines + [""]).encode())

@@ -155,7 +155,8 @@ def test_readback_ignores_what_lies_beyond_reach():
             sub = gen.draw_sub(ctx, cod)
         except GenExhausted:
             continue
-        env, depth = generic_env(ctx)
+        env = generic_env(ctx)
+        depth = len(env)
         tm_ty = synth_tm(ctx, tm)
         for x in (ty, tm):
             assert x.reach <= len(ctx), x
@@ -193,7 +194,7 @@ def test_closed_terms_share_one_value():
     lam = Lam(Bool(), Var0())
     redex = apply1(lam, TrueLit())
     pi = Pi(Bool(), TySub(Bool(), Wk()))
-    env = generic_env(THREE)[0]
+    env = generic_env(THREE)
     assert eval_tm(env, lam) is eval_tm((), lam)
     assert eval_tm(env, redex) is eval_tm((), redex)
     assert eval_ty(env, pi) is eval_ty((), pi)
