@@ -1,9 +1,10 @@
 """Executable canonicity: every closed boolean term is true or false.
 
-The verdict comes from evaluating the term in the empty environment; the
-certificate is a conversion check against the corresponding literal.  A
-closed well-typed boolean evaluating to anything but a literal would be a
-kernel bug, reported as ``NonCanonical``.
+The verdict is the term's value in the empty environment, which for a
+canonical boolean is the literal itself; the certificate is a conversion
+check of the term against that literal.  A closed well-typed boolean
+evaluating to anything but a literal would be a kernel bug, reported as
+``NonCanonical``.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from dataclasses import dataclass
 
 from .syntax import Bool, EMPTY, FalseLit, TmExpr, TrueLit
 from .semantics import eval_tm
-from .values import VFalse, VTrue
 from .conversion import conv_tm
 from .typecheck import check_tm
 
@@ -23,9 +23,6 @@ class NonCanonical(Exception):
         self.value = value
 
 
-_LITERALS = {True: TrueLit(), False: FalseLit()}
-
-
 @dataclass(frozen=True)
 class CanonVerdict:
     value: bool
@@ -33,14 +30,13 @@ class CanonVerdict:
 
     @property
     def literal(self) -> TmExpr:
-        return _LITERALS[self.value]
+        return TrueLit() if self.value else FalseLit()
 
 
 def canonicity_verdict(tm: TmExpr) -> CanonVerdict:
     check_tm(EMPTY, tm, Bool())
     val = eval_tm((), tm)
     cls = type(val)
-    if cls is not VTrue and cls is not VFalse:
+    if cls is not TrueLit and cls is not FalseLit:
         raise NonCanonical(val)
-    value = cls is VTrue
-    return CanonVerdict(value, conv_tm(EMPTY, Bool(), tm, _LITERALS[value]))
+    return CanonVerdict(cls is TrueLit, conv_tm(EMPTY, Bool(), tm, val))

@@ -31,7 +31,7 @@ from .suites import SUITES, run_suites
 from .syntax import tree_dag_sizes
 from .termify import termify_entity
 from .typecheck import (
-    TranslationIllTyped, TypeCheckError, check_ctx, infer_ty, synth_tm,
+    TranslationIllTyped, TypeCheckError, check_ctx, check_entity,
 )
 from .values import InternalStuck
 
@@ -39,14 +39,10 @@ from .values import InternalStuck
 def _execute(directive: Directive) -> tuple[int, list[str]]:
     match directive.kind:
         case "check-tm":
-            ctx, tm = directive.args
-            check_ctx(ctx)
-            ty = synth_tm(ctx, tm)
+            ty = check_entity(*directive.args)
             return 0, [f"type: {print_entity(ty)}", "RESULT: accept"]
         case "check-ty":
-            ctx, ty = directive.args
-            check_ctx(ctx)
-            level = infer_ty(ctx, ty)
+            level = check_entity(*directive.args)
             return 0, [f"level: {level}", "RESULT: accept"]
         case "nf":
             ctx, tm = directive.args

@@ -7,6 +7,12 @@ functions are read back applied to a fresh variable, pairs through both
 projections, and unit-typed values always as ``Tt``.  Conversion is
 structural equality of readbacks at a common type.
 
+A leaf, a construct without a subterm (⊤, Bool, ``U i``, ``tt``, true
+and false), is its own value: it reads no environment, so ``eval_tm``
+and ``eval_ty`` return the node itself, and readback returns it as it
+is.  Only ⊤ is read back by type, not by value: every value at ⊤ is
+``Tt``.
+
 Readback output stays inside the raw syntax: a variable at level ``k``
 becomes the spine ``v(depth - 1 - k)`` and a neutral application becomes
 ``(App f)[id, arg]``.  Substitution nodes appear in these two roles only.
@@ -41,8 +47,8 @@ from .syntax import (
 from .caches import memoized
 from .values import (
     Closure, Env, InternalStuck, NApp, NFst, NIf, NJ, NSnd, NVar, Neutral,
-    TyVal, VBool, VCode, VElNe, VFalse, VId, VLam, VNe, VPair, VPi, VRefl,
-    VSigma, VTop, VTrue, VTt, VU, Val, fresh,
+    TyVal, VCode, VElNe, VId, VLam, VNe, VPair, VPi, VRefl, VSigma, Val,
+    fresh,
 )
 
 
@@ -83,11 +89,11 @@ def vsnd(p: Val) -> Val:
 
 def vif(motive: Closure, on_true: Val, on_false: Val, scrut: Val) -> Val:
     cls = type(scrut)
-    if cls is VTrue:
+    if cls is TrueLit:
         return on_true
-    if cls is VFalse:
+    if cls is FalseLit:
         return on_false
-    if cls is VNe and type(scrut.ty) is VBool:
+    if cls is VNe and type(scrut.ty) is Bool:
         result_ty = apply_ty_closure(motive, scrut)
         return VNe(NIf(motive, on_true, on_false, scrut), result_ty)
     raise InternalStuck(f"boolean elimination of {scrut!r}")
@@ -136,14 +142,10 @@ def eval_tm(env: Env, tm: TmExpr) -> Val:
         return vfst(eval_tm(env, tm.pair))
     if cls is Snd:
         return vsnd(eval_tm(env, tm.pair))
-    if cls is Tt:
-        return VTt()
+    if cls is Tt or cls is TrueLit or cls is FalseLit:
+        return tm
     if cls is Code:
         return vcode(eval_ty(env, tm.ty))
-    if cls is TrueLit:
-        return VTrue()
-    if cls is FalseLit:
-        return VFalse()
     if cls is If:
         return vif(
             Closure(env, tm.motive),
@@ -173,17 +175,13 @@ def eval_ty(env: Env, ty: TyExpr) -> TyVal:
         return VPi(eval_ty(env, ty.dom), Closure(env, ty.cod))
     if cls is Sigma:
         return VSigma(eval_ty(env, ty.dom), Closure(env, ty.cod))
-    if cls is Top:
-        return VTop()
-    if cls is Bool:
-        return VBool()
-    if cls is Univ:
-        return VU(ty.level)
+    if cls is Top or cls is Bool or cls is Univ:
+        return ty
     if cls is El:
         val = eval_tm(env, ty.code)
         if type(val) is VCode:
             return val.ty
-        if type(val) is VNe and type(val.ty) is VU:
+        if type(val) is VNe and type(val.ty) is Univ:
             return VElNe(val)
         raise InternalStuck(f"decoding non-code value {val!r}")
     if cls is IdTy:
@@ -226,16 +224,14 @@ def readback_tm(depth: int, val: Val, ty: TyVal) -> TmExpr:
         sigma = readback_ty(depth, ty)
         return Pair(sigma.dom, sigma.cod, readback_tm(depth, a, ty.dom),
                     readback_tm(depth, vsnd(val), apply_ty_closure(ty.cod, a)))
-    if cls is VTop:
+    if cls is Top:
         return Tt()
     if val_cls is VNe:
         return readback_ne(depth, val.ne)
-    if cls is VBool:
-        if val_cls is VTrue:
-            return TrueLit()
-        if val_cls is VFalse:
-            return FalseLit()
-    elif cls is VU:
+    if cls is Bool:
+        if val_cls is TrueLit or val_cls is FalseLit:
+            return val
+    elif cls is Univ:
         if val_cls is VCode:
             return Code(readback_ty(depth, val.ty))
     elif cls is VId:
@@ -253,12 +249,8 @@ def readback_ty(depth: int, ty: TyVal) -> TyExpr:
     if cls is VSigma:
         cod_nf = readback_ty(depth + 1, apply_ty_closure(ty.cod, fresh(depth, ty.dom)))
         return Sigma(readback_ty(depth, ty.dom), cod_nf)
-    if cls is VTop:
-        return Top()
-    if cls is VBool:
-        return Bool()
-    if cls is VU:
-        return Univ(ty.level)
+    if cls is Top or cls is Bool or cls is Univ:
+        return ty
     if cls is VId:
         return IdTy(
             readback_ty(depth, ty.ty),
@@ -286,9 +278,9 @@ def readback_ne(depth: int, ne: Neutral) -> TmExpr:
         return Snd(readback_ne(depth, ne.pair.ne))
     if cls is NIf:
         motive = ne.motive
-        motive_nf = readback_ty(depth + 1, apply_ty_closure(motive, fresh(depth, VBool())))
-        true_nf = readback_tm(depth, ne.on_true, apply_ty_closure(motive, VTrue()))
-        false_nf = readback_tm(depth, ne.on_false, apply_ty_closure(motive, VFalse()))
+        motive_nf = readback_ty(depth + 1, apply_ty_closure(motive, fresh(depth, Bool())))
+        true_nf = readback_tm(depth, ne.on_true, apply_ty_closure(motive, TrueLit()))
+        false_nf = readback_tm(depth, ne.on_false, apply_ty_closure(motive, FalseLit()))
         return If(motive_nf, true_nf, false_nf, readback_ne(depth, ne.scrut.ne))
     if cls is NJ:
         motive, eq_ty = ne.motive, ne.scrut.ty

@@ -14,7 +14,7 @@ One rule holds for every row: every case runs and is counted, and every
 failure adds its lines, so a row's passed and failed add up to its cases.
 A failing equation case is shown re-drawn at the smallest size at which
 the re-drawn instance still fails, or as first drawn if none does.  A case
-that draws no instance within its retries fails.
+that draws no instance within ``RETRIES`` seeds fails.
 """
 
 from __future__ import annotations
@@ -82,11 +82,14 @@ def _dump_instance(inst: EqInstance) -> list[str]:
     return lines
 
 
-def _draw(seed_parts, build, max_nodes: int = 8, max_level: int = 2,
-          retries: int = 60):
+# The seeds one case may draw from before it fails for want of an instance.
+RETRIES = 60
+
+
+def _draw(seed_parts, build, max_nodes: int = 8, max_level: int = 2):
     """What ``build`` draws from the first generator, seeded by
     ``seed_parts`` and the attempt number, that does not run out."""
-    for attempt in range(retries):
+    for attempt in range(RETRIES):
         cfg = GenConfig(seed=derive_seed(*seed_parts, attempt),
                         max_nodes=max_nodes, max_level=max_level)
         try:

@@ -4,6 +4,11 @@ Values are built from canonical forms plus neutral spines stuck on
 variables.  Variables are absolute depth levels; readback converts them
 back to de Bruijn spines.
 
+A canonical form without a subterm is the syntax node itself: ``Top``,
+``Bool``, ``Univ``, ``Tt``, ``TrueLit`` and ``FalseLit`` read no
+environment, so each is its own value, and evaluation and readback
+return it unchanged.  Every other value has a class of its own.
+
 A neutral's type lives in one place, the ``VNe`` that wraps it.  Each
 spine holds its head as such a typed ``VNe``, so no spine node stores a
 type, and a variable is its level alone.
@@ -23,7 +28,9 @@ from __future__ import annotations
 
 from typing import Union
 
-from .syntax import Level, TmExpr, TyExpr, node
+from .syntax import (
+    Bool, FalseLit, TmExpr, Top, TrueLit, Tt, TyExpr, Univ, node,
+)
 
 Env = tuple["Val", ...]
 
@@ -99,21 +106,6 @@ class VSigma:
 
 
 @node
-class VTop:
-    pass
-
-
-@node
-class VBool:
-    pass
-
-
-@node
-class VU:
-    level: Level
-
-
-@node
 class VId:
     ty: TyVal
     lhs: Val
@@ -126,7 +118,7 @@ class VElNe:
     code: VNe
 
 
-TyVal = Union[VPi, VSigma, VTop, VBool, VU, VId, VElNe]
+TyVal = Union[VPi, VSigma, Top, Bool, Univ, VId, VElNe]
 
 
 # -- term values ------------------------------------------------------------
@@ -141,21 +133,6 @@ class VLam:
 class VPair:
     fst: Val
     snd: Val
-
-
-@node
-class VTt:
-    pass
-
-
-@node
-class VTrue:
-    pass
-
-
-@node
-class VFalse:
-    pass
 
 
 @node
@@ -174,7 +151,7 @@ class VNe:
     ty: TyVal
 
 
-Val = Union[VLam, VPair, VTt, VTrue, VFalse, VRefl, VCode, VNe]
+Val = Union[VLam, VPair, Tt, TrueLit, FalseLit, VRefl, VCode, VNe]
 
 
 def fresh(lvl: int, ty: TyVal) -> VNe:

@@ -5,8 +5,8 @@ from ttk.syntax import (
     J, Lam, Pair, Pi, Sigma, Top, TrueLit, Tt, TmSub, TySub, Univ, Var0,
     Wk, apply1, v,
 )
-from ttk.semantics import eval_tm, eval_ty
-from ttk.values import VBool, VFalse, VTrue
+from ttk.semantics import eval_tm, eval_ty, readback_tm, readback_ty
+from ttk.values import fresh
 from ttk.conversion import conv_sub, conv_tm, conv_ty, normalize_tm, normalize_ty
 from ttk.surface import parse_ctx, parse_tm, print_tm, read_sexpr
 from ttk.typecheck import TypeCheckError, synth_tm
@@ -17,25 +17,43 @@ FUN_CTX = Ctx.of(Pi(Bool(), Bool()))
 
 
 def test_eval_beta():
-    assert eval_tm((), apply1(Lam(Bool(), Var0()), TrueLit())) == VTrue()
+    assert eval_tm((), apply1(Lam(Bool(), Var0()), TrueLit())) == TrueLit()
 
 
 def test_eval_if_on_literal():
     tm = If(Bool(), FalseLit(), TrueLit(), TrueLit())
-    assert eval_tm((), tm) == VFalse()
+    assert eval_tm((), tm) == FalseLit()
 
 
 def test_eval_type_substitution():
-    assert eval_ty((), TySub(Bool(), Eps())) == VBool()
+    assert eval_ty((), TySub(Bool(), Eps())) == Bool()
+
+
+# Each leaf, a construct without a subterm, with the type it has.
+LEAVES = {"top": (Top(), None), "bool": (Bool(), None), "u3": (Univ(3), None),
+          "tt": (Tt(), Top()), "true": (TrueLit(), Bool()),
+          "false": (FalseLit(), Bool())}
+
+
+@pytest.mark.parametrize("depth", [0, 2])
+@pytest.mark.parametrize("name", list(LEAVES))
+def test_a_leaf_is_its_own_value(name, depth):
+    # the node itself, in an empty and in a nonempty environment or depth
+    leaf, ty = LEAVES[name]
+    env = tuple(fresh(lvl, Bool()) for lvl in range(depth))
+    if ty is None:
+        assert eval_ty(env, leaf) is leaf
+        assert readback_ty(depth, leaf) is leaf
+    else:
+        assert eval_tm(env, leaf) is leaf
+        assert readback_tm(depth, leaf, ty) is leaf
 
 
 def test_readback_unit_eta():
     # any unit-typed value reads back as tt, neutral variables included
     assert normalize_tm(Ctx.of(Top()), Var0()) == Tt()
-    from ttk.semantics import readback_tm
-    from ttk.values import VTop, fresh
-    assert readback_tm(1, fresh(0, VTop()), VTop()) == Tt()
-    assert readback_tm(1, fresh(0, VBool()), VBool()) == Var0()
+    assert readback_tm(1, fresh(0, Top()), Top()) == Tt()
+    assert readback_tm(1, fresh(0, Bool()), Bool()) == Var0()
 
 
 def test_readback_neutral_bool_var():

@@ -19,11 +19,12 @@ from ttk.semantics import (
     vfst, vif, vj, vsnd,
 )
 from ttk.syntax import (
-    EMPTY, Bool, Code, Comp, Fst, IdSub, Top, TrueLit, Univ, Var0, Wk,
+    EMPTY, Bool, Code, Comp, Fst, IdSub, Pi, Top, TrueLit, Tt, Univ, Var0,
+    Wk,
 )
 from ttk.termify import termify
 from ttk.typecheck import TypeCheckError, infer_ty, synth_sub, synth_tm
-from ttk.values import Closure, InternalStuck, NVar, VBool, VNe, VTrue, VTt
+from ttk.values import Closure, InternalStuck, NVar, VNe
 
 # A node of another sort, by the sort a checker takes.
 OTHER_SORT = {"ty": Var0(), "sub": Bool(), "tm": Wk()}
@@ -80,32 +81,35 @@ def test_a_negative_universe_level_is_rejected():
 
 
 # A neutral boolean: stuck, at a type that only ``if`` eliminates.
-NE_BOOL = VNe(NVar(0), VBool())
+NE_BOOL = VNe(NVar(0), Bool())
 MOTIVE = Closure((), Bool())
 
 # Each dispatcher, called on its foreign argument, with an argument of the
 # wrong kind: syntax of another sort, a value where syntax belongs or the
-# other way round, or a value that the eliminator cannot take.  The
-# evaluators are called in an empty and in a nonempty environment: in a
-# nonempty one they first read the argument's ``reach``, which a closed
-# node of another sort has and an object that is no syntax lacks.
+# other way round, or a value that the eliminator cannot take.  A leaf
+# such as ``Bool()`` or ``Tt()`` is syntax and its own value at once, so
+# a row passes one only where it fits neither way, and syntax ``Pi`` where
+# a ``VPi`` belongs.  The evaluators are called in an empty and in a
+# nonempty environment: in a nonempty one they first read the argument's
+# ``reach``, which a closed node of another sort has and an object that
+# is no syntax lacks.
 STUCK = {
     "eval_tm": (lambda x: eval_tm((), x), Bool()),
-    "eval_tm-in-env": (lambda x: eval_tm((VTt(),), x), Bool()),
+    "eval_tm-in-env": (lambda x: eval_tm((Tt(),), x), Bool()),
     "eval_ty": (lambda x: eval_ty((), x), Var0()),
-    "eval_ty-in-env": (lambda x: eval_ty((VTt(),), x), Var0()),
-    "eval_ty-closed-in-env": (lambda x: eval_ty((VTt(),), x), TrueLit()),
+    "eval_ty-in-env": (lambda x: eval_ty((Tt(),), x), Var0()),
+    "eval_ty-closed-in-env": (lambda x: eval_ty((Tt(),), x), TrueLit()),
     "eval_sub": (lambda x: eval_sub((), x), Top()),
-    "eval_sub-in-env": (lambda x: eval_sub((VTt(),), x), Top()),
-    "readback_tm": (lambda x: readback_tm(0, VTt(), x), Bool()),
-    "readback_tm-at-bool": (lambda x: readback_tm(0, x, VBool()), VTt()),
-    "readback_ty": (lambda x: readback_ty(0, x), VTt()),
-    "readback_ne": (lambda x: readback_ne(0, x), VTt()),
-    "vapp": (lambda x: vapp(x, VTt()), NE_BOOL),
+    "eval_sub-in-env": (lambda x: eval_sub((Tt(),), x), Top()),
+    "readback_tm": (lambda x: readback_tm(0, Tt(), x), Pi(Bool(), Bool())),
+    "readback_tm-at-bool": (lambda x: readback_tm(0, x, Bool()), Tt()),
+    "readback_ty": (lambda x: readback_ty(0, x), Tt()),
+    "readback_ne": (lambda x: readback_ne(0, x), Tt()),
+    "vapp": (lambda x: vapp(x, Tt()), NE_BOOL),
     "vfst": (vfst, NE_BOOL),
-    "vsnd": (vsnd, VTrue()),
-    "vif": (lambda x: vif(MOTIVE, VTrue(), VTrue(), x), VTt()),
-    "vj": (lambda x: vj(MOTIVE, VTt(), x), NE_BOOL),
+    "vsnd": (vsnd, TrueLit()),
+    "vif": (lambda x: vif(MOTIVE, TrueLit(), TrueLit(), x), Tt()),
+    "vj": (lambda x: vj(MOTIVE, Tt(), x), NE_BOOL),
 }
 
 

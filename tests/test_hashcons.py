@@ -30,11 +30,11 @@ _SAMPLES = {
     "Level": lambda: 1,
     "int": lambda: 2,
     "tuple[TyExpr, ...]": lambda: tuple([syntax.Bool(), syntax.Top()]),
-    "Env": lambda: tuple([values.VTrue(), values.VTt()]),
-    "TyVal": lambda: values.VBool(),
-    "Val": lambda: values.VTrue(),
+    "Env": lambda: tuple([syntax.TrueLit(), syntax.Tt()]),
+    "TyVal": lambda: syntax.Bool(),
+    "Val": lambda: syntax.TrueLit(),
     "Neutral": lambda: values.NVar(0),
-    "VNe": lambda: values.fresh(0, values.VBool()),
+    "VNe": lambda: values.fresh(0, syntax.Bool()),
     "Closure": lambda: values.Closure((), syntax.Bool()),
 }
 
@@ -46,7 +46,7 @@ def _build(cls):
 
 def test_every_node_class_is_interned():
     classes = _node_classes(syntax) + _node_classes(values)
-    assert len(classes) == 28 + 22
+    assert len(classes) == 28 + 16
     for cls in classes:
         first, second = _build(cls), _build(cls)
         assert first is second, cls.__name__
@@ -61,7 +61,7 @@ def test_default_and_keyword_arguments_share_one_node():
 
 def test_nodes_are_frozen_and_slotted():
     node = Pi(Bool(), Bool())
-    for target in (node, Bool(), values.VBool(), EMPTY):
+    for target in (node, Bool(), values.fresh(0, Bool()), EMPTY):
         assert not hasattr(target, "__dict__")
     with pytest.raises(FrozenInstanceError):
         node.dom = Univ(0)
@@ -95,10 +95,10 @@ def test_wrong_arguments_raise_type_error(build):
 
 def test_nullary_node_is_one_object_for_the_process():
     # Only weak references survive the clear: the node itself must too.
-    refs = [weakref.ref(x) for x in (Bool(), Wk(), values.VBool(), values.VTrue())]
+    refs = [weakref.ref(x) for x in (Bool(), Wk(), syntax.Top(), syntax.TrueLit())]
     caches.clear_all()
     gc.collect()
-    after = (Bool(), Wk(), values.VBool(), values.VTrue())
+    after = (Bool(), Wk(), syntax.Top(), syntax.TrueLit())
     assert all(ref() is node for ref, node in zip(refs, after))
 
 

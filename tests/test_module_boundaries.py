@@ -73,8 +73,9 @@ def test_no_class_pattern_is_matched():
 def test_node_classes_are_final():
     # an exact-class test decides what ``isinstance`` would only while no
     # node class has a subclass
-    nodes = [cls for module in (syntax, values)
+    # a set: ``values`` imports the leaves of ``syntax``, its own values
+    nodes = {cls for module in (syntax, values)
              for cls in vars(module).values()
-             if isinstance(cls, type) and "_interned" in vars(cls)]
-    assert len(nodes) == 50
+             if isinstance(cls, type) and "_interned" in vars(cls)}
+    assert len(nodes) == 44
     assert [cls for cls in nodes if cls.__subclasses__()] == []
