@@ -21,21 +21,30 @@ to a judgement with its own table, runs in the size of the DAG without
 one, and gets none (``check_ctx``, ``ctxs_convertible``, ``readback_ne``,
 ``injectivity.build_ctx_iso``).  That makes 13 tables.
 
+Syntax and value nodes are interned in one table that holds them
+strongly (``syntax.node``), so dropping a node frees nothing by itself.
+``clear_all`` empties the memo tables and then runs ``syntax.sweep``,
+which frees every interned node that nothing else holds.  That sweep is
+the only point where interned nodes are freed, and it costs time in
+proportion to the live table.  ``tests/test_memo_transparency.py``
+checks that a run whose sweep does nothing gives the same verdicts and
+normal forms.
+
 The same immutability makes pausing Python's cyclic garbage collector
 sound.  A node is built after its children and never changes, so no node,
-value, memo key or intern-table entry can reach itself: reference counting
-frees everything the kernel drops, and a collector pass only walks the
-live nodes and frees nothing.  ``gc_paused`` turns that pass off while a
-``ttk run`` directive executes, and ``case_scope`` while one suite case
-does; ``tests/test_gc_pause.py`` checks that every suite and every
-``RESULT:`` class of ``ttk run`` leaves nothing for ``gc.collect()`` to
-free.
+value, memo key or intern-table entry can reach itself: the sweep and
+reference counting free everything the kernel drops, and a collector pass
+only walks the live nodes and frees nothing.  ``gc_paused`` turns that
+pass off while a ``ttk run`` directive executes, and ``case_scope`` while
+one suite case does; ``tests/test_gc_pause.py`` checks that every suite
+and every ``RESULT:`` class of ``ttk run`` leaves nothing for
+``gc.collect()`` to free.
 
 A suite case holds only what it built: ``case_scope`` empties every memo
 table when the case ends, so memory does not grow with the number of
 cases.  It empties them *before* collection resumes.  The memo tables are
-what keeps a case's nodes alive, so clearing them lets reference counting
-free those nodes at once.  Resuming first would make the collector's next
+what keeps a case's nodes alive, so clearing them lets the sweep free
+those nodes at once.  Resuming first would make the collector's next
 young-generation pass walk every node the case built and left alive, only
 to find all of them still reachable.  Counters survive the clear:
 ``stats()`` adds what each table counted before it was emptied.
@@ -46,6 +55,8 @@ from __future__ import annotations
 import contextlib
 import functools
 import gc
+
+from .syntax import sweep
 
 # Every memo table: the wrapped function, keyed by ``module.qualname``.
 REGISTRY: dict = {}
@@ -65,13 +76,15 @@ def memoized(fn):
 
 def clear_all() -> None:
     """Empty every memo table, adding its hits and misses to the totals
-    that ``stats`` reports first, since ``cache_clear`` resets them."""
+    that ``stats`` reports first, since ``cache_clear`` resets them; then
+    sweep the intern table, freeing every node that nothing else holds."""
     for name, wrapped in REGISTRY.items():
         hits, misses, _, _ = wrapped.cache_info()
         cleared = _CLEARED[name]
         cleared[0] += hits
         cleared[1] += misses
         wrapped.cache_clear()
+    sweep()
 
 
 def stats() -> dict:

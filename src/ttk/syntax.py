@@ -16,7 +16,7 @@ recovered from ``t`` during checking).
 from __future__ import annotations
 
 import math
-import weakref
+import sys
 from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 from typing import Optional, Union, get_args
 
@@ -24,9 +24,10 @@ Level = int  # universe index; closed under max and +1
 
 
 class _Node:
-    """Base of every node class: weakly referenceable, and frozen once
-    built (fields are set through the slot descriptors, never through
-    ``__setattr__``)."""
+    """Base of every node class: frozen once built (fields are set through
+    the slot descriptors, never through ``__setattr__``).  Its
+    ``__weakref__`` slot lets a caller watch a node die; the kernel itself
+    makes no weak reference."""
     __slots__ = ("__weakref__",)
 
     def __setattr__(self, name, value):
@@ -36,26 +37,19 @@ class _Node:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
-class _InternRef(weakref.ref):
-    """An intern-table entry: a weak reference that carries its key, which
-    is what the table's removal callback reads.  Unlike
-    ``weakref.KeyedRef`` it has no Python-level constructor."""
-    __slots__ = ("key",)
-
+# The intern table of every node class with fields: ``(cls, *fields)`` to
+# the node.  It holds its nodes strongly, and ``sweep`` frees them.
+_INTERNED: dict = {}
 
 _NEW_TEMPLATE = """\
 def __new__(_cls, {params}):
     _key = (_cls, {args})
-    _ref = _get(_key)
-    if _ref is not None:
-        _node = _ref()
-        if _node is not None:
-            return _node
+    _node = _get(_key)
+    if _node is not None:
+        return _node
     _node = _new(_cls)
 {sets}
-    _ref = _Ref(_node, _remove)
-    _ref.key = _key
-    _data[_key] = _ref
+    _interned[_key] = _node
     return _node
 """
 
@@ -64,26 +58,25 @@ def node(cls=None, *, reach: Optional[str] = None):
     """Hash-consed frozen dataclass (Filliâtre & Conchon, *Type-Safe
     Modular Hash-Consing*, 2006).
 
-    Constructing a node whose fields are those of a live node of the same
-    class (child nodes compared by identity) returns that node, so
+    Constructing a node whose fields are those of an interned node of the
+    same class (child nodes compared by identity) returns that node, so
     structurally equal nodes are one object and ``==`` and ``hash`` are the
     built-in identity versions.  Translated syntax shares subtrees heavily,
     and every memo-table lookup then costs no Python-level hashing however
-    large the tree.  The intern table of each class is a
-    ``WeakValueDictionary`` keyed on ``(cls, *fields)``: a node stays in it
-    exactly as long as something else holds the node, so the tables never
-    outgrow the memo tables and never hold two equal nodes.
+    large the tree.  Every class shares one intern table, a plain dict
+    keyed on ``(cls, *fields)``, which holds its nodes strongly: a node is
+    interned from its construction until a ``sweep`` finds that nothing
+    else holds it, so the table never holds two equal nodes.
 
     Building nodes is the kernel's most frequent operation, so the
     constructor is compiled once per class: the dataclass supplies the
     fields, ``repr`` and ``__match_args__``; the class is rebuilt with one
     slot per field on the shared frozen base ``_Node``; and its ``__new__``
     is generated with the exact field signature, so Python itself checks
-    the arguments and fills defaults.  A new node's fields are set through
-    the slot descriptors and its table entry is an ``_InternRef`` built in
-    C, registered with the table's own removal callback, which drops an
-    entry only while its reference is dead.  A class without fields has one
-    instance, built here.
+    the arguments and fills defaults.  A hit is one dict lookup; a new
+    node's fields are set through the slot descriptors and the node itself
+    is stored under its key.  A class without fields has one instance,
+    built here, and no table entry.
 
     A syntax class passes ``reach``, an expression over its fields, and the
     generated constructor also fills a ``reach`` slot with it, once per
@@ -102,17 +95,15 @@ def node(cls=None, *, reach: Optional[str] = None):
                  if key not in names and key not in ("__dict__", "__weakref__")}
     namespace["__slots__"] = names if reach is None else names + ("reach",)
     cls = type(cls.__name__, (_Node,), namespace)
-    table = weakref.WeakValueDictionary()
-    cls._interned = table
+    cls._interned = _INTERNED
     if not names:
         instance = object.__new__(cls)
         if reach is not None:
             cls.reach.__set__(instance, eval(reach, {"inf": math.inf}))
-        table[(cls,)] = instance
         cls.__new__ = lambda _cls: instance
         return cls
-    scope = {"_get": table.data.get, "_data": table.data, "_new": object.__new__,
-             "_Ref": _InternRef, "_remove": table._remove}
+    scope = {"_get": _INTERNED.get, "_interned": _INTERNED,
+             "_new": object.__new__}
     sets = [f"    _set_{n}(_node, {n})" for n in names]
     if reach is not None:
         scope["_set_reach"] = cls.reach.__set__
@@ -133,6 +124,45 @@ def node(cls=None, *, reach: Optional[str] = None):
     new.__qualname__ = f"{cls.__qualname__}.__new__"
     cls.__new__ = new
     return cls
+
+
+def sweep() -> None:
+    """Free every interned node that nothing but the intern table holds.
+
+    This is the only point where interned nodes are freed, and
+    ``caches.clear_all`` calls it right after it empties the memo tables.
+    Entries are visited newest first.  A node is built after its children,
+    so dropping a dead parent's entry releases its key and its fields
+    before the pass reaches the children, and one pass frees a whole dead
+    DAG.  The pass holds no key past its own step: each slot of the
+    snapshot is cleared as it is visited.  It costs time in proportion to
+    the live table."""
+    interned, refcount, unheld = _INTERNED, sys.getrefcount, _UNHELD
+    keys = list(interned)
+    for i in range(len(keys) - 1, -1, -1):
+        key = keys[i]
+        keys[i] = None
+        if refcount(interned[key]) == unheld:
+            del interned[key]
+
+
+def _unheld_count() -> int:
+    """What ``sweep`` reads for a node held by the table alone, measured on
+    a probe entry.  The import fails unless one more reference reads one
+    more: a count read too high would free a live node and split its
+    identity."""
+    key = (_Node, "probe")
+    _INTERNED[key] = object.__new__(_Node)
+    unheld = sys.getrefcount(_INTERNED[key])
+    held = _INTERNED[key]
+    if sys.getrefcount(_INTERNED[key]) != unheld + 1:
+        raise ImportError("sys.getrefcount does not count references one "
+                          "by one; the intern table cannot be swept")
+    del held, _INTERNED[key]
+    return unheld
+
+
+_UNHELD = _unheld_count()
 
 
 def _max(*operands: str) -> str:

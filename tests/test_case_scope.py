@@ -4,15 +4,17 @@ Every case of every suite runs in its own ``caches.case_scope``, which
 empties the memo tables when the case ends.  So the memo entries a case
 sees do not depend on how many cases ran before it, peak memory does not
 grow with ``count``, and ``caches.stats()`` still counts the hits and
-misses of the tables that were emptied.
+misses of the tables that were emptied.  After the clear, the intern table
+is back to its size before the suites, and every live node is its entry.
 """
 
+import gc
 import os
 import subprocess
 import sys
 
 import ttk
-from ttk import caches, suites
+from ttk import caches, suites, syntax, values
 from ttk.equations import check_instance
 
 
@@ -53,6 +55,25 @@ def test_counters_survive_the_clear_after_each_case():
         counted = (table["hits"] - before[name]["hits"]
                    + table["misses"] - before[name]["misses"])
         assert counted > 0, name
+
+
+def test_the_sweep_leaves_only_interned_live_nodes():
+    # a warm-up run builds the module constants that are built on first use
+    assert all(report.ok for report in suites.run_suites("all", count=1))
+    caches.clear_all()
+    table = syntax.Univ._interned
+    before = len(table)
+    assert all(report.ok for report in suites.run_suites("all", count=1))
+    caches.clear_all()
+    assert len(table) == before
+    classes = {cls for module in (syntax, values) for cls in vars(module).values()
+               if isinstance(cls, type) and "_interned" in vars(cls)
+               and cls.__dataclass_fields__}
+    live = [x for x in gc.get_objects() if type(x) in classes]
+    assert live
+    for x in live:
+        key = (type(x), *(getattr(x, name) for name in x.__dataclass_fields__))
+        assert table.get(key) is x, x
 
 
 def _entries_seen_by_the_judge(monkeypatch, count: int) -> list[int]:

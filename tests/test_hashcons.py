@@ -138,27 +138,38 @@ def test_parse_after_print_returns_the_same_node():
     assert seen == set(surface)
 
 
-def test_table_entry_dies_with_its_node():
+def test_dropped_node_lives_until_the_sweep():
     table = Univ._interned
     node = Univ(7001)
-    assert (Univ, 7001) in table
     gone = weakref.ref(node)
     del node
     gc.collect()
+    assert gone() is not None and table[(Univ, 7001)] is gone()
+    caches.clear_all()
     assert gone() is None
-    assert (Univ, 7001) not in table.data
+    assert (Univ, 7001) not in table
 
 
-def test_live_successor_is_never_evicted():
+def test_held_node_survives_every_sweep():
+    held = Pi(Univ(7002), Bool())
+    caches.clear_all()
+    caches.clear_all()
+    assert Pi(Univ(7002), Bool()) is held
+    assert Univ(7002) is held.dom
+
+
+def test_one_sweep_frees_a_whole_dead_chain():
+    # each node is newer than its child, so only a newest-first pass frees
+    # the chain in one sweep; the first clear frees what earlier tests dropped
+    caches.clear_all()
     table = Univ._interned
-    old = Univ(7002)
-    # While the table is being iterated, the old node's removal is deferred;
-    # a successor built meanwhile must outlive that deferred removal.
-    iterating = iter(table.keys())
-    next(iterating)
-    del old
-    gc.collect()
-    successor = Univ(7002)
-    iterating.close()
-    assert table[(Univ, 7002)] is successor
-    assert Univ(7002) is successor
+    before = len(table)
+    chain = Univ(7003)
+    for _ in range(3000):
+        chain = syntax.Fst(chain)
+    assert len(table) == before + 3001
+    gone = weakref.ref(chain)
+    del chain
+    caches.clear_all()
+    assert gone() is None
+    assert len(table) == before

@@ -1,13 +1,16 @@
-"""Memoization is observationally transparent, as ``ttk.caches`` claims.
+"""Memoization and the intern-table sweep are observationally transparent,
+as ``ttk.caches`` claims.
 
-The same small workload runs in two fresh interpreters: once as shipped,
-and once with every memoized function in every ``ttk`` module rebound to
-the plain function it wraps.  Both must print the same suite verdicts and
-the same normal forms.  The termified suite is left out: without memo
-tables its translated terms are checked as unfolded trees, which takes
-minutes even at the smallest count.
+The same small workload runs in three fresh interpreters: as shipped;
+with every memoized function in every ``ttk`` module rebound to the plain
+function it wraps; and with the sweep that ``caches.clear_all`` runs made
+a no-op, so no interned node is ever freed.  All three must print the same
+suite verdicts and the same normal forms.  The termified suite is left
+out: without memo tables its translated terms are checked as unfolded
+trees, which takes minutes even at the smallest count.
 """
 
+import functools
 import json
 import os
 import subprocess
@@ -19,7 +22,7 @@ WORKLOAD = r"""
 import functools, json, sys
 sys.setrecursionlimit(20000)
 import ttk
-from ttk import caches, conversion, generate, suites, surface
+from ttk import caches, conversion, generate, suites, surface, syntax
 
 wrappers = []
 if sys.argv[1] == "plain":
@@ -29,6 +32,8 @@ if sys.argv[1] == "plain":
                 if isinstance(value, functools._lru_cache_wrapper):
                     wrappers.append(value)
                     setattr(module, attr, value.__wrapped__)
+if sys.argv[1] == "unswept":
+    caches.sweep = lambda: None
 
 report = suites.run_equation_suite(seed=5, count=5)
 verdicts = [[row.label, row.passed, row.failed, row.detail]
@@ -43,14 +48,17 @@ for case in range(100):
     except generate.GenExhausted:
         continue
     normal_forms.append(surface.print_tm(conversion.normalize_tm(ctx, tm)))
+    caches.clear_all()
 calls = sum(w.cache_info().hits + w.cache_info().misses for w in wrappers)
 print(json.dumps({"verdicts": verdicts, "normal_forms": normal_forms,
                   "rebound": sorted({f"{w.__module__}.{w.__qualname__}"
                                      for w in wrappers}),
-                  "memoized": sorted(caches.REGISTRY), "memo_calls": calls}))
+                  "memoized": sorted(caches.REGISTRY), "memo_calls": calls,
+                  "interned": len(syntax.Univ._interned)}))
 """
 
 
+@functools.cache
 def _run(mode):
     src = os.path.dirname(os.path.dirname(os.path.abspath(ttk.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
@@ -71,3 +79,14 @@ def test_memoization_is_transparent():
     assert all(failed == 0 for _, _, failed, _ in memo["verdicts"])
     assert len(memo["normal_forms"]) >= 50
     assert plain["normal_forms"] == memo["normal_forms"]
+
+
+def test_the_sweep_is_transparent():
+    swept = _run("memo")
+    unswept = _run("unswept")
+    # without the sweep, every node the run built stays interned
+    assert unswept["interned"] > 10 * swept["interned"]
+    assert unswept["verdicts"] == swept["verdicts"]
+    assert all(failed == 0 for _, _, failed, _ in swept["verdicts"])
+    assert len(swept["normal_forms"]) >= 50
+    assert unswept["normal_forms"] == swept["normal_forms"]
