@@ -38,6 +38,8 @@ if sys.argv[1] == "unswept":
 report = suites.run_equation_suite(seed=5, count=5)
 verdicts = [[row.label, row.passed, row.failed, row.detail]
             for row in report.rows]
+# one set of memo tables for every instance, so entries are reused across them
+instances = []
 normal_forms = []
 for case in range(100):
     gen = generate.InstanceGen(generate.GenConfig(
@@ -47,10 +49,19 @@ for case in range(100):
         tm = gen.draw_tm(ctx, gen.draw_ty(ctx))
     except generate.GenExhausted:
         continue
+    instances.append((ctx, tm))
     normal_forms.append(surface.print_tm(conversion.normalize_tm(ctx, tm)))
-    caches.clear_all()
 calls = sum(w.cache_info().hits + w.cache_info().misses for w in wrappers)
+# the same instances again, with the memo tables cleared and the intern
+# table swept between any two of them
+swept_forms = []
+for ctx, tm in instances:
+    caches.clear_all()
+    swept_forms.append(surface.print_tm(conversion.normalize_tm(ctx, tm)))
+del instances, ctx, tm
+caches.clear_all()
 print(json.dumps({"verdicts": verdicts, "normal_forms": normal_forms,
+                  "swept_forms": swept_forms,
                   "rebound": sorted({f"{w.__module__}.{w.__qualname__}"
                                      for w in wrappers}),
                   "memoized": sorted(caches.REGISTRY), "memo_calls": calls,
@@ -88,5 +99,6 @@ def test_the_sweep_is_transparent():
     assert unswept["interned"] > 10 * swept["interned"]
     assert unswept["verdicts"] == swept["verdicts"]
     assert all(failed == 0 for _, _, failed, _ in swept["verdicts"])
-    assert len(swept["normal_forms"]) >= 50
-    assert unswept["normal_forms"] == swept["normal_forms"]
+    assert len(swept["swept_forms"]) >= 50
+    assert swept["swept_forms"] == swept["normal_forms"]
+    assert unswept["swept_forms"] == swept["swept_forms"]
