@@ -15,7 +15,7 @@ from .typecheck import (
 from .conversion import conv_sub, conv_tm, conv_ty, normalize_tm, normalize_ty
 from .values import InternalStuck
 from .canonicity import CanonVerdict, NonCanonical, canonicity_verdict
-from .generate import GenConfig, GenExhausted, InstanceGen, gen_instance
+from .generate import GenConfig, GenExhausted, InstanceGen
 from .injectivity import CtxIso, IsoFailure, build_ctx_iso, check_embedding, injectivity_probe
 from .parametricity import param_entity
 from .termify import termify_entity, verify_termified_equation
@@ -32,7 +32,7 @@ __all__ = [
     "conv_sub", "conv_tm", "conv_ty", "normalize_tm", "normalize_ty",
     "InternalStuck",
     "CanonVerdict", "NonCanonical", "canonicity_verdict",
-    "GenConfig", "GenExhausted", "InstanceGen", "gen_instance",
+    "GenConfig", "GenExhausted", "InstanceGen",
     "CtxIso", "IsoFailure", "build_ctx_iso", "check_embedding",
     "injectivity_probe",
     "param_entity",

@@ -12,14 +12,15 @@ this against a run with every memo table bypassed.
 
 A function gets a table only in one of two cases.  Its recursion reaches
 shared syntax or value nodes, so that without a table it would run in the
-size of the unfolded tree: ``eval_*``, ``readback_tm``/``readback_ty``,
-``infer_ty``, ``synth_*`` and the two translation folds.  Or it is a
-costly composition that the traffic measurably asks again:
-``normalize_ty_in``, ``generic_env`` and ``generate._vars_by_type``.  A
-function that walks one telescope or one neutral spine, each step a call
-to a judgement with its own table, runs in the size of the DAG without
-one, and gets none (``check_ctx``, ``ctxs_convertible``, ``readback_ne``,
-``injectivity.build_ctx_iso``).  That makes 13 tables.
+size of the unfolded tree: ``evaluate`` (one fold over terms and types),
+``eval_sub``, ``readback_tm``/``readback_ty``, ``infer_ty``, ``synth_*``
+and the two translation folds.  Or it is a costly composition that the
+traffic measurably asks again: ``normalize_ty_in``, ``generic_env`` and
+``generate._vars_by_type``.  A function that walks one telescope or one
+neutral spine, each step a call to a judgement with its own table, runs
+in the size of the DAG without one, and gets none (``check_ctx``,
+``ctxs_convertible``, ``readback_ne``, ``injectivity.build_ctx_iso``).
+That makes 12 tables.
 
 Syntax and value nodes are interned in one table that holds them
 strongly (``syntax.node``), so dropping a node frees nothing by itself.

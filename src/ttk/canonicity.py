@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .syntax import Bool, EMPTY, FalseLit, TmExpr, TrueLit
-from .semantics import eval_tm
+from .semantics import evaluate
 from .conversion import conv_tm
 from .typecheck import check_tm
 
@@ -35,7 +35,7 @@ class CanonVerdict:
 
 def canonicity_verdict(tm: TmExpr) -> CanonVerdict:
     check_tm(EMPTY, tm, Bool())
-    val = eval_tm((), tm)
+    val = evaluate((), tm)
     cls = type(val)
     if cls is not TrueLit and cls is not FalseLit:
         raise NonCanonical(val)

@@ -13,7 +13,7 @@ mis-evaluate; ``reject`` is the boolean result ``False``, never an error.
 from __future__ import annotations
 
 from .syntax import Ctx, SubExpr, TmExpr, TyExpr
-from .semantics import eval_sub, eval_ty, eval_tm, generic_env, readback_tm
+from .semantics import eval_sub, evaluate, generic_env, readback_tm
 from .typecheck import (
     check_sub, check_tm, infer_ty, normalize_ty_in, synth_tm, types_convertible,
 )
@@ -22,7 +22,7 @@ from .typecheck import (
 def _normal_tm(ctx: Ctx, tm: TmExpr, ty: TyExpr) -> TmExpr:
     """Eta-long beta-normal form of ``tm`` at the type ``ty``."""
     env = generic_env(ctx)
-    return readback_tm(len(env), eval_tm(env, tm), eval_ty(env, ty))
+    return readback_tm(len(env), evaluate(env, tm), evaluate(env, ty))
 
 
 def normalize_tm(ctx: Ctx, tm: TmExpr) -> TmExpr:
@@ -57,7 +57,7 @@ def conv_sub(ctx: Ctx, cod: Ctx, lhs: SubExpr, rhs: SubExpr) -> bool:
     rhs_env = eval_sub(env, rhs)
     # eta-expand both sides into one component per codomain entry
     for k, entry in enumerate(cod.entries):
-        entry_ty = eval_ty(lhs_env[:k], entry)
+        entry_ty = evaluate(lhs_env[:k], entry)
         if readback_tm(depth, lhs_env[k], entry_ty) is not \
                 readback_tm(depth, rhs_env[k], entry_ty):
             return False

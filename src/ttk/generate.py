@@ -2,7 +2,7 @@
 
 Generation picks a goal classifier first and then a constructor that fits,
 so every emitted context, type, substitution, and term typechecks by
-construction (and is re-checked by the kernel in ``gen_instance``).
+construction.
 Eliminators are reachable through wrapper moves that keep the goal type:
 a beta redex around the goal, a boolean branch on both sides, projections
 from an ad-hoc pair, and an identity elimination of ``Refl``.  These carry
@@ -29,10 +29,7 @@ from .syntax import (
     If, J, Lam, Pair, Pi, Refl, Sigma, Snd, SubExpr, Top, TrueLit, Tt,
     TmExpr, TmSub, TyExpr, TySub, Univ, Wk, apply1, v, wk,
 )
-from .typecheck import (
-    check_ctx, ctxs_convertible, infer_ty, normalize_ty_in, synth_sub,
-    synth_tm, types_convertible,
-)
+from .typecheck import ctxs_convertible, normalize_ty_in
 
 
 # The moves one generator may spend before it gives up.
@@ -304,31 +301,3 @@ class InstanceGen:
         self._reset_budget()
         return self.sub(ctx, cod)
 
-
-def gen_instance(cfg: GenConfig, shape: tuple):
-    """Draw one entity of the requested shape and re-check it.
-
-    Shapes: ``("ctx",)``, ``("ty", ctx)``, ``("tm", ctx, goal)``,
-    ``("sub", ctx, cod)``.
-    """
-    gen = InstanceGen(cfg)
-    match shape:
-        case ("ctx",):
-            out = gen.draw_ctx()
-            check_ctx(out)
-            return out
-        case ("ty", ctx):
-            out = gen.draw_ty(ctx)
-            infer_ty(ctx, out)
-            return out
-        case ("tm", ctx, goal):
-            out = gen.draw_tm(ctx, goal)
-            if not types_convertible(ctx, synth_tm(ctx, out), goal):
-                raise AssertionError(f"generator emitted ill-typed term {out!r}")
-            return out
-        case ("sub", ctx, cod):
-            out = gen.draw_sub(ctx, cod)
-            if not ctxs_convertible(synth_sub(ctx, out), cod):
-                raise AssertionError(f"generator emitted ill-typed substitution {out!r}")
-            return out
-    raise ValueError(f"unknown shape {shape!r}")

@@ -1,17 +1,19 @@
 """Evaluator and type-directed readback.
 
-``eval_*`` interpret raw syntax in an environment of values; all beta rules
-and the substitution laws fire here, and substitutions themselves evaluate
-to environments.  ``readback_*`` turn values back into eta-long raw syntax:
-functions are read back applied to a fresh variable, pairs through both
-projections, and unit-typed values always as ``Tt``.  Conversion is
-structural equality of readbacks at a common type.
+``evaluate`` interprets raw syntax, a term or a type, in an environment
+of values: all beta rules and the substitution laws fire here, and
+``eval_sub`` evaluates a substitution to an environment.  ``El (code A)``
+is ``A`` on the nose, so terms and types land in one semantic domain and
+one fold interprets both, dispatching on the exact class of the node.
+``readback_*`` turn values back into eta-long raw syntax: functions are
+read back applied to a fresh variable, pairs through both projections,
+and unit-typed values always as ``Tt``.  Conversion is structural
+equality of readbacks at a common type.
 
 A leaf, a construct without a subterm (⊤, Bool, ``U i``, ``tt``, true
-and false), is its own value: it reads no environment, so ``eval_tm``
-and ``eval_ty`` return the node itself, and readback returns it as it
-is.  Only ⊤ is read back by type, not by value: every value at ⊤ is
-``Tt``.
+and false), is its own value: it reads no environment, so ``evaluate``
+returns the node itself, and readback returns it as it is.  Only ⊤ is
+read back by type, not by value: every value at ⊤ is ``Tt``.
 
 Readback output stays inside the raw syntax: a variable at level ``k``
 becomes the spine ``v(depth - 1 - k)`` and a neutral application becomes
@@ -22,19 +24,20 @@ kept in its ``VNe``, which the next spine holds as its head.  So a
 neutral reads back in one branch of ``readback_tm``, and ``readback_ne``
 returns a term alone: it reads an argument's domain and an equation's
 type off the head, and applies a closure only to type a motive, the
-branches of ``if`` or the base of ``J``.  A ``VLam`` applies by
-evaluating its term body with ``eval_tm``, a ``Closure`` by evaluating
-its type body with ``eval_ty``.
+branches of ``if`` or the base of ``J``.  A λ evaluates to a
+``Closure``, as a Π or Σ codomain and a motive do, and ``apply_closure``
+evaluates any closure's body, term or type, in its environment extended
+by the arguments.
 
 Closed syntax is evaluated once.  Every syntax node carries its
 ``reach``, the number of trailing environment entries it may read
-(``syntax.node``), and ``eval_tm`` and ``eval_ty`` rebind a nonempty
-environment to ``()`` when the node's reach is 0.  They rebind in their
-own frame, without a second call, so a nest of closed levels needs no
-more stack than an open one.  A closed subterm then has one value
-wherever it occurs, and its closures capture the empty environment, so
-``readback_ty`` at one depth reads it back once.  The translations make
-mostly closed terms under binders, which is where this pays.
+(``syntax.node``), and ``evaluate`` rebinds a nonempty environment to
+``()`` when the node's reach is 0.  It rebinds in its own frame, without
+a second call, so a nest of closed levels needs no more stack than an
+open one.  A closed subterm then has one value wherever it occurs, and
+its closures capture the empty environment, so ``readback_ty`` at one
+depth reads it back once.  The translations make mostly closed terms
+under binders, which is where this pays.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from .syntax import (
 from .caches import memoized
 from .values import (
     Closure, Env, InternalStuck, NApp, NFst, NIf, NJ, NSnd, NVar, Neutral,
-    TyVal, VCode, VElNe, VId, VLam, VNe, VPair, VPi, VRefl, VSigma, Val,
+    TyVal, VCode, VElNe, VId, VNe, VPair, VPi, VRefl, VSigma, Val,
     fresh,
 )
 
@@ -56,16 +59,16 @@ from .values import (
 # Evaluation
 # ---------------------------------------------------------------------------
 
-def apply_ty_closure(cl: Closure, *args: Val) -> TyVal:
-    return eval_ty(cl.env + args, cl.body)
+def apply_closure(cl: Closure, *args: Val) -> Val | TyVal:
+    return evaluate(cl.env + args, cl.body)
 
 
 def vapp(f: Val, x: Val) -> Val:
     cls = type(f)
-    if cls is VLam:
-        return eval_tm(f.env + (x,), f.body)
+    if cls is Closure:
+        return apply_closure(f, x)
     if cls is VNe and type(f.ty) is VPi:
-        return VNe(NApp(f, x), apply_ty_closure(f.ty.cod, x))
+        return VNe(NApp(f, x), apply_closure(f.ty.cod, x))
     raise InternalStuck(f"application of non-function value {f!r}")
 
 
@@ -83,7 +86,7 @@ def vsnd(p: Val) -> Val:
     if cls is VPair:
         return p.snd
     if cls is VNe and type(p.ty) is VSigma:
-        return VNe(NSnd(p), apply_ty_closure(p.ty.cod, vfst(p)))
+        return VNe(NSnd(p), apply_closure(p.ty.cod, vfst(p)))
     raise InternalStuck(f"second projection of non-pair value {p!r}")
 
 
@@ -94,7 +97,7 @@ def vif(motive: Closure, on_true: Val, on_false: Val, scrut: Val) -> Val:
     if cls is FalseLit:
         return on_false
     if cls is VNe and type(scrut.ty) is Bool:
-        result_ty = apply_ty_closure(motive, scrut)
+        result_ty = apply_closure(motive, scrut)
         return VNe(NIf(motive, on_true, on_false, scrut), result_ty)
     raise InternalStuck(f"boolean elimination of {scrut!r}")
 
@@ -104,7 +107,7 @@ def vj(motive: Closure, base: Val, eq: Val) -> Val:
     if cls is VRefl:
         return base
     if cls is VNe and type(eq.ty) is VId:
-        result_ty = apply_ty_closure(motive, eq.ty.rhs, eq)
+        result_ty = apply_closure(motive, eq.ty.rhs, eq)
         return VNe(NJ(motive, base, eq), result_ty)
     raise InternalStuck(f"identity elimination of {eq!r}")
 
@@ -117,77 +120,66 @@ def vcode(ty: TyVal) -> Val:
 
 
 @memoized
-def eval_tm(env: Env, tm: TmExpr) -> Val:
+def evaluate(env: Env, x: TmExpr | TyExpr) -> Val | TyVal:
+    # the clauses run in the order of how often each class arrives
     try:
-        if env and tm.reach == 0:
+        if env and x.reach == 0:
             env = ()
     except AttributeError:  # no syntax: falls through to the error below
         pass
-    cls = type(tm)
-    if cls is TmSub:
-        return eval_tm(eval_sub(env, tm.sub), tm.tm)
-    if cls is Var0:
-        if not env:
-            raise InternalStuck("variable in empty environment")
-        return env[-1]
-    if cls is Lam:
-        return VLam(env, tm.body)
+    cls = type(x)
     if cls is App:
         if not env:
             raise InternalStuck("un-application in empty environment")
-        return vapp(eval_tm(env[:-1], tm.fn), env[-1])
-    if cls is Pair:
-        return VPair(eval_tm(env, tm.fst), eval_tm(env, tm.snd))
-    if cls is Fst:
-        return vfst(eval_tm(env, tm.pair))
-    if cls is Snd:
-        return vsnd(eval_tm(env, tm.pair))
-    if cls is Tt or cls is TrueLit or cls is FalseLit:
-        return tm
-    if cls is Code:
-        return vcode(eval_ty(env, tm.ty))
-    if cls is If:
-        return vif(
-            Closure(env, tm.motive),
-            eval_tm(env, tm.on_true),
-            eval_tm(env, tm.on_false),
-            eval_tm(env, tm.scrut),
-        )
-    if cls is Refl:
-        return VRefl(eval_tm(env, tm.arg))
-    if cls is J:
-        return vj(Closure(env, tm.motive), eval_tm(env, tm.base),
-                  eval_tm(env, tm.eq))
-    raise InternalStuck(f"unknown term {tm!r}")
-
-
-@memoized
-def eval_ty(env: Env, ty: TyExpr) -> TyVal:
-    try:
-        if env and ty.reach == 0:
-            env = ()
-    except AttributeError:  # no syntax: falls through to the error below
-        pass
-    cls = type(ty)
-    if cls is TySub:
-        return eval_ty(eval_sub(env, ty.sub), ty.ty)
-    if cls is Pi:
-        return VPi(eval_ty(env, ty.dom), Closure(env, ty.cod))
-    if cls is Sigma:
-        return VSigma(eval_ty(env, ty.dom), Closure(env, ty.cod))
-    if cls is Top or cls is Bool or cls is Univ:
-        return ty
+        return vapp(evaluate(env[:-1], x.fn), env[-1])
+    if cls is TmSub:
+        return evaluate(eval_sub(env, x.sub), x.tm)
     if cls is El:
-        val = eval_tm(env, ty.code)
+        val = evaluate(env, x.code)
         if type(val) is VCode:
             return val.ty
         if type(val) is VNe and type(val.ty) is Univ:
             return VElNe(val)
         raise InternalStuck(f"decoding non-code value {val!r}")
+    if cls is Code:
+        return vcode(evaluate(env, x.ty))
+    if cls is Lam:
+        return Closure(env, x.body)
+    if cls is TySub:
+        return evaluate(eval_sub(env, x.sub), x.ty)
+    if cls is Var0:
+        if not env:
+            raise InternalStuck("variable in empty environment")
+        return env[-1]
+    if cls is Sigma:
+        return VSigma(evaluate(env, x.dom), Closure(env, x.cod))
+    if cls is Pair:
+        return VPair(evaluate(env, x.fst), evaluate(env, x.snd))
+    if cls is Pi:
+        return VPi(evaluate(env, x.dom), Closure(env, x.cod))
+    if (cls is Top or cls is Bool or cls is Univ or cls is Tt
+            or cls is TrueLit or cls is FalseLit):
+        return x
     if cls is IdTy:
-        return VId(eval_ty(env, ty.ty), eval_tm(env, ty.lhs),
-                   eval_tm(env, ty.rhs))
-    raise InternalStuck(f"unknown type {ty!r}")
+        return VId(evaluate(env, x.ty), evaluate(env, x.lhs),
+                   evaluate(env, x.rhs))
+    if cls is Fst:
+        return vfst(evaluate(env, x.pair))
+    if cls is Snd:
+        return vsnd(evaluate(env, x.pair))
+    if cls is Refl:
+        return VRefl(evaluate(env, x.arg))
+    if cls is J:
+        return vj(Closure(env, x.motive), evaluate(env, x.base),
+                  evaluate(env, x.eq))
+    if cls is If:
+        return vif(
+            Closure(env, x.motive),
+            evaluate(env, x.on_true),
+            evaluate(env, x.on_false),
+            evaluate(env, x.scrut),
+        )
+    raise InternalStuck(f"unknown term or type {x!r}")
 
 
 @memoized
@@ -200,7 +192,7 @@ def eval_sub(env: Env, sub: SubExpr) -> Env:
     if cls is Eps:
         return ()
     if cls is Ext:
-        return eval_sub(env, sub.sub) + (eval_tm(env, sub.tm),)
+        return eval_sub(env, sub.sub) + (evaluate(env, sub.tm),)
     if cls is Wk:
         if not env:
             raise InternalStuck("weakening of empty environment")
@@ -217,13 +209,13 @@ def readback_tm(depth: int, val: Val, ty: TyVal) -> TmExpr:
     cls, val_cls = type(ty), type(val)
     if cls is VPi:
         x = fresh(depth, ty.dom)
-        body = readback_tm(depth + 1, vapp(val, x), apply_ty_closure(ty.cod, x))
+        body = readback_tm(depth + 1, vapp(val, x), apply_closure(ty.cod, x))
         return Lam(readback_ty(depth, ty.dom), body)
     if cls is VSigma:
         a = vfst(val)
         sigma = readback_ty(depth, ty)
         return Pair(sigma.dom, sigma.cod, readback_tm(depth, a, ty.dom),
-                    readback_tm(depth, vsnd(val), apply_ty_closure(ty.cod, a)))
+                    readback_tm(depth, vsnd(val), apply_closure(ty.cod, a)))
     if cls is Top:
         return Tt()
     if val_cls is VNe:
@@ -244,10 +236,10 @@ def readback_tm(depth: int, val: Val, ty: TyVal) -> TmExpr:
 def readback_ty(depth: int, ty: TyVal) -> TyExpr:
     cls = type(ty)
     if cls is VPi:
-        cod_nf = readback_ty(depth + 1, apply_ty_closure(ty.cod, fresh(depth, ty.dom)))
+        cod_nf = readback_ty(depth + 1, apply_closure(ty.cod, fresh(depth, ty.dom)))
         return Pi(readback_ty(depth, ty.dom), cod_nf)
     if cls is VSigma:
-        cod_nf = readback_ty(depth + 1, apply_ty_closure(ty.cod, fresh(depth, ty.dom)))
+        cod_nf = readback_ty(depth + 1, apply_closure(ty.cod, fresh(depth, ty.dom)))
         return Sigma(readback_ty(depth, ty.dom), cod_nf)
     if cls is Top or cls is Bool or cls is Univ:
         return ty
@@ -278,16 +270,16 @@ def readback_ne(depth: int, ne: Neutral) -> TmExpr:
         return Snd(readback_ne(depth, ne.pair.ne))
     if cls is NIf:
         motive = ne.motive
-        motive_nf = readback_ty(depth + 1, apply_ty_closure(motive, fresh(depth, Bool())))
-        true_nf = readback_tm(depth, ne.on_true, apply_ty_closure(motive, TrueLit()))
-        false_nf = readback_tm(depth, ne.on_false, apply_ty_closure(motive, FalseLit()))
+        motive_nf = readback_ty(depth + 1, apply_closure(motive, fresh(depth, Bool())))
+        true_nf = readback_tm(depth, ne.on_true, apply_closure(motive, TrueLit()))
+        false_nf = readback_tm(depth, ne.on_false, apply_closure(motive, FalseLit()))
         return If(motive_nf, true_nf, false_nf, readback_ne(depth, ne.scrut.ne))
     if cls is NJ:
         motive, eq_ty = ne.motive, ne.scrut.ty
         endpoint = fresh(depth, eq_ty.ty)
         equation = fresh(depth + 1, VId(eq_ty.ty, eq_ty.lhs, endpoint))
-        motive_nf = readback_ty(depth + 2, apply_ty_closure(motive, endpoint, equation))
-        base_ty = apply_ty_closure(motive, eq_ty.lhs, VRefl(eq_ty.lhs))
+        motive_nf = readback_ty(depth + 2, apply_closure(motive, endpoint, equation))
+        base_ty = apply_closure(motive, eq_ty.lhs, VRefl(eq_ty.lhs))
         base_nf = readback_tm(depth, ne.base, base_ty)
         return J(motive_nf, base_nf, readback_ne(depth, ne.scrut.ne))
     raise InternalStuck(f"unknown neutral {ne!r}")
@@ -302,5 +294,5 @@ def generic_env(ctx: Ctx) -> Env:
     """One fresh variable per telescope entry, typed by evaluation."""
     env: Env = ()
     for entry in ctx.entries:
-        env = env + (fresh(len(env), eval_ty(env, entry)),)
+        env = env + (fresh(len(env), evaluate(env, entry)),)
     return env

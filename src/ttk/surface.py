@@ -318,6 +318,9 @@ def parse_tm(s: SExpr) -> TmExpr:
 
 def parse_entity(s: SExpr):
     """Parse a context, type, term, or substitution, read by its head."""
+    if s.head is None:
+        raise ParseError("expected a context, substitution, type or term",
+                         s.line, s.col)
     if s.head == "ctx":
         return _parse(s, "ctx", {})
     form = _BY_KEYWORD.get(s.head)

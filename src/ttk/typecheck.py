@@ -24,7 +24,7 @@ from .syntax import (
     TmExpr, TmSub, TrueLit, TyExpr, TySub, Univ, Var0, Wk,
 )
 from .caches import memoized
-from .semantics import eval_ty, generic_env, readback_ty
+from .semantics import evaluate, generic_env, readback_ty
 from .surface import show
 
 
@@ -91,9 +91,9 @@ def normalize_ty_in(ctx: Ctx, ty: TyExpr) -> TyExpr:
     is read back from the empty environment, so its normal form is shared
     by every context."""
     if ty.reach == 0:
-        return readback_ty(0, eval_ty((), ty))
+        return readback_ty(0, evaluate((), ty))
     env = generic_env(ctx)
-    return readback_ty(len(env), eval_ty(env, ty))
+    return readback_ty(len(env), evaluate(env, ty))
 
 
 def types_convertible(ctx: Ctx, a: TyExpr, b: TyExpr) -> bool:

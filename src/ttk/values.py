@@ -14,10 +14,9 @@ spine holds its head as such a typed ``VNe``, so no spine node stores a
 type, and a variable is its level alone.
 
 A closure is an immutable environment and a raw body that waits for one
-value per extra binder.  ``Closure`` is the one closure class; it
-suspends the type bodies (Π and Σ codomains, the motives of ``if`` and
-``J``), and a ``VLam`` is a term closure, with the environment and body
-as its own fields.
+value per extra binder.  ``Closure`` is the one closure class: it is the
+value of a λ, whose body is a term, and it suspends the type bodies (Π
+and Σ codomains, the motives of ``if`` and ``J``).
 
 Coded types collapse eagerly: evaluating ``El(Code A)`` yields the value of
 ``A``, and a decoded neutral ``VElNe`` holds its code, which is what
@@ -44,10 +43,10 @@ class InternalStuck(Exception):
 
 @node
 class Closure:
-    """Suspended type body awaiting one value per extra binder; ``J``
-    motives take two."""
+    """Suspended term or type body awaiting one value per extra binder;
+    ``J`` motives take two."""
     env: Env
-    body: TyExpr
+    body: Union[TmExpr, TyExpr]
 
 
 # -- neutral spines ---------------------------------------------------------
@@ -124,12 +123,6 @@ TyVal = Union[VPi, VSigma, Top, Bool, Univ, VId, VElNe]
 # -- term values ------------------------------------------------------------
 
 @node
-class VLam:
-    env: Env
-    body: TmExpr
-
-
-@node
 class VPair:
     fst: Val
     snd: Val
@@ -151,7 +144,7 @@ class VNe:
     ty: TyVal
 
 
-Val = Union[VLam, VPair, Tt, TrueLit, FalseLit, VRefl, VCode, VNe]
+Val = Union[Closure, VPair, Tt, TrueLit, FalseLit, VRefl, VCode, VNe]
 
 
 def fresh(lvl: int, ty: TyVal) -> VNe:

@@ -33,8 +33,7 @@ def test_every_memo_table_is_one_the_rule_admits():
         "ttk.generate._vars_by_type",
         "ttk.parametricity.param",
         "ttk.semantics.eval_sub",
-        "ttk.semantics.eval_tm",
-        "ttk.semantics.eval_ty",
+        "ttk.semantics.evaluate",
         "ttk.semantics.generic_env",
         "ttk.semantics.readback_tm",
         "ttk.semantics.readback_ty",

@@ -5,8 +5,8 @@ from ttk.syntax import (
     J, Lam, Pair, Pi, Sigma, Top, TrueLit, Tt, TmSub, TySub, Univ, Var0,
     Wk, apply1, v,
 )
-from ttk.semantics import eval_tm, eval_ty, readback_tm, readback_ty
-from ttk.values import fresh
+from ttk.semantics import evaluate, readback_tm, readback_ty, vapp
+from ttk.values import Closure, fresh
 from ttk.conversion import conv_sub, conv_tm, conv_ty, normalize_tm, normalize_ty
 from ttk.surface import parse_ctx, parse_tm, print_tm, read_sexpr
 from ttk.typecheck import TypeCheckError, synth_tm
@@ -17,16 +17,23 @@ FUN_CTX = Ctx.of(Pi(Bool(), Bool()))
 
 
 def test_eval_beta():
-    assert eval_tm((), apply1(Lam(Bool(), Var0()), TrueLit())) == TrueLit()
+    assert evaluate((), apply1(Lam(Bool(), Var0()), TrueLit())) == TrueLit()
+
+
+def test_a_lambda_evaluates_to_a_closure():
+    # a λ's value is the one closure class, applied by evaluating its body
+    closure = evaluate((), Lam(Bool(), Var0()))
+    assert closure is Closure((), Var0())
+    assert vapp(closure, TrueLit()) is TrueLit()
 
 
 def test_eval_if_on_literal():
     tm = If(Bool(), FalseLit(), TrueLit(), TrueLit())
-    assert eval_tm((), tm) == FalseLit()
+    assert evaluate((), tm) == FalseLit()
 
 
 def test_eval_type_substitution():
-    assert eval_ty((), TySub(Bool(), Eps())) == Bool()
+    assert evaluate((), TySub(Bool(), Eps())) == Bool()
 
 
 # Each leaf, a construct without a subterm, with the type it has.
@@ -41,11 +48,10 @@ def test_a_leaf_is_its_own_value(name, depth):
     # the node itself, in an empty and in a nonempty environment or depth
     leaf, ty = LEAVES[name]
     env = tuple(fresh(lvl, Bool()) for lvl in range(depth))
+    assert evaluate(env, leaf) is leaf
     if ty is None:
-        assert eval_ty(env, leaf) is leaf
         assert readback_ty(depth, leaf) is leaf
     else:
-        assert eval_tm(env, leaf) is leaf
         assert readback_tm(depth, leaf, ty) is leaf
 
 

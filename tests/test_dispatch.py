@@ -15,8 +15,8 @@ import pytest
 
 from ttk.parametricity import param
 from ttk.semantics import (
-    eval_sub, eval_tm, eval_ty, readback_ne, readback_tm, readback_ty, vapp,
-    vfst, vif, vj, vsnd,
+    eval_sub, evaluate, readback_ne, readback_tm, readback_ty, vapp, vfst,
+    vif, vj, vsnd,
 )
 from ttk.syntax import (
     EMPTY, Bool, Code, Comp, Fst, IdSub, Pi, Top, TrueLit, Tt, Univ, Var0,
@@ -89,16 +89,20 @@ MOTIVE = Closure((), Bool())
 # other way round, or a value that the eliminator cannot take.  A leaf
 # such as ``Bool()`` or ``Tt()`` is syntax and its own value at once, so
 # a row passes one only where it fits neither way, and syntax ``Pi`` where
-# a ``VPi`` belongs.  The evaluators are called in an empty and in a
-# nonempty environment: in a nonempty one they first read the argument's
-# ``reach``, which a closed node of another sort has and an object that
-# is no syntax lacks.
+# a ``VPi`` belongs.  ``evaluate`` takes terms and types alike, so its
+# wrong kinds are a substitution and a value; its rows keep the names
+# ``eval_tm`` and ``eval_ty`` of the term and the type evaluator that it
+# joins into one fold.  The evaluators are called
+# in an empty and in a nonempty environment: in a nonempty one they first
+# read the argument's ``reach``, which is a pair for a substitution, also
+# a closed one such as ``IdSub()``, and which a value and an object that
+# is no syntax lack.
 STUCK = {
-    "eval_tm": (lambda x: eval_tm((), x), Bool()),
-    "eval_tm-in-env": (lambda x: eval_tm((Tt(),), x), Bool()),
-    "eval_ty": (lambda x: eval_ty((), x), Var0()),
-    "eval_ty-in-env": (lambda x: eval_ty((Tt(),), x), Var0()),
-    "eval_ty-closed-in-env": (lambda x: eval_ty((Tt(),), x), TrueLit()),
+    "eval_tm": (lambda x: evaluate((), x), IdSub()),
+    "eval_tm-in-env": (lambda x: evaluate((Tt(),), x), Wk()),
+    "eval_ty": (lambda x: evaluate((), x), NE_BOOL),
+    "eval_ty-in-env": (lambda x: evaluate((Tt(),), x), NE_BOOL),
+    "eval_ty-closed-in-env": (lambda x: evaluate((Tt(),), x), IdSub()),
     "eval_sub": (lambda x: eval_sub((), x), Top()),
     "eval_sub-in-env": (lambda x: eval_sub((Tt(),), x), Top()),
     "readback_tm": (lambda x: readback_tm(0, Tt(), x), Pi(Bool(), Bool())),

@@ -5,7 +5,7 @@ import pytest
 from ttk import caches
 from ttk.syntax import ALL_CONSTRUCTORS, Bool, EMPTY, TySub, walk_constructors, wk
 from ttk.generate import (
-    GenConfig, GenExhausted, InstanceGen, _vars_by_type, derive_seed, gen_instance,
+    GenConfig, GenExhausted, InstanceGen, _vars_by_type, derive_seed,
 )
 from ttk.typecheck import (
     check_ctx, ctxs_convertible, infer_ty, normalize_ty_in, synth_sub, synth_tm,
@@ -19,23 +19,25 @@ from ttk.surface import read_sexpr
 def test_zero_budget_ctx_is_empty():
     for seed in range(10):
         cfg = GenConfig(seed=seed, max_nodes=0)
-        assert gen_instance(cfg, ("ctx",)) == EMPTY
+        assert InstanceGen(cfg).draw_ctx() == EMPTY
 
 
 def test_determinism_same_seed_same_draws():
     cfg = GenConfig(seed=123)
-    for shape in (("ctx",), ("tm", EMPTY, Bool()), ("ty", EMPTY)):
-        assert gen_instance(cfg, shape) == gen_instance(cfg, shape)
+    for draw in (lambda gen: gen.draw_ctx(),
+                 lambda gen: gen.draw_tm(EMPTY, Bool()),
+                 lambda gen: gen.draw_ty(EMPTY)):
+        assert draw(InstanceGen(cfg)) == draw(InstanceGen(cfg))
 
 
 def test_different_seeds_vary():
-    draws = {gen_instance(GenConfig(seed=s), ("tm", EMPTY, Bool())) for s in range(30)}
+    draws = {InstanceGen(GenConfig(seed=s)).draw_tm(EMPTY, Bool()) for s in range(30)}
     assert len(draws) > 1
 
 
 def test_emitted_terms_typecheck():
     for s in range(100):
-        tm = gen_instance(GenConfig(seed=s), ("tm", EMPTY, Bool()))
+        tm = InstanceGen(GenConfig(seed=s)).draw_tm(EMPTY, Bool())
         assert types_convertible(EMPTY, synth_tm(EMPTY, tm), Bool())
 
 
@@ -50,9 +52,9 @@ def _retrying(shape_fn, seed, attempts=20):
 
 def test_emitted_contexts_and_types_typecheck():
     for s in range(40):
-        ctx = _retrying(lambda sd: gen_instance(GenConfig(seed=sd), ("ctx",)), s)
+        ctx = _retrying(lambda sd: InstanceGen(GenConfig(seed=sd)).draw_ctx(), s)
         check_ctx(ctx)
-        ty = _retrying(lambda sd: gen_instance(GenConfig(seed=sd), ("ty", ctx)), s + 1000)
+        ty = _retrying(lambda sd: InstanceGen(GenConfig(seed=sd)).draw_ty(ctx), s + 1000)
         infer_ty(ctx, ty)
 
 

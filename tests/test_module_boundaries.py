@@ -27,11 +27,10 @@ def test_no_private_name_is_imported_from_a_sibling():
     assert found == []
 
 
-# The sort names of the surface grammar.  ``surface`` reads them, and the
-# shape tags of ``generate`` name what to draw before an entity exists;
+# The sort names of the surface grammar.  ``surface`` reads them;
 # everywhere else the class of an entity says its sort.
 SORTS = {"ctx", "ty", "sub", "tm"}
-GRAMMAR = {"surface.py", "generate.py"}
+GRAMMAR = {"surface.py"}
 
 
 def _is_sort(node):
@@ -77,5 +76,5 @@ def test_node_classes_are_final():
     nodes = {cls for module in (syntax, values)
              for cls in vars(module).values()
              if isinstance(cls, type) and "_interned" in vars(cls)}
-    assert len(nodes) == 44
+    assert len(nodes) == 43
     assert [cls for cls in nodes if cls.__subclasses__()] == []

@@ -4,7 +4,7 @@ Every syntax node's constructor fills ``reach``: the number of trailing
 context entries the node may read, 0 for a closed node.  A substitution's
 ``reach`` is a pair ``(c, d)``: to supply the last ``n`` entries of its
 codomain it reads the last ``max(c, n + d)`` entries of its domain.
-``eval_tm`` and ``eval_ty`` run closed input in the empty environment, and
+``evaluate`` runs closed input in the empty environment, and
 ``normalize_ty_in`` reads a closed type back at depth 0.  These tests pin
 the rule of each constructor, check that the rules are sound (what lies
 beyond a node's reach does not change its readback), and check that the
@@ -21,7 +21,7 @@ from ttk import caches
 from ttk.conversion import normalize_tm, normalize_ty
 from ttk.generate import GenConfig, GenExhausted, InstanceGen, derive_seed
 from ttk.semantics import (
-    eval_sub, eval_tm, eval_ty, generic_env, readback_tm, readback_ty,
+    eval_sub, evaluate, generic_env, readback_tm, readback_ty,
 )
 from ttk.syntax import (
     App, Bool, Code, Comp, Ctx, EMPTY, El, Eps, Ext, FalseLit, Fst, IdSub,
@@ -162,12 +162,12 @@ def test_readback_ignores_what_lies_beyond_reach():
             assert x.reach <= len(ctx), x
             moved, at = _moved(env, depth, x.reach)
             if x is ty:
-                assert readback_ty(at, eval_ty(moved, ty)) is \
-                    readback_ty(at, eval_ty(env, ty))
+                assert readback_ty(at, evaluate(moved, ty)) is \
+                    readback_ty(at, evaluate(env, ty))
             else:
-                expected = eval_ty(env, tm_ty)
-                assert readback_tm(at, eval_tm(moved, tm), expected) is \
-                    readback_tm(at, eval_tm(env, tm), expected)
+                expected = evaluate(env, tm_ty)
+                assert readback_tm(at, evaluate(moved, tm), expected) is \
+                    readback_tm(at, evaluate(env, tm), expected)
             seen["moved"] += at > depth
             if x.reach == 0:
                 seen["closed"] += 1
@@ -182,7 +182,7 @@ def test_readback_ignores_what_lies_beyond_reach():
             moved, at = _moved(env, depth, keep)
             out_moved = eval_sub(moved, sub)
             for k in range(len(cod) - n, len(cod)):
-                entry_ty = eval_ty(out[:k], cod.entries[k])
+                entry_ty = evaluate(out[:k], cod.entries[k])
                 assert readback_tm(at, out_moved[k], entry_ty) is \
                     readback_tm(at, out[k], entry_ty)
             seen["sub-moved"] += at > depth
@@ -195,9 +195,9 @@ def test_closed_terms_share_one_value():
     redex = apply1(lam, TrueLit())
     pi = Pi(Bool(), TySub(Bool(), Wk()))
     env = generic_env(THREE)
-    assert eval_tm(env, lam) is eval_tm((), lam)
-    assert eval_tm(env, redex) is eval_tm((), redex)
-    assert eval_ty(env, pi) is eval_ty((), pi)
+    assert evaluate(env, lam) is evaluate((), lam)
+    assert evaluate(env, redex) is evaluate((), redex)
+    assert evaluate(env, pi) is evaluate((), pi)
 
 
 # ---------------------------------------------------------------------------

@@ -208,6 +208,8 @@ def test_directive_errors():
         ("(inject (ctx) (ctx))", "entity argument cannot be a context"),
         ("(param (ctx) (frob))", "unknown keyword 'frob'"),
         ("(nf (bool) (q))", "expected a context (ctx ...)"),
+        ("(termify (ctx) foo)", "expected a context, substitution, type or term"),
+        ("(inject (ctx) 7)", "expected a context, substitution, type or term"),
     ]:
         with pytest.raises(ParseError) as info:
             parse_directive(text)
