@@ -9,7 +9,7 @@ evaluating to anything but a literal would be a kernel bug, reported as
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .syntax import Bool, EMPTY, FalseLit, TmExpr, TrueLit
 from .semantics import evaluate
@@ -23,8 +23,7 @@ class NonCanonical(Exception):
         self.value = value
 
 
-@dataclass(frozen=True)
-class CanonVerdict:
+class CanonVerdict(NamedTuple):
     value: bool
     certified: bool
 

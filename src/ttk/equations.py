@@ -15,8 +15,7 @@ is covered as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 from .syntax import (
     App, Bool, Code, Comp, Ctx, EMPTY, El, Eps, Ext, FalseLit, Fst, IdSub,
@@ -27,8 +26,7 @@ from .conversion import conv_sub, conv_tm, conv_ty
 from .generate import InstanceGen
 
 
-@dataclass(frozen=True)
-class EqInstance:
+class EqInstance(NamedTuple):
     """Two sides in ``ctx`` at a shared ``classifier``: ``None`` for two
     types, the codomain for two substitutions, the type for two terms."""
     ctx: Ctx

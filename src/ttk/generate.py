@@ -19,9 +19,8 @@ meaning the same instances.
 
 from __future__ import annotations
 
-import hashlib
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .caches import memoized
 from .syntax import (
@@ -40,8 +39,7 @@ class GenExhausted(Exception):
     """Fuel ran out before a well-typed entity was found."""
 
 
-@dataclass(frozen=True)
-class GenConfig:
+class GenConfig(NamedTuple):
     seed: int
     max_nodes: int = 12
     max_level: int = 2
@@ -49,7 +47,10 @@ class GenConfig:
 
 
 def derive_seed(seed: int, *parts: object) -> int:
-    """Stable 64-bit seed derivation for per-case generators."""
+    """Stable 64-bit seed derivation for per-case generators.  ``hashlib``
+    is imported here, not with the module: ``ttk run`` never derives a
+    seed, and importing it loads OpenSSL."""
+    import hashlib
     h = hashlib.blake2b(digest_size=8)
     h.update(repr((seed,) + parts).encode())
     return int.from_bytes(h.digest(), "big")

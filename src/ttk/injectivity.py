@@ -18,7 +18,7 @@ instance: an instance whose sides translate to convertible closed terms
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .syntax import (
     App, Bool, Code, Comp, Ctx, EMPTY, El, Eps, Ext, FalseLit, Fst, IdSub,
@@ -41,8 +41,7 @@ class IsoFailure(Exception):
         self.composite = composite
 
 
-@dataclass(frozen=True)
-class CtxIso:
+class CtxIso(NamedTuple):
     """Invertible substitutions between a context and its decoded
     translation; ``build_ctx_iso`` certifies both round trips before it
     returns one."""

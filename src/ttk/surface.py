@@ -2,13 +2,14 @@
 
 One table is the single source of the surface keywords: ``KEYWORDS`` names
 every node class of ``syntax``, and a form's arguments are the class's
-dataclass fields, in order.  Their sorts are read from the field types: a
-substitution, type or term; ``Optional[TyExpr]``, which may be left out, as
-in ``(ext s t)``; and ``Level``, a decimal natural.  ``DERIVED`` adds the
-derived forms, each with its builder and argument sorts: ``(v n)`` is the
-n-fold weakening spine, and ``(arrow a b)``, ``(dollar f x)`` and
-``(lift s a)`` expand to their definitions at parse time.  The parser, the
-printer and ``parse_entity`` are generic over the two tables.
+fields, its annotations in order.  Their sorts are read from the
+annotation strings: a substitution, type or term; ``Optional[TyExpr]``,
+which may be left out, as in ``(ext s t)``; and ``Level``, a decimal
+natural.  ``DERIVED`` adds the derived forms, each with its builder and
+argument sorts: ``(v n)`` is the n-fold weakening spine, and
+``(arrow a b)``, ``(dollar f x)`` and ``(lift s a)`` expand to their
+definitions at parse time.  The parser, the printer and ``parse_entity``
+are generic over the two tables.
 
 The surface is nameless like the core calculus, so no elaboration happens
 here.  Printing is canonical: lowercase keywords, single spaces, full
@@ -36,7 +37,6 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple, Optional, get_args
 
 from .syntax import (
@@ -232,12 +232,12 @@ def _forms() -> tuple[dict, dict]:
     by_class = {}
     for sort, union in (("sub", SubExpr), ("ty", TyExpr), ("tm", TmExpr)):
         for cls in get_args(union):
-            params = fields(cls)
-            optional = [f.name for f in params if f.type.startswith("Optional[")]
+            params = cls.__annotations__
+            optional = [name for name, annotation in params.items()
+                        if annotation.startswith("Optional[")]
             form = _Form(sort, KEYWORDS[cls], cls,
-                         tuple(_FIELD_SORTS[f.type] for f in params),
-                         tuple(f.name for f in params),
-                         optional[0] if optional else None)
+                         tuple(_FIELD_SORTS[a] for a in params.values()),
+                         tuple(params), optional[0] if optional else None)
             by_keyword[form.keyword] = by_class[cls] = form
     return by_keyword, by_class
 
@@ -446,8 +446,7 @@ DIRECTIVES = {
 }
 
 
-@dataclass(frozen=True)
-class Directive:
+class Directive(NamedTuple):
     kind: str
     args: tuple
 

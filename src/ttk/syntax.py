@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
+from dataclasses import FrozenInstanceError
 from typing import Optional, Union, get_args
 
 Level = int  # universe index; closed under max and +1
@@ -51,11 +51,14 @@ def __new__(_cls, {params}):
 {sets}
     _interned[_key] = _node
     return _node
+
+def __repr__(self):
+    return f"{name}({fields})"
 """
 
 
 def node(cls=None, *, reach: Optional[str] = None):
-    """Hash-consed frozen dataclass (Filliâtre & Conchon, *Type-Safe
+    """Hash-consed frozen node class (Filliâtre & Conchon, *Type-Safe
     Modular Hash-Consing*, 2006).
 
     Constructing a node whose fields are those of an interned node of the
@@ -68,15 +71,21 @@ def node(cls=None, *, reach: Optional[str] = None):
     interned from its construction until a ``sweep`` finds that nothing
     else holds it, so the table never holds two equal nodes.
 
+    The class body declares the fields as annotations, in order, and a
+    field may have a class-level default.  The annotations stay on the
+    class as strings, ``__annotations__``, and they are the one field
+    inventory: ``NODE_FIELDS`` and the surface keyword table read them.
     Building nodes is the kernel's most frequent operation, so the
-    constructor is compiled once per class: the dataclass supplies the
-    fields, ``repr`` and ``__match_args__``; the class is rebuilt with one
-    slot per field on the shared frozen base ``_Node``; and its ``__new__``
-    is generated with the exact field signature, so Python itself checks
-    the arguments and fills defaults.  A hit is one dict lookup; a new
-    node's fields are set through the slot descriptors and the node itself
-    is stored under its key.  A class without fields has one instance,
-    built here, and no table entry.
+    constructor is compiled once per class: the class is rebuilt with one
+    slot per field on the shared frozen base ``_Node``, ``__match_args__``
+    names the fields, and one ``exec`` generates ``__new__`` with the
+    exact field signature, so Python itself checks the arguments and
+    fills defaults, and ``__repr__`` as ``Name(field=value, ...)``.  A hit
+    is one dict lookup; a new node's fields are set through the slot
+    descriptors and the node itself is stored under its key.  A class
+    without fields has one instance, built here, and no table entry.
+    Every node class is built when ttk is imported, so ``node`` does no
+    more than this.
 
     A syntax class passes ``reach``, an expression over its fields, and the
     generated constructor also fills a ``reach`` slot with it, once per
@@ -88,19 +97,21 @@ def node(cls=None, *, reach: Optional[str] = None):
     expression per node, never a walk.  Values and ``Ctx`` pass none."""
     if cls is None:
         return lambda cls: node(cls, reach=reach)
-    cls = dataclass(init=False, eq=False)(cls)
-    params = fields(cls)
-    names = tuple(f.name for f in params)
-    namespace = {key: value for key, value in cls.__dict__.items()
-                 if key not in names and key not in ("__dict__", "__weakref__")}
+    namespace = dict(cls.__dict__)
+    del namespace["__dict__"], namespace["__weakref__"]
+    names = tuple(namespace.get("__annotations__", ()))
+    defaults = {n: namespace.pop(n) for n in names if n in namespace}
     namespace["__slots__"] = names if reach is None else names + ("reach",)
-    cls = type(cls.__name__, (_Node,), namespace)
+    namespace["__match_args__"] = names
+    name = cls.__name__
+    cls = type(name, (_Node,), namespace)
     cls._interned = _INTERNED
     if not names:
         instance = object.__new__(cls)
         if reach is not None:
             cls.reach.__set__(instance, eval(reach, {"inf": math.inf}))
         cls.__new__ = lambda _cls: instance
+        cls.__repr__ = lambda self: f"{name}()"
         return cls
     scope = {"_get": _INTERNED.get, "_interned": _INTERNED,
              "_new": object.__new__}
@@ -109,20 +120,22 @@ def node(cls=None, *, reach: Optional[str] = None):
         scope["_set_reach"] = cls.reach.__set__
         sets.append(f"    _set_reach(_node, {reach})")
     signature = []
-    for f in params:
-        scope[f"_set_{f.name}"] = getattr(cls, f.name).__set__
-        if f.default is MISSING:
-            signature.append(f.name)
+    for n in names:
+        scope[f"_set_{n}"] = getattr(cls, n).__set__
+        if n in defaults:
+            scope[f"_default_{n}"] = defaults[n]
+            signature.append(f"{n}=_default_{n}")
         else:
-            scope[f"_default_{f.name}"] = f.default
-            signature.append(f"{f.name}=_default_{f.name}")
+            signature.append(n)
     source = _NEW_TEMPLATE.format(
         params=", ".join(signature), args="".join(n + ", " for n in names),
-        sets="\n".join(sets))
-    exec(compile(source, f"<node {cls.__qualname__}>", "exec"), scope)
-    new = scope["__new__"]
-    new.__qualname__ = f"{cls.__qualname__}.__new__"
-    cls.__new__ = new
+        sets="\n".join(sets), name=name,
+        fields=", ".join(f"{n}={{self.{n}!r}}" for n in names))
+    exec(compile(source, f"<node {name}>", "exec"), scope)
+    cls.__new__ = scope["__new__"]
+    cls.__repr__ = scope["__repr__"]
+    cls.__new__.__qualname__ = f"{name}.__new__"
+    cls.__repr__.__qualname__ = f"{name}.__repr__"
     return cls
 
 
@@ -517,7 +530,8 @@ def walk_constructors(x: Union[Expr, Ctx], found: set[str]) -> None:
 
 
 # The fields of each node class that hold nodes: all but a ``Level``.
-NODE_FIELDS = {cls: tuple(f.name for f in fields(cls) if f.type != "Level")
+NODE_FIELDS = {cls: tuple(name for name, annotation
+                         in cls.__annotations__.items() if annotation != "Level")
                for union in (SubExpr, TyExpr, TmExpr) for cls in get_args(union)}
 
 

@@ -16,7 +16,7 @@ unchecked input).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .syntax import (
     App, Bool, Code, Comp, Ctx, EMPTY, El, Eps, Ext, FalseLit, Fst, IdSub,
@@ -89,7 +89,9 @@ def normalize_ty_in(ctx: Ctx, ty: TyExpr) -> TyExpr:
     """The normal form of ``ty`` in ``ctx``: the only code that computes
     one, so conversion and ``force`` share its memo table.  A closed type
     is read back from the empty environment, so its normal form is shared
-    by every context."""
+    by every context; ``types_convertible`` and ``force`` ask for it in
+    ``EMPTY``, so it also takes one entry of the table, not one per
+    context."""
     if ty.reach == 0:
         return readback_ty(0, evaluate((), ty))
     env = generic_env(ctx)
@@ -97,7 +99,8 @@ def normalize_ty_in(ctx: Ctx, ty: TyExpr) -> TyExpr:
 
 
 def types_convertible(ctx: Ctx, a: TyExpr, b: TyExpr) -> bool:
-    return a is b or normalize_ty_in(ctx, a) is normalize_ty_in(ctx, b)
+    return a is b or (normalize_ty_in(EMPTY if a.reach == 0 else ctx, a)
+                      is normalize_ty_in(EMPTY if b.reach == 0 else ctx, b))
 
 
 def ctxs_convertible(a: Ctx, b: Ctx) -> bool:
@@ -124,7 +127,7 @@ _FORMER_NAMES = {Pi: "a function type", Sigma: "a pair type",
 def force(ctx: Ctx, ty: TyExpr, former: type, expr: object) -> TyExpr:
     """The normal form of ``ty``, which must be a ``former`` node: the one
     way to require a type former.  Otherwise ``expr`` is ill-typed."""
-    nf = normalize_ty_in(ctx, ty)
+    nf = normalize_ty_in(EMPTY if ty.reach == 0 else ctx, ty)
     if not isinstance(nf, former):
         raise TypeCheckError(f"expected {_FORMER_NAMES[former]}", expr=expr,
                              actual=nf)
@@ -288,8 +291,7 @@ def check_entity(ctx: Ctx, entity=None):
     return synth_tm(ctx, entity)
 
 
-@dataclass(frozen=True)
-class Translated:
+class Translated(NamedTuple):
     """A translation's output: ``payload`` lives in ``scope`` and has the
     stated ``classifier``, a level for a type or a type for a term."""
     scope: Ctx

@@ -67,11 +67,11 @@ def test_the_sweep_leaves_only_interned_live_nodes():
     assert len(table) == before
     classes = {cls for module in (syntax, values) for cls in vars(module).values()
                if isinstance(cls, type) and "_interned" in vars(cls)
-               and cls.__dataclass_fields__}
+               and cls.__match_args__}
     live = [x for x in gc.get_objects() if type(x) in classes]
     assert live
     for x in live:
-        key = (type(x), *(getattr(x, name) for name in x.__dataclass_fields__))
+        key = (type(x), *(getattr(x, name) for name in type(x).__match_args__))
         assert table.get(key) is x, x
 
 

@@ -41,8 +41,8 @@ _SAMPLES = {
 
 
 def _build(cls):
-    fields = cls.__dataclass_fields__.values()
-    return cls(*(_SAMPLES[f.type]() for f in fields))
+    return cls(*(_SAMPLES[annotation]()
+                 for annotation in cls.__annotations__.values()))
 
 
 def test_every_node_class_is_interned():

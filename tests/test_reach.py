@@ -28,7 +28,7 @@ from ttk.syntax import (
     IdTy, If, J, Lam, Pair, Pi, Refl, Sigma, Snd, Top, TrueLit, Tt, TmSub,
     TySub, Univ, Var0, Wk, apply1, v, wk,
 )
-from ttk.typecheck import synth_tm
+from ttk.typecheck import force, synth_tm, types_convertible
 from ttk.values import fresh
 
 INF = math.inf
@@ -198,6 +198,27 @@ def test_closed_terms_share_one_value():
     assert evaluate(env, lam) is evaluate((), lam)
     assert evaluate(env, redex) is evaluate((), redex)
     assert evaluate(env, pi) is evaluate((), pi)
+
+
+def test_a_closed_type_takes_one_normal_form_entry():
+    # conversion and ``force`` look a closed type up in ``EMPTY``, so its
+    # normal form is computed once, however many contexts ask for it
+    def misses():
+        return caches.stats()["ttk.typecheck.normalize_ty_in"]["misses"]
+
+    caches.clear_all()
+    closed = Pi(Bool(), TySub(El(Code(Bool())), Wk()))
+    other = Pi(El(Code(Bool())), TySub(Bool(), Wk()))
+    assert closed.reach == 0 and other.reach == 0
+    before = misses()
+    after = []
+    for ctx in (BOOL, THREE, Ctx.of(Univ(0))):
+        assert types_convertible(ctx, closed, other)
+        after.append(misses())
+    assert after == [before + 2] * 3, (before, after)
+    assert force(THREE.extend(Bool()), closed, Pi, closed) is Pi(Bool(), Bool())
+    assert misses() == before + 2
+    caches.clear_all()
 
 
 # ---------------------------------------------------------------------------
