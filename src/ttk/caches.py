@@ -22,6 +22,15 @@ in the size of the DAG without one, and gets none (``check_ctx``,
 ``ctxs_convertible``, ``readback_ne``, ``injectivity.build_ctx_iso``).
 That makes 12 tables.
 
+A closed node takes one key per table, not one per scope.  Each call in
+the checker and the evaluator that passes ``evaluate``, ``infer_ty``,
+``synth_tm`` or ``normalize_ty_in`` a node whose ``reach`` is 0 passes
+the empty environment ``()`` or the empty context ``EMPTY``, spelled at
+the call as ``ctx if x.reach else EMPTY``.  The rule lives at the call,
+not in a wrapper, so it costs no frame.  It is sound because what lies
+beyond a node's reach changes neither its value nor what the checker
+says of it (``tests/test_reach.py``).
+
 Syntax and value nodes are interned in one table that holds them
 strongly (``syntax.node``), so dropping a node frees nothing by itself.
 ``clear_all`` empties the memo tables and then runs ``syntax.sweep``,

@@ -64,7 +64,10 @@ def _vars_by_type(ctx: Ctx) -> dict[TyExpr, tuple[int, ...]]:
     variable's type."""
     table: dict[TyExpr, tuple[int, ...]] = {}
     for k in range(len(ctx)):
-        nf = normalize_ty_in(ctx, TySub(ctx.entries[-1 - k], wk(k + 1)))
+        entry = ctx.entries[-1 - k]
+        # a closed entry weakened into ``ctx`` is the entry itself
+        nf = (normalize_ty_in(ctx, TySub(entry, wk(k + 1))) if entry.reach
+              else normalize_ty_in(EMPTY, entry))
         table[nf] = table.get(nf, ()) + (k,)
     return table
 
@@ -173,7 +176,7 @@ class InstanceGen:
 
     def tm(self, ctx: Ctx, goal: TyExpr) -> TmExpr:
         self._spend()
-        nf = normalize_ty_in(ctx, goal)
+        nf = normalize_ty_in(ctx if goal.reach else EMPTY, goal)
         opts: list[tuple[int, str]] = []
         variables = _vars_by_type(ctx).get(nf)
         if variables:

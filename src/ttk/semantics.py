@@ -31,13 +31,18 @@ by the arguments.
 
 Closed syntax is evaluated once.  Every syntax node carries its
 ``reach``, the number of trailing environment entries it may read
-(``syntax.node``), and ``evaluate`` rebinds a nonempty environment to
-``()`` when the node's reach is 0.  It rebinds in its own frame, without
-a second call, so a nest of closed levels needs no more stack than an
-open one.  A closed subterm then has one value wherever it occurs, and
-its closures capture the empty environment, so ``readback_ty`` at one
-depth reads it back once.  The translations make mostly closed terms
-under binders, which is where this pays.
+(``syntax.node``).  Each call that passes a child node passes ``()`` when
+the child's reach is 0, at the call (``env if x.reach else ()``), so the
+memo lookup already uses the key that every environment shares.  A
+``TmSub`` or ``TySub`` with a closed body skips evaluating its
+substitution: evaluation runs only on checked input, and the checker
+still checks the substitution.  For outside callers, ``evaluate`` also
+rebinds a nonempty environment to ``()`` for a closed node in its own
+frame, without a second call, so a nest of closed levels needs no more
+stack than an open one.  A closed subterm then has one value wherever it
+occurs, and its closures capture the empty environment, so
+``readback_ty`` at one depth reads it back once.  The translations make
+mostly closed terms under binders, which is where this pays.
 """
 
 from __future__ import annotations
@@ -60,7 +65,8 @@ from .values import (
 # ---------------------------------------------------------------------------
 
 def apply_closure(cl: Closure, *args: Val) -> Val | TyVal:
-    return evaluate(cl.env + args, cl.body)
+    body = cl.body
+    return evaluate(cl.env + args if body.reach else (), body)
 
 
 def vapp(f: Val, x: Val) -> Val:
@@ -131,53 +137,72 @@ def evaluate(env: Env, x: TmExpr | TyExpr) -> Val | TyVal:
     if cls is App:
         if not env:
             raise InternalStuck("un-application in empty environment")
-        return vapp(evaluate(env[:-1], x.fn), env[-1])
+        fn = x.fn
+        return vapp(evaluate(env[:-1] if fn.reach else (), fn), env[-1])
     if cls is TmSub:
-        return evaluate(eval_sub(env, x.sub), x.tm)
+        tm = x.tm
+        return evaluate(eval_sub(env, x.sub) if tm.reach else (), tm)
     if cls is El:
-        val = evaluate(env, x.code)
+        code = x.code
+        val = evaluate(env if code.reach else (), code)
         if type(val) is VCode:
             return val.ty
         if type(val) is VNe and type(val.ty) is Univ:
             return VElNe(val)
         raise InternalStuck(f"decoding non-code value {val!r}")
     if cls is Code:
-        return vcode(evaluate(env, x.ty))
+        ty = x.ty
+        return vcode(evaluate(env if ty.reach else (), ty))
     if cls is Lam:
         return Closure(env, x.body)
     if cls is TySub:
-        return evaluate(eval_sub(env, x.sub), x.ty)
+        ty = x.ty
+        return evaluate(eval_sub(env, x.sub) if ty.reach else (), ty)
     if cls is Var0:
         if not env:
             raise InternalStuck("variable in empty environment")
         return env[-1]
     if cls is Sigma:
-        return VSigma(evaluate(env, x.dom), Closure(env, x.cod))
+        dom = x.dom
+        return VSigma(evaluate(env if dom.reach else (), dom),
+                      Closure(env, x.cod))
     if cls is Pair:
-        return VPair(evaluate(env, x.fst), evaluate(env, x.snd))
+        fst, snd = x.fst, x.snd
+        return VPair(evaluate(env if fst.reach else (), fst),
+                     evaluate(env if snd.reach else (), snd))
     if cls is Pi:
-        return VPi(evaluate(env, x.dom), Closure(env, x.cod))
+        dom = x.dom
+        return VPi(evaluate(env if dom.reach else (), dom),
+                   Closure(env, x.cod))
     if (cls is Top or cls is Bool or cls is Univ or cls is Tt
             or cls is TrueLit or cls is FalseLit):
         return x
     if cls is IdTy:
-        return VId(evaluate(env, x.ty), evaluate(env, x.lhs),
-                   evaluate(env, x.rhs))
+        ty, lhs, rhs = x.ty, x.lhs, x.rhs
+        return VId(evaluate(env if ty.reach else (), ty),
+                   evaluate(env if lhs.reach else (), lhs),
+                   evaluate(env if rhs.reach else (), rhs))
     if cls is Fst:
-        return vfst(evaluate(env, x.pair))
+        pair = x.pair
+        return vfst(evaluate(env if pair.reach else (), pair))
     if cls is Snd:
-        return vsnd(evaluate(env, x.pair))
+        pair = x.pair
+        return vsnd(evaluate(env if pair.reach else (), pair))
     if cls is Refl:
-        return VRefl(evaluate(env, x.arg))
+        arg = x.arg
+        return VRefl(evaluate(env if arg.reach else (), arg))
     if cls is J:
-        return vj(Closure(env, x.motive), evaluate(env, x.base),
-                  evaluate(env, x.eq))
+        base, eq = x.base, x.eq
+        return vj(Closure(env, x.motive),
+                  evaluate(env if base.reach else (), base),
+                  evaluate(env if eq.reach else (), eq))
     if cls is If:
+        on_true, on_false, scrut = x.on_true, x.on_false, x.scrut
         return vif(
             Closure(env, x.motive),
-            evaluate(env, x.on_true),
-            evaluate(env, x.on_false),
-            evaluate(env, x.scrut),
+            evaluate(env if on_true.reach else (), on_true),
+            evaluate(env if on_false.reach else (), on_false),
+            evaluate(env if scrut.reach else (), scrut),
         )
     raise InternalStuck(f"unknown term or type {x!r}")
 
@@ -192,7 +217,9 @@ def eval_sub(env: Env, sub: SubExpr) -> Env:
     if cls is Eps:
         return ()
     if cls is Ext:
-        return eval_sub(env, sub.sub) + (evaluate(env, sub.tm),)
+        tm = sub.tm
+        val = evaluate(env if tm.reach else (), tm)
+        return eval_sub(env, sub.sub) + (val,)
     if cls is Wk:
         if not env:
             raise InternalStuck("weakening of empty environment")

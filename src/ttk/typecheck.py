@@ -11,7 +11,10 @@ pair or equality type, or a universe) of one.
 All checks are pure and deterministic.  Preconditions follow the sort
 structure: ``infer_ty``/``synth_sub``/``synth_tm`` assume their context is
 well-formed (``check_ctx`` establishes this for telescopes built from
-unchecked input).
+unchecked input).  A closed child (``reach`` 0) is checked in ``EMPTY``:
+each call that passes one passes ``EMPTY`` for its context, and a binder
+whose body is closed does not extend the context for it.  So a closed
+node takes one entry of each table wherever it occurs (``caches``).
 """
 
 from __future__ import annotations
@@ -87,20 +90,16 @@ class VarInEmptyContext(TypeCheckError):
 @memoized
 def normalize_ty_in(ctx: Ctx, ty: TyExpr) -> TyExpr:
     """The normal form of ``ty`` in ``ctx``: the only code that computes
-    one, so conversion and ``force`` share its memo table.  A closed type
-    is read back from the empty environment, so its normal form is shared
-    by every context; ``types_convertible`` and ``force`` ask for it in
-    ``EMPTY``, so it also takes one entry of the table, not one per
-    context."""
-    if ty.reach == 0:
-        return readback_ty(0, evaluate((), ty))
+    one, so conversion and ``force`` share its memo table.  Every caller
+    asks for a closed type in ``EMPTY``, so it takes one entry of the
+    table, not one per context."""
     env = generic_env(ctx)
     return readback_ty(len(env), evaluate(env, ty))
 
 
 def types_convertible(ctx: Ctx, a: TyExpr, b: TyExpr) -> bool:
-    return a is b or (normalize_ty_in(EMPTY if a.reach == 0 else ctx, a)
-                      is normalize_ty_in(EMPTY if b.reach == 0 else ctx, b))
+    return a is b or (normalize_ty_in(ctx if a.reach else EMPTY, a)
+                      is normalize_ty_in(ctx if b.reach else EMPTY, b))
 
 
 def ctxs_convertible(a: Ctx, b: Ctx) -> bool:
@@ -127,7 +126,7 @@ _FORMER_NAMES = {Pi: "a function type", Sigma: "a pair type",
 def force(ctx: Ctx, ty: TyExpr, former: type, expr: object) -> TyExpr:
     """The normal form of ``ty``, which must be a ``former`` node: the one
     way to require a type former.  Otherwise ``expr`` is ill-typed."""
-    nf = normalize_ty_in(EMPTY if ty.reach == 0 else ctx, ty)
+    nf = normalize_ty_in(ctx if ty.reach else EMPTY, ty)
     if not isinstance(nf, former):
         raise TypeCheckError(f"expected {_FORMER_NAMES[former]}", expr=expr,
                              actual=nf)
@@ -151,7 +150,8 @@ def check_ctx(ctx: Ctx) -> Level:
     prefix = EMPTY
     for index, entry in enumerate(ctx.entries):
         try:
-            level = max(level, infer_ty(prefix, entry))
+            level = max(level, infer_ty(prefix if entry.reach else EMPTY,
+                                        entry))
         except TypeCheckError as err:
             raise IllFormedEntry(index, entry) from err
         prefix = prefix.extend(entry)
@@ -162,10 +162,12 @@ def check_ctx(ctx: Ctx) -> Level:
 def infer_ty(ctx: Ctx, ty: TyExpr) -> Level:
     cls = type(ty)
     if cls is TySub:
-        return infer_ty(synth_sub(ctx, ty.sub), ty.ty)
+        cod = synth_sub(ctx, ty.sub)
+        return infer_ty(cod if ty.ty.reach else EMPTY, ty.ty)
     if cls is Pi or cls is Sigma:
-        i = infer_ty(ctx, ty.dom)
-        j = infer_ty(ctx.extend(ty.dom), ty.cod)
+        dom, cod = ty.dom, ty.cod
+        i = infer_ty(ctx if dom.reach else EMPTY, dom)
+        j = infer_ty(ctx.extend(dom) if cod.reach else EMPTY, cod)
         return max(i, j)
     if cls is Top or cls is Bool:
         return 0
@@ -174,9 +176,11 @@ def infer_ty(ctx: Ctx, ty: TyExpr) -> Level:
             raise TypeCheckError("negative universe level", expr=ty)
         return ty.level + 1
     if cls is El:
-        return force(ctx, synth_tm(ctx, ty.code), Univ, ty).level
+        code = ty.code
+        return force(ctx, synth_tm(ctx if code.reach else EMPTY, code), Univ,
+                     ty).level
     if cls is IdTy:
-        level = infer_ty(ctx, ty.ty)
+        level = infer_ty(ctx if ty.ty.reach else EMPTY, ty.ty)
         check_tm(ctx, ty.lhs, ty.ty)
         check_tm(ctx, ty.rhs, ty.ty)
         return level
@@ -200,9 +204,10 @@ def synth_sub(ctx: Ctx, sub: SubExpr) -> Ctx:
                 raise TypeCheckError(
                     "extension without annotation only over the identity",
                     expr=sub)
-            return cod.extend(synth_tm(ctx, tm))
-        infer_ty(cod, ann)
-        _require_conv(ctx, sub, synth_tm(ctx, tm), TySub(ann, s))
+            return cod.extend(synth_tm(ctx if tm.reach else EMPTY, tm))
+        infer_ty(cod if ann.reach else EMPTY, ann)
+        _require_conv(ctx, sub, synth_tm(ctx if tm.reach else EMPTY, tm),
+                      TySub(ann, s))
         return cod.extend(ann)
     if cls is Wk:
         if len(ctx) == 0:
@@ -215,59 +220,69 @@ def synth_sub(ctx: Ctx, sub: SubExpr) -> Ctx:
 def synth_tm(ctx: Ctx, tm: TmExpr) -> TyExpr:
     cls = type(tm)
     if cls is TmSub:
-        return TySub(synth_tm(synth_sub(ctx, tm.sub), tm.tm), tm.sub)
+        cod, body = synth_sub(ctx, tm.sub), tm.tm
+        return TySub(synth_tm(cod if body.reach else EMPTY, body), tm.sub)
     if cls is Var0:
         if len(ctx) == 0:
             raise VarInEmptyContext()
         return TySub(ctx.last, Wk())
     if cls is Lam:
-        infer_ty(ctx, tm.dom)
-        return Pi(tm.dom, synth_tm(ctx.extend(tm.dom), tm.body))
+        dom, body = tm.dom, tm.body
+        infer_ty(ctx if dom.reach else EMPTY, dom)
+        body_ty = synth_tm(ctx.extend(dom) if body.reach else EMPTY, body)
+        return Pi(dom, body_ty)
     if cls is App:
         if len(ctx) == 0:
             raise TypeCheckError(
                 "un-application requires a nonempty context", expr=tm)
         tail = ctx.pop()
-        pi = force(tail, synth_tm(tail, tm.fn), Pi, tm)
+        fn = tm.fn
+        pi = force(tail, synth_tm(tail if fn.reach else EMPTY, fn), Pi, tm)
         _require_conv(tail, tm, ctx.last, pi.dom)
         return pi.cod
     if cls is Pair:
         fst_ty, snd_ty, a, b = tm.fst_ty, tm.snd_ty, tm.fst, tm.snd
-        infer_ty(ctx, fst_ty)
-        infer_ty(ctx.extend(fst_ty), snd_ty)
+        infer_ty(ctx if fst_ty.reach else EMPTY, fst_ty)
+        infer_ty(ctx.extend(fst_ty) if snd_ty.reach else EMPTY, snd_ty)
         check_tm(ctx, a, fst_ty)
         b_expected = TySub(snd_ty, Ext(IdSub(), fst_ty, a))
         check_tm(ctx, b, b_expected)
         return Sigma(fst_ty, snd_ty)
     if cls is Fst:
-        return force(ctx, synth_tm(ctx, tm.pair), Sigma, tm).dom
+        pair = tm.pair
+        return force(ctx, synth_tm(ctx if pair.reach else EMPTY, pair), Sigma,
+                     tm).dom
     if cls is Snd:
-        sigma = force(ctx, synth_tm(ctx, tm.pair), Sigma, tm)
-        return TySub(sigma.cod, Ext(IdSub(), sigma.dom, Fst(tm.pair)))
+        pair = tm.pair
+        sigma = force(ctx, synth_tm(ctx if pair.reach else EMPTY, pair), Sigma,
+                      tm)
+        return TySub(sigma.cod, Ext(IdSub(), sigma.dom, Fst(pair)))
     if cls is Tt:
         return Top()
     if cls is Code:
-        return Univ(infer_ty(ctx, tm.ty))
+        return Univ(infer_ty(ctx if tm.ty.reach else EMPTY, tm.ty))
     if cls is TrueLit or cls is FalseLit:
         return Bool()
     if cls is If:
         motive, scrut = tm.motive, tm.scrut
         check_tm(ctx, scrut, Bool())
-        infer_ty(ctx.extend(Bool()), motive)
+        infer_ty(ctx.extend(Bool()) if motive.reach else EMPTY, motive)
         true_expected = TySub(motive, Ext(IdSub(), Bool(), TrueLit()))
         check_tm(ctx, tm.on_true, true_expected)
         false_expected = TySub(motive, Ext(IdSub(), Bool(), FalseLit()))
         check_tm(ctx, tm.on_false, false_expected)
         return TySub(motive, Ext(IdSub(), Bool(), scrut))
     if cls is Refl:
-        arg_ty = synth_tm(ctx, tm.arg)
-        return IdTy(arg_ty, tm.arg, tm.arg)
+        arg = tm.arg
+        arg_ty = synth_tm(ctx if arg.reach else EMPTY, arg)
+        return IdTy(arg_ty, arg, arg)
     if cls is J:
         motive, base, eq = tm.motive, tm.base, tm.eq
-        eq_ty = force(ctx, synth_tm(ctx, eq), IdTy, tm)
+        eq_ty = force(ctx, synth_tm(ctx if eq.reach else EMPTY, eq), IdTy, tm)
         dom, lhs, rhs = eq_ty.ty, eq_ty.lhs, eq_ty.rhs
         eq_entry = IdTy(TySub(dom, Wk()), TmSub(lhs, Wk()), Var0())
-        infer_ty(ctx.extend(dom).extend(eq_entry), motive)
+        infer_ty(ctx.extend(dom).extend(eq_entry) if motive.reach else EMPTY,
+                 motive)
         at_refl = Ext(Ext(IdSub(), dom, lhs), eq_entry, Refl(lhs))
         check_tm(ctx, base, TySub(motive, at_refl))
         return TySub(motive, Ext(Ext(IdSub(), dom, rhs), eq_entry, eq))
@@ -324,7 +339,7 @@ def translate_checked(translation: str, ctx: Ctx, entity,
 
 def check_tm(ctx: Ctx, tm: TmExpr, ty: TyExpr) -> None:
     """Check ``tm`` against ``ty`` (which must itself be well-formed)."""
-    _require_conv(ctx, tm, synth_tm(ctx, tm), ty)
+    _require_conv(ctx, tm, synth_tm(ctx if tm.reach else EMPTY, tm), ty)
 
 
 def check_sub(ctx: Ctx, sub: SubExpr, cod: Ctx) -> None:

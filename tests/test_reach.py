@@ -4,13 +4,18 @@ Every syntax node's constructor fills ``reach``: the number of trailing
 context entries the node may read, 0 for a closed node.  A substitution's
 ``reach`` is a pair ``(c, d)``: to supply the last ``n`` entries of its
 codomain it reads the last ``max(c, n + d)`` entries of its domain.
-``evaluate`` runs closed input in the empty environment, and
-``normalize_ty_in`` reads a closed type back at depth 0.  These tests pin
-the rule of each constructor, check that the rules are sound (what lies
-beyond a node's reach does not change its readback), and check that the
-rebinding costs no frame per nested closed level.
+The checker and the evaluator pass a closed child the empty context or
+environment at the call, so its memo entry is shared by every scope it
+occurs in.  These tests pin the rule of each constructor, check that the
+rules are sound (what lies beyond a node's reach changes neither its
+readback nor what the checker says of it), count the memo entries a
+closed node takes, and check that the rebinding costs no frame per nested
+closed level.
 """
 
+import contextlib
+import hashlib
+import io
 import itertools
 import math
 import sys
@@ -18,6 +23,7 @@ import sys
 import pytest
 
 from ttk import caches
+from ttk.cli import main
 from ttk.conversion import normalize_tm, normalize_ty
 from ttk.generate import GenConfig, GenExhausted, InstanceGen, derive_seed
 from ttk.semantics import (
@@ -25,10 +31,12 @@ from ttk.semantics import (
 )
 from ttk.syntax import (
     App, Bool, Code, Comp, Ctx, EMPTY, El, Eps, Ext, FalseLit, Fst, IdSub,
-    IdTy, If, J, Lam, Pair, Pi, Refl, Sigma, Snd, Top, TrueLit, Tt, TmSub,
-    TySub, Univ, Var0, Wk, apply1, v, wk,
+    IdTy, If, J, Lam, NODE_FIELDS, Pair, Pi, Refl, Sigma, Snd, Top, TrueLit,
+    Tt, TmExpr, TmSub, TyExpr, TySub, Univ, Var0, Wk, apply1, v, wk,
 )
-from ttk.typecheck import force, synth_tm, types_convertible
+from ttk.typecheck import (
+    TypeCheckError, force, infer_ty, synth_tm, types_convertible,
+)
 from ttk.values import fresh
 
 INF = math.inf
@@ -190,6 +198,61 @@ def test_readback_ignores_what_lies_beyond_reach():
     assert seen["sub-moved"] >= 20, seen
 
 
+def _subnodes(x):
+    """``x`` and every syntax node below it, each once."""
+    seen, todo = set(), [x]
+    while todo:
+        node = todo.pop()
+        if node in seen:
+            continue
+        seen.add(node)
+        todo += [getattr(node, name) for name in NODE_FIELDS[type(node)]
+                 if getattr(node, name) is not None]
+    return seen
+
+
+def _error(ctx, tm):
+    try:
+        synth_tm(ctx, tm)
+    except TypeCheckError as err:
+        return str(err)
+    raise AssertionError(f"{tm!r} checked")
+
+
+def test_the_checker_says_the_same_of_closed_syntax_in_every_scope():
+    # a closed type or term has the same level or type, and a closed
+    # ill-typed term the same error, in a nonempty context as in EMPTY
+    seen = {"ty": 0, "tm": 0, "ill": 0}
+    for gen, ctx in _draws(160):
+        if len(ctx) == 0:
+            continue
+        try:
+            ty = gen.draw_ty(ctx)
+            tm = gen.draw_tm(ctx, ty)
+        except GenExhausted:
+            continue
+        for x in _subnodes(ty) | _subnodes(tm):
+            if x.reach != 0:
+                continue
+            if isinstance(x, TyExpr):
+                assert infer_ty(ctx, x) == infer_ty(EMPTY, x), x
+                seen["ty"] += 1
+                continue
+            if not isinstance(x, TmExpr):
+                continue
+            x_ty = synth_tm(EMPTY, x)
+            assert synth_tm(ctx, x) is x_ty, x
+            seen["tm"] += 1
+            # a closed argument of the wrong type, under a binder or not
+            wrong = Bool() if types_convertible(EMPTY, x_ty, Top()) else Top()
+            bad = apply1(Lam(wrong, Var0()), x)
+            for ill in (bad, Lam(Bool(), bad), Fst(Refl(x))):
+                assert ill.reach == 0
+                assert _error(ctx, ill) == _error(EMPTY, ill), ill
+                seen["ill"] += 1
+    assert min(seen.values()) >= 50, seen
+
+
 def test_closed_terms_share_one_value():
     lam = Lam(Bool(), Var0())
     redex = apply1(lam, TrueLit())
@@ -219,6 +282,69 @@ def test_a_closed_type_takes_one_normal_form_entry():
     assert force(THREE.extend(Bool()), closed, Pi, closed) is Pi(Bool(), Bool())
     assert misses() == before + 2
     caches.clear_all()
+
+
+def _misses(name):
+    return caches.stats()[name]["misses"]
+
+
+def test_a_closed_child_takes_one_checker_entry():
+    # the checker infers a closed child in EMPTY, so a closed type under a
+    # binder adds its ``infer_ty`` misses once, however many contexts it
+    # is met in, and likewise a closed term and ``synth_tm``
+    caches.clear_all()
+    closed_ty = Pi(Bool(), TySub(El(Code(Bool())), Wk()))
+    closed_tm = apply1(Lam(Bool(), Pair(Bool(), Bool(), Var0(), TrueLit())),
+                       FalseLit())
+    assert closed_ty.reach == 0 and closed_tm.reach == 0
+    for name, check, closed in (
+            ("ttk.typecheck.infer_ty", infer_ty, Sigma(Bool(), closed_ty)),
+            ("ttk.typecheck.synth_tm", synth_tm, Lam(Bool(), closed_tm))):
+        added, results = [], []
+        for ctx in (BOOL, THREE, Ctx.of(Univ(0))):
+            before = _misses(name)
+            results.append(check(ctx, closed))
+            added.append(_misses(name) - before)
+        # after the first context, only the outer node misses
+        assert added[0] > 3 and added[1:] == [1, 1], (name, added)
+        assert len(set(results)) == 1, results
+    caches.clear_all()
+
+
+def _lam_nest(depth):
+    return "(lam (bool) " * depth + "(true)" + ")" * depth
+
+
+# ``ttk run`` of a translation of a closed λ nest: its total memo misses
+# on cold caches stay under the bound (13,292 and 93,952 when closed
+# children were checked and evaluated in their enclosing scope), and it
+# prints the pinned bytes.  CPython 3.12.1 refuses ``termify`` from 82
+# levels, so that nest stays at 60.
+NEST_RUNS = {
+    "termify-60": ("termify", 60, 8_000,
+                   "f9cb2e1d39c455afd8c74b35619ff83ec804bc6e981bdad1071d38fc2bb9930c"),
+    "param-100": ("param", 100, 40_000,
+                  "9a5e5a77e58a5ad47167bbbbd20ab8ee1d0752bd4053e5e03cbf0b2a636edf6f"),
+}
+
+
+@pytest.mark.parametrize("name", list(NEST_RUNS))
+def test_a_translated_lam_nest_misses_under_its_bound(name, tmp_path):
+    head, depth, bound, digest = NEST_RUNS[name]
+    path = tmp_path / "nest.tt"
+    path.write_text(f"({head} (ctx) {_lam_nest(depth)})\n", encoding="utf-8")
+    caches.clear_all()
+    before = sum(s["misses"] for s in caches.stats().values())
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["run", str(path)])
+    misses = sum(s["misses"] for s in caches.stats().values()) - before
+    caches.clear_all()
+    printed = out.getvalue()
+    assert printed.endswith("RESULT: accept\n") and code == 0
+    assert hashlib.sha256(printed.encode() + b"\0" + str(code).encode()
+                          ).hexdigest() == digest
+    assert misses <= bound, misses
 
 
 # ---------------------------------------------------------------------------
