@@ -16,11 +16,11 @@ size of the unfolded tree: ``evaluate`` (one fold over terms and types),
 ``eval_sub``, ``readback_tm``/``readback_ty``, ``infer_ty``, ``synth_*``
 and the two translation folds.  Or it is a costly composition that the
 traffic measurably asks again: ``normalize_ty_in``, ``generic_env`` and
-``generate._vars_by_type``.  A function that walks one telescope or one
-neutral spine, each step a call to a judgement with its own table, runs
-in the size of the DAG without one, and gets none (``check_ctx``,
-``ctxs_convertible``, ``readback_ne``, ``injectivity.build_ctx_iso``).
-That makes 12 tables.
+``generate._vars_by_type``.  None goes to a function that walks one
+telescope or one neutral spine, each step a call to a judgement with its
+own table (``check_ctx``, ``ctxs_convertible``, ``readback_ne``), nor to
+``injectivity.build_ctx_iso``, which builds syntax at each step and
+certifies once.  That makes 12 tables.
 
 A closed node takes one key per table, not one per scope.  Each call in
 the checker and the evaluator that passes ``evaluate``, ``infer_ty``,

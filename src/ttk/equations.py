@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple, Union
 from .syntax import (
     App, Bool, Code, Comp, Ctx, EMPTY, El, Eps, Ext, FalseLit, Fst, IdSub,
     IdTy, If, J, Lam, Pair, Pi, Refl, Sigma, Snd, SubExpr, Top, TrueLit, Tt,
-    TmExpr, TmSub, TyExpr, TySub, Univ, Var0, Wk, lift,
+    TmExpr, TmSub, TyExpr, TySub, Univ, Var0, Wk, j_binder, lift,
 )
 from .conversion import conv_sub, conv_tm, conv_ty
 from .generate import InstanceGen
@@ -76,15 +76,6 @@ def _binder_data(g: InstanceGen) -> tuple[Ctx, TyExpr, TyExpr]:
     dom = g.draw_ty(ctx)
     cod = g.draw_ty(ctx.extend(dom))
     return ctx, dom, cod
-
-
-def _id_motive_data(g: InstanceGen):
-    ctx = g.draw_ctx()
-    dom = g.draw_ty(ctx)
-    base_pt = g.draw_tm(ctx, dom)
-    eq_entry = IdTy(TySub(dom, Wk()), TmSub(base_pt, Wk()), Var0())
-    motive = g.draw_ty(ctx.extend(dom).extend(eq_entry))
-    return ctx, dom, base_pt, eq_entry, motive
 
 
 def _at_point(dom: TyExpr, eq_entry: TyExpr, point: TmExpr, eq: TmExpr) -> SubExpr:
@@ -403,7 +394,11 @@ def _(g):
 
 @schema("id_beta")
 def _(g):
-    ctx, dom, base_pt, eq_entry, motive = _id_motive_data(g)
+    ctx = g.draw_ctx()
+    dom = g.draw_ty(ctx)
+    base_pt = g.draw_tm(ctx, dom)
+    eq_entry = j_binder(dom, base_pt)
+    motive = g.draw_ty(ctx.extend(dom).extend(eq_entry))
     at_refl = _at_point(dom, eq_entry, base_pt, Refl(base_pt))
     base = g.draw_tm(ctx, TySub(motive, at_refl))
     return EqInstance(ctx, TySub(motive, at_refl),
@@ -446,7 +441,7 @@ def _(g):
         cod_ctx, dom = cod_base, dom0
         lhs_pt = rhs_pt = pt
         eq = g.draw_tm(cod_ctx, IdTy(dom, pt, pt))
-    eq_entry = IdTy(TySub(dom, Wk()), TmSub(lhs_pt, Wk()), Var0())
+    eq_entry = j_binder(dom, lhs_pt)
     motive = g.draw_ty(cod_ctx.extend(dom).extend(eq_entry))
     at_refl = _at_point(dom, eq_entry, lhs_pt, Refl(lhs_pt))
     base = g.draw_tm(cod_ctx, TySub(motive, at_refl))

@@ -2,17 +2,16 @@
 translation.
 
 Every context is isomorphic to the single-entry context holding its
-decoded translation; the isomorphism is built by recursion on the
-telescope and certified by the conversion checker before it is returned.
+decoded translation; the isomorphism is built one entry at a time, and
+the conversion checker certifies the whole of it once before it returns.
 On top of it sit the three embedding equations: a type equals the decoding
 of its translated family pulled back along the isomorphism, a substitution
 factors through the translated function, and a term equals its translated
 section pulled back.  ``check_embedding`` is the one entry point for all
 four sorts, used by ``ttk run`` and the suites alike: it checks its input,
-then tests the equation, and for a context it builds and certifies the
-isomorphism.  The injectivity probe is two equation checks on one
-instance: an instance whose sides translate to convertible closed terms
-(``verify_termified_equation``) must already hold at the source
+then tests the equation.  The injectivity probe is two equation checks on
+one instance: an instance whose sides translate to convertible closed
+terms (``verify_termified_equation``) must already hold at the source
 (``check_instance``); one that does not is a counterexample.
 """
 
@@ -42,25 +41,28 @@ class IsoFailure(Exception):
 
 
 class CtxIso(NamedTuple):
-    """Invertible substitutions between a context and its decoded
-    translation; ``build_ctx_iso`` certifies both round trips before it
-    returns one."""
+    """Inverse substitutions between a context and its decoded translation,
+    both round trips certified by ``build_ctx_iso``."""
     fwd: SubExpr  # from the context into the one-entry decoded context
     bwd: SubExpr  # back again
 
 
 def build_ctx_iso(ctx: Ctx) -> CtxIso:
+    """Build the pair one prefix at a time and certify only the last: it
+    implies the prefixes'.  With ``prev`` a prefix's pair and ``A`` the
+    next entry, ``bwd∘fwd`` reduces to ``Ext(prev.bwd∘prev.fwd∘p, A, q)``,
+    and ``p`` is a renaming.  The first projection of ``fwd∘bwd`` is
+    ``prev.fwd∘prev.bwd`` at the neutral ``fst q``, and substituting a
+    neutral for a variable is injective on normal forms.  So neither
+    composite is the identity unless the prefix's is."""
+    prefix, fwd, bwd = EMPTY, Ext(Eps(), decoded(EMPTY), Tt()), Eps()
+    for entry in ctx.entries:
+        into_prev = Ext(Eps(), decoded(prefix), Fst(Var0()))
+        prefix = prefix.extend(entry)
+        packed = point_pair(prefix, TmSub(Var0(), Comp(fwd, Wk())), Var0())
+        fwd = Ext(Eps(), decoded(prefix), packed)
+        bwd = Ext(Comp(bwd, into_prev), entry, Snd(Var0()))
     target = EMPTY.extend(decoded(ctx))
-    if len(ctx) == 0:
-        fwd: SubExpr = Ext(Eps(), decoded(ctx), Tt())
-        bwd: SubExpr = Eps()
-    else:
-        base = ctx.pop()
-        prev = build_ctx_iso(base)
-        packed = point_pair(ctx, TmSub(Var0(), Comp(prev.fwd, Wk())), Var0())
-        fwd = Ext(Eps(), decoded(ctx), packed)
-        into_prev = Ext(Eps(), decoded(base), Fst(Var0()))
-        bwd = Ext(Comp(prev.bwd, into_prev), ctx.last, Snd(Var0()))
     if not conv_sub(target, target, Comp(fwd, bwd), IdSub()):
         raise IsoFailure(ctx, "fwd . bwd")
     if not conv_sub(ctx, ctx, Comp(bwd, fwd), IdSub()):

@@ -39,8 +39,8 @@ from __future__ import annotations
 
 from .syntax import (
     App, Bool, Code, Comp, Ctx, El, Eps, Ext, FalseLit, Fst, IdSub, IdTy,
-    If, J, Lam, Pair, Pi, Refl, Sigma, Snd, SubExpr, Top, TrueLit, Tt,
-    TmExpr, TmSub, TyExpr, TySub, Univ, Var0, Wk, apply1, lift, v, wk,
+    If, J, Lam, Pair, Pi, Refl, Sigma, Snd, SubExpr, Top, TrueLit, Tt, TmExpr,
+    TmSub, TyExpr, TySub, Univ, Var0, Wk, apply1, j_binder, lift, v, wk,
 )
 from .caches import memoized
 from .typecheck import (
@@ -249,7 +249,7 @@ def _param_j(ctx: Ctx, whole: TmExpr, motive: TyExpr, base: TmExpr,
     rhs_pred = param(ctx, rhs)
     eq_pred = param(ctx, eq)
     base_pred = param(ctx, base)
-    eq_entry = IdTy(TySub(dom, Wk()), TmSub(lhs, Wk()), Var0())
+    eq_entry = j_binder(dom, lhs)
     with_eq = ctx.extend(dom).extend(eq_entry)
     motive_pred = param(with_eq, motive)
     sig = param(with_eq, None)

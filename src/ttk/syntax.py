@@ -455,6 +455,11 @@ def apply1(fn: TmExpr, arg: TmExpr) -> TmExpr:
     return TmSub(App(fn), Ext(IdSub(), None, arg))
 
 
+def j_binder(dom: TyExpr, lhs: TmExpr) -> TyExpr:
+    """The equation binder of ``J`` from ``lhs``, in ``Γ ▷ dom``."""
+    return IdTy(TySub(dom, Wk()), TmSub(lhs, Wk()), Var0())
+
+
 def arrow(dom: TyExpr, cod: TyExpr) -> TyExpr:
     """Non-dependent function type: ``cod`` is weakened over the binder."""
     return Pi(dom, TySub(cod, Wk()))

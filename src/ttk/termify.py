@@ -29,7 +29,7 @@ from __future__ import annotations
 from .syntax import (
     App, Bool, Code, Ctx, Comp, EMPTY, El, Eps, Ext, FalseLit, Fst, IdSub,
     IdTy, If, J, Lam, Pair, Pi, Refl, Sigma, Snd, SubExpr, Top, TrueLit, Tt,
-    TmExpr, TmSub, TyExpr, TySub, Univ, Var0, Wk, apply1, arrow, v,
+    TmExpr, TmSub, TyExpr, TySub, Univ, Var0, Wk, apply1, arrow, j_binder, v,
 )
 from .caches import memoized
 from .conversion import conv_tm
@@ -151,10 +151,8 @@ def termify(ctx: Ctx, x) -> TmExpr:
         return Lam(points, Refl(App(termify(ctx, x.arg))))
     if cls is J:
         eq_ty = force(ctx, synth_tm(ctx, x.eq), IdTy, x.eq)
-        dom, lhs = eq_ty.ty, eq_ty.lhs
-        eq_entry = IdTy(TySub(dom, Wk()), TmSub(lhs, Wk()), Var0())
-        with_dom = ctx.extend(dom)
-        with_eq = with_dom.extend(eq_entry)
+        with_dom = ctx.extend(eq_ty.ty)
+        with_eq = with_dom.extend(j_binder(eq_ty.ty, eq_ty.lhs))
         motive_t = termify(with_eq, x.motive)
         inner_pair = point_pair(with_dom, v(2), v(1))
         packed = point_pair(with_eq, inner_pair, v(0))

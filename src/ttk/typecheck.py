@@ -24,7 +24,7 @@ from typing import NamedTuple
 from .syntax import (
     App, Bool, Code, Comp, Ctx, EMPTY, El, Eps, Ext, FalseLit, Fst, IdSub,
     IdTy, If, J, Lam, Level, Pair, Pi, Refl, Sigma, Snd, SubExpr, Tt, Top,
-    TmExpr, TmSub, TrueLit, TyExpr, TySub, Univ, Var0, Wk,
+    TmExpr, TmSub, TrueLit, TyExpr, TySub, Univ, Var0, Wk, j_binder,
 )
 from .caches import memoized
 from .semantics import evaluate, generic_env, readback_ty
@@ -280,7 +280,7 @@ def synth_tm(ctx: Ctx, tm: TmExpr) -> TyExpr:
         motive, base, eq = tm.motive, tm.base, tm.eq
         eq_ty = force(ctx, synth_tm(ctx if eq.reach else EMPTY, eq), IdTy, tm)
         dom, lhs, rhs = eq_ty.ty, eq_ty.lhs, eq_ty.rhs
-        eq_entry = IdTy(TySub(dom, Wk()), TmSub(lhs, Wk()), Var0())
+        eq_entry = j_binder(dom, lhs)
         infer_ty(ctx.extend(dom).extend(eq_entry) if motive.reach else EMPTY,
                  motive)
         at_refl = Ext(Ext(IdSub(), dom, lhs), eq_entry, Refl(lhs))

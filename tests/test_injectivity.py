@@ -1,13 +1,19 @@
+import pytest
+
+import ttk.injectivity
+from ttk import caches
+from ttk.cli import main
 from ttk.conversion import conv_sub
 from ttk.equations import EqInstance, check_instance
 from ttk.syntax import (
     Bool, Code, Comp, Ctx, EMPTY, El, Eps, Ext, FalseLit, IdSub, If, Lam, Pi,
     Top, TrueLit, Tt, Univ, Var0, Wk,
 )
-from ttk.termify import decoded, verify_termified_equation
+from ttk.termify import decoded, point_pair, verify_termified_equation
 from ttk.generate import GenConfig, GenExhausted, InstanceGen, derive_seed
 from ttk.injectivity import (
-    COMPONENT_CASES, build_ctx_iso, check_embedding, injectivity_probe,
+    COMPONENT_CASES, IsoFailure, build_ctx_iso, check_embedding,
+    injectivity_probe,
 )
 
 
@@ -29,6 +35,45 @@ def test_iso_step_cases():
     for ctx in (Ctx.of(Bool()), Ctx.of(Bool(), Bool()),
                 Ctx.of(Univ(0), El(Var0()))):
         assert _round_trips(ctx, build_ctx_iso(ctx))
+
+
+def test_iso_is_certified_once(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return conv_sub(*args)
+    monkeypatch.setattr(ttk.injectivity, "conv_sub", counting)
+    ctx = Ctx.of(Bool(), Univ(0), El(Var0()), Bool(), Pi(Bool(), Bool()))
+    iso = build_ctx_iso(ctx)
+    assert len(calls) == 2
+    assert _round_trips(ctx, iso)
+
+
+@pytest.mark.parametrize("corrupt", [1, 2])
+def test_one_certificate_catches_a_broken_prefix(monkeypatch, corrupt):
+    # only the prefix of length ``corrupt`` sends its last entry to (true);
+    # every entry is (bool), so the broken pair is still well typed
+    def broken(ctx, head, tail):
+        return point_pair(ctx, head, TrueLit() if len(ctx) == corrupt
+                          else tail)
+    monkeypatch.setattr(ttk.injectivity, "point_pair", broken)
+    with pytest.raises(IsoFailure):
+        build_ctx_iso(Ctx.of(Bool(), Bool(), Bool()))
+
+
+@pytest.mark.parametrize("entity", ["", " (q)", " (p)"])
+def test_inject_on_a_long_telescope(capsys, tmp_path, entity):
+    # one certificate per context: 100 entries take about 25,000 misses.
+    # CPython 3.12.1's C recursion limit refuses 124 entries.
+    f = tmp_path / "long.tt"
+    f.write_text("(inject (ctx" + " (bool)" * 100 + ")" + entity + ")")
+    caches.clear_all()
+    before = sum(s["misses"] for s in caches.stats().values())
+    assert main(["run", str(f)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "RESULT: accept"
+    misses = sum(s["misses"] for s in caches.stats().values()) - before
+    assert misses < 50_000
 
 
 def test_embedding_examples():
