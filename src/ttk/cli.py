@@ -11,11 +11,19 @@ error, 4 resource limit (input nested too deeply to parse or check, a
 ``(v n)`` with ``n`` at or above the recursion limit, or a natural or a
 ``#k=``/``#k#`` label of more than ``surface.MAX_DIGITS`` digits:
 ``RESULT: error limit``).
+
+``main`` reads ``run FILE`` itself when FILE does not start with ``-``:
+argparse would read that form as ``run`` with that file and nothing
+else.  Every other argument list goes to the argparse parser, which is
+built, and ``argparse`` and ``ttk.suites`` imported, only then:
+``selftest`` and its options, ``-h``/``--help``, ``run -- FILE``, a
+FILE that starts with ``-``, ``run`` without a file or with more than
+one, and unknown commands.  Help exits 0 and a usage error 2, as
+argparse raises them.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import sys
 
@@ -27,7 +35,6 @@ from .parametricity import param_entity
 from .surface import (
     Directive, LimitError, ParseError, parse_directive, print_entity,
 )
-from .suites import SUITES, run_suites
 from .syntax import tree_dag_sizes
 from .termify import termify_entity
 from .typecheck import (
@@ -98,12 +105,12 @@ def _verdict(accepted: bool) -> tuple[int, list[str]]:
     return 1, ["RESULT: reject"]
 
 
-def _cmd_run(args) -> int:
+def _cmd_run(path: str) -> int:
     try:
-        with open(args.file, encoding="utf-8") as f:
+        with open(path, encoding="utf-8") as f:
             text = f.read()
     except (OSError, UnicodeDecodeError) as err:
-        print(f"cannot read {args.file}: {err}")
+        print(f"cannot read {path}: {err}")
         print("RESULT: error io")
         return 2
     try:
@@ -131,6 +138,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    from .suites import run_suites
     reports = run_suites(args.suite, seed=args.seed, count=args.count,
                          max_nodes=args.max_nodes)
     failures = 0
@@ -147,6 +155,7 @@ def _cmd_selftest(args) -> int:
 
 def _positive(text: str) -> int:
     """An argparse type: a decimal integer of at least 1."""
+    import argparse
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(
             f"expected an integer of at least 1, got {text!r}")
@@ -154,14 +163,16 @@ def _positive(text: str) -> int:
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
+def _parser():
+    import argparse
+    from .suites import SUITES
     parser = argparse.ArgumentParser(
         prog="ttk", description="type theory kernel and translation checker")
     commands = parser.add_subparsers(dest="command", required=True)
 
     run = commands.add_parser("run", help="execute one directive file")
     run.add_argument("file")
-    run.set_defaults(fn=_cmd_run)
+    run.set_defaults(fn=lambda args: _cmd_run(args.file))
 
     selftest = commands.add_parser("selftest", help="run verification suites")
     selftest.add_argument("--seed", type=int, default=1)
@@ -175,10 +186,18 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    if len(argv) == 2 and argv[0] == "run" and not argv[1].startswith("-"):
+        # argparse would read this form as ``run`` with this file and
+        # nothing else, so it is not built
+        command = functools.partial(_cmd_run, argv[1])
+    else:
+        args = _parser().parse_args(argv)
+        command = functools.partial(args.fn, args)
     sys.setrecursionlimit(20000)
     with gc_paused():
-        return args.fn(args)
+        return command()
 
 
 if __name__ == "__main__":

@@ -17,10 +17,13 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import FrozenInstanceError
 from typing import Optional, Union, get_args
 
 Level = int  # universe index; closed under max and +1
+
+
+class FrozenInstanceError(AttributeError):
+    """Raised on assigning or deleting a field of a node."""
 
 
 class _Node:

@@ -367,3 +367,56 @@ def test_nested_pi_translation_prints_linear_output(capsys, tmp_path, head,
     assert lines[1] == size
     assert lines[-1] == "RESULT: accept"
     assert sum(len(line) + 1 for line in lines) < limit
+
+
+# ``main`` reads ``run FILE`` itself and hands every other argument list to
+# argparse.  Each form: the exit code, the last line on stdout and a phrase
+# on stderr (None for none), as they were when argparse read every form.
+# ``{idfun}`` is the demo file and ``{absent}`` a file that does not exist.
+HELP = "  -h, --help      show this help message and exit"
+RUN_HELP = "  -h, --help  show this help message and exit"
+REQUIRED_FILE = "the following arguments are required: file"
+ARGV_FORMS = [
+    (["run", "{idfun}"], 0, "RESULT: accept", None),
+    (["run", "{absent}"], 2, "RESULT: error io", None),
+    (["run", "-"], 2, "RESULT: error io", None),
+    (["run", ""], 2, "RESULT: error io", None),
+    (["run", "--", "{idfun}"], 0, "RESULT: accept", None),
+    (["run", "--", "-x.tt"], 2, "RESULT: error io", None),
+    (["run", "-1"], 2, "RESULT: error io", None),
+    (["run"], 2, None, REQUIRED_FILE),
+    (["run", "-x.tt"], 2, None, REQUIRED_FILE),
+    (["run", "-h"], 0, RUN_HELP, None),
+    (["run", "a", "b"], 2, None, "unrecognized arguments: b"),
+    (["run", "{idfun}", "--x"], 2, None, "unrecognized arguments: --x"),
+    ([], 2, None, "the following arguments are required: command"),
+    (["-h"], 0, HELP, None),
+    (["--help"], 0, HELP, None),
+    (["bogus"], 2, None, "argument command: invalid choice"),
+    (["ru", "{idfun}"], 2, None, "argument command: invalid choice"),
+    (["selftest", "--count", "0"], 2, None,
+     "argument --count: expected an integer of at least 1, got '0'"),
+    (["selftest", "--count", "1"], 0, "RESULT: accept", None),
+]
+
+
+@pytest.mark.parametrize("argv, code, last, phrase", ARGV_FORMS,
+                         ids=[" ".join(argv) or "[]"
+                              for argv, *_ in ARGV_FORMS])
+def test_argv_forms_keep_their_argparse_outcome(capsys, tmp_path,
+                                                monkeypatch, argv, code,
+                                                last, phrase):
+    monkeypatch.chdir(tmp_path)
+    argv = [arg.format(idfun=DEMO / "idfun.tt", absent=tmp_path / "absent.tt")
+            for arg in argv]
+    try:
+        got = main(argv)
+    except SystemExit as stop:  # argparse's help and usage errors
+        got = stop.code
+    captured = capsys.readouterr()
+    assert got == code
+    assert (captured.out.splitlines() or [None])[-1] == last
+    if phrase is None:
+        assert captured.err == ""
+    else:
+        assert phrase in captured.err

@@ -1,5 +1,7 @@
 """Seeded fuzzing of ``ttk run``: whatever the input, the last output line
-is ``RESULT: ...`` and the exit code is the documented one for it.
+is ``RESULT: ...`` and the exit code is the documented one for it.  A
+mutant's type error is never reported as a translation bug
+(``RESULT: error kernel``).
 
 The inputs are the demo files and directives printed from generated
 entities and from their closed-term translations, whose shared syntax
@@ -115,6 +117,7 @@ def test_mutated_directives_end_in_a_documented_result(tmp_path):
         code, last = _run(path, text)
         assert RESULT.match(last), (text, last)
         assert EXIT_CODES.get(last) == code, (text, last, code)
+        assert last != "RESULT: error kernel", text
         outcomes.add(last)
     # The mutants reach the checker and the translations, not only the
     # parser.

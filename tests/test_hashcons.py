@@ -3,7 +3,6 @@
 import gc
 import inspect
 import weakref
-from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -13,7 +12,9 @@ from ttk.surface import (
     parse_ctx, parse_sub, parse_tm, parse_ty, print_ctx, print_sub, print_tm,
     print_ty, read_sexpr,
 )
-from ttk.syntax import Bool, Ctx, EMPTY, Pi, TySub, Univ, Wk
+from ttk.syntax import (
+    Bool, Ctx, EMPTY, FrozenInstanceError, Pi, TySub, Univ, Wk,
+)
 
 
 def _node_classes(module):

@@ -1,9 +1,11 @@
 """What importing ttk builds: node classes read their fields from their
 own annotations, the frozen records are named tuples, and ``ttk run``
-does not load ``hashlib``.  Every class is built at import, so this is
-what ``ttk run`` pays before it reads its file."""
+loads neither ``hashlib`` nor ``argparse``, the suites or ``dataclasses``.
+Every class is built at import, so this is what ``ttk run`` pays before
+it reads its file."""
 
 import dataclasses
+import json
 import os
 import pathlib
 import subprocess
@@ -127,17 +129,41 @@ def test_record_defaults_and_methods():
 
 def test_only_the_suite_reports_are_dataclasses():
     # the mutable suite rows and reports stay dataclasses; the node base
-    # raises the standard frozen-instance error
+    # raises its own ``syntax.FrozenInstanceError``, so that ``ttk run``
+    # does not load ``dataclasses`` and the ``inspect`` it imports
     found = [f"{path.name}: {line.strip()}"
              for path in sorted(SRC.glob("*.py")) if path.name != "suites.py"
              for line in path.read_text(encoding="utf-8").splitlines()
              if "dataclass" in line]
-    assert found == ["syntax.py: from dataclasses import FrozenInstanceError"]
+    assert found == []
+
+
+# What ``ttk run`` never uses: OpenSSL's ``hashlib``, the argument parser
+# and its ``gettext``, the suites, and ``dataclasses`` with its ``inspect``.
+NOT_ON_THE_RUN_PATH = ("hashlib", "argparse", "gettext", "ttk.suites",
+                       "dataclasses", "inspect")
+
+_RUN_THEN_SELFTEST = """\
+import contextlib, io, json, sys
+import ttk.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    run = ttk.cli.main(["run", sys.argv[1]])
+    loaded = [name for name in sys.argv[2:] if name in sys.modules]
+    selftest = ttk.cli.main(["selftest", "--suite", "canon", "--count", "1"])
+print(json.dumps([run, loaded, selftest]))
+"""
 
 
 def test_ttk_run_does_not_import_hashlib():
+    demo = pathlib.Path(__file__).resolve().parent.parent / "demo"
     done = subprocess.run(
-        [sys.executable, "-c",
-         'import sys, ttk.cli; sys.exit("hashlib" in sys.modules)'],
-        env=dict(os.environ, PYTHONPATH=str(SRC.parent)), timeout=120)
-    assert done.returncode == 0
+        [sys.executable, "-c", _RUN_THEN_SELFTEST, str(demo / "idfun.tt"),
+         *NOT_ON_THE_RUN_PATH],
+        env=dict(os.environ, PYTHONPATH=str(SRC.parent)), capture_output=True,
+        text=True, timeout=120)
+    assert done.stderr == ""
+    run, loaded, selftest = json.loads(done.stdout)
+    assert run == 0
+    assert loaded == []
+    # the parser and the suites still load when a command needs them
+    assert selftest == 0
