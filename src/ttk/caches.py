@@ -22,14 +22,17 @@ own table (``check_ctx``, ``ctxs_convertible``, ``readback_ne``), nor to
 ``injectivity.build_ctx_iso``, which builds syntax at each step and
 certifies once.  That makes 12 tables.
 
-A closed node takes one key per table, not one per scope.  Each call in
-the checker and the evaluator that passes ``evaluate``, ``infer_ty``,
-``synth_tm`` or ``normalize_ty_in`` a node whose ``reach`` is 0 passes
-the empty environment ``()`` or the empty context ``EMPTY``, spelled at
-the call as ``ctx if x.reach else EMPTY``.  The rule lives at the call,
-not in a wrapper, so it costs no frame.  It is sound because what lies
-beyond a node's reach changes neither its value nor what the checker
-says of it (``tests/test_reach.py``).
+What lies below a closed node is computed once.  ``evaluate``,
+``infer_ty``, ``synth_tm`` and ``normalize_ty_in`` each rebind their
+environment or context to ``()`` or ``EMPTY`` in their own frame when
+the node's ``reach`` is 0, after the table lookup and without a second
+call.  So a closed node met in a new scope costs one miss, and every
+call below it hits the entries that all scopes share.  A caller tests
+``reach`` only to skip work for a closed child: evaluating a
+substitution, slicing or extending an environment, extending a context
+or weakening a type.  The rule is sound because what lies beyond a
+node's reach changes neither its value nor what the checker says of it
+(``tests/test_reach.py``).
 
 Syntax and value nodes are interned in one table that holds them
 strongly (``syntax.node``), so dropping a node frees nothing by itself.

@@ -12,7 +12,7 @@ mis-evaluate; ``reject`` is the boolean result ``False``, never an error.
 
 from __future__ import annotations
 
-from .syntax import Ctx, EMPTY, SubExpr, TmExpr, TyExpr
+from .syntax import Ctx, SubExpr, TmExpr, TyExpr
 from .semantics import eval_sub, evaluate, generic_env, readback_tm
 from .typecheck import (
     check_sub, check_tm, infer_ty, normalize_ty_in, synth_tm, types_convertible,
@@ -32,7 +32,7 @@ def normalize_tm(ctx: Ctx, tm: TmExpr) -> TmExpr:
 
 def normalize_ty(ctx: Ctx, ty: TyExpr) -> TyExpr:
     infer_ty(ctx, ty)
-    return normalize_ty_in(ctx if ty.reach else EMPTY, ty)
+    return normalize_ty_in(ctx, ty)
 
 
 def conv_tm(ctx: Ctx, ty: TyExpr, lhs: TmExpr, rhs: TmExpr) -> bool:

@@ -176,7 +176,7 @@ class InstanceGen:
 
     def tm(self, ctx: Ctx, goal: TyExpr) -> TmExpr:
         self._spend()
-        nf = normalize_ty_in(ctx if goal.reach else EMPTY, goal)
+        nf = normalize_ty_in(ctx, goal)
         opts: list[tuple[int, str]] = []
         variables = _vars_by_type(ctx).get(nf)
         if variables:

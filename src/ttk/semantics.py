@@ -31,18 +31,18 @@ by the arguments.
 
 Closed syntax is evaluated once.  Every syntax node carries its
 ``reach``, the number of trailing environment entries it may read
-(``syntax.node``).  Each call that passes a child node passes ``()`` when
-the child's reach is 0, at the call (``env if x.reach else ()``), so the
-memo lookup already uses the key that every environment shares.  A
-``TmSub`` or ``TySub`` with a closed body skips evaluating its
-substitution: evaluation runs only on checked input, and the checker
-still checks the substitution.  For outside callers, ``evaluate`` also
-rebinds a nonempty environment to ``()`` for a closed node in its own
-frame, without a second call, so a nest of closed levels needs no more
-stack than an open one.  A closed subterm then has one value wherever it
-occurs, and its closures capture the empty environment, so
-``readback_ty`` at one depth reads it back once.  The translations make
-mostly closed terms under binders, which is where this pays.
+(``syntax.node``).  ``evaluate`` rebinds a nonempty environment to ``()``
+for a closed node in its own frame, without a second call, so a nest of
+closed levels needs no more stack than an open one, and every call below
+a closed node hits the entries that all environments share.  A caller
+tests ``reach`` only to skip work: a ``TmSub`` or ``TySub`` with a closed
+body skips evaluating its substitution (evaluation runs only on checked
+input, and the checker still checks the substitution), and ``App`` and
+``apply_closure`` skip slicing or extending the environment.  A closed
+subterm then has one value wherever it occurs, and its closures capture
+the empty environment, so ``readback_ty`` at one depth reads it back
+once.  The translations make mostly closed terms under binders, which is
+where this pays.
 """
 
 from __future__ import annotations
@@ -143,16 +143,14 @@ def evaluate(env: Env, x: TmExpr | TyExpr) -> Val | TyVal:
         tm = x.tm
         return evaluate(eval_sub(env, x.sub) if tm.reach else (), tm)
     if cls is El:
-        code = x.code
-        val = evaluate(env if code.reach else (), code)
+        val = evaluate(env, x.code)
         if type(val) is VCode:
             return val.ty
         if type(val) is VNe and type(val.ty) is Univ:
             return VElNe(val)
         raise InternalStuck(f"decoding non-code value {val!r}")
     if cls is Code:
-        ty = x.ty
-        return vcode(evaluate(env if ty.reach else (), ty))
+        return vcode(evaluate(env, x.ty))
     if cls is Lam:
         return Closure(env, x.body)
     if cls is TySub:
@@ -163,47 +161,29 @@ def evaluate(env: Env, x: TmExpr | TyExpr) -> Val | TyVal:
             raise InternalStuck("variable in empty environment")
         return env[-1]
     if cls is Sigma:
-        dom = x.dom
-        return VSigma(evaluate(env if dom.reach else (), dom),
-                      Closure(env, x.cod))
+        return VSigma(evaluate(env, x.dom), Closure(env, x.cod))
     if cls is Pair:
-        fst, snd = x.fst, x.snd
-        return VPair(evaluate(env if fst.reach else (), fst),
-                     evaluate(env if snd.reach else (), snd))
+        return VPair(evaluate(env, x.fst), evaluate(env, x.snd))
     if cls is Pi:
-        dom = x.dom
-        return VPi(evaluate(env if dom.reach else (), dom),
-                   Closure(env, x.cod))
+        return VPi(evaluate(env, x.dom), Closure(env, x.cod))
     if (cls is Top or cls is Bool or cls is Univ or cls is Tt
             or cls is TrueLit or cls is FalseLit):
         return x
     if cls is IdTy:
-        ty, lhs, rhs = x.ty, x.lhs, x.rhs
-        return VId(evaluate(env if ty.reach else (), ty),
-                   evaluate(env if lhs.reach else (), lhs),
-                   evaluate(env if rhs.reach else (), rhs))
+        return VId(evaluate(env, x.ty), evaluate(env, x.lhs),
+                   evaluate(env, x.rhs))
     if cls is Fst:
-        pair = x.pair
-        return vfst(evaluate(env if pair.reach else (), pair))
+        return vfst(evaluate(env, x.pair))
     if cls is Snd:
-        pair = x.pair
-        return vsnd(evaluate(env if pair.reach else (), pair))
+        return vsnd(evaluate(env, x.pair))
     if cls is Refl:
-        arg = x.arg
-        return VRefl(evaluate(env if arg.reach else (), arg))
+        return VRefl(evaluate(env, x.arg))
     if cls is J:
-        base, eq = x.base, x.eq
-        return vj(Closure(env, x.motive),
-                  evaluate(env if base.reach else (), base),
-                  evaluate(env if eq.reach else (), eq))
+        return vj(Closure(env, x.motive), evaluate(env, x.base),
+                  evaluate(env, x.eq))
     if cls is If:
-        on_true, on_false, scrut = x.on_true, x.on_false, x.scrut
-        return vif(
-            Closure(env, x.motive),
-            evaluate(env if on_true.reach else (), on_true),
-            evaluate(env if on_false.reach else (), on_false),
-            evaluate(env if scrut.reach else (), scrut),
-        )
+        return vif(Closure(env, x.motive), evaluate(env, x.on_true),
+                   evaluate(env, x.on_false), evaluate(env, x.scrut))
     raise InternalStuck(f"unknown term or type {x!r}")
 
 
@@ -217,8 +197,7 @@ def eval_sub(env: Env, sub: SubExpr) -> Env:
     if cls is Eps:
         return ()
     if cls is Ext:
-        tm = sub.tm
-        val = evaluate(env if tm.reach else (), tm)
+        val = evaluate(env, sub.tm)
         return eval_sub(env, sub.sub) + (val,)
     if cls is Wk:
         if not env:

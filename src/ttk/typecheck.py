@@ -11,10 +11,11 @@ pair or equality type, or a universe) of one.
 All checks are pure and deterministic.  Preconditions follow the sort
 structure: ``infer_ty``/``synth_sub``/``synth_tm`` assume their context is
 well-formed (``check_ctx`` establishes this for telescopes built from
-unchecked input).  A closed child (``reach`` 0) is checked in ``EMPTY``:
-each call that passes one passes ``EMPTY`` for its context, and a binder
-whose body is closed does not extend the context for it.  So a closed
-node takes one entry of each table wherever it occurs (``caches``).
+unchecked input).  A closed node (``reach`` 0) is checked in ``EMPTY``:
+``infer_ty``, ``synth_tm`` and ``normalize_ty_in`` rebind their context
+to ``EMPTY`` for one in their own frame, and a binder whose body is
+closed does not extend the context for it.  So the work below a closed
+node is done once, wherever it occurs (``caches``).
 """
 
 from __future__ import annotations
@@ -90,16 +91,21 @@ class VarInEmptyContext(TypeCheckError):
 @memoized
 def normalize_ty_in(ctx: Ctx, ty: TyExpr) -> TyExpr:
     """The normal form of ``ty`` in ``ctx``: the only code that computes
-    one, so conversion and ``force`` share its memo table.  Every caller
-    asks for a closed type in ``EMPTY``, so it takes one entry of the
-    table, not one per context."""
+    one, so conversion and ``force`` share its memo table.  A closed type
+    is normalized in ``EMPTY``: each context that asks for it takes one
+    entry of this table, and the evaluation and readback below it are
+    done once."""
+    try:
+        if ctx is not EMPTY and ty.reach == 0:
+            ctx = EMPTY
+    except AttributeError:  # no syntax: ``evaluate`` raises below
+        pass
     env = generic_env(ctx)
     return readback_ty(len(env), evaluate(env, ty))
 
 
 def types_convertible(ctx: Ctx, a: TyExpr, b: TyExpr) -> bool:
-    return a is b or (normalize_ty_in(ctx if a.reach else EMPTY, a)
-                      is normalize_ty_in(ctx if b.reach else EMPTY, b))
+    return a is b or normalize_ty_in(ctx, a) is normalize_ty_in(ctx, b)
 
 
 def ctxs_convertible(a: Ctx, b: Ctx) -> bool:
@@ -126,7 +132,7 @@ _FORMER_NAMES = {Pi: "a function type", Sigma: "a pair type",
 def force(ctx: Ctx, ty: TyExpr, former: type, expr: object) -> TyExpr:
     """The normal form of ``ty``, which must be a ``former`` node: the one
     way to require a type former.  Otherwise ``expr`` is ill-typed."""
-    nf = normalize_ty_in(ctx if ty.reach else EMPTY, ty)
+    nf = normalize_ty_in(ctx, ty)
     if not isinstance(nf, former):
         raise TypeCheckError(f"expected {_FORMER_NAMES[former]}", expr=expr,
                              actual=nf)
@@ -150,8 +156,7 @@ def check_ctx(ctx: Ctx) -> Level:
     prefix = EMPTY
     for index, entry in enumerate(ctx.entries):
         try:
-            level = max(level, infer_ty(prefix if entry.reach else EMPTY,
-                                        entry))
+            level = max(level, infer_ty(prefix, entry))
         except TypeCheckError as err:
             raise IllFormedEntry(index, entry) from err
         prefix = prefix.extend(entry)
@@ -160,13 +165,17 @@ def check_ctx(ctx: Ctx) -> Level:
 
 @memoized
 def infer_ty(ctx: Ctx, ty: TyExpr) -> Level:
+    try:
+        if ctx is not EMPTY and ty.reach == 0:
+            ctx = EMPTY
+    except AttributeError:  # no syntax: falls through to the error below
+        pass
     cls = type(ty)
     if cls is TySub:
-        cod = synth_sub(ctx, ty.sub)
-        return infer_ty(cod if ty.ty.reach else EMPTY, ty.ty)
+        return infer_ty(synth_sub(ctx, ty.sub), ty.ty)
     if cls is Pi or cls is Sigma:
         dom, cod = ty.dom, ty.cod
-        i = infer_ty(ctx if dom.reach else EMPTY, dom)
+        i = infer_ty(ctx, dom)
         j = infer_ty(ctx.extend(dom) if cod.reach else EMPTY, cod)
         return max(i, j)
     if cls is Top or cls is Bool:
@@ -176,11 +185,9 @@ def infer_ty(ctx: Ctx, ty: TyExpr) -> Level:
             raise TypeCheckError("negative universe level", expr=ty)
         return ty.level + 1
     if cls is El:
-        code = ty.code
-        return force(ctx, synth_tm(ctx if code.reach else EMPTY, code), Univ,
-                     ty).level
+        return force(ctx, synth_tm(ctx, ty.code), Univ, ty).level
     if cls is IdTy:
-        level = infer_ty(ctx if ty.ty.reach else EMPTY, ty.ty)
+        level = infer_ty(ctx, ty.ty)
         check_tm(ctx, ty.lhs, ty.ty)
         check_tm(ctx, ty.rhs, ty.ty)
         return level
@@ -204,10 +211,9 @@ def synth_sub(ctx: Ctx, sub: SubExpr) -> Ctx:
                 raise TypeCheckError(
                     "extension without annotation only over the identity",
                     expr=sub)
-            return cod.extend(synth_tm(ctx if tm.reach else EMPTY, tm))
-        infer_ty(cod if ann.reach else EMPTY, ann)
-        _require_conv(ctx, sub, synth_tm(ctx if tm.reach else EMPTY, tm),
-                      TySub(ann, s))
+            return cod.extend(synth_tm(ctx, tm))
+        infer_ty(cod, ann)
+        _require_conv(ctx, sub, synth_tm(ctx, tm), TySub(ann, s))
         return cod.extend(ann)
     if cls is Wk:
         if len(ctx) == 0:
@@ -218,17 +224,21 @@ def synth_sub(ctx: Ctx, sub: SubExpr) -> Ctx:
 
 @memoized
 def synth_tm(ctx: Ctx, tm: TmExpr) -> TyExpr:
+    try:
+        if ctx is not EMPTY and tm.reach == 0:
+            ctx = EMPTY
+    except AttributeError:  # no syntax: falls through to the error below
+        pass
     cls = type(tm)
     if cls is TmSub:
-        cod, body = synth_sub(ctx, tm.sub), tm.tm
-        return TySub(synth_tm(cod if body.reach else EMPTY, body), tm.sub)
+        return TySub(synth_tm(synth_sub(ctx, tm.sub), tm.tm), tm.sub)
     if cls is Var0:
         if len(ctx) == 0:
             raise VarInEmptyContext()
         return TySub(ctx.last, Wk())
     if cls is Lam:
         dom, body = tm.dom, tm.body
-        infer_ty(ctx if dom.reach else EMPTY, dom)
+        infer_ty(ctx, dom)
         body_ty = synth_tm(ctx.extend(dom) if body.reach else EMPTY, body)
         return Pi(dom, body_ty)
     if cls is App:
@@ -236,31 +246,27 @@ def synth_tm(ctx: Ctx, tm: TmExpr) -> TyExpr:
             raise TypeCheckError(
                 "un-application requires a nonempty context", expr=tm)
         tail = ctx.pop()
-        fn = tm.fn
-        pi = force(tail, synth_tm(tail if fn.reach else EMPTY, fn), Pi, tm)
+        pi = force(tail, synth_tm(tail, tm.fn), Pi, tm)
         _require_conv(tail, tm, ctx.last, pi.dom)
         return pi.cod
     if cls is Pair:
         fst_ty, snd_ty, a, b = tm.fst_ty, tm.snd_ty, tm.fst, tm.snd
-        infer_ty(ctx if fst_ty.reach else EMPTY, fst_ty)
+        infer_ty(ctx, fst_ty)
         infer_ty(ctx.extend(fst_ty) if snd_ty.reach else EMPTY, snd_ty)
         check_tm(ctx, a, fst_ty)
         b_expected = TySub(snd_ty, Ext(IdSub(), fst_ty, a))
         check_tm(ctx, b, b_expected)
         return Sigma(fst_ty, snd_ty)
     if cls is Fst:
-        pair = tm.pair
-        return force(ctx, synth_tm(ctx if pair.reach else EMPTY, pair), Sigma,
-                     tm).dom
+        return force(ctx, synth_tm(ctx, tm.pair), Sigma, tm).dom
     if cls is Snd:
         pair = tm.pair
-        sigma = force(ctx, synth_tm(ctx if pair.reach else EMPTY, pair), Sigma,
-                      tm)
+        sigma = force(ctx, synth_tm(ctx, pair), Sigma, tm)
         return TySub(sigma.cod, Ext(IdSub(), sigma.dom, Fst(pair)))
     if cls is Tt:
         return Top()
     if cls is Code:
-        return Univ(infer_ty(ctx if tm.ty.reach else EMPTY, tm.ty))
+        return Univ(infer_ty(ctx, tm.ty))
     if cls is TrueLit or cls is FalseLit:
         return Bool()
     if cls is If:
@@ -274,11 +280,10 @@ def synth_tm(ctx: Ctx, tm: TmExpr) -> TyExpr:
         return TySub(motive, Ext(IdSub(), Bool(), scrut))
     if cls is Refl:
         arg = tm.arg
-        arg_ty = synth_tm(ctx if arg.reach else EMPTY, arg)
-        return IdTy(arg_ty, arg, arg)
+        return IdTy(synth_tm(ctx, arg), arg, arg)
     if cls is J:
         motive, base, eq = tm.motive, tm.base, tm.eq
-        eq_ty = force(ctx, synth_tm(ctx if eq.reach else EMPTY, eq), IdTy, tm)
+        eq_ty = force(ctx, synth_tm(ctx, eq), IdTy, tm)
         dom, lhs, rhs = eq_ty.ty, eq_ty.lhs, eq_ty.rhs
         eq_entry = j_binder(dom, lhs)
         infer_ty(ctx.extend(dom).extend(eq_entry) if motive.reach else EMPTY,
@@ -339,7 +344,7 @@ def translate_checked(translation: str, ctx: Ctx, entity,
 
 def check_tm(ctx: Ctx, tm: TmExpr, ty: TyExpr) -> None:
     """Check ``tm`` against ``ty`` (which must itself be well-formed)."""
-    _require_conv(ctx, tm, synth_tm(ctx if tm.reach else EMPTY, tm), ty)
+    _require_conv(ctx, tm, synth_tm(ctx, tm), ty)
 
 
 def check_sub(ctx: Ctx, sub: SubExpr, cod: Ctx) -> None:

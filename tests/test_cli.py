@@ -280,6 +280,16 @@ def test_too_deep_input_is_a_limit_error(capsys, tmp_path, text):
     assert lines[0].startswith("limit error: ")
 
 
+def test_a_long_context_is_accepted(capsys, tmp_path):
+    # ``generic_env`` builds a 1000-entry context's environment in one
+    # loop; one frame per prefix would run into CPython 3.12's C recursion
+    # limit, which ``sys.setrecursionlimit`` does not raise
+    code, lines = _run_text(capsys, tmp_path,
+                            "(nf (ctx" + " (bool)" * 1000 + ") (q))")
+    assert code == 0
+    assert lines == ["nf: (q)", "RESULT: accept"]
+
+
 @pytest.mark.parametrize("text", [
     "(check-ty (ctx) (u ²))",
     "(check-tm (ctx (bool)) (v ¹))",

@@ -19,11 +19,13 @@ from ttk.semantics import (
     vif, vj, vsnd,
 )
 from ttk.syntax import (
-    EMPTY, Bool, Code, Comp, Fst, IdSub, Pi, Top, TrueLit, Tt, Univ, Var0,
-    Wk,
+    EMPTY, Bool, Code, Comp, Ctx, Fst, IdSub, Pi, Top, TrueLit, Tt, Univ,
+    Var0, Wk,
 )
 from ttk.termify import termify
-from ttk.typecheck import TypeCheckError, infer_ty, synth_sub, synth_tm
+from ttk.typecheck import (
+    TypeCheckError, infer_ty, normalize_ty_in, synth_sub, synth_tm,
+)
 from ttk.values import Closure, InternalStuck, NVar, VNe
 
 # A node of another sort, by the sort a checker takes.
@@ -68,10 +70,12 @@ def test_checkers_and_translations_reject_a_foreign_object(foreign, fn, sort):
         arg = holder(x)
     else:
         x = arg = object()
-    with pytest.raises(TypeCheckError) as err:
-        fn(EMPTY, arg)
-    assert err.value.message == MESSAGES[None if fold else sort]
-    assert err.value.expr is x
+    # a checker in a nonempty context first reads the argument's ``reach``
+    for ctx in [EMPTY] if fold else [EMPTY, Ctx.of(Bool())]:
+        with pytest.raises(TypeCheckError) as err:
+            fn(ctx, arg)
+        assert err.value.message == MESSAGES[None if fold else sort]
+        assert err.value.expr is x
 
 
 def test_a_negative_universe_level_is_rejected():
@@ -93,10 +97,10 @@ MOTIVE = Closure((), Bool())
 # wrong kinds are a substitution and a value; its rows keep the names
 # ``eval_tm`` and ``eval_ty`` of the term and the type evaluator that it
 # joins into one fold.  The evaluators are called
-# in an empty and in a nonempty environment: in a nonempty one they first
-# read the argument's ``reach``, which is a pair for a substitution, also
-# a closed one such as ``IdSub()``, and which a value and an object that
-# is no syntax lack.
+# in an empty and in a nonempty environment, and ``normalize_ty_in`` in a
+# nonempty context: there they first read the argument's ``reach``, which
+# is a pair for a substitution, also a closed one such as ``IdSub()``, and
+# which a value and an object that is no syntax lack.
 STUCK = {
     "eval_tm": (lambda x: evaluate((), x), IdSub()),
     "eval_tm-in-env": (lambda x: evaluate((Tt(),), x), Wk()),
@@ -105,6 +109,8 @@ STUCK = {
     "eval_ty-closed-in-env": (lambda x: evaluate((Tt(),), x), IdSub()),
     "eval_sub": (lambda x: eval_sub((), x), Top()),
     "eval_sub-in-env": (lambda x: eval_sub((Tt(),), x), Top()),
+    "normalize_ty_in-in-ctx": (lambda x: normalize_ty_in(Ctx.of(Bool()), x),
+                               NE_BOOL),
     "readback_tm": (lambda x: readback_tm(0, Tt(), x), Pi(Bool(), Bool())),
     "readback_tm-at-bool": (lambda x: readback_tm(0, x, Bool()), Tt()),
     "readback_ty": (lambda x: readback_ty(0, x), Tt()),

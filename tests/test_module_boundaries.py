@@ -1,7 +1,7 @@
 """No module of ``ttk`` imports a private name from a sibling module: a
 helper that two modules share is public in the module that defines it.
-Only the grammar matches on sort names, and no module matches on class
-patterns."""
+Only the grammar matches on sort names, no module matches on class
+patterns, and no call picks the scope it passes by a node's ``reach``."""
 
 import ast
 import pathlib
@@ -78,3 +78,26 @@ def test_node_classes_are_final():
              if isinstance(cls, type) and "_interned" in vars(cls)}
     assert len(nodes) == 43
     assert [cls for cls in nodes if cls.__subclasses__()] == []
+
+
+# A judgement rebinds a closed node's scope itself (see ``ttk.caches``),
+# so no call picks the scope it passes by the node's ``reach``.  A
+# conditional on ``x.reach`` stays only where it skips building something:
+# a substitution's environment, a slice, a concatenation or an extended
+# context.  One whose true branch is a bare name builds nothing; it only
+# chooses between a scope the caller already has and the empty one.
+def _key_only_reach_tests(source, name):
+    return [f"{name}:{node.lineno}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.IfExp)
+            and isinstance(node.test, ast.Attribute)
+            and node.test.attr == "reach" and isinstance(node.body, ast.Name)]
+
+
+def test_no_conditional_picks_a_scope_by_reach():
+    assert _key_only_reach_tests(
+        "evaluate(env if x.reach else (), x)\n"
+        "evaluate(env[:-1] if x.reach else (), x)\n"
+        "infer_ty(ctx.extend(a) if b.reach else EMPTY, b)\n", "t") == ["t:1"]
+    found = [hit for path in SOURCES for hit in _key_only_reach_tests(
+        path.read_text(encoding="utf-8"), path.name)]
+    assert found == []

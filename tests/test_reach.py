@@ -4,13 +4,13 @@ Every syntax node's constructor fills ``reach``: the number of trailing
 context entries the node may read, 0 for a closed node.  A substitution's
 ``reach`` is a pair ``(c, d)``: to supply the last ``n`` entries of its
 codomain it reads the last ``max(c, n + d)`` entries of its domain.
-The checker and the evaluator pass a closed child the empty context or
-environment at the call, so its memo entry is shared by every scope it
-occurs in.  These tests pin the rule of each constructor, check that the
-rules are sound (what lies beyond a node's reach changes neither its
-readback nor what the checker says of it), count the memo entries a
-closed node takes, and check that the rebinding costs no frame per nested
-closed level.
+``evaluate``, ``infer_ty``, ``synth_tm`` and ``normalize_ty_in`` rebind
+a closed node's scope to the empty environment or context themselves, so
+the work below a closed node is shared by every scope it occurs in.
+These tests pin the rule of each constructor, check that the rules are
+sound (what lies beyond a node's reach changes neither its readback nor
+what the checker says of it), count the memo entries a closed node takes,
+and check that the rebinding costs no frame per nested closed level.
 """
 
 import contextlib
@@ -35,7 +35,8 @@ from ttk.syntax import (
     Tt, TmExpr, TmSub, TyExpr, TySub, Univ, Var0, Wk, apply1, v, wk,
 )
 from ttk.typecheck import (
-    TypeCheckError, force, infer_ty, synth_tm, types_convertible,
+    TypeCheckError, force, infer_ty, normalize_ty_in, synth_tm,
+    types_convertible,
 )
 from ttk.values import fresh
 
@@ -253,39 +254,64 @@ def test_the_checker_says_the_same_of_closed_syntax_in_every_scope():
     assert min(seen.values()) >= 50, seen
 
 
+def _misses(name):
+    return caches.stats()[name]["misses"]
+
+
+def _total_misses():
+    return sum(table["misses"] for table in caches.stats().values())
+
+
 def test_closed_terms_share_one_value():
+    # each judgement rebinds a closed node's scope itself, so a call in a
+    # nonempty scope, as ``conversion``, ``generate`` and outside callers
+    # make, gives the result of the call in the empty one, and only the
+    # call itself misses: everything below it hits the shared entries
     lam = Lam(Bool(), Var0())
     redex = apply1(lam, TrueLit())
     pi = Pi(Bool(), TySub(Bool(), Wk()))
     env = generic_env(THREE)
-    assert evaluate(env, lam) is evaluate((), lam)
-    assert evaluate(env, redex) is evaluate((), redex)
-    assert evaluate(env, pi) is evaluate((), pi)
+    for judge, scope, empty, x in (
+            (evaluate, env, (), lam), (evaluate, env, (), redex),
+            (evaluate, env, (), pi), (infer_ty, THREE, EMPTY, pi),
+            (synth_tm, THREE, EMPTY, lam), (synth_tm, THREE, EMPTY, redex),
+            (normalize_ty_in, THREE, EMPTY, pi)):
+        caches.clear_all()
+        expected = judge(empty, x)
+        before = _total_misses()
+        assert judge(scope, x) == expected, (judge.__name__, x)
+        assert _total_misses() == before + 1, (judge.__name__, x)
+    caches.clear_all()
 
 
 def test_a_closed_type_takes_one_normal_form_entry():
-    # conversion and ``force`` look a closed type up in ``EMPTY``, so its
-    # normal form is computed once, however many contexts ask for it
+    # conversion and ``force`` ask for a closed type's normal form in many
+    # contexts, and ``normalize_ty_in`` computes it in ``EMPTY``: so it is
+    # computed once, ``evaluate`` and ``readback_ty`` miss in the first
+    # context only, and each (context, type) takes at most one entry of
+    # ``normalize_ty_in``'s own table
+    tables = ("ttk.typecheck.normalize_ty_in", "ttk.semantics.evaluate",
+              "ttk.semantics.readback_ty")
+
     def misses():
-        return caches.stats()["ttk.typecheck.normalize_ty_in"]["misses"]
+        return [_misses(name) for name in tables]
 
     caches.clear_all()
     closed = Pi(Bool(), TySub(El(Code(Bool())), Wk()))
     other = Pi(El(Code(Bool())), TySub(Bool(), Wk()))
     assert closed.reach == 0 and other.reach == 0
-    before = misses()
-    after = []
-    for ctx in (BOOL, THREE, Ctx.of(Univ(0))):
+    added = []
+    for ctx in (BOOL, THREE, Ctx.of(Univ(0)), BOOL):
+        before = misses()
         assert types_convertible(ctx, closed, other)
-        after.append(misses())
-    assert after == [before + 2] * 3, (before, after)
+        added.append([a - b for a, b in zip(misses(), before)])
+    first, *rest = added
+    assert first[0] == 2 and min(first[1:]) > 0, first
+    assert rest == [[2, 0, 0], [2, 0, 0], [0, 0, 0]], rest
+    before = misses()
     assert force(THREE.extend(Bool()), closed, Pi, closed) is Pi(Bool(), Bool())
-    assert misses() == before + 2
+    assert [a - b for a, b in zip(misses(), before)] == [1, 0, 0]
     caches.clear_all()
-
-
-def _misses(name):
-    return caches.stats()[name]["misses"]
 
 
 def test_a_closed_child_takes_one_checker_entry():
