@@ -11,6 +11,12 @@ terminal-context and extension laws, and beta/eta/substitution laws for
 each type former.  ``tt_sub`` is stated even though the unit eta law
 subsumes it; downstream suites run all schemas, so any canonical sublist
 is covered as well.
+
+A schema draws inhabited what it goes on to inhabit: a type it draws a
+term of, and a context it draws a substitution into
+(``generate.InstanceGen.draw_inhabited_ty`` and ``draw_inhabited_ctx``).
+Everything else is drawn free.  So a draw runs out only of fuel, never at
+a goal with no way in.
 """
 
 from __future__ import annotations
@@ -60,21 +66,26 @@ def build_instance(name: str, gen: InstanceGen) -> EqInstance:
 
 # -- shared draws ------------------------------------------------------------
 
-def _sub_between(g: InstanceGen) -> tuple[Ctx, Ctx, SubExpr]:
-    dom = g.draw_ctx()
-    cod = g.draw_ctx()
+def _sub_between(g: InstanceGen,
+                 dom: Ctx | None = None) -> tuple[Ctx, Ctx, SubExpr]:
+    """A domain, drawn free unless given, an inhabited codomain and a
+    substitution between them."""
+    dom = g.draw_ctx() if dom is None else dom
+    cod = g.draw_inhabited_ctx()
     return dom, cod, g.draw_sub(dom, cod)
 
 
 def _ty_and_sub(g: InstanceGen) -> tuple[Ctx, Ctx, SubExpr, TyExpr]:
     dom, cod, sub = _sub_between(g)
-    return dom, cod, sub, g.draw_ty(cod)
+    return dom, cod, sub, g.draw_inhabited_ty(cod)
 
 
-def _binder_data(g: InstanceGen) -> tuple[Ctx, TyExpr, TyExpr]:
+def _binder_data(g: InstanceGen, draw_dom) -> tuple[Ctx, TyExpr, TyExpr]:
+    """A context, a domain drawn by ``draw_dom`` and an inhabited
+    codomain over it."""
     ctx = g.draw_ctx()
-    dom = g.draw_ty(ctx)
-    cod = g.draw_ty(ctx.extend(dom))
+    dom = draw_dom(ctx)
+    cod = g.draw_inhabited_ty(ctx.extend(dom))
     return ctx, dom, cod
 
 
@@ -86,9 +97,9 @@ def _at_point(dom: TyExpr, eq_entry: TyExpr, point: TmExpr, eq: TmExpr) -> SubEx
 
 @schema("comp_assoc")
 def _(g):
-    c3 = g.draw_ctx()
-    c2 = g.draw_ctx()
-    c1 = g.draw_ctx()
+    c3 = g.draw_inhabited_ctx()
+    c2 = g.draw_inhabited_ctx()
+    c1 = g.draw_inhabited_ctx()
     c0 = g.draw_ctx()
     outer = g.draw_sub(c2, c3)
     mid = g.draw_sub(c1, c2)
@@ -121,7 +132,7 @@ def _(g):
 
 @schema("ty_sub_comp")
 def _(g):
-    mid, cod, outer = _sub_between(g)
+    mid, cod, outer = _sub_between(g, g.draw_inhabited_ctx())
     dom = g.draw_ctx()
     inner = g.draw_sub(dom, mid)
     ty = g.draw_ty(cod)
@@ -133,17 +144,17 @@ def _(g):
 @schema("tm_sub_id")
 def _(g):
     ctx = g.draw_ctx()
-    ty = g.draw_ty(ctx)
+    ty = g.draw_inhabited_ty(ctx)
     tm = g.draw_tm(ctx, ty)
     return EqInstance(ctx, ty, TmSub(tm, IdSub()), tm)
 
 
 @schema("tm_sub_comp")
 def _(g):
-    mid, cod, outer = _sub_between(g)
+    mid, cod, outer = _sub_between(g, g.draw_inhabited_ctx())
     dom = g.draw_ctx()
     inner = g.draw_sub(dom, mid)
-    ty = g.draw_ty(cod)
+    ty = g.draw_inhabited_ty(cod)
     tm = g.draw_tm(cod, ty)
     classifier = TySub(ty, Comp(outer, inner))
     return EqInstance(dom, classifier,
@@ -184,8 +195,8 @@ def _(g):
 
 @schema("ext_comp")
 def _(g):
-    mid, cod, outer = _sub_between(g)
-    ty = g.draw_ty(cod)
+    mid, cod, outer = _sub_between(g, g.draw_inhabited_ctx())
+    ty = g.draw_inhabited_ty(cod)
     tm = g.draw_tm(mid, TySub(ty, outer))
     dom = g.draw_ctx()
     inner = g.draw_sub(dom, mid)
@@ -198,14 +209,14 @@ def _(g):
 
 @schema("pi_beta")
 def _(g):
-    ctx, dom, cod = _binder_data(g)
+    ctx, dom, cod = _binder_data(g, g.draw_ty)
     body = g.draw_tm(ctx.extend(dom), cod)
     return EqInstance(ctx.extend(dom), cod, App(Lam(dom, body)), body)
 
 
 @schema("pi_eta")
 def _(g):
-    ctx, dom, cod = _binder_data(g)
+    ctx, dom, cod = _binder_data(g, g.draw_ty)
     fn = g.draw_tm(ctx, Pi(dom, cod))
     return EqInstance(ctx, Pi(dom, cod), Lam(dom, App(fn)), fn)
 
@@ -224,7 +235,7 @@ def _(g):
 def _(g):
     dom_ctx, cod_ctx, sub = _sub_between(g)
     a = g.draw_ty(cod_ctx)
-    b = g.draw_ty(cod_ctx.extend(a))
+    b = g.draw_inhabited_ty(cod_ctx.extend(a))
     body = g.draw_tm(cod_ctx.extend(a), b)
     return EqInstance(dom_ctx, TySub(Pi(a, b), sub),
                       TmSub(Lam(a, body), sub),
@@ -235,7 +246,7 @@ def _(g):
 
 @schema("sigma_beta1")
 def _(g):
-    ctx, dom, cod = _binder_data(g)
+    ctx, dom, cod = _binder_data(g, g.draw_inhabited_ty)
     a = g.draw_tm(ctx, dom)
     b = g.draw_tm(ctx, TySub(cod, Ext(IdSub(), dom, a)))
     return EqInstance(ctx, dom, Fst(Pair(dom, cod, a, b)), a)
@@ -243,7 +254,7 @@ def _(g):
 
 @schema("sigma_beta2")
 def _(g):
-    ctx, dom, cod = _binder_data(g)
+    ctx, dom, cod = _binder_data(g, g.draw_inhabited_ty)
     a = g.draw_tm(ctx, dom)
     at_a = TySub(cod, Ext(IdSub(), dom, a))
     b = g.draw_tm(ctx, at_a)
@@ -252,7 +263,7 @@ def _(g):
 
 @schema("sigma_eta")
 def _(g):
-    ctx, dom, cod = _binder_data(g)
+    ctx, dom, cod = _binder_data(g, g.draw_inhabited_ty)
     p = g.draw_tm(ctx, Sigma(dom, cod))
     return EqInstance(ctx, Sigma(dom, cod), Pair(dom, cod, Fst(p), Snd(p)), p)
 
@@ -270,8 +281,8 @@ def _(g):
 @schema("pair_sub")
 def _(g):
     dom_ctx, cod_ctx, sub = _sub_between(g)
-    a = g.draw_ty(cod_ctx)
-    b = g.draw_ty(cod_ctx.extend(a))
+    a = g.draw_inhabited_ty(cod_ctx)
+    b = g.draw_inhabited_ty(cod_ctx.extend(a))
     u = g.draw_tm(cod_ctx, a)
     w = g.draw_tm(cod_ctx, TySub(b, Ext(IdSub(), a, u)))
     return EqInstance(dom_ctx, TySub(Sigma(a, b), sub),
@@ -337,7 +348,7 @@ def _(g):
 
 def _bool_branch_data(g):
     ctx = g.draw_ctx()
-    motive = g.draw_ty(ctx.extend(Bool()))
+    motive = g.draw_inhabited_ty(ctx.extend(Bool()))
     on_true = g.draw_tm(ctx, TySub(motive, Ext(IdSub(), Bool(), TrueLit())))
     on_false = g.draw_tm(ctx, TySub(motive, Ext(IdSub(), Bool(), FalseLit())))
     return ctx, motive, on_true, on_false
@@ -378,7 +389,7 @@ def _(g):
 @schema("if_sub")
 def _(g):
     dom_ctx, cod_ctx, sub = _sub_between(g)
-    motive = g.draw_ty(cod_ctx.extend(Bool()))
+    motive = g.draw_inhabited_ty(cod_ctx.extend(Bool()))
     on_true = g.draw_tm(cod_ctx, TySub(motive, Ext(IdSub(), Bool(), TrueLit())))
     on_false = g.draw_tm(cod_ctx, TySub(motive, Ext(IdSub(), Bool(), FalseLit())))
     scrut = g.draw_tm(cod_ctx, Bool())
@@ -395,10 +406,10 @@ def _(g):
 @schema("id_beta")
 def _(g):
     ctx = g.draw_ctx()
-    dom = g.draw_ty(ctx)
+    dom = g.draw_inhabited_ty(ctx)
     base_pt = g.draw_tm(ctx, dom)
     eq_entry = j_binder(dom, base_pt)
-    motive = g.draw_ty(ctx.extend(dom).extend(eq_entry))
+    motive = g.draw_inhabited_ty(ctx.extend(dom).extend(eq_entry))
     at_refl = _at_point(dom, eq_entry, base_pt, Refl(base_pt))
     base = g.draw_tm(ctx, TySub(motive, at_refl))
     return EqInstance(ctx, TySub(motive, at_refl),
@@ -408,7 +419,7 @@ def _(g):
 @schema("id_ty_sub")
 def _(g):
     dom_ctx, cod_ctx, sub = _sub_between(g)
-    a = g.draw_ty(cod_ctx)
+    a = g.draw_inhabited_ty(cod_ctx)
     lhs_pt = g.draw_tm(cod_ctx, a)
     rhs_pt = g.draw_tm(cod_ctx, a)
     return EqInstance(dom_ctx, None,
@@ -419,7 +430,7 @@ def _(g):
 @schema("refl_sub")
 def _(g):
     dom_ctx, cod_ctx, sub = _sub_between(g)
-    a = g.draw_ty(cod_ctx)
+    a = g.draw_inhabited_ty(cod_ctx)
     pt = g.draw_tm(cod_ctx, a)
     return EqInstance(dom_ctx, TySub(IdTy(a, pt, pt), sub),
                       TmSub(Refl(pt), sub), Refl(TmSub(pt, sub)))
@@ -427,10 +438,11 @@ def _(g):
 
 @schema("j_sub")
 def _(g):
-    cod_base = g.draw_ctx()
-    dom0 = g.draw_ty(cod_base)
+    cod_base = g.draw_inhabited_ctx()
+    dom0 = g.draw_inhabited_ty(cod_base)
     pt = g.draw_tm(cod_base, dom0)
-    if g.rng.random() < 0.5:
+    neutral = g.rng.random() < 0.5
+    if neutral:
         # equation with a neutral scrutinee: bind it in the codomain context
         other = g.draw_tm(cod_base, dom0)
         cod_ctx = cod_base.extend(IdTy(dom0, pt, other))
@@ -442,10 +454,13 @@ def _(g):
         lhs_pt = rhs_pt = pt
         eq = g.draw_tm(cod_ctx, IdTy(dom, pt, pt))
     eq_entry = j_binder(dom, lhs_pt)
-    motive = g.draw_ty(cod_ctx.extend(dom).extend(eq_entry))
+    motive = g.draw_inhabited_ty(cod_ctx.extend(dom).extend(eq_entry))
     at_refl = _at_point(dom, eq_entry, lhs_pt, Refl(lhs_pt))
     base = g.draw_tm(cod_ctx, TySub(motive, at_refl))
-    dom_ctx = g.draw_ctx()
+    # the scrutinee's entry is inhabited only by a variable: a domain that
+    # extends the codomain holds one
+    dom_ctx = (cod_ctx.extend(g.draw_ty(cod_ctx)) if neutral
+               else g.draw_ctx())
     sub = g.draw_sub(dom_ctx, cod_ctx)
     classifier = TySub(
         TySub(motive, _at_point(dom, eq_entry, rhs_pt, eq)), sub)

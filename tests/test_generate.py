@@ -3,7 +3,9 @@ import hashlib
 import pytest
 
 from ttk import caches
-from ttk.syntax import ALL_CONSTRUCTORS, Bool, EMPTY, TySub, walk_constructors, wk
+from ttk.syntax import (
+    ALL_CONSTRUCTORS, Bool, EMPTY, IdTy, TySub, walk_constructors, wk,
+)
 from ttk.generate import (
     GenConfig, GenExhausted, InstanceGen, _vars_by_type, derive_seed,
 )
@@ -12,7 +14,7 @@ from ttk.typecheck import (
     types_convertible,
 )
 from ttk.equations import SCHEMA_NAMES, build_instance, check_instance
-from ttk.suites import _dump_instance
+from ttk.suites import RETRIES, _draw, _dump_instance
 from ttk.surface import read_sexpr
 
 
@@ -117,6 +119,56 @@ def test_each_schema_yields_accepted_instances(name):
         accepted += 1
 
 
+@pytest.mark.parametrize("max_nodes", [12, 8])
+def test_draws_do_not_run_out(max_nodes):
+    # every draw attempt of 20 seeds x 38 schemas, retried as the suites
+    # retry; an attempt runs out only at fuel, never at a goal with no way in
+    attempts = exhausted = 0
+    for seed in range(20):
+        for name in SCHEMA_NAMES:
+            with caches.case_scope():
+                for attempt in range(RETRIES):
+                    cfg = GenConfig(seed=derive_seed(seed, "yield", name, attempt),
+                                    max_nodes=max_nodes)
+                    attempts += 1
+                    try:
+                        build_instance(name, InstanceGen(cfg))
+                        break
+                    except GenExhausted:
+                        exhausted += 1
+    assert attempts - exhausted >= 0.95 * attempts, (exhausted, attempts)
+
+
+def test_the_stream_keeps_every_construct():
+    # the acceptance-size equation stream (seed 1, max_nodes 12) still holds
+    # every constructor, and the type that ``ty_sub_id`` draws free still
+    # comes as an El and as an identity type whose endpoints differ after
+    # normalization: inhabited draws do not buy their yield by dropping what
+    # nothing inhabits
+    found: set[str] = set()
+    holds_el = distinct_endpoints = False
+    for case in range(100):
+        for name in SCHEMA_NAMES:
+            with caches.case_scope():
+                inst = _draw((1, name, case),
+                             lambda g: build_instance(name, g), 12, 2)
+                for part in (inst.ctx, inst.classifier, inst.lhs, inst.rhs):
+                    if part is not None:
+                        walk_constructors(part, found)
+                if name == "ty_sub_id":
+                    drawn: set[str] = set()
+                    walk_constructors(inst.rhs, drawn)
+                    holds_el = holds_el or "El" in drawn
+                    nf = normalize_ty_in(inst.ctx, inst.rhs)
+                    distinct_endpoints = distinct_endpoints or (
+                        type(nf) is IdTy and nf.lhs is not nf.rhs)
+        if holds_el and distinct_endpoints and found == set(ALL_CONSTRUCTORS):
+            return
+    missing = sorted(set(ALL_CONSTRUCTORS) - found)
+    raise AssertionError(f"El: {holds_el}, distinct endpoints: "
+                         f"{distinct_endpoints}, missing: {missing}")
+
+
 def _unfolded(s) -> str:
     """The text of a read s-expression with every ``#k#`` written out."""
     if s.head is None:
@@ -151,7 +203,7 @@ def test_seeds_keep_their_instances():
     # md5 of the printed equation instances of 10 seeds x 38 schemas.  A
     # changed digest means every seed of every suite now names different
     # instances, and suite results on old seeds no longer compare.
-    pinned = "bca457bab781c15244b4ee0639bb00ed"
+    pinned = "791ae46dfdf4d2da86ffc06bc901fc5e"
     assert _stream_digest(10) == pinned
     assert _stream_digest(10) == pinned  # with the memo tables now warm
     caches.clear_all()
