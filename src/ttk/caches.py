@@ -32,7 +32,9 @@ call below it hits the entries that all scopes share.  A caller tests
 substitution, slicing or extending an environment, extending a context
 or weakening a type.  The rule is sound because what lies beyond a
 node's reach changes neither its value nor what the checker says of it
-(``tests/test_reach.py``).
+(``tests/test_reach.py``).  Readback applies the same rule to values:
+``readback_tm`` and ``readback_ty`` rebind the depth of a value whose
+level reach is 0 to 0, so a closed value is read back once at any depth.
 
 Syntax and value nodes are interned in one table that holds them
 strongly (``syntax.node``), so dropping a node frees nothing by itself.

@@ -93,8 +93,7 @@ def _vars_by_type(ctx: Ctx) -> dict[TyExpr, tuple[int, ...]]:
     goal's normal form is a key exactly when the goal converts to that
     variable's type."""
     table: dict[TyExpr, tuple[int, ...]] = {}
-    for k in range(len(ctx)):
-        entry = ctx.entries[-1 - k]
+    for k, entry in enumerate(reversed(ctx.entries)):
         # a closed entry weakened into ``ctx`` is the entry itself
         nf = (normalize_ty_in(ctx, TySub(entry, wk(k + 1))) if entry.reach
               else normalize_ty_in(EMPTY, entry))

@@ -43,6 +43,15 @@ subterm then has one value wherever it occurs, and its closures capture
 the empty environment, so ``readback_ty`` at one depth reads it back
 once.  The translations make mostly closed terms under binders, which is
 where this pays.
+
+Closed values are read back once.  Every value carries a level reach
+(``ttk.values``), and ``readback_tm`` and ``readback_ty`` rebind the
+depth of a value that holds no variable, and of its type, to 0 in their
+own frame.  Readback turns levels into relative indices, and every
+variable of a closed value's readback is made during that readback, so
+the syntax is the same at every depth.  A closed value met under a new
+binder then costs one miss, and everything below it hits the entries at
+depth 0.
 """
 
 from __future__ import annotations
@@ -212,6 +221,11 @@ def eval_sub(env: Env, sub: SubExpr) -> Env:
 
 @memoized
 def readback_tm(depth: int, val: Val, ty: TyVal) -> TmExpr:
+    try:
+        if depth and val.reach == 0 and ty.reach == 0:
+            depth = 0
+    except AttributeError:  # no value: falls through to the error below
+        pass
     cls, val_cls = type(ty), type(val)
     if cls is VPi:
         x = fresh(depth, ty.dom)
@@ -240,6 +254,11 @@ def readback_tm(depth: int, val: Val, ty: TyVal) -> TmExpr:
 
 @memoized
 def readback_ty(depth: int, ty: TyVal) -> TyExpr:
+    try:
+        if depth and ty.reach == 0:
+            depth = 0
+    except AttributeError:  # no value: falls through to the error below
+        pass
     cls = type(ty)
     if cls is VPi:
         cod_nf = readback_ty(depth + 1, apply_closure(ty.cod, fresh(depth, ty.dom)))

@@ -274,7 +274,7 @@ def _parse(s: SExpr, sort: str, shared: dict):
     if sort == "ctx":
         if s.head != "ctx":
             raise ParseError("expected a context (ctx ...)", s.line, s.col)
-        value = Ctx(tuple([_parse(item, "ty", shared) for item in s.items]))
+        value = Ctx.of(*[_parse(item, "ty", shared) for item in s.items])
     else:
         if s.head is None:
             raise ParseError(f"expected a {_NOUNS[sort]}", s.line, s.col)

@@ -1,10 +1,12 @@
 """Raw syntax for the object theory.
 
 Four mutually defined sorts: contexts (telescopes of types), substitutions,
-types, and terms.  Substitutions are explicit: they are first-class tree
-nodes, not a meta-level operation.  Variables are nameless; the zeroth de
-Bruijn index is the only primitive variable and ``v(n)`` builds the n-th
-index as a weakening spine.
+types, and terms.  A context is a snoc list, its prefix plus its last
+entry, so extending or popping it costs one step whatever its length.
+Substitutions are explicit: they are first-class tree nodes, not a
+meta-level operation.  Variables are nameless; the zeroth de Bruijn index
+is the only primitive variable and ``v(n)`` builds the n-th index as a
+weakening spine.
 
 Binders that are not synthesizable from the bare tree carry annotations:
 ``Lam`` stores its domain, ``Pair`` stores both component families, and the
@@ -16,6 +18,7 @@ recovered from ``t`` during checking).
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from typing import Optional, Union, get_args
 
@@ -60,7 +63,7 @@ def __repr__(self):
 """
 
 
-def node(cls=None, *, reach: Optional[str] = None):
+def node(cls=None, **computed: str):
     """Hash-consed frozen node class (Filliâtre & Conchon, *Type-Safe
     Modular Hash-Consing*, 2006).
 
@@ -83,45 +86,52 @@ def node(cls=None, *, reach: Optional[str] = None):
     slot per field on the shared frozen base ``_Node``, ``__match_args__``
     names the fields, and one ``exec`` generates ``__new__`` with the
     exact field signature, so Python itself checks the arguments and
-    fills defaults, and ``__repr__`` as ``Name(field=value, ...)``.  A hit
-    is one dict lookup; a new node's fields are set through the slot
-    descriptors and the node itself is stored under its key.  A class
-    without fields has one instance, built here, and no table entry.
-    Every node class is built when ttk is imported, so ``node`` does no
-    more than this.
+    fills defaults, and ``__repr__`` as ``Name(field=value, ...)`` unless
+    the class defines its own.  A hit is one dict lookup; a new node's
+    fields are set through the slot descriptors and the node itself is
+    stored under its key.  A class without fields has one instance, built
+    here, and no table entry.  Every node class is built when ttk is
+    imported, so ``node`` does no more than this.
 
-    A syntax class passes ``reach``, an expression over its fields, and the
-    generated constructor also fills a ``reach`` slot with it, once per
-    new node.  A term or type reads at most the last ``reach`` entries of
-    its context, so 0 means closed.  A substitution's ``reach`` is a pair
-    ``(c, d)``: to supply the last ``n`` entries of its codomain it reads
-    the last ``max(c, n + d)`` of its domain, and ``d`` may be ``-inf``.
-    A child's ``reach`` is read from the child, so it costs one
-    expression per node, never a walk.  Values and ``Ctx`` pass none."""
+    Each keyword names a computed slot and gives an expression over the
+    fields; the generated constructor fills the slot with it, once per new
+    node.  A child's slot is read from the child, so it costs one
+    expression per node, never a walk.  Three kinds of slot exist:
+
+    * a syntax class's ``reach``: a term or type reads at most the last
+      ``reach`` entries of its context, so 0 means closed.  A
+      substitution's ``reach`` is a pair ``(c, d)``: to supply the last
+      ``n`` entries of its codomain it reads the last ``max(c, n + d)`` of
+      its domain, and ``d`` may be ``-inf``;
+    * a value class's ``reach`` (``ttk.values``): 1 plus the highest level
+      of a variable the value holds, 0 if it holds none.  ``_reach``, the
+      getter of a ``reach``, lets a closure read its environment's;
+    * ``Ctx``'s ``length``, its number of entries."""
     if cls is None:
-        return lambda cls: node(cls, reach=reach)
+        return lambda cls: node(cls, **computed)
     namespace = dict(cls.__dict__)
     del namespace["__dict__"], namespace["__weakref__"]
     names = tuple(namespace.get("__annotations__", ()))
     defaults = {n: namespace.pop(n) for n in names if n in namespace}
-    namespace["__slots__"] = names if reach is None else names + ("reach",)
+    namespace["__slots__"] = names + tuple(computed)
     namespace["__match_args__"] = names
     name = cls.__name__
+    own_repr = "__repr__" in namespace
     cls = type(name, (_Node,), namespace)
     cls._interned = _INTERNED
+    scope = {"_get": _INTERNED.get, "_interned": _INTERNED,
+             "_new": object.__new__, "_reach": _reach, "inf": math.inf}
     if not names:
         instance = object.__new__(cls)
-        if reach is not None:
-            cls.reach.__set__(instance, eval(reach, {"inf": math.inf}))
+        for slot, expression in computed.items():
+            getattr(cls, slot).__set__(instance, eval(expression, scope))
         cls.__new__ = lambda _cls: instance
         cls.__repr__ = lambda self: f"{name}()"
         return cls
-    scope = {"_get": _INTERNED.get, "_interned": _INTERNED,
-             "_new": object.__new__}
     sets = [f"    _set_{n}(_node, {n})" for n in names]
-    if reach is not None:
-        scope["_set_reach"] = cls.reach.__set__
-        sets.append(f"    _set_reach(_node, {reach})")
+    for slot, expression in computed.items():
+        scope[f"_set_{slot}"] = getattr(cls, slot).__set__
+        sets.append(f"    _set_{slot}(_node, {expression})")
     signature = []
     for n in names:
         scope[f"_set_{n}"] = getattr(cls, n).__set__
@@ -136,10 +146,14 @@ def node(cls=None, *, reach: Optional[str] = None):
         fields=", ".join(f"{n}={{self.{n}!r}}" for n in names))
     exec(compile(source, f"<node {name}>", "exec"), scope)
     cls.__new__ = scope["__new__"]
-    cls.__repr__ = scope["__repr__"]
     cls.__new__.__qualname__ = f"{name}.__new__"
-    cls.__repr__.__qualname__ = f"{name}.__repr__"
+    if not own_repr:
+        cls.__repr__ = scope["__repr__"]
+        cls.__repr__.__qualname__ = f"{name}.__repr__"
     return cls
+
+
+_reach = operator.attrgetter("reach")
 
 
 def sweep() -> None:
@@ -181,7 +195,7 @@ def _unheld_count() -> int:
 _UNHELD = _unheld_count()
 
 
-def _max(*operands: str) -> str:
+def max_expr(*operands: str) -> str:
     """Source of an expression for the largest of ``operands``, for a
     ``reach``: a chain of conditional expressions, cheaper than a call to
     ``max`` (a fifth of its cost on CPython 3.11)."""
@@ -200,7 +214,8 @@ class IdSub:
     """Identity substitution Γ → Γ."""
 
 
-@node(reach="(" + _max("inner.reach[0]", "outer.reach[0] + inner.reach[1]")
+@node(reach="(" + max_expr("inner.reach[0]",
+                           "outer.reach[0] + inner.reach[1]")
       + ", outer.reach[1] + inner.reach[1])")
 class Comp:
     """Composition: ``outer`` after ``inner``."""
@@ -213,8 +228,8 @@ class Eps:
     """The unique substitution into the empty context."""
 
 
-@node(reach="(" + _max("tm.reach", "sub.reach[0]",
-                       "(0 if ann is None else ann.reach) + sub.reach[1]")
+@node(reach="(" + max_expr("tm.reach", "sub.reach[0]",
+                           "(0 if ann is None else ann.reach) + sub.reach[1]")
       + ", sub.reach[1] - 1)")
 class Ext:
     """Extend ``sub : Γ → Δ`` with a term for a new entry ``ann : Ty Δ``.
@@ -239,19 +254,19 @@ SubExpr = Union[IdSub, Comp, Eps, Ext, Wk]
 # Types
 # ---------------------------------------------------------------------------
 
-@node(reach=_max("sub.reach[0]", "ty.reach + sub.reach[1]"))
+@node(reach=max_expr("sub.reach[0]", "ty.reach + sub.reach[1]"))
 class TySub:
     ty: TyExpr
     sub: SubExpr
 
 
-@node(reach=_max("dom.reach", "cod.reach - 1"))
+@node(reach=max_expr("dom.reach", "cod.reach - 1"))
 class Pi:
     dom: TyExpr
     cod: TyExpr  # lives in the context extended with dom
 
 
-@node(reach=_max("dom.reach", "cod.reach - 1"))
+@node(reach=max_expr("dom.reach", "cod.reach - 1"))
 class Sigma:
     dom: TyExpr
     cod: TyExpr  # lives in the context extended with dom
@@ -278,7 +293,7 @@ class Bool:
     pass
 
 
-@node(reach=_max("ty.reach", "lhs.reach", "rhs.reach"))
+@node(reach=max_expr("ty.reach", "lhs.reach", "rhs.reach"))
 class IdTy:
     """Propositional equality over ``ty`` between ``lhs`` and ``rhs``."""
     ty: TyExpr
@@ -293,7 +308,7 @@ TyExpr = Union[TySub, Pi, Sigma, Top, Univ, El, Bool, IdTy]
 # Terms
 # ---------------------------------------------------------------------------
 
-@node(reach=_max("sub.reach[0]", "tm.reach + sub.reach[1]"))
+@node(reach=max_expr("sub.reach[0]", "tm.reach + sub.reach[1]"))
 class TmSub:
     tm: TmExpr
     sub: SubExpr
@@ -304,7 +319,7 @@ class Var0:
     """The zeroth de Bruijn index, typed in a nonempty context."""
 
 
-@node(reach=_max("dom.reach", "body.reach - 1"))
+@node(reach=max_expr("dom.reach", "body.reach - 1"))
 class Lam:
     dom: TyExpr
     body: TmExpr
@@ -318,8 +333,8 @@ class App:
     fn: TmExpr
 
 
-@node(reach=_max("fst_ty.reach", "snd_ty.reach - 1", "fst.reach",
-                 "snd.reach"))
+@node(reach=max_expr("fst_ty.reach", "snd_ty.reach - 1", "fst.reach",
+                     "snd.reach"))
 class Pair:
     fst_ty: TyExpr
     snd_ty: TyExpr  # family over the context extended with fst_ty
@@ -358,8 +373,8 @@ class FalseLit:
     pass
 
 
-@node(reach=_max("motive.reach - 1", "on_true.reach", "on_false.reach",
-                 "scrut.reach"))
+@node(reach=max_expr("motive.reach - 1", "on_true.reach",
+                     "on_false.reach", "scrut.reach"))
 class If:
     """Boolean elimination with explicit motive over the Bool-extended
     context."""
@@ -374,7 +389,7 @@ class Refl:
     arg: TmExpr
 
 
-@node(reach=_max("motive.reach - 2", "base.reach", "eq.reach"))
+@node(reach=max_expr("motive.reach - 2", "base.reach", "eq.reach"))
 class J:
     """Identity elimination; the motive lives two entries above the ambient
     context (the endpoint and the equation)."""
@@ -395,31 +410,55 @@ Expr = Union[SubExpr, TyExpr, TmExpr]
 # Contexts
 # ---------------------------------------------------------------------------
 
-@node
+@node(length="0 if prefix is None else prefix.length + 1")
 class Ctx:
-    """A telescope: entry k is a type over the prefix of length k."""
-    entries: tuple[TyExpr, ...] = ()
+    """A telescope, as a snoc list: ``entry`` is a type over ``prefix``,
+    and the empty telescope ``EMPTY`` has neither.  Every prefix is a node
+    of its own, so growing or shrinking a context by one entry is one
+    intern lookup or one field read, and a context of n entries holds n
+    nodes.  ``length`` counts the entries."""
+    prefix: Optional[Ctx] = None
+    entry: Optional[TyExpr] = None
 
     def extend(self, ty: TyExpr) -> Ctx:
-        return Ctx(self.entries + (ty,))
+        return Ctx(self, ty)
 
     def pop(self) -> Ctx:
-        if not self.entries:
+        prefix = self.prefix
+        if prefix is None:
             raise ValueError("cannot pop the empty context")
-        return Ctx(self.entries[:-1])
+        return prefix
 
     @property
     def last(self) -> TyExpr:
-        if not self.entries:
+        entry = self.entry
+        if entry is None:
             raise ValueError("empty context has no last entry")
-        return self.entries[-1]
+        return entry
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self.length
+
+    @property
+    def entries(self) -> tuple[TyExpr, ...]:
+        """The entries, oldest first: one walk down the prefixes."""
+        out = []
+        ctx = self
+        while ctx.prefix is not None:
+            out.append(ctx.entry)
+            ctx = ctx.prefix
+        out.reverse()
+        return tuple(out)
 
     @staticmethod
     def of(*entries: TyExpr) -> Ctx:
-        return Ctx(tuple(entries))
+        ctx = EMPTY
+        for entry in entries:
+            ctx = Ctx(ctx, entry)
+        return ctx
+
+    def __repr__(self) -> str:
+        return f"Ctx.of({', '.join(map(repr, self.entries))})"
 
 
 EMPTY = Ctx()
@@ -522,7 +561,7 @@ def walk_constructors(x: Union[Expr, Ctx], found: set[str]) -> None:
     visiting each distinct node once, so a shared DAG costs its own size."""
     if isinstance(x, Ctx):
         found.add("CtxEmpty")
-        if x.entries:
+        if len(x):
             found.add("CtxExtend")
         todo = list(x.entries)
     else:

@@ -109,6 +109,8 @@ def types_convertible(ctx: Ctx, a: TyExpr, b: TyExpr) -> bool:
 
 
 def ctxs_convertible(a: Ctx, b: Ctx) -> bool:
+    if a is b:
+        return True
     if len(a) != len(b):
         return False
     prefix = EMPTY

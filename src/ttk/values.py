@@ -18,6 +18,15 @@ value per extra binder.  ``Closure`` is the one closure class: it is the
 value of a λ, whose body is a term, and it suspends the type bodies (Π
 and Σ codomains, the motives of ``if`` and ``J``).
 
+Every value carries a level reach, filled by its constructor as
+``syntax.node`` fills a syntax node's ``reach``: 1 plus the highest level
+of a variable the value holds, or 0 if it holds none.  A leaf's syntax
+``reach`` is 0, which reads the same.  A closure reaches what the
+environment entries its body can read hold: the body reads its binders'
+values after the environment, so at most the last ``body.reach - 1``
+entries.  A value of reach 0 reads back to the same syntax at every
+depth.
+
 Coded types collapse eagerly: evaluating ``El(Code A)`` yields the value of
 ``A``, and a decoded neutral ``VElNe`` holds its code, which is what
 coding it returns, so no value contains a code/decode roundtrip.
@@ -28,7 +37,7 @@ from __future__ import annotations
 from typing import Union
 
 from .syntax import (
-    Bool, FalseLit, TmExpr, Top, TrueLit, Tt, TyExpr, Univ, node,
+    Bool, FalseLit, TmExpr, Top, TrueLit, Tt, TyExpr, Univ, max_expr, node,
 )
 
 Env = tuple["Val", ...]
@@ -41,7 +50,10 @@ class InternalStuck(Exception):
     typechecked input."""
 
 
-@node
+# a body reads its binders' values after ``env``, at least one, so it reads
+# at most the last ``body.reach - 1`` entries of ``env``
+@node(reach="max(map(_reach, env[1 - _r:])) if (_r := body.reach) > 1 and env"
+            " else 0")
 class Closure:
     """Suspended term or type body awaiting one value per extra binder;
     ``J`` motives take two."""
@@ -51,28 +63,29 @@ class Closure:
 
 # -- neutral spines ---------------------------------------------------------
 
-@node
+@node(reach="lvl + 1")
 class NVar:
     lvl: int
 
 
-@node
+@node(reach=max_expr("fn.reach", "arg.reach"))
 class NApp:
     fn: VNe
     arg: Val
 
 
-@node
+@node(reach="pair.reach")
 class NFst:
     pair: VNe
 
 
-@node
+@node(reach="pair.reach")
 class NSnd:
     pair: VNe
 
 
-@node
+@node(reach=max_expr("motive.reach", "on_true.reach", "on_false.reach",
+                    "scrut.reach"))
 class NIf:
     motive: Closure
     on_true: Val
@@ -80,7 +93,7 @@ class NIf:
     scrut: VNe
 
 
-@node
+@node(reach=max_expr("motive.reach", "base.reach", "scrut.reach"))
 class NJ:
     motive: Closure  # two binders: the endpoint and the equation
     base: Val
@@ -92,26 +105,26 @@ Neutral = Union[NVar, NApp, NFst, NSnd, NIf, NJ]
 
 # -- type values ------------------------------------------------------------
 
-@node
+@node(reach=max_expr("dom.reach", "cod.reach"))
 class VPi:
     dom: TyVal
     cod: Closure
 
 
-@node
+@node(reach=max_expr("dom.reach", "cod.reach"))
 class VSigma:
     dom: TyVal
     cod: Closure
 
 
-@node
+@node(reach=max_expr("ty.reach", "lhs.reach", "rhs.reach"))
 class VId:
     ty: TyVal
     lhs: Val
     rhs: Val
 
 
-@node
+@node(reach="code.reach")
 class VElNe:
     """Decoded neutral code: ``code`` is the neutral at its universe."""
     code: VNe
@@ -122,23 +135,23 @@ TyVal = Union[VPi, VSigma, Top, Bool, Univ, VId, VElNe]
 
 # -- term values ------------------------------------------------------------
 
-@node
+@node(reach=max_expr("fst.reach", "snd.reach"))
 class VPair:
     fst: Val
     snd: Val
 
 
-@node
+@node(reach="arg.reach")
 class VRefl:
     arg: Val
 
 
-@node
+@node(reach="ty.reach")
 class VCode:
     ty: TyVal
 
 
-@node
+@node(reach=max_expr("ne.reach", "ty.reach"))
 class VNe:
     ne: Neutral
     ty: TyVal

@@ -100,7 +100,9 @@ MOTIVE = Closure((), Bool())
 # in an empty and in a nonempty environment, and ``normalize_ty_in`` in a
 # nonempty context: there they first read the argument's ``reach``, which
 # is a pair for a substitution, also a closed one such as ``IdSub()``, and
-# which a value and an object that is no syntax lack.
+# which a value and an object that is no syntax lack.  Readback is called
+# at depth 0 and above, where it first reads the level ``reach`` of its
+# arguments, which an object that is no node lacks.
 STUCK = {
     "eval_tm": (lambda x: evaluate((), x), IdSub()),
     "eval_tm-in-env": (lambda x: evaluate((Tt(),), x), Wk()),
@@ -114,6 +116,11 @@ STUCK = {
     "readback_tm": (lambda x: readback_tm(0, Tt(), x), Pi(Bool(), Bool())),
     "readback_tm-at-bool": (lambda x: readback_tm(0, x, Bool()), Tt()),
     "readback_ty": (lambda x: readback_ty(0, x), Tt()),
+    "readback_tm-at-depth": (lambda x: readback_tm(2, Tt(), x),
+                             Pi(Bool(), Bool())),
+    "readback_tm-at-bool-at-depth": (lambda x: readback_tm(2, x, Bool()),
+                                     Tt()),
+    "readback_ty-at-depth": (lambda x: readback_ty(2, x), Tt()),
     "readback_ne": (lambda x: readback_ne(0, x), Tt()),
     "vapp": (lambda x: vapp(x, Tt()), NE_BOOL),
     "vfst": (vfst, NE_BOOL),

@@ -13,7 +13,7 @@ from ttk.surface import (
     print_ty, read_sexpr,
 )
 from ttk.syntax import (
-    Bool, Ctx, EMPTY, FrozenInstanceError, Pi, TySub, Univ, Wk,
+    Bool, Ctx, EMPTY, FrozenInstanceError, Pi, Top, TySub, Univ, Wk,
 )
 
 
@@ -31,7 +31,7 @@ _SAMPLES = {
     "Union[TmExpr, TyExpr]": lambda: syntax.Var0(),
     "Level": lambda: 1,
     "int": lambda: 2,
-    "tuple[TyExpr, ...]": lambda: tuple([syntax.Bool(), syntax.Top()]),
+    "Optional[Ctx]": lambda: syntax.Ctx.of(syntax.Top()),
     "Env": lambda: tuple([syntax.TrueLit(), syntax.Tt()]),
     "TyVal": lambda: syntax.Bool(),
     "Val": lambda: syntax.TrueLit(),
@@ -56,9 +56,9 @@ def test_every_node_class_is_interned():
 
 
 def test_default_and_keyword_arguments_share_one_node():
-    assert Ctx() is Ctx(()) is Ctx(entries=()) is EMPTY
+    assert Ctx() is Ctx(None) is Ctx(prefix=None, entry=None) is EMPTY
     assert Pi(dom=Bool(), cod=Bool()) is Pi(Bool(), cod=Bool()) is Pi(Bool(), Bool())
-    assert EMPTY.extend(Bool()) is Ctx.of(Bool()) is Ctx((Bool(),))
+    assert EMPTY.extend(Bool()) is Ctx.of(Bool()) is Ctx(EMPTY, Bool())
 
 
 def test_nodes_are_frozen_and_slotted():
@@ -77,7 +77,7 @@ def test_nodes_are_frozen_and_slotted():
 def test_repr_keeps_the_dataclass_format():
     assert repr(Pi(Bool(), TySub(Bool(), Wk()))) == \
         "Pi(dom=Bool(), cod=TySub(ty=Bool(), sub=Wk()))"
-    assert repr(Ctx.of(Bool())) == "Ctx(entries=(Bool(),))"
+    assert repr(Ctx.of(Bool(), Top())) == "Ctx.of(Bool(), Top())"
     assert repr(values.NVar(3)) == "NVar(lvl=3)"
 
 
@@ -85,7 +85,7 @@ def test_repr_keeps_the_dataclass_format():
     lambda: Pi(Bool()),
     lambda: Pi(Bool(), Bool(), Bool()),
     lambda: Pi(Bool(), cod=Bool(), codomain=Bool()),
-    lambda: Ctx((), ()),
+    lambda: Ctx(EMPTY, Bool(), Bool()),
     lambda: Bool(Bool()),
     lambda: Wk(sub=Wk()),
 ], ids=["missing", "extra", "unknown-keyword", "default-plus-extra",

@@ -11,9 +11,18 @@ These tests pin the rule of each constructor, check that the rules are
 sound (what lies beyond a node's reach changes neither its readback nor
 what the checker says of it), count the memo entries a closed node takes,
 and check that the rebinding costs no frame per nested closed level.
+
+Every value carries a level reach too: 1 plus the highest level of a
+variable it holds, 0 if it holds none.  ``readback_ty`` and
+``readback_tm`` read a closed value back at depth 0 whatever their depth.
+The last tests pin each value constructor's rule, check it against a
+walk over the values a run of each suite builds, and check that a closed
+value reads back to the same node at every depth, with the rule and
+without it.
 """
 
 import contextlib
+import functools
 import hashlib
 import io
 import itertools
@@ -22,7 +31,7 @@ import sys
 
 import pytest
 
-from ttk import caches
+from ttk import caches, semantics, suites, syntax, values
 from ttk.cli import main
 from ttk.conversion import normalize_tm, normalize_ty
 from ttk.generate import GenConfig, GenExhausted, InstanceGen, derive_seed
@@ -38,7 +47,10 @@ from ttk.typecheck import (
     TypeCheckError, force, infer_ty, normalize_ty_in, synth_tm,
     types_convertible,
 )
-from ttk.values import fresh
+from ttk.values import (
+    Closure, NApp, NFst, NIf, NJ, NSnd, NVar, VCode, VElNe, VId, VNe, VPair,
+    VPi, VRefl, VSigma, fresh,
+)
 
 INF = math.inf
 
@@ -447,3 +459,168 @@ def test_a_closed_lam_nest_needs_the_same_limit_in_every_context():
     limits = [_least_limit(lambda: normalize_tm(EMPTY, lams)),
               _least_limit(lambda: normalize_tm(BOOL, lams))]
     assert max(limits) - min(limits) <= 10, limits
+
+
+# ---------------------------------------------------------------------------
+# The level reach of values
+# ---------------------------------------------------------------------------
+
+def var_at(lvl):
+    """A variable value at level ``lvl``: its reach is ``lvl + 1``."""
+    return fresh(lvl, Bool())
+
+
+def test_value_reach_rules():
+    assert NVar(4).reach == 5
+    assert var_at(4).reach == 5
+    for leaf in (Top(), Bool(), Univ(1), Tt(), TrueLit(), FalseLit()):
+        assert leaf.reach == 0
+    # a neutral's type may hold a variable its spine does not
+    assert VNe(NVar(0), VElNe(VNe(NVar(3), Univ(0)))).reach == 4
+    body = Closure((), Bool())
+    for a, b, c in itertools.product(range(3), repeat=3):
+        expected = max(a, b, c) + 1
+        assert NApp(var_at(a), var_at(b)).reach == max(a, b) + 1
+        assert NIf(Closure((var_at(a),), v(1)), var_at(b), var_at(c), var_at(0)).reach == expected
+        assert NJ(Closure((var_at(a),), v(2)), var_at(b), var_at(c)).reach == expected
+        assert VId(VElNe(var_at(a)), var_at(b), var_at(c)).reach == expected
+        assert VPair(var_at(a), var_at(b)).reach == max(a, b) + 1
+        assert VPi(VElNe(var_at(a)), body).reach == a + 1
+        assert VSigma(Bool(), Closure((var_at(b),), v(1))).reach == b + 1
+    for a in range(3):
+        for former in (NFst, NSnd):
+            assert former(var_at(a)).reach == a + 1
+        assert VRefl(var_at(a)).reach == VCode(VElNe(var_at(a))).reach == a + 1
+
+
+def test_a_closure_reaches_the_entries_its_body_can_read():
+    env = (var_at(2), var_at(0), var_at(1))
+    # the body reads at least one binder's value after ``env``, so only
+    # the last ``body.reach - 1`` entries of ``env``
+    for body, reach in ((TrueLit(), 0), (Var0(), 0), (v(1), 2), (v(2), 2),
+                        (v(3), 3), (v(5), 3)):
+        assert Closure(env, body).reach == reach, body
+    assert Closure((), v(1)).reach == 0
+    assert Closure((TrueLit(), Tt()), v(2)).reach == 0
+
+
+_VALUE_CLASSES = frozenset(
+    cls for cls in vars(values).values()
+    if isinstance(cls, type) and "_interned" in vars(cls)
+    and cls.__module__ == values.__name__)
+
+
+def _held(val):
+    """What a value holds: its fields, and of a closure the environment
+    entries its body can read, all but the first of its ``reach`` entries
+    being the environment's last ones."""
+    cls = type(val)
+    if cls is Closure:
+        readable = min(val.body.reach - 1, len(val.env))
+        return val.env[len(val.env) - readable:]
+    if cls is NVar or cls not in _VALUE_CLASSES:
+        return ()
+    return tuple(getattr(val, name) for name in cls.__match_args__)
+
+
+def _walked_reach(val, memo):
+    """1 plus the highest ``NVar`` level reachable from ``val`` through
+    what each value holds, 0 if none is, read off no ``reach`` slot."""
+    todo = [val]
+    while todo:
+        top = todo[-1]
+        if top in memo:
+            todo.pop()
+            continue
+        missing = [held for held in _held(top) if held not in memo]
+        if missing:
+            todo += missing
+            continue
+        todo.pop()
+        memo[top] = (top.lvl + 1 if type(top) is NVar
+                     else max((memo[held] for held in _held(top)), default=0))
+    return memo[val]
+
+
+def test_every_value_a_suite_builds_reaches_its_highest_level(monkeypatch):
+    # no node is freed during the runs, so every value they built is
+    # still interned at the end
+    caches.clear_all()
+    monkeypatch.setattr(caches, "sweep", lambda: None)
+    for run in (suites.run_equation_suite, suites.run_termified_suite,
+                suites.run_parametricity_suite,
+                suites.run_injectivity_suite, suites.run_canonicity_suite):
+        run(seed=27, count=1)
+    built = [node for node in syntax.Bool._interned.values()
+             if type(node) in _VALUE_CLASSES]
+    monkeypatch.undo()
+    memo, seen = {}, set()
+    for val in built:
+        assert val.reach == _walked_reach(val, memo), val
+        seen.add((type(val), val.reach == 0))
+    del built, memo
+    caches.clear_all()
+    assert len(seen) >= 20, seen
+
+
+class _NoRebind(int):
+    """A depth whose truth value is false.  Readback tests ``depth``
+    before it rebinds a closed value's depth to 0, so at this depth it
+    never does: it reads back as it would without the rule.  Equal to
+    the plain depth, so no memo table may be consulted."""
+
+    def __bool__(self):
+        return False
+
+    def __add__(self, other):
+        return _NoRebind(int(self) + other)
+
+    def __sub__(self, other):
+        return _NoRebind(int(self) - other)
+
+
+def _closed_values(count):
+    """Closed term values with their types, and closed type values, from
+    the seeded draws: each value holds no variable, though its syntax
+    may read its context."""
+    terms, types = [], []
+    for gen, ctx in _draws(count):
+        try:
+            ty = gen.draw_ty(ctx)
+            tm = gen.draw_tm(ctx, ty)
+        except GenExhausted:
+            continue
+        env = generic_env(ctx)
+        tm_ty = evaluate(env, synth_tm(ctx, tm))
+        tm_val = evaluate(env, tm)
+        if tm_val.reach == 0 and tm_ty.reach == 0:
+            terms.append((tm_val, tm_ty))
+        for x in _subnodes(ty) | _subnodes(tm):
+            if isinstance(x, TyExpr) and x.reach <= len(ctx):
+                val = evaluate(env, x)
+                if val.reach == 0:
+                    types.append(val)
+    return terms, types
+
+
+def test_a_closed_value_reads_back_alike_at_every_depth(monkeypatch):
+    terms, types = _closed_values(160)
+    assert len(terms) >= 20 and len(types) >= 50, (len(terms), len(types))
+    # every memo table bypassed, as in ``test_memo_transparency``
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ttk."):
+            for attr, value in list(vars(module).items()):
+                if isinstance(value, functools._lru_cache_wrapper):
+                    monkeypatch.setattr(module, attr, value.__wrapped__)
+    for val, ty in terms:
+        at_zero = semantics.readback_tm(0, val, ty)
+        for depth in (1, 5):
+            assert semantics.readback_tm(depth, val, ty) is at_zero
+            assert semantics.readback_tm(_NoRebind(depth), val, ty) is at_zero
+    for ty in types:
+        at_zero = semantics.readback_ty(0, ty)
+        for depth in (1, 5):
+            assert semantics.readback_ty(depth, ty) is at_zero
+            assert semantics.readback_ty(_NoRebind(depth), ty) is at_zero
+    monkeypatch.undo()
+    caches.clear_all()

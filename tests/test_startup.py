@@ -41,7 +41,7 @@ def test_node_classes_are_built_from_their_annotations():
         assert not dataclasses.is_dataclass(cls), cls.__name__
         assert cls.__match_args__ == tuple(cls.__annotations__), cls.__name__
     assert Pair.__match_args__ == ("fst_ty", "snd_ty", "fst", "snd")
-    assert syntax.Ctx.__match_args__ == ("entries",)
+    assert syntax.Ctx.__match_args__ == ("prefix", "entry")
     assert Bool.__match_args__ == ()
 
 
@@ -92,11 +92,11 @@ def test_the_keyword_table_reads_the_annotations():
 # One record of each kind, built by keyword, and its repr.
 RECORDS = [
     (Translated(scope=EMPTY, payload=Tt(), classifier=Top()),
-     "Translated(scope=Ctx(entries=()), payload=Tt(), classifier=Top())"),
+     "Translated(scope=Ctx.of(), payload=Tt(), classifier=Top())"),
     (CanonVerdict(value=True, certified=False),
      "CanonVerdict(value=True, certified=False)"),
     (EqInstance(ctx=EMPTY, classifier=None, lhs=Bool(), rhs=Bool()),
-     "EqInstance(ctx=Ctx(entries=()), classifier=None, lhs=Bool(), rhs=Bool())"),
+     "EqInstance(ctx=Ctx.of(), classifier=None, lhs=Bool(), rhs=Bool())"),
     (GenConfig(seed=1),
      "GenConfig(seed=1, max_nodes=12, max_level=2, max_ctx_len=4)"),
     (CtxIso(fwd=Eps(), bwd=IdSub()), "CtxIso(fwd=Eps(), bwd=IdSub())"),
