@@ -13,7 +13,7 @@ from .typecheck import (
     infer_ty, synth_sub, synth_tm,
 )
 from .conversion import conv_sub, conv_tm, conv_ty, normalize_tm, normalize_ty
-from .values import InternalStuck
+from .values import InternalStuck, KernelError
 from .canonicity import CanonVerdict, NonCanonical, canonicity_verdict
 from .generate import GenConfig, GenExhausted, InstanceGen
 from .injectivity import CtxIso, IsoFailure, build_ctx_iso, check_embedding, injectivity_probe
@@ -30,7 +30,7 @@ __all__ = [
     "TranslationIllTyped", "TypeCheckError", "VarInEmptyContext",
     "check_ctx", "check_sub", "check_tm", "infer_ty", "synth_sub", "synth_tm",
     "conv_sub", "conv_tm", "conv_ty", "normalize_tm", "normalize_ty",
-    "InternalStuck",
+    "InternalStuck", "KernelError",
     "CanonVerdict", "NonCanonical", "canonicity_verdict",
     "GenConfig", "GenExhausted", "InstanceGen",
     "CtxIso", "IsoFailure", "build_ctx_iso", "check_embedding",

@@ -3,8 +3,8 @@
 The verdict is the term's value in the empty environment, which for a
 canonical boolean is the literal itself; the certificate is a conversion
 check of the term against that literal.  A closed well-typed boolean
-evaluating to anything but a literal would be a kernel bug, reported as
-``NonCanonical``.
+evaluating to anything but a literal, or to a literal that conversion
+does not certify, would be a kernel bug, reported as ``NonCanonical``.
 """
 
 from __future__ import annotations
@@ -15,17 +15,16 @@ from .syntax import Bool, EMPTY, FalseLit, TmExpr, TrueLit
 from .semantics import evaluate
 from .conversion import conv_tm
 from .typecheck import check_tm
+from .values import KernelError
 
 
-class NonCanonical(Exception):
-    def __init__(self, value) -> None:
-        super().__init__(f"closed boolean evaluated to {value!r}")
-        self.value = value
+class NonCanonical(KernelError):
+    """A closed, checked boolean without a certified literal value."""
 
 
 class CanonVerdict(NamedTuple):
+    """The certified value of a closed boolean."""
     value: bool
-    certified: bool
 
     @property
     def literal(self) -> TmExpr:
@@ -37,5 +36,7 @@ def canonicity_verdict(tm: TmExpr) -> CanonVerdict:
     val = evaluate((), tm)
     cls = type(val)
     if cls is not TrueLit and cls is not FalseLit:
-        raise NonCanonical(val)
-    return CanonVerdict(cls is TrueLit, conv_tm(EMPTY, Bool(), tm, val))
+        raise NonCanonical(f"closed boolean evaluated to {val!r}")
+    if not conv_tm(EMPTY, Bool(), tm, val):
+        raise NonCanonical(f"closed boolean not convertible to {val!r}")
+    return CanonVerdict(cls is TrueLit)

@@ -2,13 +2,14 @@
 
 ``ttk run FILE`` executes the single directive in FILE; ``ttk selftest``
 runs the verification suites.  The last output line is always
-machine-parseable: ``RESULT: accept``, ``RESULT: reject``, or
-``RESULT: error <class>``.  Exit codes: 0 accept/success, 1 reject or
-property failure, or a violated kernel invariant such as an ill-typed
-translation output (``RESULT: error kernel``), 2 parse error, or a file
-that cannot be read or is not UTF-8 text (``RESULT: error io``), 3 type
-error, 4 resource limit (input nested too deeply to parse or check, a
-``(v n)`` with ``n`` at or above the recursion limit, or a natural or a
+machine-parseable: ``RESULT: accept``, ``RESULT: reject`` (only for
+``conv-*`` sides that differ and failing ``selftest`` cases), or
+``RESULT: error <class>``.  Exit codes: 0 accept/success, 1 reject, or
+any ``KernelError``, a failure after the input has checked
+(``RESULT: error kernel``), 2 parse error, or a file that cannot be
+read or is not UTF-8 text (``RESULT: error io``), 3 type error, 4
+resource limit (input nested too deeply to parse or check, a ``(v n)``
+with ``n`` at or above the recursion limit, or a natural or a
 ``#k=``/``#k#`` label of more than ``surface.MAX_DIGITS`` digits:
 ``RESULT: error limit``).
 
@@ -28,19 +29,17 @@ import functools
 import sys
 
 from .caches import gc_paused
-from .canonicity import NonCanonical, canonicity_verdict
+from .canonicity import canonicity_verdict
 from .conversion import conv_sub, conv_tm, conv_ty, normalize_tm
-from .injectivity import IsoFailure, check_embedding
+from .injectivity import check_embedding
 from .parametricity import param_entity
 from .surface import (
     Directive, LimitError, ParseError, parse_directive, print_entity,
 )
 from .syntax import tree_dag_sizes
 from .termify import termify_entity
-from .typecheck import (
-    TranslationIllTyped, TypeCheckError, check_ctx, check_entity,
-)
-from .values import InternalStuck
+from .typecheck import TypeCheckError, check_ctx, check_entity
+from .values import KernelError
 
 
 def _execute(directive: Directive) -> tuple[int, list[str]]:
@@ -81,16 +80,10 @@ def _execute(directive: Directive) -> tuple[int, list[str]]:
                        _size(out.payload), "RESULT: accept"]
         case "canon":
             (tm,) = directive.args
-            verdict = canonicity_verdict(tm)
-            value = "true" if verdict.value else "false"
-            if verdict.certified:
-                return 0, [f"value: {value}", "RESULT: accept"]
-            return 1, [f"value: {value}", "RESULT: reject"]
+            value = "true" if canonicity_verdict(tm).value else "false"
+            return 0, [f"value: {value}", "RESULT: accept"]
         case "inject":
-            try:
-                return _verdict(check_embedding(*directive.args))
-            except IsoFailure as err:
-                return 1, [str(err), "RESULT: reject"]
+            return _verdict(check_embedding(*directive.args))
     raise ValueError(f"unknown directive {directive.kind!r}")
 
 
@@ -120,7 +113,7 @@ def _cmd_run(path: str) -> int:
         print(f"parse error: {err}")
         print("RESULT: error parse")
         return 2
-    except (TranslationIllTyped, NonCanonical, InternalStuck) as err:
+    except KernelError as err:
         print(f"kernel invariant violated: {err}")
         print("RESULT: error kernel")
         return 1

@@ -9,9 +9,10 @@ of its translated family pulled back along the isomorphism, a substitution
 factors through the translated function, and a term equals its translated
 section pulled back.  ``check_embedding`` is the one entry point for all
 four sorts, used by ``ttk run`` and the suites alike: it checks its input,
-then tests the equation.  The injectivity probe is two equation checks on
-one instance: an instance whose sides translate to convertible closed
-terms (``verify_termified_equation``) must already hold at the source
+then certifies the equation, which holds of every checked input.  The
+injectivity probe is two equation checks on one instance: an instance
+whose sides translate to convertible closed terms
+(``verify_termified_equation``) must already hold at the source
 (``check_instance``); one that does not is a counterexample.
 """
 
@@ -26,18 +27,15 @@ from .syntax import (
 )
 from .conversion import conv_sub, conv_tm, conv_ty
 from .equations import EqInstance, check_instance
+from .surface import show
 from .termify import decoded, point_pair, termify, verify_termified_equation
-from .typecheck import check_entity
+from .typecheck import after_check, check_entity
+from .values import KernelError
 
 
-class IsoFailure(Exception):
-    """A context isomorphism failed to certify; this indicates a kernel or
-    translation bug, not bad user input."""
-
-    def __init__(self, ctx: Ctx, composite: str) -> None:
-        super().__init__(f"context isomorphism composite {composite} is not the identity")
-        self.ctx = ctx
-        self.composite = composite
+class IsoFailure(KernelError):
+    """A context isomorphism or an embedding equation of checked input
+    failed to certify: a kernel or translation bug, never bad input."""
 
 
 class CtxIso(NamedTuple):
@@ -64,9 +62,9 @@ def build_ctx_iso(ctx: Ctx) -> CtxIso:
         bwd = Ext(Comp(bwd, into_prev), entry, Snd(Var0()))
     target = EMPTY.extend(decoded(ctx))
     if not conv_sub(target, target, Comp(fwd, bwd), IdSub()):
-        raise IsoFailure(ctx, "fwd . bwd")
+        raise IsoFailure(f"isomorphism of {show(ctx)}: fwd . bwd = id fails")
     if not conv_sub(ctx, ctx, Comp(bwd, fwd), IdSub()):
-        raise IsoFailure(ctx, "bwd . fwd")
+        raise IsoFailure(f"isomorphism of {show(ctx)}: bwd . fwd = id fails")
     return CtxIso(fwd, bwd)
 
 
@@ -75,23 +73,28 @@ def build_ctx_iso(ctx: Ctx) -> CtxIso:
 # ---------------------------------------------------------------------------
 
 def check_embedding(ctx: Ctx, entity=None) -> bool:
-    """Check ``entity`` in ``ctx``, then test its embedding equation.
-    ``None`` stands for the context itself, whose equation is its
-    isomorphism, certified by ``build_ctx_iso``: it holds or raises
-    ``IsoFailure``, as every entity does when an isomorphism it needs
-    fails to certify."""
+    """Check ``entity`` in ``ctx``, then certify its embedding equation:
+    True, or ``IsoFailure`` or another ``KernelError``, since it holds of
+    every checked input.  ``None`` stands for the context itself, whose
+    equation is its isomorphism, certified by ``build_ctx_iso``."""
     checked = check_entity(ctx, entity)
-    iso = build_ctx_iso(ctx)
-    if entity is None:
-        return True
-    translated = App(termify(ctx, entity))
-    if isinstance(entity, TyExpr):
-        return conv_ty(ctx, entity, TySub(El(translated), iso.fwd))
-    if isinstance(entity, SubExpr):
-        mid = Ext(Eps(), decoded(checked), translated)
-        rhs = Comp(build_ctx_iso(checked).bwd, Comp(mid, iso.fwd))
-        return conv_sub(ctx, checked, entity, rhs)
-    return conv_tm(ctx, checked, entity, TmSub(translated, iso.fwd))
+
+    def step() -> bool:
+        iso = build_ctx_iso(ctx)
+        if entity is None:
+            return True
+        translated = App(termify(ctx, entity))
+        if isinstance(entity, TyExpr):
+            return conv_ty(ctx, entity, TySub(El(translated), iso.fwd))
+        if isinstance(entity, SubExpr):
+            mid = Ext(Eps(), decoded(checked), translated)
+            rhs = Comp(build_ctx_iso(checked).bwd, Comp(mid, iso.fwd))
+            return conv_sub(ctx, checked, entity, rhs)
+        return conv_tm(ctx, checked, entity, TmSub(translated, iso.fwd))
+    if not after_check("closed-term", entity, step):
+        raise IsoFailure(f"embedding equation of {show(entity)} in "
+                         f"{show(ctx)} fails")
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,15 @@ sort.  Each suite is deterministic in its seed.
 
 A suite only says what each case draws and how a failure prints: it
 yields one (row label, thunk) pair per case, where the thunk computes the
-outcome, None for a pass or the lines that show the failure, and
-``_tally`` runs and counts them.
+outcome, a list of the lines that show a failure or any other value for
+a pass, and ``_tally`` runs and counts them.
 One rule holds for every row: every case runs and is counted, and every
 failure adds its lines, so a row's passed and failed add up to its cases.
+A suite draws only well-typed input, so a case that raises a
+``KernelError`` or a ``TypeCheckError`` fails with the error's lines.
 A failing equation case is shown re-drawn at the smallest size at which
-the re-drawn instance still fails, or as first drawn if none does.  A case
-that draws no instance within ``RETRIES`` seeds fails.
+it still fails, or as first drawn if none does.  A case that draws no
+instance within ``RETRIES`` seeds fails.
 """
 
 from __future__ import annotations
@@ -27,16 +29,15 @@ from .syntax import (
     TrueLit, TySub, TmSub, Var0, Wk, apply1, walk_constructors,
 )
 from .caches import case_scope
-from .canonicity import NonCanonical, canonicity_verdict
+from .canonicity import canonicity_verdict
 from .equations import EqInstance, SCHEMA_NAMES, build_instance, check_instance
 from .generate import GenConfig, GenExhausted, InstanceGen, derive_seed
-from .injectivity import (
-    COMPONENT_CASES, IsoFailure, check_embedding, injectivity_probe,
-)
+from .injectivity import COMPONENT_CASES, check_embedding, injectivity_probe
 from .parametricity import param_entity
 from .surface import print_entity
 from .termify import verify_termified_equation
-from .typecheck import TranslationIllTyped, TypeCheckError, infer_ty
+from .typecheck import TypeCheckError, infer_ty
+from .values import KernelError
 
 
 @dataclass
@@ -82,6 +83,11 @@ def _dump_instance(inst: EqInstance) -> list[str]:
     return lines
 
 
+def _error_lines(err: Exception) -> list[str]:
+    """The lines that show an error a case raised."""
+    return f"{type(err).__name__}: {err}".splitlines()
+
+
 # The seeds one case may draw from before it fails for want of an instance.
 RETRIES = 60
 
@@ -112,21 +118,24 @@ def _case(seed_parts, build, judge, *sizes):
 
 def _tally(name: str, cases) -> SuiteReport:
     """Count (row label, thunk) pairs into rows, in order of first
-    appearance.  A thunk computes one case's outcome, None for a pass or
-    the lines that show a failure, in its own ``caches.case_scope``.  It
+    appearance.  A thunk computes one case's outcome in its own
+    ``caches.case_scope``: a pass, or the lines of a failure.  It
     runs before ``cases`` advances, so it may read the loop variables of
     the generator that made it, and advancing does no kernel work."""
     start = time.perf_counter()
     rows: dict[str, SuiteRow] = {}
     for label, thunk in cases:
         with case_scope():
-            outcome = thunk()
+            try:
+                outcome = thunk()
+            except (KernelError, TypeCheckError) as err:
+                outcome = _error_lines(err)
         row = rows.setdefault(label, SuiteRow(label))
-        if outcome is None:
-            row.passed += 1
-        else:
+        if isinstance(outcome, list):
             row.failed += 1
             row.detail.extend(outcome)
+        else:
+            row.passed += 1
     return SuiteReport(name, list(rows.values()), time.perf_counter() - start)
 
 
@@ -134,18 +143,28 @@ def _tally(name: str, cases) -> SuiteReport:
 # Equations, in the kernel and termified
 # ---------------------------------------------------------------------------
 
+def _failure(check, inst: EqInstance) -> list[str] | None:
+    """None if ``check`` holds of ``inst``, else the lines that show the
+    failing instance, after the error's if ``check`` raised one."""
+    try:
+        return None if check(inst) else _dump_instance(inst)
+    except (KernelError, TypeCheckError) as err:
+        return _error_lines(err) + _dump_instance(inst)
+
+
 def _shrunk(schema: str, seed: int, case: int, check, max_nodes: int,
-            max_level: int) -> EqInstance | None:
-    """The case re-drawn at each smaller size: the first instance that
-    ``check`` rejects."""
+            max_level: int) -> list[str] | None:
+    """The case re-drawn at each smaller size: the failure lines of the
+    first instance that ``check`` rejects or raises on."""
     for nodes in range(2, max_nodes):
         try:
             inst = _draw((seed, schema, case),
                          lambda g: build_instance(schema, g), nodes, max_level)
-            if not check(inst):
-                return inst
-        except (GenExhausted, TypeCheckError):
+        except (GenExhausted, KernelError, TypeCheckError):
             continue
+        shown = _failure(check, inst)
+        if shown is not None:
+            return shown
     return None
 
 
@@ -156,9 +175,9 @@ def _schema_cases(seed: int, count: int, max_nodes: int, max_level: int,
         for case in range(count):
             yield schema, _case(
                 (seed, schema, case), lambda g: build_instance(schema, g),
-                lambda inst: None if check(inst) else _dump_instance(
-                    _shrunk(schema, seed, case, check, max_nodes, max_level)
-                    or inst),
+                lambda inst: None if (shown := _failure(check, inst)) is None
+                else _shrunk(schema, seed, case, check, max_nodes, max_level)
+                or shown,
                 max_nodes, max_level)
 
 
@@ -180,16 +199,6 @@ def run_termified_suite(seed: int = 1, count: int = 50, max_nodes: int = 8,
 # Injectivity
 # ---------------------------------------------------------------------------
 
-def _embedding(ctx, entity, show):
-    """None if the embedding equation of ``entity`` holds; else the lines
-    ``show()`` gives, then the message of an isomorphism that failed to
-    certify."""
-    try:
-        return None if check_embedding(ctx, entity) else show()
-    except IsoFailure as err:
-        return [*show(), str(err)]
-
-
 def _probe(inst: EqInstance):
     return ["counterexample", *_dump_instance(inst)] \
         if injectivity_probe(inst) else None
@@ -198,19 +207,15 @@ def _probe(inst: EqInstance):
 def _injectivity_cases(seed: int, count: int, max_nodes: int):
     for case in range(count):
         yield "ctx-isomorphisms", _case(
-            (seed, "iso", case), lambda g: g.draw_ctx(),
-            lambda ctx: _embedding(ctx, None, list), max_nodes)
+            (seed, "iso", case), lambda g: g.draw_ctx(), check_embedding,
+            max_nodes)
     for sort in ("ty", "sub", "tm"):
         for case in range(count):
             yield f"embedding-{sort}", _case(
                 (seed, "embed", sort, case), lambda g: _entity_draw(g, sort),
-                lambda drawn: _embedding(*drawn, lambda: [
-                    f"ctx: {print_entity(drawn[0])}",
-                    f"entity: {print_entity(drawn[1])}"]),
-                max_nodes)
-    for name, ctx, entity in COMPONENT_CASES:
-        yield "component-equations", lambda: _embedding(
-            ctx, entity, lambda: [f"case {name}"])
+                lambda drawn: check_embedding(*drawn), max_nodes)
+    for _, ctx, entity in COMPONENT_CASES:
+        yield "component-equations", lambda: check_embedding(ctx, entity)
     for case in range(count):
         yield "injectivity-probe", _case(
             (seed, "probe", case), lambda g: _probe_draw(g, case), _probe,
@@ -288,14 +293,9 @@ def _wrapped_bool(gen: InstanceGen, flavour: int):
 
 
 def _canonical(tm, seen: set[str]):
-    """None if ``tm`` evaluates to a certified literal; the constructors of
-    ``tm`` are added to ``seen``."""
+    """The verdict of ``tm``; its constructors are added to ``seen``."""
     walk_constructors(tm, seen)
-    try:
-        verdict = canonicity_verdict(tm)
-    except NonCanonical as err:
-        return [f"non-canonical: {print_entity(tm)} ({err})"]
-    return None if verdict.certified else [f"uncertified: {print_entity(tm)}"]
+    return canonicity_verdict(tm)
 
 
 def _canonicity_cases(seed: int, count: int, max_nodes: int):
@@ -319,21 +319,12 @@ def run_canonicity_suite(seed: int = 1, count: int = 100,
 # Parametricity
 # ---------------------------------------------------------------------------
 
-def _translates(ctx, entity):
-    try:
-        param_entity(ctx, entity)
-    except TranslationIllTyped as err:
-        shown = [] if entity is None else [f"entity: {print_entity(entity)}"]
-        return [str(err).splitlines()[0], *shown]
-    return None
-
-
 def _parametricity_cases(seed: int, count: int, max_nodes: int):
     for sort in ("ctx", "ty", "sub", "tm"):
         for case in range(count):
             yield f"sort-{sort}", _case(
                 (seed, "param", sort, case), lambda g: _entity_draw(g, sort),
-                lambda drawn: _translates(*drawn), max_nodes)
+                lambda drawn: param_entity(*drawn), max_nodes)
 
 
 def run_parametricity_suite(seed: int = 1, count: int = 100,

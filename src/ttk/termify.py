@@ -34,8 +34,8 @@ from .syntax import (
 from .caches import memoized
 from .conversion import conv_tm
 from .typecheck import (
-    Translated, TypeCheckError, force, infer_ty, pair_at, synth_sub, synth_tm,
-    translate_checked,
+    Translated, TypeCheckError, after_check, force, infer_ty, pair_at,
+    synth_sub, synth_tm, translate_checked,
 )
 
 
@@ -193,11 +193,14 @@ def termify_entity(ctx: Ctx, entity=None) -> Translated:
 
 
 def verify_termified_equation(inst) -> bool:
-    """Translate both sides of an equation instance and compare the closed
-    results at the translated classifier."""
-    lhs = termify(inst.ctx, inst.lhs)
-    rhs = termify(inst.ctx, inst.rhs)
-    checked = (infer_ty(inst.ctx, inst.lhs) if inst.classifier is None
-               else inst.classifier)
-    return conv_tm(EMPTY, termified_classifier(inst.ctx, inst.lhs, checked),
-                   lhs, rhs)
+    """Translate both sides of a well-typed equation instance and compare
+    the closed results at the translated classifier.  The instance is not
+    checked again, so a type error here is a kernel error."""
+    def step() -> bool:
+        lhs = termify(inst.ctx, inst.lhs)
+        rhs = termify(inst.ctx, inst.rhs)
+        checked = (infer_ty(inst.ctx, inst.lhs) if inst.classifier is None
+                   else inst.classifier)
+        return conv_tm(EMPTY, termified_classifier(inst.ctx, inst.lhs,
+                                                   checked), lhs, rhs)
+    return after_check("closed-term", inst.lhs, step)

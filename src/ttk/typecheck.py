@@ -30,6 +30,7 @@ from .syntax import (
 from .caches import memoized
 from .semantics import evaluate, generic_env, readback_ty
 from .surface import show
+from .values import KernelError
 
 
 class TypeCheckError(Exception):
@@ -63,15 +64,9 @@ class IllFormedEntry(TypeCheckError):
         self.index = index
 
 
-class TranslationIllTyped(TypeCheckError):
-    """A translation's output failed to check although its input checked:
-    a kernel bug, never a user error."""
-
-    def __init__(self, translation: str, constructor: str,
-                 cause: TypeCheckError) -> None:
-        super().__init__(f"{translation} clause for {constructor} produced an "
-                         f"ill-typed output: {cause}")
-        self.constructor = constructor
+class TranslationIllTyped(KernelError):
+    """A translation's output, or a check on it, failed to typecheck
+    although its input checked (``after_check``)."""
 
 
 class ProjectionOfEmpty(TypeCheckError):
@@ -301,8 +296,8 @@ def check_entity(ctx: Ctx, entity=None):
     itself), before a translation sees them; return the entity's
     classifier (the level of a context or type, the codomain of a
     substitution, the type of a term).  Ill-typed input then raises
-    ``TypeCheckError`` here, so an error inside a translation means a
-    kernel bug."""
+    ``TypeCheckError`` here, so one raised after it is a kernel bug
+    (``after_check``)."""
     level = check_ctx(ctx)
     if entity is None:
         return level
@@ -321,27 +316,37 @@ class Translated(NamedTuple):
     classifier: object
 
 
+def after_check(translation: str, entity, step):
+    """``step()``, run once ``entity`` (``None`` for a context) has
+    checked: the one place where a ``TypeCheckError``, then a bug of the
+    translation, is re-raised as a kernel error."""
+    try:
+        return step()
+    except TypeCheckError as err:
+        name = "ctx" if entity is None else type(entity).__name__
+        raise TranslationIllTyped(f"{translation} clause for {name} produced"
+                                  f" an ill-typed output: {err}") from err
+
+
 def translate_checked(translation: str, ctx: Ctx, entity,
                       translate) -> Translated:
     """Check ``entity`` in ``ctx`` (``None`` for the context itself),
     translate it, and check the output: the one path of both
     translations.  ``translate`` maps the entity's classifier from
     ``check_entity`` to the output's scope, payload and classifier.
-    Ill-typed input raises a plain ``TypeCheckError``; one raised after
-    the check is a bug of the translation, re-raised as
-    ``TranslationIllTyped``."""
+    Ill-typed input raises a plain ``TypeCheckError``; a failure after
+    the check is a ``KernelError``."""
     checked = check_entity(ctx, entity)
-    try:
+
+    def step() -> Translated:
         out = Translated(*translate(checked))
         tm, ty = out.payload, out.classifier
         if isinstance(ty, Level):  # a type at a level: its code at U level
             tm, ty = Code(tm), Univ(ty)
         infer_ty(out.scope, ty)
         check_tm(out.scope, tm, ty)
-    except TypeCheckError as err:
-        name = "ctx" if entity is None else type(entity).__name__
-        raise TranslationIllTyped(translation, name, err) from err
-    return out
+        return out
+    return after_check(translation, entity, step)
 
 
 def check_tm(ctx: Ctx, tm: TmExpr, ty: TyExpr) -> None:

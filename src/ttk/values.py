@@ -43,11 +43,13 @@ from .syntax import (
 Env = tuple["Val", ...]
 
 
-class InternalStuck(Exception):
-    """An eliminator met a non-canonical, non-neutral value.
+class KernelError(Exception):
+    """A failure after the input has checked: a kernel bug, never a user
+    error, since the claims checked are theorems about checked syntax."""
 
-    This is a kernel bug by construction: evaluation is only run on
-    typechecked input."""
+
+class InternalStuck(KernelError):
+    """An eliminator met a non-canonical, non-neutral value."""
 
 
 # a body reads its binders' values after ``env``, at least one, so it reads

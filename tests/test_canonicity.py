@@ -11,18 +11,18 @@ from ttk.typecheck import TypeCheckError
 
 def test_literals():
     verdict = canonicity_verdict(TrueLit())
-    assert verdict == CanonVerdict(True, True)
-    assert canonicity_verdict(FalseLit()) == CanonVerdict(False, True)
+    assert verdict == CanonVerdict(True)
+    assert canonicity_verdict(FalseLit()) == CanonVerdict(False)
 
 
 def test_branching_selects_first_branch_on_true():
     tm = If(Bool(), FalseLit(), TrueLit(), TrueLit())
-    assert canonicity_verdict(tm) == CanonVerdict(False, True)
+    assert canonicity_verdict(tm) == CanonVerdict(False)
 
 
 def test_beta_redex():
     tm = apply1(Lam(Bool(), Var0()), FalseLit())
-    assert canonicity_verdict(tm) == CanonVerdict(False, True)
+    assert canonicity_verdict(tm) == CanonVerdict(False)
 
 
 def test_non_boolean_rejected():
@@ -63,8 +63,7 @@ def test_agreement_with_independent_machine():
             tm = gen.draw_tm(EMPTY, Bool())
         except GenExhausted:
             continue
-        verdict = canonicity_verdict(tm)
-        assert verdict.certified
-        assert naive_bool_value(tm) == verdict.value
+        # a verdict is certified, or canonicity_verdict raises
+        assert naive_bool_value(tm) == canonicity_verdict(tm).value
         checked += 1
     assert checked >= 150

@@ -5,9 +5,12 @@ import sys
 
 import pytest
 
+import ttk.canonicity
 import ttk.injectivity
 import ttk.parametricity
 import ttk.termify
+from mutants import apply
+from ttk import caches
 from ttk.cli import main
 from ttk.injectivity import IsoFailure
 from ttk.syntax import TrueLit
@@ -163,15 +166,65 @@ def test_translation_directive_output(capsys, tmp_path, text):
     assert capsys.readouterr().out == TRANSLATIONS[text]
 
 
-def test_inject_isomorphism_failure_is_a_reject(capsys, tmp_path,
-                                                monkeypatch):
+def test_inject_isomorphism_failure_is_a_kernel_error(capsys, tmp_path,
+                                                      monkeypatch):
+    # an isomorphism of checked input is a theorem: one that fails to
+    # certify is a kernel bug, never a reject
     def failing(ctx):
-        raise IsoFailure(ctx, "fwd . bwd")
+        raise IsoFailure("isomorphism of (ctx (bool)): fwd . bwd = id fails")
     monkeypatch.setattr(ttk.injectivity, "build_ctx_iso", failing)
     code, lines = _run_text(capsys, tmp_path, "(inject (ctx (bool)) (q))")
     assert code == 1
-    assert lines == ["context isomorphism composite fwd . bwd is not the "
-                     "identity", "RESULT: reject"]
+    assert lines == ["kernel invariant violated: isomorphism of "
+                     "(ctx (bool)): fwd . bwd = id fails",
+                     "RESULT: error kernel"]
+
+
+@pytest.mark.parametrize("module, text, message", [
+    (ttk.injectivity, "(inject (ctx (bool)) (q))",
+     "embedding equation of (q) in (ctx (bool)) fails"),
+    (ttk.canonicity, "(canon (true))",
+     "closed boolean not convertible to TrueLit()"),
+], ids=["inject", "canon"])
+def test_a_failed_certificate_is_a_kernel_error(capsys, tmp_path,
+                                                monkeypatch, module, text,
+                                                message):
+    # conversion refuses the certificate of a checked input
+    monkeypatch.setattr(module, "conv_tm", lambda *args: False)
+    code, lines = _run_text(capsys, tmp_path, text)
+    assert code == 1
+    assert lines == [f"kernel invariant violated: {message}",
+                     "RESULT: error kernel"]
+
+
+# A directive that each one-clause mutant of a translation
+# (``tests/mutants.py``) turns into a kernel error.  A Σ of two booleans
+# cannot see the Fst/Snd swap: both components have the same type.
+WITNESSES = [
+    ("termify-false-true", "(inject (ctx) (false))"),
+    ("termify-false-true", "(inject (ctx (idt (bool) (false) (false))))"),
+    ("termify-fst-snd", "(termify (ctx (sigma (u 0) (bool))) (fst (q)))"),
+    ("termify-if-swapped",
+     "(inject (ctx (bool)) (if (bool) (true) (false) (q)))"),
+    ("termify-refl-false", "(termify (ctx) (refl (false)))"),
+    ("param-top-bool", "(param (ctx) (tt))"),
+    ("param-refl-true-tt", "(param (ctx) (refl (true)))"),
+    ("param-fst-snd", "(param (ctx (sigma (u 0) (bool))) (fst (q)))"),
+]
+
+
+@pytest.mark.parametrize("mutant, text", WITNESSES)
+def test_a_mutant_witness_is_a_kernel_error(capsys, tmp_path, monkeypatch,
+                                            mutant, text):
+    assert _run_text(capsys, tmp_path, text)[1][-1] == "RESULT: accept"
+    apply(monkeypatch, mutant)
+    try:
+        code, lines = _run_text(capsys, tmp_path, text)
+    finally:
+        monkeypatch.undo()
+        caches.clear_all()
+    assert (code, lines[-1]) == (1, "RESULT: error kernel")
+    assert lines[0].startswith("kernel invariant violated: ")
 
 
 def test_selftest_small(capsys):

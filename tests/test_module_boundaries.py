@@ -1,13 +1,16 @@
 """No module of ``ttk`` imports a private name from a sibling module: a
 helper that two modules share is public in the module that defines it.
 Only the grammar matches on sort names, no module matches on class
-patterns, and no call picks the scope it passes by a node's ``reach``."""
+patterns, and no call picks the scope it passes by a node's ``reach``.
+A kernel error is caught only at the two top levels, and one function
+turns a type error into one."""
 
 import ast
 import pathlib
 
 import ttk
 from ttk import syntax, values
+from ttk.typecheck import TypeCheckError
 
 SOURCES = sorted(pathlib.Path(ttk.__file__).parent.glob("*.py"))
 
@@ -101,3 +104,48 @@ def test_no_conditional_picks_a_scope_by_reach():
     found = [hit for path in SOURCES for hit in _key_only_reach_tests(
         path.read_text(encoding="utf-8"), path.name)]
     assert found == []
+
+
+# A failure after the input has checked is a ``KernelError``: ``ttk run``
+# catches one in ``cli`` and the suites count one in ``suites``.  No module
+# tells the kinds apart, and only ``typecheck.after_check`` turns a
+# ``TypeCheckError`` into one.
+KERNEL_ERRORS = {"IsoFailure", "NonCanonical", "TranslationIllTyped",
+                 "InternalStuck"}
+
+
+def _names(node):
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def _handlers(path):
+    """(function, caught names, raised names) of each ``except`` clause."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    return [(f"{path.name[:-3]}.{fn.name}", _names(handler.type),
+             set().union(*(_names(r.exc) for r in ast.walk(handler)
+                           if isinstance(r, ast.Raise) and r.exc)))
+            for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+            for handler in ast.walk(fn)
+            if isinstance(handler, ast.ExceptHandler) and handler.type]
+
+
+def test_kernel_errors_derive_from_one_base():
+    for name in KERNEL_ERRORS:
+        assert issubclass(getattr(ttk, name), ttk.KernelError), name
+    assert not issubclass(ttk.TranslationIllTyped, TypeCheckError)
+
+
+def test_a_kernel_error_is_caught_only_at_the_top():
+    handlers = [h for path in SOURCES for h in _handlers(path)]
+    assert [fn for fn, caught, _ in handlers if caught & KERNEL_ERRORS] == []
+    assert {fn.split(".")[0] for fn, caught, _ in handlers
+            if "KernelError" in caught} == {"cli", "suites"}
+
+
+def test_one_function_turns_a_type_error_into_a_kernel_error():
+    handlers = [h for path in SOURCES for h in _handlers(path)]
+    assert [fn for fn, caught, raised in handlers
+            if "TypeCheckError" in caught
+            and raised & (KERNEL_ERRORS | {"KernelError"})] == \
+        ["typecheck.after_check"]

@@ -93,8 +93,7 @@ def test_the_keyword_table_reads_the_annotations():
 RECORDS = [
     (Translated(scope=EMPTY, payload=Tt(), classifier=Top()),
      "Translated(scope=Ctx.of(), payload=Tt(), classifier=Top())"),
-    (CanonVerdict(value=True, certified=False),
-     "CanonVerdict(value=True, certified=False)"),
+    (CanonVerdict(value=True), "CanonVerdict(value=True)"),
     (EqInstance(ctx=EMPTY, classifier=None, lhs=Bool(), rhs=Bool()),
      "EqInstance(ctx=Ctx.of(), classifier=None, lhs=Bool(), rhs=Bool())"),
     (GenConfig(seed=1),
@@ -123,8 +122,8 @@ def test_record_defaults_and_methods():
     assert (cfg.max_nodes, cfg.max_level, cfg.max_ctx_len) == (12, 2, 4)
     assert GenConfig(7, max_nodes=6) == GenConfig(seed=7, max_nodes=6,
                                                   max_level=2, max_ctx_len=4)
-    assert CanonVerdict(True, True).literal is TrueLit()
-    assert CanonVerdict(False, True).literal is FalseLit()
+    assert CanonVerdict(True).literal is TrueLit()
+    assert CanonVerdict(False).literal is FalseLit()
 
 
 def test_only_the_suite_reports_are_dataclasses():

@@ -4,12 +4,15 @@ import re
 import pytest
 
 import ttk.suites
+from ttk.injectivity import IsoFailure
 from ttk.parametricity import param_entity
 from ttk.suites import (
     _schema_cases, _tally, run_canonicity_suite, run_equation_suite,
     run_injectivity_suite, run_parametricity_suite, run_suites,
     run_termified_suite,
 )
+from ttk.typecheck import TypeCheckError
+from ttk.values import InternalStuck
 
 
 def test_small_runs_are_green_and_deterministic():
@@ -33,17 +36,40 @@ def test_failure_reporting_dumps_a_counterexample():
     assert sum(line.startswith("lhs:") for line in row.detail) == 3
 
 
-def test_failure_reporting_shows_a_rejected_embedding(monkeypatch):
-    monkeypatch.setattr(ttk.suites, "check_embedding", lambda *args: False)
+def test_failure_reporting_shows_a_failed_embedding(monkeypatch):
+    # an embedding equation that fails raises a kernel error, and the
+    # suite counts it as a failed case with its lines
+    def failing(ctx, entity=None):
+        raise IsoFailure(f"embedding equation of {entity!r} fails")
+    monkeypatch.setattr(ttk.suites, "check_embedding", failing)
     report = run_injectivity_suite(seed=5, count=2)
     rows = {row.label: row for row in report.rows}
     for sort in ("ty", "sub", "tm"):
         row = rows[f"embedding-{sort}"]
         assert (row.passed, row.failed) == (0, 2)
         assert [line.split(":")[0] for line in row.detail] == \
-            ["ctx", "entity"] * 2
-    assert rows["component-equations"].detail[0] == "case iso_empty"
+            ["IsoFailure"] * 2
+    assert rows["component-equations"].detail[0] == \
+        "IsoFailure: embedding equation of None fails"
     assert rows["injectivity-probe"].ok()
+
+
+@pytest.mark.parametrize("error", [
+    InternalStuck("stuck"), TypeCheckError("ill-typed\n  at: (q)")])
+def test_a_raising_check_fails_and_is_shrunk(error):
+    # a check that raises on a drawn instance fails it like a False, and
+    # the smallest re-drawn instance that raises is shown after the error
+    def check(inst):
+        raise error
+    report = _tally("forced", _schema_cases(
+        seed=5, count=2, max_nodes=8, max_level=2, check=check,
+        schemas=("pi_beta",)))
+    row = report.rows[0]
+    assert (row.passed, row.failed) == (0, 2)
+    first = row.detail[:len(str(error).splitlines()) + 1]
+    assert first[0] == f"{type(error).__name__}: {str(error).splitlines()[0]}"
+    assert first[-1].startswith("ctx:")
+    assert sum(line.startswith("lhs:") for line in row.detail) == 2
 
 
 def _param_draws(monkeypatch, **sizes):
