@@ -1,40 +1,39 @@
 """A kernel for a small dependent type theory with explicit substitutions,
-plus executable syntactic translations over it."""
+plus executable syntactic translations over it.  ``import ttk`` loads
+none of its modules: an export, or a module such as ``ttk.surface``, is
+imported when it is first asked for (PEP 562)."""
 
-from .syntax import (
-    App, Bool, Code, Comp, Ctx, EMPTY, El, Eps, Ext, FalseLit, Fst, IdSub,
-    IdTy, If, J, Lam, Level, Pair, Pi, Refl, Sigma, Snd, SubExpr, Top, Tt,
-    TmExpr, TmSub, TrueLit, TyExpr, TySub, Univ, Var0, Wk, apply1, arrow,
-    lift, v, wk,
-)
-from .typecheck import (
-    IllFormedEntry, ProjectionOfEmpty, Translated, TranslationIllTyped,
-    TypeCheckError, VarInEmptyContext, check_ctx, check_sub, check_tm,
-    infer_ty, synth_sub, synth_tm,
-)
-from .conversion import conv_sub, conv_tm, conv_ty, normalize_tm, normalize_ty
-from .values import InternalStuck, KernelError
-from .canonicity import CanonVerdict, NonCanonical, canonicity_verdict
-from .generate import GenConfig, GenExhausted, InstanceGen
-from .injectivity import CtxIso, IsoFailure, build_ctx_iso, check_embedding, injectivity_probe
-from .parametricity import param_entity
-from .termify import termify_entity, verify_termified_equation
+import importlib
 
-__all__ = [
-    "App", "Bool", "Code", "Comp", "Ctx", "EMPTY", "El", "Eps", "Ext",
-    "FalseLit", "Fst", "IdSub", "IdTy", "If", "J", "Lam", "Level", "Pair",
-    "Pi", "Refl", "Sigma", "Snd", "SubExpr", "Top", "Tt", "TmExpr", "TmSub",
-    "TrueLit", "TyExpr", "TySub", "Univ", "Var0", "Wk", "apply1", "arrow",
-    "lift", "v", "wk",
-    "IllFormedEntry", "ProjectionOfEmpty", "Translated",
-    "TranslationIllTyped", "TypeCheckError", "VarInEmptyContext",
-    "check_ctx", "check_sub", "check_tm", "infer_ty", "synth_sub", "synth_tm",
-    "conv_sub", "conv_tm", "conv_ty", "normalize_tm", "normalize_ty",
-    "InternalStuck", "KernelError",
-    "CanonVerdict", "NonCanonical", "canonicity_verdict",
-    "GenConfig", "GenExhausted", "InstanceGen",
-    "CtxIso", "IsoFailure", "build_ctx_iso", "check_embedding",
-    "injectivity_probe",
-    "param_entity",
-    "termify_entity", "verify_termified_equation",
-]
+# Each export, once, under the module that defines it.
+_EXPORTS = {
+    "syntax": """App Bool Code Comp Ctx EMPTY El Eps Ext FalseLit Fst IdSub
+        IdTy If J Lam Level Pair Pi Refl Sigma Snd SubExpr Top Tt TmExpr
+        TmSub TrueLit TyExpr TySub Univ Var0 Wk apply1 arrow lift v wk""",
+    "typecheck": """IllFormedEntry ProjectionOfEmpty Translated
+        TranslationIllTyped TypeCheckError VarInEmptyContext check_ctx
+        check_sub check_tm infer_ty synth_sub synth_tm""",
+    "conversion": "conv_sub conv_tm conv_ty normalize_tm normalize_ty",
+    "values": "InternalStuck KernelError",
+    "canonicity": "NonCanonical canonicity_verdict",
+    "generate": "GenConfig GenExhausted InstanceGen",
+    "equations": "injectivity_probe",
+    "injectivity": "CtxIso IsoFailure build_ctx_iso check_embedding",
+    "parametricity": "param_entity",
+    "termify": "termify_entity verify_termified_equation",
+}
+__all__ = [name for names in _EXPORTS.values() for name in names.split()]
+
+
+def __getattr__(name: str):
+    module = next((defining for defining, names in _EXPORTS.items()
+                   if name in names.split()), name)
+    try:
+        found = importlib.import_module(f".{module}", __name__)
+    except ModuleNotFoundError as err:
+        if err.name != f"{__name__}.{name}":
+            raise
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}") from None
+    globals()[name] = value = found if module == name else getattr(found, name)
+    return value

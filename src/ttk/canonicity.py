@@ -9,8 +9,6 @@ does not certify, would be a kernel bug, reported as ``NonCanonical``.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from .syntax import Bool, EMPTY, FalseLit, TmExpr, TrueLit
 from .semantics import evaluate
 from .conversion import conv_tm
@@ -22,21 +20,12 @@ class NonCanonical(KernelError):
     """A closed, checked boolean without a certified literal value."""
 
 
-class CanonVerdict(NamedTuple):
-    """The certified value of a closed boolean."""
-    value: bool
-
-    @property
-    def literal(self) -> TmExpr:
-        return TrueLit() if self.value else FalseLit()
-
-
-def canonicity_verdict(tm: TmExpr) -> CanonVerdict:
+def canonicity_verdict(tm: TmExpr) -> TmExpr:
+    """The certified value of ``tm``: ``TrueLit()`` or ``FalseLit()``."""
     check_tm(EMPTY, tm, Bool())
     val = evaluate((), tm)
-    cls = type(val)
-    if cls is not TrueLit and cls is not FalseLit:
+    if val is not TrueLit() and val is not FalseLit():
         raise NonCanonical(f"closed boolean evaluated to {val!r}")
     if not conv_tm(EMPTY, Bool(), tm, val):
         raise NonCanonical(f"closed boolean not convertible to {val!r}")
-    return CanonVerdict(cls is TrueLit)
+    return val

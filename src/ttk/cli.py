@@ -34,7 +34,8 @@ from .conversion import conv_sub, conv_tm, conv_ty, normalize_tm
 from .injectivity import check_embedding
 from .parametricity import param_entity
 from .surface import (
-    Directive, LimitError, ParseError, parse_directive, print_entity,
+    KEYWORDS, Directive, LimitError, ParseError, parse_directive,
+    print_entity,
 )
 from .syntax import tree_dag_sizes
 from .termify import termify_entity
@@ -79,9 +80,8 @@ def _execute(directive: Directive) -> tuple[int, list[str]]:
             return 0, [f"payload: {print_entity(out.payload)}",
                        _size(out.payload), "RESULT: accept"]
         case "canon":
-            (tm,) = directive.args
-            value = "true" if canonicity_verdict(tm).value else "false"
-            return 0, [f"value: {value}", "RESULT: accept"]
+            literal = canonicity_verdict(*directive.args)
+            return 0, [f"value: {KEYWORDS[type(literal)]}", "RESULT: accept"]
         case "inject":
             return _verdict(check_embedding(*directive.args))
     raise ValueError(f"unknown directive {directive.kind!r}")
@@ -93,9 +93,7 @@ def _size(payload) -> str:
 
 
 def _verdict(accepted: bool) -> tuple[int, list[str]]:
-    if accepted:
-        return 0, ["RESULT: accept"]
-    return 1, ["RESULT: reject"]
+    return (0, ["RESULT: accept"]) if accepted else (1, ["RESULT: reject"])
 
 
 def _cmd_run(path: str) -> int:

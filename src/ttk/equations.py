@@ -16,7 +16,8 @@ A schema draws inhabited what it goes on to inhabit: a type it draws a
 term of, and a context it draws a substitution into
 (``generate.InstanceGen.draw_inhabited_ty`` and ``draw_inhabited_ctx``).
 Everything else is drawn free.  So a draw runs out only of fuel, never at
-a goal with no way in.
+a goal with no way in.  ``injectivity_probe`` holds ``check_instance``
+against the closed-term translation of an instance.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .syntax import (
 )
 from .conversion import conv_sub, conv_tm, conv_ty
 from .generate import InstanceGen
+from .termify import verify_termified_equation
 
 
 class EqInstance(NamedTuple):
@@ -47,6 +49,12 @@ def check_instance(inst: EqInstance) -> bool:
     if isinstance(inst.classifier, Ctx):
         return conv_sub(inst.ctx, inst.classifier, inst.lhs, inst.rhs)
     return conv_tm(inst.ctx, inst.classifier, inst.lhs, inst.rhs)
+
+
+def injectivity_probe(inst: EqInstance) -> bool:
+    """Whether ``inst`` is a counterexample to injectivity: its sides are
+    equal after the closed-term translation but not before (a bug)."""
+    return verify_termified_equation(inst) and not check_instance(inst)
 
 
 Builder = Callable[[InstanceGen], EqInstance]

@@ -10,10 +10,9 @@ factors through the translated function, and a term equals its translated
 section pulled back.  ``check_embedding`` is the one entry point for all
 four sorts, used by ``ttk run`` and the suites alike: it checks its input,
 then certifies the equation, which holds of every checked input.  The
-injectivity probe is two equation checks on one instance: an instance
-whose sides translate to convertible closed terms
-(``verify_termified_equation``) must already hold at the source
-(``check_instance``); one that does not is a counterexample.
+injectivity probe, which compares two sides of an equation instance,
+lives with the instances in ``ttk.equations``, so ``ttk run`` loads
+neither them nor the generator they are drawn with.
 """
 
 from __future__ import annotations
@@ -26,9 +25,8 @@ from .syntax import (
     TrueLit, Tt, TyExpr, TySub, Univ, Var0, Wk,
 )
 from .conversion import conv_sub, conv_tm, conv_ty
-from .equations import EqInstance, check_instance
 from .surface import show
-from .termify import decoded, point_pair, termify, verify_termified_equation
+from .termify import decoded, point_pair, termify
 from .typecheck import after_check, check_entity
 from .values import KernelError
 
@@ -136,10 +134,3 @@ COMPONENT_CASES = (
     ("refl", EMPTY, Refl(TrueLit())),
     ("j", _J_CTX, J(TySub(Bool(), Comp(Wk(), Wk())), FalseLit(), Var0())),
 )
-
-
-def injectivity_probe(inst: EqInstance) -> bool:
-    """Whether ``inst`` is a counterexample to injectivity: its sides are
-    equal after the translation but not before, which would be a kernel
-    bug."""
-    return verify_termified_equation(inst) and not check_instance(inst)

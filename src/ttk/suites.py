@@ -13,7 +13,8 @@ a pass, and ``_tally`` runs and counts them.
 One rule holds for every row: every case runs and is counted, and every
 failure adds its lines, so a row's passed and failed add up to its cases.
 A suite draws only well-typed input, so a case that raises a
-``KernelError`` or a ``TypeCheckError`` fails with the error's lines.
+``KernelError`` or a ``TypeCheckError`` fails with the error's lines,
+cut at ``ERROR_LINE_CHARS``, then its input's (``_judged``).
 A failing equation case is shown re-drawn at the smallest size at which
 it still fails, or as first drawn if none does.  A case that draws no
 instance within ``RETRIES`` seeds fails.
@@ -30,9 +31,11 @@ from .syntax import (
 )
 from .caches import case_scope
 from .canonicity import canonicity_verdict
-from .equations import EqInstance, SCHEMA_NAMES, build_instance, check_instance
+from .equations import (
+    EqInstance, SCHEMA_NAMES, build_instance, check_instance, injectivity_probe,
+)
 from .generate import GenConfig, GenExhausted, InstanceGen, derive_seed
-from .injectivity import COMPONENT_CASES, check_embedding, injectivity_probe
+from .injectivity import COMPONENT_CASES, check_embedding
 from .parametricity import param_entity
 from .surface import print_entity
 from .termify import verify_termified_equation
@@ -72,20 +75,42 @@ class SuiteReport:
         return out
 
 
-def _dump_instance(inst: EqInstance) -> list[str]:
-    lines = [f"ctx: {print_entity(inst.ctx)}",
-             f"lhs: {print_entity(inst.lhs)}",
-             f"rhs: {print_entity(inst.rhs)}"]
-    if isinstance(inst.classifier, Ctx):
-        lines.insert(1, f"to:  {print_entity(inst.classifier)}")
-    elif inst.classifier is not None:
-        lines.insert(1, f"at:  {print_entity(inst.classifier)}")
-    return lines
+def _dump_instance(drawn) -> list[str]:
+    """The lines that show a case's input: an equation instance, a
+    context and an entity in it or ``None``, or a closed term."""
+    if isinstance(drawn, EqInstance):
+        at = "to: " if isinstance(drawn.classifier, Ctx) else "at: "
+        shown = [("ctx:", drawn.ctx), (at, drawn.classifier),
+                 ("lhs:", drawn.lhs), ("rhs:", drawn.rhs)]
+    else:
+        ctx, entity = drawn if type(drawn) is tuple else (EMPTY, drawn)
+        shown = [("ctx:", ctx), ("entity:", entity)]
+    return [f"{label} {print_entity(x)}" for label, x in shown if x is not None]
+
+
+# The most characters a line of an error's message shows, the count of
+# those cut included: a message can hold whole translated subtrees.
+ERROR_LINE_CHARS = 300
 
 
 def _error_lines(err: Exception) -> list[str]:
     """The lines that show an error a case raised."""
-    return f"{type(err).__name__}: {err}".splitlines()
+    cut = ERROR_LINE_CHARS - 40  # room for the count
+    return [line if len(line) <= ERROR_LINE_CHARS
+            else f"{line[:cut]} ... [{len(line) - cut} more characters]"
+            for line in f"{type(err).__name__}: {err}".splitlines()]
+
+
+def _judged(judge, drawn):
+    """The outcome of ``judge`` of ``drawn``, a case's input, given as two
+    arguments if it is a context and an entity: a judge that returns
+    False fails with the input's lines, and one that raises with the
+    error's and then the input's."""
+    try:
+        outcome = judge(*drawn) if type(drawn) is tuple else judge(drawn)
+    except (KernelError, TypeCheckError) as err:
+        return _error_lines(err) + _dump_instance(drawn)
+    return _dump_instance(drawn) if outcome is False else outcome
 
 
 # The seeds one case may draw from before it fails for want of an instance.
@@ -112,7 +137,7 @@ def _case(seed_parts, build, judge, *sizes):
             drawn = _draw(seed_parts, build, *sizes)
         except GenExhausted as err:
             return [str(err)]
-        return judge(drawn)
+        return _judged(judge, drawn)
     return outcome
 
 
@@ -143,15 +168,6 @@ def _tally(name: str, cases) -> SuiteReport:
 # Equations, in the kernel and termified
 # ---------------------------------------------------------------------------
 
-def _failure(check, inst: EqInstance) -> list[str] | None:
-    """None if ``check`` holds of ``inst``, else the lines that show the
-    failing instance, after the error's if ``check`` raised one."""
-    try:
-        return None if check(inst) else _dump_instance(inst)
-    except (KernelError, TypeCheckError) as err:
-        return _error_lines(err) + _dump_instance(inst)
-
-
 def _shrunk(schema: str, seed: int, case: int, check, max_nodes: int,
             max_level: int) -> list[str] | None:
     """The case re-drawn at each smaller size: the failure lines of the
@@ -162,8 +178,8 @@ def _shrunk(schema: str, seed: int, case: int, check, max_nodes: int,
                          lambda g: build_instance(schema, g), nodes, max_level)
         except (GenExhausted, KernelError, TypeCheckError):
             continue
-        shown = _failure(check, inst)
-        if shown is not None:
+        shown = _judged(check, inst)
+        if isinstance(shown, list):
             return shown
     return None
 
@@ -175,7 +191,8 @@ def _schema_cases(seed: int, count: int, max_nodes: int, max_level: int,
         for case in range(count):
             yield schema, _case(
                 (seed, schema, case), lambda g: build_instance(schema, g),
-                lambda inst: None if (shown := _failure(check, inst)) is None
+                lambda inst: shown if not isinstance(
+                    shown := _judged(check, inst), list)
                 else _shrunk(schema, seed, case, check, max_nodes, max_level)
                 or shown,
                 max_nodes, max_level)
@@ -207,15 +224,15 @@ def _probe(inst: EqInstance):
 def _injectivity_cases(seed: int, count: int, max_nodes: int):
     for case in range(count):
         yield "ctx-isomorphisms", _case(
-            (seed, "iso", case), lambda g: g.draw_ctx(), check_embedding,
-            max_nodes)
+            (seed, "iso", case), lambda g: _entity_draw(g, "ctx"),
+            check_embedding, max_nodes)
     for sort in ("ty", "sub", "tm"):
         for case in range(count):
             yield f"embedding-{sort}", _case(
                 (seed, "embed", sort, case), lambda g: _entity_draw(g, sort),
-                lambda drawn: check_embedding(*drawn), max_nodes)
+                check_embedding, max_nodes)
     for _, ctx, entity in COMPONENT_CASES:
-        yield "component-equations", lambda: check_embedding(ctx, entity)
+        yield "component-equations", lambda: _judged(check_embedding, (ctx, entity))
     for case in range(count):
         yield "injectivity-probe", _case(
             (seed, "probe", case), lambda g: _probe_draw(g, case), _probe,
@@ -324,7 +341,7 @@ def _parametricity_cases(seed: int, count: int, max_nodes: int):
         for case in range(count):
             yield f"sort-{sort}", _case(
                 (seed, "param", sort, case), lambda g: _entity_draw(g, sort),
-                lambda drawn: param_entity(*drawn), max_nodes)
+                param_entity, max_nodes)
 
 
 def run_parametricity_suite(seed: int = 1, count: int = 100,
@@ -353,7 +370,5 @@ def run_suites(which: str = "all", seed: int = 1, count: int | None = None,
         raise ValueError(f"unknown suite {which!r}")
     sizes = {k: v for k, v in dict(count=count, max_nodes=max_nodes).items()
              if v is not None}
-    reports = []
-    for name in SUITES if which == "all" else (which,):
-        reports.append(SUITES[name](seed, **sizes))
-    return reports
+    names = SUITES if which == "all" else (which,)
+    return [SUITES[name](seed, **sizes) for name in names]

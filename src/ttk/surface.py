@@ -316,17 +316,17 @@ def parse_tm(s: SExpr) -> TmExpr:
     return _parse(s, "tm", {})
 
 
-def parse_entity(s: SExpr):
-    """Parse a context, type, term, or substitution, read by its head."""
+def parse_entity(s: SExpr, shared: Optional[dict] = None):
+    """Parse a context, type, term, or substitution, read by its head;
+    ``shared`` is the label table of the text it is part of."""
     if s.head is None:
         raise ParseError("expected a context, substitution, type or term",
                          s.line, s.col)
-    if s.head == "ctx":
-        return _parse(s, "ctx", {})
     form = _BY_KEYWORD.get(s.head)
-    if form is None:
+    if form is None and s.head != "ctx":
         raise ParseError(f"unknown keyword '{s.head}'", s.line, s.col)
-    return _parse(s, form.sort, {})
+    return _parse(s, "ctx" if form is None else form.sort,
+                  {} if shared is None else shared)
 
 
 # ---------------------------------------------------------------------------
@@ -432,9 +432,9 @@ def show(x) -> str:
 # Directives
 # ---------------------------------------------------------------------------
 
-# The argument sorts of each directive of fixed shape.  ``termify``,
-# ``param`` and ``inject`` take a context and, optionally, an entity of
-# any sort but a context.
+# The argument sorts of each directive.  An ``entity`` is a substitution,
+# type or term, its sort read by its head, and it may be left out: then
+# the directive is about its context alone.
 DIRECTIVES = {
     "check-tm": ("ctx", "tm"),
     "check-ty": ("ctx", "ty"),
@@ -443,6 +443,9 @@ DIRECTIVES = {
     "conv-ty": ("ctx", "ty", "ty"),
     "conv-sub": ("ctx", "ctx", "sub", "sub"),
     "canon": ("tm",),
+    "termify": ("ctx", "entity"),
+    "param": ("ctx", "entity"),
+    "inject": ("ctx", "entity"),
 }
 
 
@@ -452,22 +455,24 @@ class Directive(NamedTuple):
 
 
 def parse_directive(text: str) -> Directive:
+    """The one directive in ``text``, its arguments read with one label
+    table."""
     s = read_sexpr(text)
     sorts = DIRECTIVES.get(s.head)
-    if sorts is not None:
-        if len(s.items) != len(sorts):
-            raise _arity_error(s, len(sorts))
-        shared = {}
-        return Directive(s.head, tuple(
-            [_parse(item, sort, shared)
-             for item, sort in zip(s.items, sorts)]))
-    if s.head in ("termify", "param", "inject"):
-        if len(s.items) not in (1, 2):
-            raise _arity_error(s, "1 or 2")
-        ctx = parse_ctx(s.items[0])
-        entity = None if len(s.items) == 1 else parse_entity(s.items[1])
-        if type(entity) is Ctx:
+    if sorts is None:
+        raise ParseError(f"unknown directive '{s.head}'", s.line, s.col)
+    items, n = s.items, len(sorts)
+    if sorts[-1] == "entity" and len(items) == n - 1:
+        items += (None,)
+    if len(items) != n:
+        raise _arity_error(s, f"{n - 1} or {n}" if sorts[-1] == "entity" else n)
+    shared, args = {}, []
+    for item, sort in zip(items, sorts):
+        value = None if item is None else (
+            parse_entity(item, shared) if sort == "entity"
+            else _parse(item, sort, shared))
+        if sort == "entity" and type(value) is Ctx:
             raise ParseError("entity argument cannot be a context",
-                             s.items[1].line, s.items[1].col)
-        return Directive(s.head, (ctx, entity))
-    raise ParseError(f"unknown directive '{s.head}'", s.line, s.col)
+                             item.line, item.col)
+        args.append(value)
+    return Directive(s.head, tuple(args))

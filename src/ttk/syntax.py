@@ -42,6 +42,12 @@ class _Node:
     def __delattr__(self, name):
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
+    def __repr__(self):  # a loop, not a generator: one frame per level
+        fields = []
+        for name in self.__match_args__:
+            fields.append(f"{name}={getattr(self, name)!r}")
+        return f"{type(self).__name__}({', '.join(fields)})"
+
 
 # The intern table of every node class with fields: ``(cls, *fields)`` to
 # the node.  It holds its nodes strongly, and ``sweep`` frees them.
@@ -57,9 +63,6 @@ def __new__(_cls, {params}):
 {sets}
     _interned[_key] = _node
     return _node
-
-def __repr__(self):
-    return f"{name}({fields})"
 """
 
 
@@ -84,14 +87,13 @@ def node(cls=None, **computed: str):
     Building nodes is the kernel's most frequent operation, so the
     constructor is compiled once per class: the class is rebuilt with one
     slot per field on the shared frozen base ``_Node``, ``__match_args__``
-    names the fields, and one ``exec`` generates ``__new__`` with the
-    exact field signature, so Python itself checks the arguments and
-    fills defaults, and ``__repr__`` as ``Name(field=value, ...)`` unless
-    the class defines its own.  A hit is one dict lookup; a new node's
-    fields are set through the slot descriptors and the node itself is
-    stored under its key.  A class without fields has one instance, built
-    here, and no table entry.  Every node class is built when ttk is
-    imported, so ``node`` does no more than this.
+    names the fields, which ``_Node.__repr__`` prints as
+    ``Name(field=value, ...)``, and one ``exec`` generates nothing but
+    ``__new__``, with the exact field signature, so Python itself checks
+    the arguments and fills defaults.  A hit is one dict lookup; a new
+    node's fields are set through the slot descriptors and the node itself
+    is stored under its key.  A class without fields has one instance,
+    built here, and no table entry.
 
     Each keyword names a computed slot and gives an expression over the
     fields; the generated constructor fills the slot with it, once per new
@@ -115,9 +117,7 @@ def node(cls=None, **computed: str):
     defaults = {n: namespace.pop(n) for n in names if n in namespace}
     namespace["__slots__"] = names + tuple(computed)
     namespace["__match_args__"] = names
-    name = cls.__name__
-    own_repr = "__repr__" in namespace
-    cls = type(name, (_Node,), namespace)
+    cls = type(cls.__name__, (_Node,), namespace)
     cls._interned = _INTERNED
     scope = {"_get": _INTERNED.get, "_interned": _INTERNED,
              "_new": object.__new__, "_reach": _reach, "inf": math.inf}
@@ -126,7 +126,6 @@ def node(cls=None, **computed: str):
         for slot, expression in computed.items():
             getattr(cls, slot).__set__(instance, eval(expression, scope))
         cls.__new__ = lambda _cls: instance
-        cls.__repr__ = lambda self: f"{name}()"
         return cls
     sets = [f"    _set_{n}(_node, {n})" for n in names]
     for slot, expression in computed.items():
@@ -142,14 +141,9 @@ def node(cls=None, **computed: str):
             signature.append(n)
     source = _NEW_TEMPLATE.format(
         params=", ".join(signature), args="".join(n + ", " for n in names),
-        sets="\n".join(sets), name=name,
-        fields=", ".join(f"{n}={{self.{n}!r}}" for n in names))
-    exec(compile(source, f"<node {name}>", "exec"), scope)
+        sets="\n".join(sets))
+    exec(compile(source, f"<node {cls.__name__}>", "exec"), scope)
     cls.__new__ = scope["__new__"]
-    cls.__new__.__qualname__ = f"{name}.__new__"
-    if not own_repr:
-        cls.__repr__ = scope["__repr__"]
-        cls.__repr__.__qualname__ = f"{name}.__repr__"
     return cls
 
 

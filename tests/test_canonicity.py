@@ -4,25 +4,25 @@ from ttk.syntax import (
     Bool, EMPTY, FalseLit, If, Lam, TrueLit, Tt, TySub, Var0, Wk,
     apply1,
 )
-from ttk.canonicity import CanonVerdict, canonicity_verdict
+from ttk.canonicity import canonicity_verdict
 from ttk.conversion import conv_tm
 from ttk.typecheck import TypeCheckError
 
 
 def test_literals():
-    verdict = canonicity_verdict(TrueLit())
-    assert verdict == CanonVerdict(True)
-    assert canonicity_verdict(FalseLit()) == CanonVerdict(False)
+    # the verdict is the certified literal itself
+    assert canonicity_verdict(TrueLit()) is TrueLit()
+    assert canonicity_verdict(FalseLit()) is FalseLit()
 
 
 def test_branching_selects_first_branch_on_true():
     tm = If(Bool(), FalseLit(), TrueLit(), TrueLit())
-    assert canonicity_verdict(tm) == CanonVerdict(False)
+    assert canonicity_verdict(tm) is FalseLit()
 
 
 def test_beta_redex():
     tm = apply1(Lam(Bool(), Var0()), FalseLit())
-    assert canonicity_verdict(tm) == CanonVerdict(False)
+    assert canonicity_verdict(tm) is FalseLit()
 
 
 def test_non_boolean_rejected():
@@ -43,8 +43,8 @@ def test_verdict_agrees_with_conversion_and_excludes_the_other():
     ]
     for tm in samples:
         verdict = canonicity_verdict(tm)
-        other = FalseLit() if verdict.value else TrueLit()
-        assert conv_tm(EMPTY, Bool(), tm, verdict.literal)
+        other = FalseLit() if verdict is TrueLit() else TrueLit()
+        assert conv_tm(EMPTY, Bool(), tm, verdict)
         assert not conv_tm(EMPTY, Bool(), tm, other)
 
 
@@ -64,6 +64,6 @@ def test_agreement_with_independent_machine():
         except GenExhausted:
             continue
         # a verdict is certified, or canonicity_verdict raises
-        assert naive_bool_value(tm) == canonicity_verdict(tm).value
+        assert naive_bool_value(tm) == (canonicity_verdict(tm) is TrueLit())
         checked += 1
     assert checked >= 150

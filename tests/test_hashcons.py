@@ -79,6 +79,20 @@ def test_repr_keeps_the_dataclass_format():
         "Pi(dom=Bool(), cod=TySub(ty=Bool(), sub=Wk()))"
     assert repr(Ctx.of(Bool(), Top())) == "Ctx.of(Bool(), Top())"
     assert repr(values.NVar(3)) == "NVar(lvl=3)"
+    # one ``_Node.__repr__`` prints every class, nullary ones included
+    assert repr(Bool()) == "Bool()"
+    fn_ty = values.VPi(Bool(), values.Closure((), Bool()))
+    closure = values.Closure((values.fresh(0, fn_ty), syntax.TrueLit()),
+                             syntax.Var0())
+    assert repr(closure) == (
+        "Closure(env=(VNe(ne=NVar(lvl=0), ty=VPi(dom=Bool(), "
+        "cod=Closure(env=(), body=Bool()))), TrueLit()), body=Var0())")
+    neutral = values.VNe(values.NApp(values.fresh(0, fn_ty),
+                                     syntax.TrueLit()), Bool())
+    assert repr(neutral) == (
+        "VNe(ne=NApp(fn=VNe(ne=NVar(lvl=0), ty=VPi(dom=Bool(), "
+        "cod=Closure(env=(), body=Bool()))), arg=TrueLit()), ty=Bool())")
+    assert "__repr__" not in vars(Pi) and "__repr__" in vars(Ctx)
 
 
 @pytest.mark.parametrize("build", [

@@ -4,7 +4,7 @@ import ttk.injectivity
 from ttk import caches
 from ttk.cli import main
 from ttk.conversion import conv_sub
-from ttk.equations import EqInstance, check_instance
+from ttk.equations import EqInstance, check_instance, injectivity_probe
 from ttk.syntax import (
     Bool, Code, Comp, Ctx, EMPTY, El, Eps, Ext, FalseLit, IdSub, If, Lam, Pi,
     Top, TrueLit, Tt, Univ, Var0, Wk,
@@ -13,7 +13,6 @@ from ttk.termify import decoded, point_pair, verify_termified_equation
 from ttk.generate import GenConfig, GenExhausted, InstanceGen, derive_seed
 from ttk.injectivity import (
     COMPONENT_CASES, IsoFailure, build_ctx_iso, check_embedding,
-    injectivity_probe,
 )
 
 

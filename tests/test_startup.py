@@ -1,10 +1,13 @@
 """What importing ttk builds: node classes read their fields from their
-own annotations, the frozen records are named tuples, and ``ttk run``
-loads neither ``hashlib`` nor ``argparse``, the suites or ``dataclasses``.
-Every class is built at import, so this is what ``ttk run`` pays before
-it reads its file."""
+own annotations, the frozen records are named tuples, the package root
+imports a module only when one of its names is asked for, and ``ttk
+run`` loads neither ``hashlib`` nor ``argparse``, the suites, the
+generator or ``dataclasses``.  A module's classes are built when it is
+imported, so this is what ``ttk run`` pays before it reads its file."""
 
+import collections
 import dataclasses
+import importlib
 import json
 import os
 import pathlib
@@ -15,7 +18,6 @@ import pytest
 
 import ttk
 from ttk import surface, syntax, values
-from ttk.canonicity import CanonVerdict
 from ttk.equations import EqInstance
 from ttk.generate import GenConfig
 from ttk.injectivity import CtxIso
@@ -93,7 +95,6 @@ def test_the_keyword_table_reads_the_annotations():
 RECORDS = [
     (Translated(scope=EMPTY, payload=Tt(), classifier=Top()),
      "Translated(scope=Ctx.of(), payload=Tt(), classifier=Top())"),
-    (CanonVerdict(value=True), "CanonVerdict(value=True)"),
     (EqInstance(ctx=EMPTY, classifier=None, lhs=Bool(), rhs=Bool()),
      "EqInstance(ctx=Ctx.of(), classifier=None, lhs=Bool(), rhs=Bool())"),
     (GenConfig(seed=1),
@@ -122,8 +123,6 @@ def test_record_defaults_and_methods():
     assert (cfg.max_nodes, cfg.max_level, cfg.max_ctx_len) == (12, 2, 4)
     assert GenConfig(7, max_nodes=6) == GenConfig(seed=7, max_nodes=6,
                                                   max_level=2, max_ctx_len=4)
-    assert CanonVerdict(True).literal is TrueLit()
-    assert CanonVerdict(False).literal is FalseLit()
 
 
 def test_only_the_suite_reports_are_dataclasses():
@@ -137,10 +136,45 @@ def test_only_the_suite_reports_are_dataclasses():
     assert found == []
 
 
+def test_the_package_root_names_each_export_once():
+    counts = collections.Counter(name for names in ttk._EXPORTS.values()
+                                 for name in names.split())
+    assert [name for name, n in counts.items() if n > 1] == []
+    assert sorted(ttk.__all__) == sorted(counts)
+    for module, names in ttk._EXPORTS.items():
+        defining = importlib.import_module(f"ttk.{module}")
+        for name in names.split():
+            assert getattr(ttk, name) is vars(defining)[name], name
+    with pytest.raises(AttributeError):
+        ttk.no_such_export
+    with pytest.raises(AttributeError):
+        getattr(ttk, "_no_such_module")
+
+
+_IMPORT_ONLY = """import json, sys
+import ttk
+loaded = sorted(name for name in sys.modules if name.startswith("ttk."))
+keywords = ttk.surface.KEYWORDS[ttk.Bool]
+print(json.dumps([loaded, keywords]))
+"""
+
+
+def test_importing_ttk_loads_no_module_of_it():
+    done = subprocess.run(
+        [sys.executable, "-c", _IMPORT_ONLY],
+        env=dict(os.environ, PYTHONPATH=str(SRC.parent)), capture_output=True,
+        text=True, timeout=120)
+    assert done.stderr == ""
+    # a module still resolves as an attribute after a bare ``import ttk``
+    assert json.loads(done.stdout) == [[], "bool"]
+
+
 # What ``ttk run`` never uses: OpenSSL's ``hashlib``, the argument parser
-# and its ``gettext``, the suites, and ``dataclasses`` with its ``inspect``.
+# and its ``gettext``, the suites with the equation schemas and the
+# generator they draw from, and ``dataclasses`` with its ``inspect``.
 NOT_ON_THE_RUN_PATH = ("hashlib", "argparse", "gettext", "ttk.suites",
-                       "dataclasses", "inspect")
+                       "ttk.equations", "ttk.generate", "dataclasses",
+                       "inspect")
 
 _RUN_THEN_SELFTEST = """\
 import contextlib, io, json, sys

@@ -4,10 +4,12 @@ import re
 import pytest
 
 import ttk.suites
+from mutants import apply
+from ttk import caches
 from ttk.injectivity import IsoFailure
 from ttk.parametricity import param_entity
 from ttk.suites import (
-    _schema_cases, _tally, run_canonicity_suite, run_equation_suite,
+    ERROR_LINE_CHARS, _schema_cases, _tally, run_canonicity_suite, run_equation_suite,
     run_injectivity_suite, run_parametricity_suite, run_suites,
     run_termified_suite,
 )
@@ -47,8 +49,9 @@ def test_failure_reporting_shows_a_failed_embedding(monkeypatch):
     for sort in ("ty", "sub", "tm"):
         row = rows[f"embedding-{sort}"]
         assert (row.passed, row.failed) == (0, 2)
+        # the error's line, then the drawn context and entity
         assert [line.split(":")[0] for line in row.detail] == \
-            ["IsoFailure"] * 2
+            ["IsoFailure", "ctx", "entity"] * 2
     assert rows["component-equations"].detail[0] == \
         "IsoFailure: embedding equation of None fails"
     assert rows["injectivity-probe"].ok()
@@ -70,6 +73,45 @@ def test_a_raising_check_fails_and_is_shrunk(error):
     assert first[0] == f"{type(error).__name__}: {str(error).splitlines()[0]}"
     assert first[-1].startswith("ctx:")
     assert sum(line.startswith("lhs:") for line in row.detail) == 2
+
+
+def _under(monkeypatch, mutant, run, **sizes):
+    """The report of ``run`` with ``mutant`` patched in."""
+    apply(monkeypatch, mutant)
+    try:
+        return run(**sizes)
+    finally:
+        monkeypatch.undo()
+        caches.clear_all()
+
+
+def test_a_failing_translation_shows_its_drawn_input(monkeypatch):
+    # a parametricity clause that builds ill-typed output: the failing
+    # case shows the error, then the context and entity it translated
+    report = _under(monkeypatch, "param-fst-snd", run_parametricity_suite,
+                    seed=1, count=5)
+    failed = [row for row in report.rows if row.failed]
+    assert [(row.label, row.failed) for row in failed] == [("sort-tm", 1)]
+    detail = failed[0].detail
+    assert detail[0].startswith("TranslationIllTyped: ")
+    assert [line.split(":")[0] for line in detail[-2:]] == ["ctx", "entity"]
+
+
+# The lines that show a drawn equation instance, which are never cut.
+_INSTANCE_LINES = ("ctx: ", "to:  ", "at:  ", "lhs: ", "rhs: ")
+
+
+def test_an_error_line_is_cut_at_the_cap(monkeypatch):
+    # a closed-term clause that builds ill-typed output: its error shows
+    # whole translated subtrees, cut to the cap with the count left out
+    report = _under(monkeypatch, "termify-fst-snd", run_termified_suite,
+                    seed=1, count=1)
+    shown = [line for row in report.rows for line in row.detail]
+    errors = [line for line in shown if not line.startswith(_INSTANCE_LINES)]
+    assert errors and max(map(len, errors)) <= ERROR_LINE_CHARS
+    cut = [line for line in errors if line.endswith(" more characters]")]
+    assert cut
+    assert max(map(len, shown)) > ERROR_LINE_CHARS  # instances are not cut
 
 
 def _param_draws(monkeypatch, **sizes):

@@ -1,3 +1,4 @@
+import collections
 from typing import get_args
 
 import pytest
@@ -11,6 +12,7 @@ from ttk.syntax import (
     TmExpr, TmSub, TyExpr, TySub, Univ, Var0, Wk, apply1, arrow, lift, v,
     walk_constructors,
 )
+from ttk import surface
 from ttk.surface import (
     DERIVED, KEYWORDS, ParseError, parse_directive, parse_entity, parse_tm,
     parse_ty, parse_sub, print_ctx, print_entity, print_sub, print_tm,
@@ -334,6 +336,28 @@ def test_a_labelled_list_is_parsed_once_per_sort():
     with pytest.raises(ParseError) as info:
         parse_tm(read_sexpr("(pair #1=(bool) (bool) #1# (true))"))
     assert info.value.message == "unknown term keyword 'bool'"
+
+
+@pytest.mark.parametrize("text", [
+    "(conv-ty (ctx #1=(pi (bool) (bool))) #1# (pi (bool) (bool)))",
+    "(termify (ctx #1=(pi (bool) (bool))) (lam #1# (q)))",
+    "(param (ctx #1=(pi (bool) (bool))) (lam #1# (q)))",
+    "(inject (ctx #1=(pi (bool) (bool))) (tysub #1# (p)))",
+])
+def test_the_arguments_of_a_directive_share_one_label_table(monkeypatch,
+                                                            text):
+    # a list labelled in the context and used in the entity is parsed
+    # once: its second use is a hit, so nothing under it is parsed again
+    calls = []  # every list parsed, held so that no two share an id
+    parse = surface._parse
+
+    def counting(s, sort, shared):
+        calls.append(s)
+        return parse(s, sort, shared)
+    monkeypatch.setattr(surface, "_parse", counting)
+    parse_directive(text)
+    counts = collections.Counter(map(id, calls))
+    assert [s.label for s in calls if counts[id(s)] > 1] == [1, 1]
 
 
 def test_walk_constructors_visits_each_shared_node_once():
