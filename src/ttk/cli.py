@@ -11,16 +11,14 @@ read or is not UTF-8 text (``RESULT: error io``), 3 type error, 4
 resource limit (input nested too deeply to parse or check, a ``(v n)``
 with ``n`` at or above the recursion limit, or a natural or a
 ``#k=``/``#k#`` label of more than ``surface.MAX_DIGITS`` digits:
-``RESULT: error limit``).
+``RESULT: error limit``).  FILE is read as bytes and decoded, and its
+lines end as text mode reads them: CRLF and CR as LF.
 
-``main`` reads ``run FILE`` itself when FILE does not start with ``-``:
-argparse would read that form as ``run`` with that file and nothing
-else.  Every other argument list goes to the argparse parser, which is
-built, and ``argparse`` and ``ttk.suites`` imported, only then:
-``selftest`` and its options, ``-h``/``--help``, ``run -- FILE``, a
-FILE that starts with ``-``, ``run`` without a file or with more than
-one, and unknown commands.  Help exits 0 and a usage error 2, as
-argparse raises them.
+``main`` reads ``run FILE`` itself when FILE does not start with ``-``;
+every other argument list goes to argparse, which is built, and
+``argparse`` and ``ttk.suites`` imported, only then: ``selftest``, help,
+``run -- FILE``, a FILE that starts with ``-``, ``run`` with no file or
+with more than one, and unknown commands.
 """
 
 from __future__ import annotations
@@ -88,8 +86,7 @@ def _execute(directive: Directive) -> tuple[int, list[str]]:
 
 
 def _size(payload) -> str:
-    tree, dag = tree_dag_sizes(payload)
-    return f"size: tree={tree} dag={dag}"
+    return "size: tree={} dag={}".format(*tree_dag_sizes(payload))
 
 
 def _verdict(accepted: bool) -> tuple[int, list[str]]:
@@ -98,33 +95,28 @@ def _verdict(accepted: bool) -> tuple[int, list[str]]:
 
 def _cmd_run(path: str) -> int:
     try:
-        with open(path, encoding="utf-8") as f:
-            text = f.read()
+        with open(path, "rb") as f:
+            text = f.read().decode("utf-8")
     except (OSError, UnicodeDecodeError) as err:
-        print(f"cannot read {path}: {err}")
-        print("RESULT: error io")
+        print(f"cannot read {path}: {err}\nRESULT: error io")
         return 2
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:
-        directive = parse_directive(text)
-        code, lines = _execute(directive)
+        code, lines = _execute(parse_directive(text))
     except ParseError as err:
-        print(f"parse error: {err}")
-        print("RESULT: error parse")
+        print(f"parse error: {err}\nRESULT: error parse")
         return 2
     except KernelError as err:
-        print(f"kernel invariant violated: {err}")
-        print("RESULT: error kernel")
+        print(f"kernel invariant violated: {err}\nRESULT: error kernel")
         return 1
     except TypeCheckError as err:
-        print(f"type error: {err}")
-        print("RESULT: error type")
+        print(f"type error: {err}\nRESULT: error type")
         return 3
     except (RecursionError, LimitError) as err:
-        print(f"limit error: {err}")
-        print("RESULT: error limit")
+        print(f"limit error: {err}\nRESULT: error limit")
         return 4
-    for line in lines:
-        print(line)
+    print("\n".join(lines))
     return code
 
 
@@ -177,8 +169,7 @@ def _parser():
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
+    argv = sys.argv[1:] if argv is None else argv
     if len(argv) == 2 and argv[0] == "run" and not argv[1].startswith("-"):
         # argparse would read this form as ``run`` with this file and
         # nothing else, so it is not built

@@ -1,4 +1,4 @@
-"""S-expression surface syntax: reader, parser, canonical printer, directives.
+"""S-expression surface syntax: scanner, parser, canonical printer, directives.
 
 One table is the single source of the surface keywords: ``KEYWORDS`` names
 every node class of ``syntax``, and a form's arguments are the class's
@@ -8,12 +8,17 @@ which may be left out, as in ``(ext s t)``; and ``Level``, a decimal
 natural.  ``DERIVED`` adds the derived forms, each with its builder and
 argument sorts: ``(v n)`` is the n-fold weakening spine, and
 ``(arrow a b)``, ``(dollar f x)`` and ``(lift s a)`` expand to their
-definitions at parse time.  The parser, the printer and ``parse_entity``
-are generic over the two tables.
+definitions at parse time.  The surface is nameless like the core
+calculus, so no elaboration happens here.  Printing is canonical:
+lowercase keywords, single spaces, full parenthesization, and weakening
+spines re-sugared to ``(v n)``.  A directive file holds exactly one
+directive s-expression; ``;`` starts a comment.
 
-The surface is nameless like the core calculus, so no elaboration happens
-here.  Printing is canonical: lowercase keywords, single spaces, full
-parenthesization, and weakening spines re-sugared to ``(v n)``.
+One regular expression cuts a text into tokens, and one parser, directed
+by the sort each place expects, builds the hash-consed nodes from them.
+Only a failed parse works out lines and columns, in a second walk that
+ranks the text's errors as a reader that checks the whole structure and
+then parses top-down meets them.
 
 Shared syntax is written once, with the read labels of Common Lisp (CLHS
 2.4.8.15-16).  ``#k=(...)`` names the list that follows it, and ``#k#``
@@ -22,19 +27,14 @@ defined again but a list can never refer to itself.  The printer labels
 each node that the text would otherwise hold more than once, in full at
 its first occurrence and as ``#k#`` after; labels count 1, 2, ... in
 order of first appearance, afresh for each printed entity.  Forms with no
-sub-form (nullary forms, ``(u n)``, ``(v n)``) are never labelled, and an
-entity with no repeated compound node prints as it would without labels.
-The reader parses a labelled list once per sort, so parsing printed text
-gives back the identical hash-consed node, and both directions run in
-the size of the DAG: a translation's payload of three million tree nodes
-prints in under three kilobytes.
-
-A directive file holds exactly one directive s-expression; ``;`` starts a
-comment.
+sub-form (nullary forms, ``(u n)``, ``(v n)``) are never labelled.  A
+labelled list is parsed once, so both directions run in the size of the
+DAG: a payload of three million tree nodes prints in under 3 KB.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 import sys
 from typing import Callable, NamedTuple, Optional, get_args
@@ -60,118 +60,6 @@ class ParseError(Exception):
         self.col = col
 
 
-# ---------------------------------------------------------------------------
-# Reader
-# ---------------------------------------------------------------------------
-
-class SExpr(NamedTuple):
-    head: Optional[str]           # None for a bare atom
-    items: tuple                  # sub-SExprs (for lists, excluding head)
-    atom: Optional[str]           # set for bare atoms
-    line: int
-    col: int
-    label: Optional[int] = None   # k, for a list written ``#k=(...)``
-
-
-# A newline, a parenthesis, a comment or an atom; the spaces, tabs and
-# carriage returns between them match nothing and are skipped.
-_LEXEME = re.compile(r"[()\n]|;[^\n]*|[^ \t\r\n();]+")
-# A label definition ``#k=`` or reference ``#k#``; any other atom that
-# starts with ``#`` is a malformed label.
-_LABEL = re.compile(r"#([0-9]+)([=#])")
-
-
-def _label(tok: str, line: int, col: int) -> tuple[int, str]:
-    """The number and the kind (``=`` or ``#``) of a label token."""
-    match = _LABEL.fullmatch(tok)
-    if match is None:
-        raise ParseError(f"malformed label '{tok}': expected #k= or #k# "
-                         "with k a decimal natural", line, col)
-    digits, kind = match.groups()
-    if len(digits) > MAX_DIGITS:
-        raise LimitError(f"{line}:{col}: a label of more than {MAX_DIGITS} "
-                         "digits")
-    return int(digits), kind
-
-
-def read_sexpr(text: str) -> SExpr:
-    """Read the one s-expression in ``text``; lines and columns count
-    from 1.
-
-    ``#k=(...)`` labels the list it writes, and a later ``#k#`` stands for
-    that same ``SExpr`` object, so shared syntax is read once.  ``#k#``
-    means the most recently *completed* list labelled k: a list cannot
-    refer to itself, and a label may be defined again, as it is when
-    separately printed entities are pasted into one directive."""
-    line, line_start = 1, 0
-    open_lists = []  # innermost last: [head or None, items, line, col, label]
-    labels = {}      # k -> the latest completed list labelled k
-    pending = None   # (k, line, col) of a ``#k=`` waiting for its '('
-    done = None
-    for lexeme in _LEXEME.finditer(text):
-        tok = lexeme.group()
-        if tok == "\n":
-            line += 1
-            line_start = lexeme.end()
-            continue
-        if tok[0] == ";":
-            continue
-        col = lexeme.start() - line_start + 1
-        if done is not None:
-            raise ParseError("trailing content after the directive", line, col)
-        if pending is not None and tok != "(":
-            raise ParseError(f"label #{pending[0]}= must be followed by '('",
-                             pending[1], pending[2])
-        if open_lists and open_lists[-1][0] is None:
-            if tok == "(" or tok == ")" or tok[0] == "#":
-                raise ParseError("expected a keyword after '('", line, col)
-            open_lists[-1][0] = tok
-            continue
-        if tok == "(":
-            label = None if pending is None else pending[0]
-            open_lists.append([None, [], line, col, label])
-            pending = None
-            continue
-        if tok == ")":
-            if not open_lists:
-                raise ParseError("unexpected ')'", line, col)
-            head, items, start_line, start_col, label = open_lists.pop()
-            sexpr = SExpr(head, tuple(items), None, start_line, start_col,
-                          label)
-            if label is not None:
-                labels[label] = sexpr
-        elif tok[0] == "#":
-            k, kind = _label(tok, line, col)
-            if kind == "=":
-                pending = (k, line, col)
-                continue
-            sexpr = labels.get(k)
-            if sexpr is None:
-                if any(entry[4] == k for entry in open_lists):
-                    raise ParseError(f"label #{k}# refers to a list that is "
-                                     "not closed yet", line, col)
-                raise ParseError(f"undefined label #{k}#", line, col)
-        else:
-            sexpr = SExpr(None, (), tok, line, col)
-        if open_lists:
-            open_lists[-1][1].append(sexpr)
-        else:
-            done = sexpr
-    if pending is not None:
-        raise ParseError(f"label #{pending[0]}= must be followed by '('",
-                         pending[1], pending[2])
-    if open_lists:
-        start_line, start_col = open_lists[-1][2:4]
-        raise ParseError("unclosed '('", start_line, start_col)
-    if done is None:
-        raise ParseError("empty input", 1, 1)
-    return done
-
-
-# ---------------------------------------------------------------------------
-# The keyword table
-# ---------------------------------------------------------------------------
-
 KEYWORDS = {
     IdSub: "id", Comp: "comp", Eps: "eps", Ext: "ext", Wk: "p",
     TySub: "tysub", Pi: "pi", Sigma: "sigma", Top: "top", Univ: "u",
@@ -181,26 +69,11 @@ KEYWORDS = {
     FalseLit: "false", If: "if", Refl: "refl", J: "j",
 }
 
-
-def _var(n: int) -> TmExpr:
-    """``(v n)``, refused before its spine is built when ``n`` is at or
-    above the recursion limit: checking the n-step weakening spine
-    recurses once per step, so it could only end in ``RecursionError``,
-    after building n nodes."""
-    limit = sys.getrecursionlimit()
-    if n >= limit:
-        raise LimitError(
-            f"de Bruijn index {n} is not below the recursion limit {limit}")
-    return v(n)
-
-
 # Derived forms: keyword -> (sort, builder, argument sorts).  The printer
 # writes them back only for ``v``; the others print as their expansion.
 DERIVED = {
-    "lift": ("sub", lift, ("sub", "ty")),
-    "arrow": ("ty", arrow, ("ty", "ty")),
-    "v": ("tm", _var, ("index",)),
-    "dollar": ("tm", apply1, ("tm", "tm")),
+    "lift": ("sub", lift, ("sub", "ty")), "arrow": ("ty", arrow, ("ty", "ty")),
+    "v": ("tm", v, ("index",)), "dollar": ("tm", apply1, ("tm", "tm")),
 }
 
 # The sort of a node field, by its annotation (a string in ``syntax``).
@@ -244,207 +117,14 @@ def _forms() -> tuple[dict, dict]:
 
 _BY_KEYWORD, _BY_CLASS = _forms()
 
-
-# ---------------------------------------------------------------------------
-# Parsing
-# ---------------------------------------------------------------------------
-
-def _arity_error(s: SExpr, n: int | str) -> ParseError:
-    return ParseError(f"{s.head} takes {n} argument(s), got {len(s.items)}",
-                      s.line, s.col)
-
-
-def _parse(s: SExpr, sort: str, shared: dict):
-    """The value of sort ``sort`` that ``s`` writes: a natural, a context,
-    or a substitution, type or term form of the keyword table.  A labelled
-    list may occur many times; ``shared`` keeps its value per sort, keyed
-    by the list's identity, so it is parsed once."""
-    if s.label is not None:
-        value = shared.get((id(s), sort))
-        if value is not None:
-            return value
-    if sort in _NATURALS:
-        if s.atom is None or not (s.atom.isascii() and s.atom.isdigit()):
-            raise ParseError(f"expected a decimal natural for {_NATURALS[sort]}",
-                             s.line, s.col)
-        if len(s.atom) > MAX_DIGITS:
-            raise LimitError(f"{s.line}:{s.col}: {_NATURALS[sort]} of more "
-                             f"than {MAX_DIGITS} digits")
-        return int(s.atom)
-    if sort == "ctx":
-        if s.head != "ctx":
-            raise ParseError("expected a context (ctx ...)", s.line, s.col)
-        value = Ctx.of(*[_parse(item, "ty", shared) for item in s.items])
-    else:
-        if s.head is None:
-            raise ParseError(f"expected a {_NOUNS[sort]}", s.line, s.col)
-        form = _BY_KEYWORD.get(s.head)
-        if form is None or form.sort != sort:
-            raise ParseError(f"unknown {_NOUNS[sort]} keyword '{s.head}'",
-                             s.line, s.col)
-        items = s.items
-        if len(items) != len(form.args):
-            if form.optional is None or len(items) != len(form.args) - 1:
-                raise _arity_error(s, len(form.args))
-            at = form.fields.index(form.optional)
-            items = items[:at] + (None,) + items[at:]
-        # A loop, not a comprehension: on Python 3.11 a comprehension is a
-        # frame of its own, and deep input would meet the recursion limit
-        # at half the depth.
-        args = []
-        for item, arg in zip(items, form.args):
-            args.append(None if item is None else _parse(item, arg, shared))
-        value = form.build(*args)
-    if s.label is not None:
-        shared[(id(s), sort)] = value
-    return value
-
-
-def parse_ctx(s: SExpr) -> Ctx:
-    return _parse(s, "ctx", {})
-
-
-def parse_sub(s: SExpr) -> SubExpr:
-    return _parse(s, "sub", {})
-
-
-def parse_ty(s: SExpr) -> TyExpr:
-    return _parse(s, "ty", {})
-
-
-def parse_tm(s: SExpr) -> TmExpr:
-    return _parse(s, "tm", {})
-
-
-def parse_entity(s: SExpr, shared: Optional[dict] = None):
-    """Parse a context, type, term, or substitution, read by its head;
-    ``shared`` is the label table of the text it is part of."""
-    if s.head is None:
-        raise ParseError("expected a context, substitution, type or term",
-                         s.line, s.col)
-    form = _BY_KEYWORD.get(s.head)
-    if form is None and s.head != "ctx":
-        raise ParseError(f"unknown keyword '{s.head}'", s.line, s.col)
-    return _parse(s, "ctx" if form is None else form.sort,
-                  {} if shared is None else shared)
-
-
-# ---------------------------------------------------------------------------
-# Canonical printing
-# ---------------------------------------------------------------------------
-
-# The fields that hold sub-forms, for the node classes that have any: only
-# their forms are ever labelled.
-_SUBFORMS = {cls: names for cls, names in NODE_FIELDS.items() if names}
-
-
-def _visit(x, seen: dict, repeated: set) -> None:
-    """Walk the forms the printer writes for ``x``, a node with sub-forms,
-    each node once: record nodes in order of first appearance in ``seen``,
-    and those met again in ``repeated``.  Forms with no sub-form, ``(v n)``
-    among them, are skipped."""
-    if x in seen:
-        repeated.add(x)
-        return
-    if type(x) is TmSub and var_index(x):
-        return
-    seen[x] = None
-    for name in _SUBFORMS[type(x)]:
-        child = getattr(x, name)
-        if type(child) in _SUBFORMS:
-            _visit(child, seen, repeated)
-
-
-def _labels(x, sort: str) -> dict:
-    """The label of each node that the printed text of ``x`` holds more
-    than once, numbered 1, 2, ... in order of first appearance."""
-    seen, repeated = {}, set()
-    for root in (x.entries if sort == "ctx" else (x,)):
-        if type(root) in _SUBFORMS:
-            _visit(root, seen, repeated)
-    if not repeated:
-        return {}
-    labels = {}
-    for node in seen:
-        if node in repeated:
-            labels[node] = len(labels) + 1
-    return labels
-
-
-def _print(x, sort: str, labels: dict) -> str:
-    """The canonical text of ``x`` of sort ``sort``.  A node of ``labels``
-    prints as ``#k=(...)`` the first time, after which its entry is the
-    text ``#k#`` that every later occurrence prints.  Each list is built
-    by one join: a printed payload can be large, and every further copy
-    of it shows in peak memory."""
-    if sort in _NATURALS:
-        return str(x)
-    if sort == "ctx":
-        parts = ["(ctx"]
-        for ty in x.entries:
-            parts += (" ", _print(ty, "ty", labels))
-        parts.append(")")
-        return "".join(parts)
-    form = _BY_CLASS.get(type(x))
-    if form is None or form.sort != sort:
-        raise ValueError(f"not a {_NOUNS[sort]}: {x!r}")
-    parts = ["(", form.keyword]
-    if labels:
-        label = labels.get(x)
-        if label is not None:
-            if type(label) is str:
-                return label
-            labels[x] = f"#{label}#"
-            parts[0] = f"#{label}=("
-    if form.build is TmSub:
-        index = var_index(x)
-        if index:
-            return f"(v {index})"
-    for name, arg in zip(form.fields, form.args):
-        child = getattr(x, name)
-        if child is not None or name != form.optional:
-            parts += (" ", _print(child, arg, labels))
-    parts.append(")")
-    return "".join(parts)
-
-
-def print_entity(entity) -> str:
-    """The canonical text of ``entity``, a context or a node of the keyword
-    table, whose class gives its sort: a node that occurs more than once
-    is written in full once, as ``#k=(...)``, and as ``#k#`` after that."""
-    sort = "ctx" if type(entity) is Ctx else _BY_CLASS[type(entity)].sort
-    return _print(entity, sort, _labels(entity, sort))
-
-
-# The per-sort names, kept for callers that name the sort they print.
-print_ctx = print_sub = print_ty = print_tm = print_entity
-
-
-def show(x) -> str:
-    """``x`` in the surface syntax if it is a context or a node of the
-    keyword table, else its ``repr``: for messages."""
-    if type(x) is Ctx or type(x) in _BY_CLASS:
-        return print_entity(x)
-    return repr(x)
-
-
-# ---------------------------------------------------------------------------
-# Directives
-# ---------------------------------------------------------------------------
-
 # The argument sorts of each directive.  An ``entity`` is a substitution,
 # type or term, its sort read by its head, and it may be left out: then
 # the directive is about its context alone.
 DIRECTIVES = {
-    "check-tm": ("ctx", "tm"),
-    "check-ty": ("ctx", "ty"),
-    "nf": ("ctx", "tm"),
-    "conv-tm": ("ctx", "ty", "tm", "tm"),
-    "conv-ty": ("ctx", "ty", "ty"),
-    "conv-sub": ("ctx", "ctx", "sub", "sub"),
-    "canon": ("tm",),
-    "termify": ("ctx", "entity"),
-    "param": ("ctx", "entity"),
+    "check-tm": ("ctx", "tm"), "check-ty": ("ctx", "ty"), "nf": ("ctx", "tm"),
+    "conv-tm": ("ctx", "ty", "tm", "tm"), "conv-ty": ("ctx", "ty", "ty"),
+    "conv-sub": ("ctx", "ctx", "sub", "sub"), "canon": ("tm",),
+    "termify": ("ctx", "entity"), "param": ("ctx", "entity"),
     "inject": ("ctx", "entity"),
 }
 
@@ -454,25 +134,354 @@ class Directive(NamedTuple):
     args: tuple
 
 
+# What the parser reads where each sort is expected (None: no sort) by
+# keyword: the builder and the argument sorts, None for ``(ctx a ...)``,
+# ``(ext s [a] t)`` and the directives whose entity may be left out.
+_PARSE = {"ctx": {"ctx": (Ctx.of, None)}, "level": {}, "index": {}, None: {},
+          "directive": {kind: (lambda *args, kind=kind: Directive(kind, args),
+                               None if sorts[-1] == "entity" else sorts)
+                        for kind, sorts in DIRECTIVES.items()}}
+for _form in _BY_KEYWORD.values():
+    _PARSE.setdefault(_form.sort, {})[_form.keyword] = (
+        _form.build, None if _form.optional else _form.args)
+
+
+# A parenthesis or an atom; spaces, tabs, carriage returns and newlines
+# separate them, and a comment runs from ``;`` to the end of its line.
+_TOKEN = re.compile(r"[()]|[^ \t\r\n();]+")
+_COMMENT = re.compile(r";[^\n]*")
+
+
+class _Fail(Exception):
+    """The parse stopped at the item at token ``args[0]``, for ``args[1:]``."""
+
+
+def _label(tok: str, i: int) -> int:
+    """The k of a label token ``#k=`` or ``#k#`` at token ``i``."""
+    digits = tok[1:-1]
+    if tok[-1] in "=#" and digits.isdigit() and digits.isascii() \
+            and len(digits) <= MAX_DIGITS:
+        return int(digits)
+    raise _Fail(i)
+
+
+def _sort_at(toks: list, i: int, labels: dict) -> Optional[str]:
+    """The sort of the item at token ``i`` by its keyword or its label."""
+    tok = toks[i]
+    if tok[0] == "#":
+        if tok[-1] == "#":
+            return labels.get(_label(tok, i), (None,))[0]
+        i += 1
+    if toks[i] != "(":
+        return None
+    form = _BY_KEYWORD.get(toks[i + 1])
+    return "ctx" if toks[i + 1] == "ctx" else form and form.sort
+
+
+def _parse(toks: list, i: int, sort: str, labels: dict):
+    """The value of sort ``sort`` written from token ``i`` on, and the index
+    after it; ``labels`` maps k to the sort and value of the last ``#k=``."""
+    try:
+        label = None
+        if toks[i] != "(":
+            tok = toks[i]
+            if tok[0] != "#":
+                if sort in _NATURALS and tok.isdigit() and tok.isascii() \
+                        and len(tok) <= MAX_DIGITS and (
+                            sort == "level"
+                            or int(tok) < sys.getrecursionlimit()):
+                    return int(tok), i + 1
+                raise _Fail(i)
+            if tok[-1] == "#":
+                entry = labels.get(_label(tok, i))
+                if entry is None or entry[0] != sort:
+                    raise _Fail(i)
+                return entry[1], i + 1
+            label, i = _label(tok, i), i + 1
+            if toks[i] != "(":
+                raise _Fail(i)
+        entry = _PARSE[sort].get(toks[i + 1])
+        if entry is None:
+            raise _Fail(i)
+        build, sorts = entry
+        i += 2
+        # Loops, not comprehensions: on Python 3.11 a comprehension is a
+        # frame of its own, and deep input would meet the limit sooner.
+        if sorts is not None:
+            args = []
+            for arg in sorts:
+                value, i = _parse(toks, i, arg, labels)
+                args.append(value)
+            if toks[i] != ")":
+                raise _Fail(i)
+            value = build(*args)
+        elif build is Ext:
+            # an item headed by a type's keyword is the annotation
+            sub, i = _parse(toks, i, "sub", labels)
+            ann, at = None, i
+            if _sort_at(toks, i, labels) == "ty":
+                ann, i = _parse(toks, i, "ty", labels)
+                if toks[i] == ")":
+                    raise _Fail(at)
+            tm, i = _parse(toks, i, "tm", labels)
+            if toks[i] != ")":
+                raise _Fail(at if ann is None else i)
+            value = Ext(sub, ann, tm)
+        elif build is Ctx.of:
+            entries = []
+            while toks[i] != ")":
+                value, i = _parse(toks, i, "ty", labels)
+                entries.append(value)
+            value = Ctx.of(*entries)
+        else:  # a directive about a context and, if written, an entity
+            ctx, i = _parse(toks, i, "ctx", labels)
+            entity, at = None, i
+            if toks[i] != ")":
+                entity, i = _parse(toks, i, _sort_at(toks, i, labels), labels)
+                if type(entity) is Ctx or toks[i] != ")":
+                    raise _Fail(at if type(entity) is Ctx else i)
+            value = build(ctx, entity)
+        if label is not None:
+            labels[label] = (sort, value)
+        return value, i + 1
+    except RecursionError as err:
+        # the deepest frame that can still run says where the parse stood
+        err.__dict__.setdefault("loc", i)
+        raise
+
+
+def _read(text: str, sort: str):
+    """The one value of sort ``sort`` in ``text``; an entity's by its head."""
+    if ";" in text:  # each comment turns into spaces, so positions hold
+        text = _COMMENT.sub(lambda comment: " " * len(comment[0]), text)
+    toks = _TOKEN.findall(text)
+    try:
+        read = _sort_at(toks, 0, {}) if sort == "entity" else sort
+        value, i = _parse(toks, 0, read, {})
+        if i != len(toks):
+            raise _Fail(i, "trailing content after the directive")
+        return value
+    except (_Fail, IndexError, RecursionError) as err:
+        loc = err.args[0] if type(err) is _Fail else getattr(err, "loc", None)
+        raise _error(text, toks, sort, loc, err) from None
+
+
 def parse_directive(text: str) -> Directive:
-    """The one directive in ``text``, its arguments read with one label
-    table."""
-    s = read_sexpr(text)
-    sorts = DIRECTIVES.get(s.head)
-    if sorts is None:
-        raise ParseError(f"unknown directive '{s.head}'", s.line, s.col)
-    items, n = s.items, len(sorts)
-    if sorts[-1] == "entity" and len(items) == n - 1:
-        items += (None,)
-    if len(items) != n:
-        raise _arity_error(s, f"{n - 1} or {n}" if sorts[-1] == "entity" else n)
-    shared, args = {}, []
-    for item, sort in zip(items, sorts):
-        value = None if item is None else (
-            parse_entity(item, shared) if sort == "entity"
-            else _parse(item, sort, shared))
-        if sort == "entity" and type(value) is Ctx:
-            raise ParseError("entity argument cannot be a context",
-                             item.line, item.col)
-        args.append(value)
-    return Directive(s.head, tuple(args))
+    return _read(text, "directive")
+
+
+# The readers of one sort, and of an entity, its sort read by its head.
+parse_ctx, parse_sub, parse_ty, parse_tm, parse_entity = (
+    functools.partial(_read, sort=sort)
+    for sort in ("ctx", "sub", "ty", "tm", "entity"))
+
+
+# A label definition ``#k=`` or reference ``#k#``.
+_LABEL = re.compile(r"#([0-9]+)([=#])")
+
+
+def _list_error(sort: str, head: Optional[str], count: int) -> tuple:
+    """The message for a list with keyword ``head`` (None: an atom) and
+    ``count`` items where a ``sort`` is expected, or None; its items' sorts."""
+    if sort in _NATURALS:
+        return f"expected a decimal natural for {_NATURALS[sort]}", ()
+    form = _BY_KEYWORD.get(head)
+    if sort == "entity" and head != "ctx":
+        if form is None:
+            return ("expected a context, substitution, type or term"
+                    if head is None else f"unknown keyword '{head}'"), ()
+        sort = form.sort
+    if sort in ("ctx", "entity"):
+        return (None if head == "ctx" else "expected a context (ctx ...)",
+                ("ty",) * count)
+    if sort == "directive":
+        args = DIRECTIVES.get(head)
+        if args is None:
+            return f"unknown directive '{head}'", ()
+        at = len(args) - 1 if args[-1] == "entity" else None
+        takes = f"{len(args) - 1} or {len(args)}" if at else len(args)
+    else:
+        if head is None or form is None or form.sort != sort:
+            return (f"expected a {_NOUNS[sort]}" if head is None else
+                    f"unknown {_NOUNS[sort]} keyword '{head}'"), ()
+        args, takes = form.args, len(form.args)
+        at = form.optional and form.fields.index(form.optional)
+    if count == len(args):
+        return None, args
+    if at is not None and count == len(args) - 1:
+        return None, args[:at] + args[at + 1:]
+    return f"{head} takes {takes} argument(s), got {count}", ()
+
+
+def _error(text: str, toks: list, sort: str, loc: Optional[int],
+           cause: Exception):
+    """The error to raise for ``text``, cut into ``toks``, whose parse as a
+    ``sort`` stopped at the item that starts at token ``loc``."""
+    def at(k: int) -> tuple[int, int]:  # the line and column of token k
+        end = 0
+        for tok in toks[:k]:
+            end = text.find(tok, end) + len(tok)
+        start = text.find(toks[k], end) if k < len(toks) else 0
+        line = text.count("\n", 0, start) + 1
+        return line, start - text.rfind("\n", 0, start)
+
+    # The tokens before ``loc`` parsed, so if the text goes on after its
+    # value, or the list at ``loc`` has no keyword, that comes first.
+    if len(cause.args) > 1:
+        return ParseError(cause.args[1], *at(loc))
+    if loc is not None and toks[loc:loc + 1] == ["("] and len(toks) > loc + 1 \
+            and (toks[loc + 1] in "()" or toks[loc + 1][0] == "#"):
+        return ParseError("expected a keyword after '('", *at(loc + 1))
+    opened, labels, path, node, item = [], {}, [], None, 0
+    pending, head, done = None, False, False
+    for index, tok in enumerate(toks):
+        if index == loc:  # the lists around the item, and which item it is
+            path, node, item = opened[:], tok, opened[-1][3] if opened else 0
+        if head:  # the token after '('
+            if tok in "()" or tok[0] == "#":
+                return ParseError("expected a keyword after '('", *at(index))
+            opened[-1][2], head = tok, False
+            continue
+        if done or pending is not None and tok != "(":
+            return ParseError(
+                f"label #{pending[0]}= must be followed by '('" if pending
+                else "trailing content after the directive",
+                *at(pending[1] if pending else index))
+        if tok == ")":
+            if not opened:
+                return ParseError("unexpected ')'", *at(index))
+            closed = opened.pop()
+            labels[closed[1]] = closed  # by label; None names no reference
+            done = not opened
+            continue
+        if tok[0] == "#":
+            match = _LABEL.fullmatch(tok)
+            if match is None or len(match[1]) > MAX_DIGITS:
+                line, col = at(index)
+                return LimitError(f"{line}:{col}: a label of more than "
+                                  f"{MAX_DIGITS} digits") if match else \
+                    ParseError(f"malformed label '{tok}': expected #k= or "
+                               "#k# with k a decimal natural", line, col)
+            k = int(match[1])
+            if match[2] == "=":
+                pending = (k, index)
+                continue
+            if k not in labels:
+                return ParseError(
+                    f"label #{k}# refers to a list that is not closed yet"
+                    if any(entry[1] == k for entry in opened)
+                    else f"undefined label #{k}#", *at(index))
+            node = labels[k] if index == loc else node
+        if opened:  # the token starts one more item of the innermost list
+            opened[-1][3] += 1
+        if tok == "(":  # [start, label, head, items, item index] of a list
+            entry = [index, pending and pending[0], None, 0,
+                     opened[-1][3] - 1 if opened else 0]
+            if index == loc or pending is not None and pending[1] == loc:
+                node = entry
+            opened.append(entry)
+            pending, head = None, True
+        else:
+            done = not opened
+    if pending is not None or opened or not toks:
+        return ParseError(
+            f"label #{pending[0]}= must be followed by '('" if pending
+            else "unclosed '('" if opened else "empty input",
+            *at(pending[1] if pending else opened[-1][0] if opened else 0))
+    # The text is well formed: a top-down parse checks each list's keyword
+    # and number of items before its items, so the lists around ``loc``
+    # are checked outermost first, then the item there.
+    sorts = None
+    for entry in path:
+        sort = sort if sorts is None else sorts[entry[4]]
+        message, sorts = _list_error(sort, entry[2], entry[3])
+        if message is not None:
+            return ParseError(message, *at(entry[0]))
+    if node is None or node == ")":
+        return cause
+    sort = sort if sorts is None else sorts[item]
+    if type(node) is list:
+        message = _list_error(sort, node[2], node[3])[0] or (
+            sort == "entity" and node[2] == "ctx"
+            and "entity argument cannot be a context")
+        return ParseError(message, *at(node[0])) if message else cause
+    line, col = at(loc)
+    if sort not in _NATURALS or not (node.isascii() and node.isdigit()):
+        return ParseError(_list_error(sort, None, 0)[0], line, col)
+    if len(node) > MAX_DIGITS:
+        return LimitError(f"{line}:{col}: {_NATURALS[sort]} of more than "
+                          f"{MAX_DIGITS} digits")
+    return LimitError(f"de Bruijn index {int(node)} is not below the "
+                      f"recursion limit {sys.getrecursionlimit()}")
+
+
+# ---------------------------------------------------------------------------
+# Canonical printing
+# ---------------------------------------------------------------------------
+
+# Each node class: its sort, the text that opens it (after the space that
+# separates it from what comes before), its fields with their sorts, and
+# whether it has a sub-form, so that it is labelled where it repeats.
+_PRINT = {cls: (form.sort, f" ({form.keyword}",
+                tuple(zip(form.fields, form.args)), bool(NODE_FIELDS[cls]))
+          for cls, form in _BY_CLASS.items()}
+
+
+def _emit(x, sort: str, out: list, first: dict, repeats: list) -> None:
+    """Append the text of ``x`` of sort ``sort`` to ``out``, each form after
+    a space.  ``first`` maps a form with a sub-form to the index of its
+    opening text; met again, it goes in as itself, its index to ``repeats``."""
+    entry = _PRINT.get(type(x))
+    if entry is None or entry[0] != sort:
+        if sort in _NATURALS:
+            out.append(f" {x}")
+            return
+        raise ValueError(f"not a {_NOUNS[sort]}: {x!r}")
+    if entry[3]:
+        if type(x) is TmSub and (index := var_index(x)):
+            out.append(f" (v {index})")
+            return
+        if x in first:
+            repeats.append(len(out))
+            out.append(x)
+            return
+        first[x] = len(out)
+    out.append(entry[1])
+    for name, arg in entry[2]:
+        child = getattr(x, name)
+        if child is not None:
+            _emit(child, arg, out, first, repeats)
+    out.append(")")
+
+
+def print_entity(entity) -> str:
+    """The canonical text of ``entity``, a context or a node of the keyword
+    table, whose class gives its sort, in one join: a printed payload can
+    be large, and every further copy of it shows in peak memory."""
+    out, first, repeats = [], {}, []
+    if type(entity) is Ctx:
+        out.append(" (ctx")
+        for ty in entity.entries:
+            _emit(ty, "ty", out, first, repeats)
+        out.append(")")
+    else:
+        _emit(entity, _BY_CLASS[type(entity)].sort, out, first, repeats)
+    if repeats:
+        for k, node in enumerate(sorted({out[at] for at in repeats},
+                                        key=first.get), 1):
+            out[first[node]] = f" #{k}={out[first[node]][1:]}"
+            first[node] = f" #{k}#"
+        for at in repeats:
+            out[at] = first[out[at]]
+    out[0] = out[0][1:]
+    return "".join(out)
+
+
+# The per-sort names, kept for callers that name the sort they print.
+print_ctx = print_sub = print_ty = print_tm = print_entity
+
+
+def show(x) -> str:
+    """``x`` in the surface syntax if it is a context or a node of the
+    keyword table, else its ``repr``: for messages."""
+    return print_entity(x) if type(x) in _PRINT or type(x) is Ctx else repr(x)

@@ -364,6 +364,28 @@ def test_non_utf8_file_is_an_io_error(capsys, tmp_path):
     assert lines[0].startswith(f"cannot read {f}: ")
 
 
+# A directive and a text whose innermost unclosed '(' is on line 3.
+LINES = {"good": ["; the identity on booleans", "(check-tm (ctx (bool))",
+                  "  (lam (bool) (q)))"],
+         "bad": ["(check-tm (ctx)", "  (lam (bool)", "    (app (q)"]}
+
+
+def test_crlf_and_cr_end_lines_as_lf_does(capsys, tmp_path):
+    f = tmp_path / "d.tt"
+    for end in ("\n", "\r\n", "\r"):
+        runs = []
+        for name, lines in LINES.items():
+            f.write_bytes(end.join(lines + [""]).encode())
+            runs.append((main(["run", str(f)]), capsys.readouterr().out))
+        assert runs == [
+            (0, "type: (pi (bool) (tysub (bool) (p)))\nRESULT: accept\n"),
+            (2, "parse error: 3:5: unclosed '('\nRESULT: error parse\n")], \
+            repr(end)
+        f.write_bytes(end.join(LINES["good"]).encode() + b"\xff")
+        assert main(["run", str(f)]) == 2
+        assert capsys.readouterr().out.endswith("RESULT: error io\n")
+
+
 # Every demo, and a file that fails to decode.
 RUN_INPUTS = {demo.stem: demo.read_bytes() for demo in sorted(DEMO.glob("*.tt"))}
 RUN_INPUTS["not-utf8"] = b"(canon (true\xff))"

@@ -8,7 +8,7 @@ from ttk.syntax import (
 from ttk.semantics import evaluate, readback_tm, readback_ty, vapp
 from ttk.values import Closure, fresh
 from ttk.conversion import conv_sub, conv_tm, conv_ty, normalize_tm, normalize_ty
-from ttk.surface import parse_ctx, parse_tm, print_tm, read_sexpr
+from ttk.surface import parse_ctx, parse_tm, print_tm
 from ttk.typecheck import TypeCheckError, synth_tm
 
 
@@ -275,5 +275,5 @@ STUCK_SPINES = {
 @pytest.mark.parametrize("name", list(STUCK_SPINES))
 def test_stuck_eliminator_reads_back_as_a_spine(name):
     ctx, tm, expected = STUCK_SPINES[name]
-    nf = normalize_tm(parse_ctx(read_sexpr(ctx)), parse_tm(read_sexpr(tm)))
+    nf = normalize_tm(parse_ctx(ctx), parse_tm(tm))
     assert print_tm(nf) == expected

@@ -8,9 +8,12 @@ entities and from their closed-term translations, whose shared syntax
 prints with ``#k=``/``#k#`` labels.  They are mutated by deleting,
 duplicating and swapping tokens, label tokens among them.  Each
 mutant runs in-process on cold caches, as a fresh ``ttk run`` would.
+Each mutant's exit code and whole output go into one sha256 digest, which
+pins every ``parse error: L:C: message`` and ``limit error`` line.
 """
 
 import contextlib
+import hashlib
 import io
 import pathlib
 import random
@@ -31,6 +34,10 @@ EXIT_CODES = {
     "RESULT: error type": 3, "RESULT: error limit": 4,
 }
 TOKEN = re.compile(r"[()]|[^ \t\r\n();]+")
+# The digests of what the mutants print, with their exit codes.
+MUTANT_DIGEST = "f46cf3cff48b934af108c1099195e8be4e4bd366beaad3bc1a7e1fee09e1b20a"
+LONG_NATURAL_DIGEST = (
+    "a5783130a708d3bb1c71286fcd5ac8e6d63ea9aca77edfc647d123a08252533f")
 
 
 def _bases(rng: random.Random) -> list[str]:
@@ -96,13 +103,17 @@ def _mutant(rng: random.Random, text: str) -> str:
     return " ".join(tokens)
 
 
-def _run(path: pathlib.Path, text: str) -> tuple[int, str]:
+def _run(path: pathlib.Path, text: str, digest) -> tuple[int, str]:
+    """Run ``text``, add its output and exit code to ``digest``, and give
+    the exit code and the last line."""
     path.write_text(text, encoding="utf-8")
     clear_all()
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(["run", str(path)])
-    lines = out.getvalue().splitlines()
+    printed = out.getvalue()
+    digest.update(f"{printed}\0{code}\0".encode())
+    lines = printed.splitlines()
     return code, lines[-1] if lines else ""
 
 
@@ -111,10 +122,10 @@ def test_mutated_directives_end_in_a_documented_result(tmp_path):
     bases = _bases(rng)
     assert sum("#1=" in base and "#1#" in base for base in bases) >= 6
     path = tmp_path / "mutant.tt"
-    outcomes = set()
+    outcomes, digest = set(), hashlib.sha256()
     for _ in range(6000):
         text = _mutant(rng, rng.choice(bases))
-        code, last = _run(path, text)
+        code, last = _run(path, text, digest)
         assert RESULT.match(last), (text, last)
         assert EXIT_CODES.get(last) == code, (text, last, code)
         assert last != "RESULT: error kernel", text
@@ -123,6 +134,7 @@ def test_mutated_directives_end_in_a_documented_result(tmp_path):
     # parser.
     assert {"RESULT: accept", "RESULT: error parse",
             "RESULT: error type"} <= outcomes
+    assert digest.hexdigest() == MUTANT_DIGEST
 
 
 def _long_natural(rng: random.Random, text: str) -> str:
@@ -138,11 +150,12 @@ def test_long_naturals_end_in_a_documented_result(tmp_path):
     rng = random.Random(20261019)
     bases = _bases(rng)
     path = tmp_path / "long.tt"
-    outcomes = set()
+    outcomes, digest = set(), hashlib.sha256()
     for _ in range(200):
         text = _long_natural(rng, rng.choice(bases))
-        code, last = _run(path, text)
+        code, last = _run(path, text, digest)
         assert RESULT.match(last), (text[:200], last)
         assert EXIT_CODES.get(last) == code, (text[:200], last, code)
         outcomes.add(last)
     assert "RESULT: error limit" in outcomes
+    assert digest.hexdigest() == LONG_NATURAL_DIGEST

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import pytest
 
@@ -15,7 +16,6 @@ from ttk.typecheck import (
 )
 from ttk.equations import SCHEMA_NAMES, build_instance, check_instance
 from ttk.suites import RETRIES, _draw, _dump_instance
-from ttk.surface import read_sexpr
 
 
 def test_zero_budget_ctx_is_empty():
@@ -169,11 +169,27 @@ def test_the_stream_keeps_every_construct():
                          f"{distinct_endpoints}, missing: {missing}")
 
 
-def _unfolded(s) -> str:
-    """The text of a read s-expression with every ``#k#`` written out."""
-    if s.head is None:
-        return s.atom
-    return "(" + " ".join([s.head] + [_unfolded(item) for item in s.items]) + ")"
+def _unfolded(text: str) -> str:
+    """``text``, one s-expression, with every ``#k#`` written out and
+    every ``#k=`` dropped."""
+    labels, pending = {}, None
+    lists = [(None, [])]  # the label and the items of each open list
+    for tok in re.findall(r"[()]|[^ ()]+", text):
+        if tok == "(":
+            lists.append((pending, []))
+            pending = None
+        elif tok == ")":
+            label, items = lists.pop()
+            lists[-1][1].append("(" + " ".join(items) + ")")
+            if label is not None:
+                labels[label] = lists[-1][1][-1]
+        elif tok[0] == "#" and tok[-1] == "=":
+            pending = tok[1:-1]
+        elif tok[0] == "#":
+            lists[-1][1].append(labels[tok[1:-1]])
+        else:
+            lists[-1][1].append(tok)
+    return lists[0][1][0]
 
 
 def _unlabelled(line: str) -> str:
@@ -182,7 +198,7 @@ def _unlabelled(line: str) -> str:
     start = line.find("(")
     if start < 0:
         return line
-    return line[:start] + _unfolded(read_sexpr(line[start:]))
+    return line[:start] + _unfolded(line[start:])
 
 
 def _stream_digest(seeds: int) -> str:

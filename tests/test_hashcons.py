@@ -10,7 +10,7 @@ from ttk import caches, syntax, values
 from ttk.generate import GenConfig, GenExhausted, InstanceGen, derive_seed
 from ttk.surface import (
     parse_ctx, parse_sub, parse_tm, parse_ty, print_ctx, print_sub, print_tm,
-    print_ty, read_sexpr,
+    print_ty,
 )
 from ttk.syntax import (
     Bool, Ctx, EMPTY, FrozenInstanceError, Pi, Top, TySub, Univ, Wk,
@@ -149,7 +149,7 @@ def test_parse_after_print_returns_the_same_node():
     seen = set()
     for sort, entity in _entities(60):
         show, parse = surface[sort]
-        assert parse(read_sexpr(show(entity))) is entity
+        assert parse(show(entity)) is entity
         seen.add(sort)
     assert seen == set(surface)
 

@@ -9,7 +9,10 @@ every verdict and every printed byte must leave the digest as it is.
 
 A second digest pins every clause of both translations: the ``termify``
 and ``param`` output of each of ``injectivity.COMPONENT_CASES``, one
-case per operator of the theory.
+case per operator of the theory.  A third pins the printer alone:
+``print_entity`` of a seeded stream of generated contexts, types, terms
+and substitutions and of their translations, over half of which print
+with ``#k=``/``#k#`` labels.
 """
 
 import contextlib
@@ -19,12 +22,14 @@ import random
 
 from ttk.caches import clear_all
 from ttk.cli import main
-from ttk.generate import GenConfig, GenExhausted, InstanceGen
+from ttk.generate import GenConfig, GenExhausted, InstanceGen, derive_seed
 from ttk.injectivity import COMPONENT_CASES
+from ttk.parametricity import param_entity
 from ttk.surface import (
     DIRECTIVES, print_ctx, print_entity, print_sub, print_tm, print_ty,
 )
 from ttk.syntax import EMPTY, Bool
+from ttk.termify import termify_entity
 
 SEED = 20261019
 GROUPS = 7
@@ -33,6 +38,8 @@ GROUPS = 7
 DIGEST = "413be1e513de26da8eddf10a1d99140d65fa37debf5096bb3bdf94acea54bd5c"
 # The digest of what the translations of the component cases print.
 CLAUSE_DIGEST = "3283900463bc8d71218b37c93ff62d15a8d92e17e70f5474fdeada3d87ab6266"
+# The digest of what ``print_entity`` prints for the seeded stream below.
+PRINT_DIGEST = "8f85404356647be85f27fefa9de9d1f27b0cd913389722920c40b46ec97ea18e"
 
 
 def _group(gen: InstanceGen, level: int) -> list[str]:
@@ -125,3 +132,36 @@ def test_every_translation_clause_prints_the_pinned_bytes(tmp_path):
     assert len(directives) == 58
     assert results == {"RESULT: accept"}
     assert digest == CLAUSE_DIGEST
+
+
+def _printed_stream(draws: int):
+    """The text of each drawn context, type, term and substitution, and of
+    the ``termify`` payload and classifier and the ``param`` payload of
+    each, the context alone included."""
+    for index in range(draws):
+        gen = InstanceGen(GenConfig(seed=derive_seed(31, "print", index),
+                                    max_nodes=6, max_ctx_len=2))
+        try:
+            ctx = gen.draw_ctx()
+            ty = gen.draw_ty(ctx)
+            tm = gen.draw_tm(ctx, ty)
+            sub = gen.draw_sub(ctx, gen.draw_ctx())
+        except GenExhausted:
+            continue
+        for entity in (None, ty, tm, sub):
+            yield print_entity(ctx if entity is None else entity)
+            out = termify_entity(ctx, entity)
+            yield print_entity(out.payload)
+            yield print_entity(out.classifier)
+            yield print_entity(param_entity(ctx, entity).payload)
+        clear_all()
+
+
+def test_print_entity_prints_the_pinned_bytes():
+    digest, count, labelled = hashlib.sha256(), 0, 0
+    for text in _printed_stream(150):
+        digest.update(text.encode() + b"\n")
+        count += 1
+        labelled += "#1=" in text
+    assert (count, labelled) == (2112, 1189)
+    assert digest.hexdigest() == PRINT_DIGEST

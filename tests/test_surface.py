@@ -16,14 +16,14 @@ from ttk import surface
 from ttk.surface import (
     DERIVED, KEYWORDS, ParseError, parse_directive, parse_entity, parse_tm,
     parse_ty, parse_sub, print_ctx, print_entity, print_sub, print_tm,
-    print_ty, read_sexpr,
+    print_ty,
 )
 from ttk.syntax import tree_dag_sizes
 from ttk.termify import termify_entity
 
 
 def _tm(text):
-    return parse_tm(read_sexpr(text))
+    return parse_tm(text)
 
 
 def test_parse_examples():
@@ -34,11 +34,11 @@ def test_parse_examples():
 
 
 def test_parse_sugar():
-    assert parse_ty(read_sexpr("(arrow (bool) (top))")) == arrow(Bool(), Top())
+    assert parse_ty("(arrow (bool) (top))") == arrow(Bool(), Top())
     assert _tm("(dollar (lam (bool) (q)) (true))") == \
         apply1(Lam(Bool(), Var0()), TrueLit())
-    assert parse_sub(read_sexpr("(lift (eps) (bool))")) == lift(Eps(), Bool())
-    assert parse_sub(read_sexpr("(ext (id) (true))")) == \
+    assert parse_sub("(lift (eps) (bool))") == lift(Eps(), Bool())
+    assert parse_sub("(ext (id) (true))") == \
         Ext(IdSub(), None, TrueLit())
 
 
@@ -73,23 +73,23 @@ def test_print_after_parse_is_canonicalization():
 
 def test_parse_errors_carry_position():
     with pytest.raises(ParseError) as info:
-        read_sexpr("(lam (bool)\n  (q)")
+        parse_tm("(lam (bool)\n  (q)")
     assert info.value.line == 1
     with pytest.raises(ParseError):
-        parse_tm(read_sexpr("(frobnicate)"))
+        parse_tm("(frobnicate)")
     with pytest.raises(ParseError):
-        parse_tm(read_sexpr("(lam (bool))"))  # arity
+        parse_tm("(lam (bool))")  # arity
     with pytest.raises(ParseError):
-        read_sexpr("(q) (q)")  # trailing content
+        parse_tm("(q) (q)")  # trailing content
     with pytest.raises(ParseError):
-        parse_tm(read_sexpr("(v x)"))  # not a numeral
+        parse_tm("(v x)")  # not a numeral
 
 
 def test_entity_sort_dispatch():
-    assert type(parse_entity(read_sexpr("(ctx (bool))"))) is Ctx
-    assert isinstance(parse_entity(read_sexpr("(p)")), SubExpr)
-    assert isinstance(parse_entity(read_sexpr("(bool)")), TyExpr)
-    assert isinstance(parse_entity(read_sexpr("(true)")), TmExpr)
+    assert type(parse_entity("(ctx (bool))")) is Ctx
+    assert isinstance(parse_entity("(p)"), SubExpr)
+    assert isinstance(parse_entity("(bool)"), TyExpr)
+    assert isinstance(parse_entity("(true)"), TmExpr)
 
 
 def test_directive_parsing():
@@ -144,7 +144,7 @@ def test_round_trip_covers_every_constructor():
     for entity in ALL_FORMS:
         walk_constructors(entity, found)
         text = print_entity(entity)
-        assert parse_entity(read_sexpr(text)) == entity, text
+        assert parse_entity(text) == entity, text
     assert found == {cls.__name__ for cls in KEYWORDS}
     assert print_sub(Ext(IdSub(), None, TrueLit())) == "(ext (id) (true))"
     assert print_ty(Univ(12)) == "(u 12)"
@@ -159,9 +159,9 @@ def test_derived_forms_expand_and_round_trip():
          apply1(Lam(Bool(), Var0()), TrueLit())),
     ]
     for text, entity in cases:
-        assert parse_entity(read_sexpr(text)) == entity
+        assert parse_entity(text) == entity
         printed = print_entity(entity)
-        assert parse_entity(read_sexpr(printed)) == entity
+        assert parse_entity(printed) == entity
     assert print_tm(v(3)) == "(v 3)"
 
 
@@ -180,7 +180,7 @@ def test_derived_forms_expand_and_round_trip():
 ])
 def test_parse_error_messages(text, message):
     with pytest.raises(ParseError) as info:
-        parse_tm(read_sexpr(text))
+        parse_tm(text)
     assert info.value.message == message
 
 
@@ -197,7 +197,7 @@ def test_reader_error_positions():
     ]
     for text, message, line, col in cases:
         with pytest.raises(ParseError) as info:
-            read_sexpr(text)
+            parse_entity(text)
         assert (info.value.message, info.value.line, info.value.col) == \
             (message, line, col), text
 
@@ -255,19 +255,19 @@ def test_text_without_repeats_is_unchanged():
 
 
 def test_a_reference_is_the_labelled_sexpr():
-    s = read_sexpr("(pair #1=(sigma (bool) (top)) (bool) #2=(code #1#) "
-                   "(fst #2#))")
-    assert s.items[2].items[0] is s.items[0]
-    assert s.items[3].items[0] is s.items[2]
-    assert s.items[0].label == 1 and s.items[1].label is None
+    text = "(pair #1=(sigma (bool) (top)) (bool) #2=(code #1#) (fst #2#))"
+    sig = Sigma(Bool(), Top())
+    tm = parse_tm(text)
+    assert tm is Pair(sig, Bool(), Code(sig), Fst(Code(sig)))
+    assert tm.fst.ty is tm.fst_ty and tm.snd.pair is tm.fst
+    assert parse_tm(text.replace("#1#", "(sigma (bool) (top))")) is tm
 
 
 def test_a_reference_means_the_latest_completed_definition():
-    s = read_sexpr("(f #1=(a) #1=(b #1#) #1# #1=(c) #1#)")
-    a, b, ref, c, last = s.items
-    assert b.items[0] is a
-    assert ref is b
-    assert last is c
+    tm = parse_tm("(pair #1=(bool) #1=(pi #1# (top)) (code #1#) "
+                  "(code #1=(el (code #1#))))")
+    fn = Pi(Bool(), Top())
+    assert tm is Pair(Bool(), fn, Code(fn), Code(El(Code(fn))))
     # Pasting separately printed entities redefines their labels, as the
     # generated directives of the benchmark and the fuzz test do.
     ty = Pi(Sigma(Bool(), Top()), Sigma(Bool(), Top()))
@@ -314,7 +314,7 @@ def test_labels_may_be_followed_by_space_and_comments():
 def test_label_errors_carry_position(tmp_path, capsys, text, message, line,
                                      col):
     with pytest.raises(ParseError) as info:
-        read_sexpr(text)
+        parse_entity(text)
     assert (info.value.message, info.value.line, info.value.col) == \
         (message, line, col)
     path = tmp_path / "bad.tt"
@@ -330,11 +330,11 @@ def test_a_labelled_list_is_parsed_once_per_sort():
     text = "#0=(bool)"
     for k in range(1, 31):
         text = f"#{k}=(sigma {text} #{k - 1}#)"
-    ty = parse_ty(read_sexpr(text))
+    ty = parse_ty(text)
     assert tree_dag_sizes(ty) == (2 ** 31 - 1, 31)
     assert print_ty(ty).count("sigma") == 30
     with pytest.raises(ParseError) as info:
-        parse_tm(read_sexpr("(pair #1=(bool) (bool) #1# (true))"))
+        parse_tm("(pair #1=(bool) (bool) #1# (true))")
     assert info.value.message == "unknown term keyword 'bool'"
 
 
@@ -347,17 +347,22 @@ def test_a_labelled_list_is_parsed_once_per_sort():
 def test_the_arguments_of_a_directive_share_one_label_table(monkeypatch,
                                                             text):
     # a list labelled in the context and used in the entity is parsed
-    # once: its second use is a hit, so nothing under it is parsed again
-    calls = []  # every list parsed, held so that no two share an id
+    # once: its reference gives back the node its definition built, and
+    # nothing under it is parsed again
+    calls = []  # the token each parse starts at, and its value
     parse = surface._parse
 
-    def counting(s, sort, shared):
-        calls.append(s)
-        return parse(s, sort, shared)
+    def counting(toks, i, sort, labels):
+        value, end = parse(toks, i, sort, labels)
+        calls.append((i, toks[i], value))
+        return value, end
     monkeypatch.setattr(surface, "_parse", counting)
     parse_directive(text)
-    counts = collections.Counter(map(id, calls))
-    assert [s.label for s in calls if counts[id(s)] > 1] == [1, 1]
+    starts = [i for i, _, _ in calls]
+    assert len(starts) == len(set(starts))
+    defined = [value for _, tok, value in calls if tok == "#1="]
+    referred = [value for _, tok, value in calls if tok == "#1#"]
+    assert defined == referred == [Pi(Bool(), Bool())]
 
 
 def test_walk_constructors_visits_each_shared_node_once():
@@ -366,7 +371,7 @@ def test_walk_constructors_visits_each_shared_node_once():
     for k in range(1, 41):
         text = (f"#{k}=(pair (bool) (tysub (bool) (p)) (fst {text}) "
                 f"(snd #{k - 1}#))")
-    tm = parse_tm(read_sexpr(text))
+    tm = parse_tm(text)
     tree, dag = tree_dag_sizes(tm)
     assert tree > 2 ** 40 and dag == 3 * 40 + 4
     found = set()
@@ -382,7 +387,7 @@ def test_a_shared_weakening_spine_prints_as_one_variable():
     text = "#0=(p)"
     for k in range(1, 41):
         text = f"#{k}=(comp {text} #{k - 1}#)"
-    tm = parse_tm(read_sexpr(f"(tmsub (q) {text})"))
+    tm = parse_tm(f"(tmsub (q) {text})")
     assert print_tm(tm) == f"(v {2 ** 40})"
     assert print_tm(TmSub(Var0(), Comp(Comp(Wk(), Wk()), Wk()))) == "(v 3)"
     assert print_tm(TmSub(Var0(), Comp(Comp(Wk(), Eps()), Wk()))) == \
@@ -393,7 +398,7 @@ def _nested_pi(n):
     text = "(bool)"
     for _ in range(n):
         text = f"(pi (bool) {text})"
-    return parse_ty(read_sexpr(text))
+    return parse_ty(text)
 
 
 def _payloads(ctx, entity):
@@ -403,7 +408,7 @@ def _payloads(ctx, entity):
 
 def _round_trips(entity):
     text = print_entity(entity)
-    assert parse_entity(read_sexpr(text)) is entity
+    assert parse_entity(text) is entity
     return text
 
 
