@@ -153,7 +153,8 @@ class InstanceGen:
         self.fuel -= 1
         self.budget -= cost
         if self.fuel <= 0:
-            raise GenExhausted("generator fuel exhausted")
+            raise GenExhausted(
+                f"generator fuel exhausted at seed {self.cfg.seed}")
 
     def _reset_budget(self) -> None:
         self.budget = self.cfg.max_nodes

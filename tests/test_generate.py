@@ -15,7 +15,7 @@ from ttk.typecheck import (
     types_convertible,
 )
 from ttk.equations import SCHEMA_NAMES, build_instance, check_instance
-from ttk.suites import RETRIES, _draw, _dump_instance
+from ttk.suites import _draw, _dump_instance
 
 
 def test_zero_budget_ctx_is_empty():
@@ -105,38 +105,26 @@ def test_schema_registry_complete():
 
 @pytest.mark.parametrize("name", SCHEMA_NAMES)
 def test_each_schema_yields_accepted_instances(name):
-    accepted = 0
-    attempt = 0
-    while accepted < 3:
+    for attempt in range(3):
         cfg = GenConfig(seed=derive_seed(99, name, attempt), max_nodes=8)
-        attempt += 1
-        assert attempt < 60, f"schema {name} kept exhausting fuel"
-        try:
-            inst = build_instance(name, InstanceGen(cfg))
-        except GenExhausted:
-            continue
+        inst = build_instance(name, InstanceGen(cfg))
         assert check_instance(inst), f"schema {name} rejected {inst}"
-        accepted += 1
 
 
 @pytest.mark.parametrize("max_nodes", [12, 8])
 def test_draws_do_not_run_out(max_nodes):
-    # every draw attempt of 20 seeds x 38 schemas, retried as the suites
-    # retry; an attempt runs out only at fuel, never at a goal with no way in
-    attempts = exhausted = 0
+    # 20 seeds x 38 schemas, each drawn once as the suites draw: a draw
+    # runs out only of fuel, never at a goal with no way in
+    exhausted = []
     for seed in range(20):
         for name in SCHEMA_NAMES:
             with caches.case_scope():
-                for attempt in range(RETRIES):
-                    cfg = GenConfig(seed=derive_seed(seed, "yield", name, attempt),
-                                    max_nodes=max_nodes)
-                    attempts += 1
-                    try:
-                        build_instance(name, InstanceGen(cfg))
-                        break
-                    except GenExhausted:
-                        exhausted += 1
-    assert attempts - exhausted >= 0.95 * attempts, (exhausted, attempts)
+                try:
+                    _draw((seed, "yield", name),
+                          lambda g: build_instance(name, g), max_nodes)
+                except GenExhausted as err:
+                    exhausted.append((seed, name, str(err)))
+    assert not exhausted
 
 
 def test_the_stream_keeps_every_construct():

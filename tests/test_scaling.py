@@ -8,7 +8,9 @@ contexts were tuples and closed values were read back at every depth,
 each of these guards failed.  A nest of pairs that each hold the previous
 one twice, printed with labels, has an exponential tree and a linear
 DAG: the parser reads each labelled list once, and ``synth_tm``'s memo
-table checks each shared node once.
+table checks each shared node once.  A nest of compositions that each
+hold the previous one twice is the same for substitutions.  Each shared
+nest is the guard of the memo tables whose removal makes it fail.
 
 The sizes stay below what every supported interpreter accepts: CPython
 3.12.1's fixed C recursion limit refuses ``termify`` of a λ nest from
@@ -25,11 +27,13 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 import ttk
 from ttk import caches
 from ttk.cli import main
-from ttk.surface import print_tm
-from ttk.syntax import Bool, Pair, Sigma, TrueLit, TySub, Wk
+from ttk.surface import print_sub, print_tm
+from ttk.syntax import Bool, Comp, Ext, Pair, Sigma, TrueLit, TySub, Var0, Wk
 
 
 def _misses(text, tmp_path):
@@ -73,20 +77,67 @@ def test_termify_nest_misses_grow_linearly_in_its_depth(tmp_path):
 
 
 def _pair_nest(depth):
-    """``(check-tm (ctx) T)``, ``T`` a nest of ``depth`` pairs that each
-    hold the previous one twice, printed with labels."""
+    """A nest of ``depth`` pairs that each hold the previous one twice,
+    and its type, printed with labels."""
     tm, ty = TrueLit(), Bool()
     for _ in range(depth):
         tm, ty = Pair(ty, TySub(ty, Wk()), tm, tm), Sigma(ty, TySub(ty, Wk()))
-    return f"(check-tm (ctx) {print_tm(tm)})"
+    return print_tm(tm), print_tm(ty)
 
 
-def test_shared_pair_nest_misses_grow_linearly_in_its_depth(tmp_path):
-    # as a tree, the nest of depth 20 has 2^20 leaves; as printed, 1.1 KB.
+def _comp_nest(depth):
+    """``(ext (p) (bool) (q))``, from ``(ctx (bool))`` to itself, under
+    ``depth`` compositions that each hold the previous one twice, printed
+    with labels."""
+    sub = Ext(Wk(), Bool(), Var0())
+    for _ in range(depth):
+        sub = Comp(sub, sub)
+    return print_sub(sub)
+
+
+def _blows_up(misses):
+    return pytest.mark.xfail(strict=True, reason=(
+        f"misses {misses}, most in evaluate, eval_sub and readback_ty,"
+        " while the payload's DAG stays linear"))
+
+
+# A directive over a shared nest, by the tables it is the guard of, and
+# the depth whose double it is compared with; the misses at that depth
+# and its double are quoted.
+SHARED_NESTS = [
+    # synth_tm, infer_ty, evaluate and readback_ty: 141 and 281 misses.
+    # As a tree, the nest of depth 20 has 2^20 leaves; as printed, 1.1 KB.
     # Without synth_tm's memo table, depth 24 took 34.9 s.
-    half = _misses(_pair_nest(10), tmp_path)
+    pytest.param(10, lambda d: "(check-tm (ctx) {})".format(_pair_nest(d)[0]),
+                 id="check-tm-pairs"),
+    # readback_tm too: 157 and 307
+    pytest.param(10, lambda d: "(nf (ctx) {})".format(_pair_nest(d)[0]),
+                 id="nf-pairs"),
+    # readback_tm too, by conversion: 158 and 308
+    pytest.param(10, lambda d: "(conv-tm (ctx) {1} {0} {0})".format(
+        *_pair_nest(d)), id="conv-tm-pairs"),
+    # synth_sub and eval_sub: 52 and 92
+    pytest.param(20, lambda d: "(conv-sub (ctx (bool)) (ctx (bool)) {} (id))"
+                 .format(_comp_nest(d)), id="conv-sub-comps"),
+    # termify, synth_sub and synth_tm: 371 and 651
+    pytest.param(20, lambda d: "(termify (ctx (bool)) {})".format(
+        _comp_nest(d)), id="termify-comps"),
+    # param, eval_sub, synth_sub and synth_tm: 416 and 756
+    pytest.param(20, lambda d: "(param (ctx (bool)) {})".format(
+        _comp_nest(d)), id="param-comps"),
+    pytest.param(10, lambda d: "(termify (ctx) {})".format(_pair_nest(d)[0]),
+                 id="termify-pairs", marks=_blows_up("2,150 and 5,860")),
+    # 340,935 at depth 12: about twice as many for each level
+    pytest.param(5, lambda d: "(param (ctx) {})".format(_pair_nest(d)[0]),
+                 id="param-pairs", marks=_blows_up("3,429 and 86,734")),
+]
+
+
+@pytest.mark.parametrize("depth, directive", SHARED_NESTS)
+def test_a_shared_nest_costs_its_dag(tmp_path, depth, directive):
+    half = _misses(directive(depth), tmp_path)
     began = time.process_time()
-    full = _misses(_pair_nest(20), tmp_path)
+    full = _misses(directive(2 * depth), tmp_path)
     assert time.process_time() - began < 0.5
     assert full <= 2.05 * half, (half, full)
 

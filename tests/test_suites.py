@@ -6,12 +6,13 @@ import pytest
 import ttk.suites
 from mutants import apply
 from ttk import caches
+from ttk.generate import derive_seed
 from ttk.injectivity import IsoFailure
 from ttk.parametricity import param_entity
 from ttk.suites import (
-    ERROR_LINE_CHARS, _schema_cases, _tally, run_canonicity_suite, run_equation_suite,
-    run_injectivity_suite, run_parametricity_suite, run_suites,
-    run_termified_suite,
+    ERROR_LINE_CHARS, SUITES, _schema_cases, _tally, run_canonicity_suite,
+    run_equation_suite, run_injectivity_suite, run_parametricity_suite,
+    run_suites, run_termified_suite,
 )
 from ttk.typecheck import TypeCheckError
 from ttk.values import InternalStuck
@@ -73,6 +74,52 @@ def test_a_raising_check_fails_and_is_shrunk(error):
     assert first[0] == f"{type(error).__name__}: {str(error).splitlines()[0]}"
     assert first[-1].startswith("ctx:")
     assert sum(line.startswith("lhs:") for line in row.detail) == 2
+
+
+# The rows whose cases judge fixed input and draw nothing.
+_UNDRAWN_ROWS = ("component-equations", "eliminator-coverage")
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_every_case_draws_from_one_generator(monkeypatch, suite):
+    # a suite asks only for goals that can be met, so no draw is retried
+    made = []
+
+    class Counting(ttk.suites.InstanceGen):
+        def __init__(self, cfg):
+            made.append(cfg)
+            super().__init__(cfg)
+
+    monkeypatch.setattr(ttk.suites, "InstanceGen", Counting)
+    report = SUITES[suite](seed=1, count=5)
+    drawn = sum(row.passed + row.failed for row in report.rows
+                if row.label not in _UNDRAWN_ROWS)
+    assert report.ok and drawn > 0
+    assert len(made) == drawn
+
+
+def test_a_draw_that_runs_out_is_one_failed_case(monkeypatch):
+    # a GenExhausted from a suite draw is a generator bug: its case draws
+    # once, fails with a line that names the seed, and the suite goes on
+    seeds = []
+    probe_draw = ttk.suites._probe_draw
+
+    def exhausting(gen, case):
+        if case != 1:
+            return probe_draw(gen, case)
+        seeds.append(gen.cfg.seed)
+        while True:
+            gen._spend()
+
+    monkeypatch.setattr(ttk.suites, "_probe_draw", exhausting)
+    report = run_injectivity_suite(seed=5, count=3)
+    assert seeds == [derive_seed(5, "probe", 1, 0)]
+    rows = {row.label: row for row in report.rows}
+    probe = rows.pop("injectivity-probe")
+    assert (probe.passed, probe.failed) == (2, 1)
+    assert probe.detail == [
+        f"GenExhausted: generator fuel exhausted at seed {seeds[0]}"]
+    assert all(row.ok() and row.passed for row in rows.values())
 
 
 def _under(monkeypatch, mutant, run, **sizes):
